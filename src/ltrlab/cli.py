@@ -87,6 +87,29 @@ _STAGE2_DEFAULTS = {"loss": trainer.LOSS_RANKNET, "max_steps": 2000}
 _SPLIT_DEFAULT = {"train": 0.7, "validation": 0.15, "test": 0.15}
 
 
+def _build_split(data, num_queries: int) -> dict[str, float]:
+    """Check the split: exactly the three named splits, each given queries."""
+    if not isinstance(data, Mapping):
+        raise ConfigError("config section 'split' must be a JSON object")
+    split = dict(data)
+    unknown = sorted(set(split) - set(_SPLIT_DEFAULT))
+    if unknown:
+        raise ConfigError(f"unknown split names in config section 'split': {unknown}")
+    for name in _SPLIT_DEFAULT:
+        if name not in split:
+            raise ConfigError(f"config section 'split' has no {name!r} split")
+    try:
+        pipeline.split_query_ids(range(num_queries), split)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad config section 'split': {exc}") from None
+    for name, fraction in split.items():
+        if int(round(fraction * num_queries)) == 0:
+            raise ConfigError(
+                f"split {name!r} is empty: fraction {fraction} of {num_queries} queries"
+            )
+    return split
+
+
 def _build_section(cls, data: Mapping, where: str, defaults: Mapping | None = None):
     merged = dict(defaults or {})
     merged.update(data)
@@ -133,7 +156,7 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
     distill_raw = dict(raw.get("distill", {}))
     eval_raw = dict(raw.get("eval", {}))
     ablation_raw = dict(raw.get("ablation", {}))
-    split = dict(raw.get("split", _SPLIT_DEFAULT))
+    split_raw = raw.get("split", _SPLIT_DEFAULT)
 
     seed = getattr(overrides, "seed", None)
     if seed is not None:
@@ -152,9 +175,10 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
     if alpha is not None:
         stage2_raw["alpha"] = alpha
 
+    world = _build_section(distill_data.WorldConfig, world_raw, "world")
     return ExperimentConfig(
-        world=_build_section(distill_data.WorldConfig, world_raw, "world"),
-        split=split,
+        world=world,
+        split=_build_split(split_raw, world.num_queries),
         sampling=_build_section(distill_data.SamplingConfig, sampling_raw, "sampling"),
         scorer=_build_section(ScorerSpec, scorer_raw, "scorer"),
         distill=_build_section(DistillSpec, distill_raw, "distill"),
@@ -243,17 +267,16 @@ def _write_train_outputs(out: Path, tag: str, report: trainer.TrainReport) -> No
     _atomic_write(out / f"metrics_{tag}.jsonl", "\n".join(report.metrics_lines()) + "\n")
 
 
-def cmd_train(args) -> int:
-    cfg = load_experiment_config(args.config, args)
-    _print_resolved("train", cfg, args)
-    loss = args.loss or cfg.stage2.loss
-    if args.stage == "two" and loss == trainer.LOSS_INFONCE:
-        raise UsageError("--stage two requires a distillation loss (ranknet or adr-mse)")
-    world = distill_data.generate_world(cfg.world)
-    splits = _splits(cfg, world)
+def _train(
+    args,
+    cfg: ExperimentConfig,
+    loss: str,
+    world: distill_data.SyntheticWorld,
+    splits: Mapping[str, Sequence[str]],
+    out: Path,
+) -> scorer.ScorerModel:
+    """Train as the flags say, write the training reports, return the model."""
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
-    out = _out_dir(args)
-
     needs_distill = not (args.stage == "single" and loss == trainer.LOSS_INFONCE)
     dataset = None
     if needs_distill:
@@ -292,6 +315,21 @@ def cmd_train(args) -> int:
         )
         _write_train_outputs(out, "stage1", report1)
         _write_train_outputs(out, "distill", report2)
+    return model
+
+
+def cmd_train(args) -> int:
+    cfg = load_experiment_config(args.config, args)
+    _print_resolved("train", cfg, args)
+    loss = args.loss or cfg.stage2.loss
+    if args.stage == "two" and loss == trainer.LOSS_INFONCE:
+        raise UsageError("--stage two requires a distillation loss (ranknet or adr-mse)")
+    world = distill_data.generate_world(cfg.world)
+    splits = _splits(cfg, world)
+    out = _out_dir(args)
+    # The training data goes out of scope with _train, before the test pools
+    # are built, so the two never take memory at the same time.
+    model = _train(args, cfg, loss, world, splits, out)
 
     _atomic_write(out / "checkpoint.txt", scorer.checkpoint_text(model))
     test_pools = pipeline.build_rerank_pools(
@@ -468,7 +506,6 @@ def _add_common(p: _Parser, config: bool = True) -> None:
     if config:
         p.add_argument("--config", help="JSON experiment config file")
         p.add_argument("--seed", type=int, help="master seed override for all stages")
-        p.add_argument("--jobs", type=int, default=1, help="worker cap (compute is vectorized)")
     p.add_argument("--out", default=".", help="output directory")
 
 
@@ -540,9 +577,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if getattr(args, "jobs", 1) is not None and getattr(args, "jobs", 1) < 1:
-        print("usage error: --jobs must be >= 1", file=sys.stderr)
         return 1
     try:
         return args.func(args)

@@ -55,6 +55,63 @@ def canonical_order(
     return tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
 
 
+def doc_keys(docs: Sequence[DocId]) -> np.ndarray:
+    """Rank of each doc id in Python string order, 0 for the smallest.
+
+    As the last key of `np.lexsort` it breaks score ties by ascending doc id
+    exactly as `canonical_order` does, for any ids.
+    """
+    keys = np.empty(len(docs), dtype=np.intp)
+    keys[sorted(range(len(docs)), key=docs.__getitem__)] = np.arange(len(docs))
+    return keys
+
+
+def _ids_valid(docs: Sequence) -> bool:
+    """One pass over all ids that accepts only what the per-id checks accept.
+
+    Exact str ids that survive a whitespace split unchanged are non-empty and
+    free of whitespace (str.split and str.isspace agree on whitespace).
+    False means "not shown valid", not "invalid".
+    """
+    return (
+        set(map(type, docs)) <= {str}
+        and " ".join(docs).split() == list(docs)
+        and len(set(docs)) == len(docs)
+    )
+
+
+def validate_doc_ids(query: QueryId, docs: Sequence[DocId]) -> None:
+    """Check one list's doc ids: valid ids, pairwise distinct."""
+    if _ids_valid(docs):
+        return
+    seen: set[str] = set()
+    for doc in docs:
+        validate_id(doc, "doc id")
+        if doc in seen:
+            raise ValueError(f"duplicate doc id {doc!r} in list for query {query!r}")
+        seen.add(doc)
+
+
+_FAST_SCORE_TYPES = frozenset({float, np.float64})
+
+
+def _entries_valid(entries: tuple[tuple, ...]) -> bool:
+    """`_ids_valid` for (doc, score) pairs, plus finite float scores."""
+    if not entries:
+        return True
+    if sum(map(len, entries)) != 2 * len(entries):
+        return False
+    try:
+        docs, scores = zip(*entries)
+    except ValueError:
+        return False
+    return (
+        _ids_valid(docs)
+        and set(map(type, scores)) <= _FAST_SCORE_TYPES
+        and bool(np.isfinite(np.array(scores, dtype=np.float64)).all())
+    )
+
+
 @dataclass(frozen=True)
 class ScoredList:
     """A query's candidate documents with relevance scores.
@@ -68,7 +125,13 @@ class ScoredList:
 
     def __post_init__(self):
         validate_id(self.query, "query id")
-        object.__setattr__(self, "entries", tuple(tuple(e) for e in self.entries))
+        entries = tuple(map(tuple, self.entries))
+        object.__setattr__(self, "entries", entries)
+        if not _entries_valid(entries):
+            self._check_entries()
+
+    def _check_entries(self) -> None:
+        """Per-doc checks: the exact error for the first bad entry."""
         seen: set[str] = set()
         for doc, score in self.entries:
             validate_id(doc, "doc id")
@@ -83,7 +146,7 @@ class ScoredList:
 
     @property
     def docs(self) -> tuple[DocId, ...]:
-        return tuple(doc for doc, _ in self.entries)
+        return next(zip(*self.entries), ())
 
     @property
     def scores(self) -> tuple[float, ...]:
@@ -352,7 +415,7 @@ class DistillRecord:
     def __post_init__(self):
         validate_id(self.query, "query id")
         object.__setattr__(self, "docs", tuple(self.docs))
-        object.__setattr__(self, "first_stage_ranks", tuple(int(r) for r in self.first_stage_ranks))
+        object.__setattr__(self, "first_stage_ranks", tuple(map(int, self.first_stage_ranks)))
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2:
             raise ValueError(f"features must be a 2-d array, got shape {feats.shape}")
@@ -368,12 +431,11 @@ class DistillRecord:
             )
         if not np.isfinite(feats).all():
             raise ValueError(f"record for query {self.query!r} has non-finite features")
-        for rank in self.first_stage_ranks:
-            if rank < 1 or rank > self.source_depth:
-                raise ValueError(
-                    f"first-stage rank {rank} outside 1..{self.source_depth} "
-                    f"for query {self.query!r}"
-                )
+        if min(self.first_stage_ranks) < 1 or max(self.first_stage_ranks) > self.source_depth:
+            rank = next(r for r in self.first_stage_ranks if r < 1 or r > self.source_depth)
+            raise ValueError(
+                f"first-stage rank {rank} outside 1..{self.source_depth} for query {self.query!r}"
+            )
         if len(set(self.first_stage_ranks)) != n:
             raise ValueError(f"record for query {self.query!r} has duplicate first-stage ranks")
 

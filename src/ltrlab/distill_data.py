@@ -30,7 +30,7 @@ from .core import (
     QueryId,
     ScoredList,
     TrainingGroup,
-    canonical_order,
+    doc_keys,
 )
 
 logger = logging.getLogger(__name__)
@@ -135,6 +135,11 @@ class SyntheticWorld:
             f"q{i:0{len(str(config.num_queries - 1))}d}" for i in range(config.num_queries)
         )
         self._query_index = {qid: i for i, qid in enumerate(self.query_ids)}
+        prefix_len = len(self._doc_id(0, 0)) - self._doc_width
+        self._offset_limits = np.array([0] * prefix_len + [9] * self._doc_width, dtype=np.uint8)
+        self._place_values = np.array(
+            [0] * prefix_len + [10**e for e in reversed(range(self._doc_width))], dtype=np.intp
+        )
         self._qrels: Qrels | None = None
         self._runs: dict[str, dict[str, ScoredList]] = {}
 
@@ -175,10 +180,34 @@ class SyntheticWorld:
         qi = self._qindex(query)
         return self._features[qi, self._dindex(qi, doc)].copy()
 
+    def _generated_indices(self, qi: int, docs: Sequence[DocId]) -> np.ndarray | None:
+        """Pool indices of docs if every id has the generated form, else None.
+
+        A query's generated ids share one prefix and end in a zero-padded
+        index, so all of them are checked and decoded in one pass over their
+        code points. Their string order is their index order.
+        """
+        template = _code_points(self._doc_id(qi, 0))
+        try:
+            if set(map(len, docs)) != {len(template)}:
+                return None
+            codes = _code_points("".join(docs)).reshape(len(docs), len(template))
+        except (TypeError, ValueError):
+            return None
+        # Prefix columns must match exactly and digit columns hold 0-9; the
+        # unsigned difference wraps anything below the template to a large value.
+        offsets = codes - template
+        if (offsets > self._offset_limits).any():
+            return None
+        idx = offsets @ self._place_values
+        return idx if idx.max() < self.config.docs_per_query else None
+
     def features_for(self, query: QueryId, docs: Sequence[DocId]) -> np.ndarray:
         """Feature matrix (len(docs), F) for one query's documents."""
         qi = self._qindex(query)
-        idx = [self._dindex(qi, d) for d in docs]
+        idx = self._generated_indices(qi, docs)
+        if idx is None:
+            idx = [self._dindex(qi, d) for d in docs]
         return self._features[qi, idx]
 
     def qrels(self) -> Qrels:
@@ -196,14 +225,16 @@ class SyntheticWorld:
         if retriever not in self._fs_scores:
             raise KeyError(f"unknown retriever {retriever!r}; have {self.retriever_names}")
         if retriever not in self._runs:
+            scores = self._fs_scores[retriever]
+            # Zero-padded ids sort like their pool index, so the index is the
+            # tie-break key of canonical order.
+            doc_index = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
+            order = np.lexsort((doc_index, -scores), axis=-1)
+            suffixes = [f"_p{j:0{self._doc_width}d}" for j in range(scores.shape[1])]
             run = {}
-            for qi, qid in enumerate(self.query_ids):
-                scores = self._fs_scores[retriever][qi]
-                entries = canonical_order(
-                    (self._doc_id(qi, j), float(scores[j]))
-                    for j in range(self.config.docs_per_query)
-                )
-                run[qid] = ScoredList(qid, entries)
+            for qid, row, idx in zip(self.query_ids, scores, order):
+                docs = [qid + suffixes[j] for j in idx.tolist()]
+                run[qid] = ScoredList(qid, tuple(zip(docs, row[idx].tolist())))
             self._runs[retriever] = run
         return self._runs[retriever]
 
@@ -219,14 +250,19 @@ class SyntheticWorld:
         qi = self._qindex(query)
         if len(set(docs)) != len(docs):
             raise ValueError(f"teacher got duplicate candidates for query {query!r}")
+        j = tie_key = self._generated_indices(qi, docs)
+        if j is None:
+            j = [self._dindex(qi, d) for d in docs]
+            tie_key = doc_keys(docs)
         cfg = self.config
-        keyed = []
-        for pos, doc in enumerate(docs):
-            j = self._dindex(qi, doc)
-            sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * pos
-            keyed.append((-(self._rel[qi, j] + sigma * self._teacher_u[qi, j]), doc))
-        keyed.sort()
-        return tuple(doc for _, doc in keyed)
+        sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * np.arange(len(docs))
+        key = -(self._rel[qi, j] + sigma * self._teacher_u[qi, j])
+        return tuple([docs[i] for i in np.lexsort((tie_key, key)).tolist()])
+
+
+def _code_points(text: str) -> np.ndarray:
+    """Latin-1 code points of text; ValueError for anything beyond Latin-1."""
+    return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
 
 
 def generate_world(config: WorldConfig) -> SyntheticWorld:
@@ -343,15 +379,15 @@ def build_teacher_dataset(
             )
         top_docs = ranking.docs[:depth]
         ranked = tuple(teacher(qid, top_docs))
-        if sorted(ranked) != sorted(top_docs):
+        fs_rank = dict(zip(top_docs, range(1, depth + 1)))
+        if len(ranked) != depth or set(ranked) != fs_rank.keys():
             raise ValueError(f"teacher returned a non-permutation for query {qid!r}")
-        fs_rank = {doc: i + 1 for i, doc in enumerate(top_docs)}
         dataset.append(
             DistillRecord(
                 query=qid,
                 docs=ranked,
                 features=features_for(qid, ranked),
-                first_stage_ranks=tuple(fs_rank[d] for d in ranked),
+                first_stage_ranks=tuple(map(fs_rank.__getitem__, ranked)),
                 source_depth=depth,
             )
         )

@@ -58,6 +58,33 @@ def ndcg_at_k(ranking: ScoredList, qrels: Qrels, k: int = 10) -> float:
     return dcg / idcg
 
 
+def _dcg_rows(grades: np.ndarray, k: int) -> np.ndarray:
+    """DCG@k of each row of grades, term by term as `ndcg_at_k` sums it."""
+    top = grades[:, :k]
+    values, index = np.unique(top, return_inverse=True)
+    gains = np.array([2.0 ** int(g) - 1.0 for g in values])[index.reshape(top.shape)]
+    discounts = np.array([math.log2(i + 2.0) for i in range(top.shape[1])])
+    terms = gains / discounts
+    dcg = np.zeros(len(grades))
+    for column in terms.T:  # left to right, so every sum rounds as the scalar one
+        dcg += column
+    return dcg
+
+
+def ndcg_rows(ranked_grades: np.ndarray, ideal_grades: np.ndarray, k: int = 10) -> np.ndarray:
+    """nDCG@k of many queries at once; row i equals `ndcg_at_k` bit for bit.
+
+    Row i of `ranked_grades` holds query i's grades in ranked order and row i
+    of `ideal_grades` all its judged grades sorted best first; both are
+    zero-padded on the right.
+    """
+    if k < 1:
+        raise ValueError("cutoff k must be >= 1")
+    dcg = _dcg_rows(ranked_grades, k)
+    idcg = _dcg_rows(ideal_grades, k)
+    return np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0)
+
+
 def micro_average(
     per_collection: Mapping[str, Mapping[str, float] | Sequence[float]],
 ) -> dict[str, float]:

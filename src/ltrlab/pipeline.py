@@ -16,8 +16,7 @@ import numpy as np
 from . import scorer, trainer
 from .core import Qrels, QueryId, ScoredList
 from .distill_data import DistillDataset, SyntheticWorld
-from .evaluation import ndcg_at_k
-from .trainer import RerankPool, TrainConfig, ValidationSet
+from .trainer import PoolBlock, RerankPool, TrainConfig, ValidationSet
 
 logger = logging.getLogger(__name__)
 
@@ -56,13 +55,14 @@ def build_rerank_pools(
     run: Mapping[QueryId, ScoredList],
     queries: Sequence[QueryId],
     depth: int,
-) -> list[RerankPool]:
+) -> PoolBlock:
     """Top-`depth` candidates of each query's run with their features."""
-    pools = []
-    for qid in queries:
-        docs = run[qid].docs[:depth]
-        pools.append(RerankPool(qid, docs, world.features_for(qid, docs)))
-    return pools
+    docs = [run[qid].docs[:depth] for qid in queries]
+    width = max(map(len, docs), default=0)
+    features = np.zeros((len(queries), width, world.config.feature_dim))
+    for i, (qid, row) in enumerate(zip(queries, docs)):
+        features[i, : len(row)] = world.features_for(qid, row)
+    return PoolBlock(queries, docs, features)
 
 
 def make_validation(
@@ -70,23 +70,35 @@ def make_validation(
 ) -> ValidationSet:
     run = world.first_stage_run(retriever)
     pools = build_rerank_pools(world, run, queries, depth)
-    return ValidationSet(tuple(pools), world.qrels().restrict(queries))
+    return ValidationSet(pools, world.qrels().restrict(queries))
 
 
 def evaluate_model(
     model: scorer.ScorerModel,
-    pools: Sequence[RerankPool],
+    pools: PoolBlock | Sequence[RerankPool],
     qrels: Qrels,
     k: int = 10,
 ) -> dict[QueryId, float]:
     """Per-query nDCG@k of the model re-ranking each pool."""
-    return {pool.query: ndcg_at_k(trainer.rerank(model, pool), qrels, k) for pool in pools}
+    if not len(pools):
+        return {}
+    judged = ValidationSet(pools, qrels)
+    return dict(zip(judged.block.queries, judged.ndcg(model, k).tolist()))
 
 
 def rerank_run(
-    model: scorer.ScorerModel, pools: Sequence[RerankPool]
+    model: scorer.ScorerModel, pools: PoolBlock | Sequence[RerankPool]
 ) -> dict[QueryId, ScoredList]:
-    return {pool.query: trainer.rerank(model, pool) for pool in pools}
+    """Every pool re-ranked by the model, as `trainer.rerank` ranks one."""
+    block = PoolBlock.of(pools)
+    scores, order = block.rank(model)
+    run = {}
+    for query, docs, length, row, ranked in zip(
+        block.queries, block.docs, block.lengths, scores, order
+    ):
+        ranked = ranked[:length].tolist()
+        run[query] = ScoredList(query, tuple(zip([docs[j] for j in ranked], row[ranked].tolist())))
+    return run
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,10 @@ def estimate(
     )
 
 
+def _ratio_text(ratio: float | None) -> str:
+    return "-" if ratio is None else f"{ratio:.3f}"
+
+
 def cost_report(rows: Sequence[tuple[str, CostEstimate]]) -> str:
     """Aligned text table over (name, estimate) rows."""
     width = max([len(name) for name, _ in rows] + [len("strategy")])
@@ -140,8 +144,8 @@ def cost_report(rows: Sequence[tuple[str, CostEstimate]]) -> str:
     )
     lines = [header]
     for name, est in rows:
-        lat = f"{est.latency_ratio_vs_baseline:.3f}" if est.latency_ratio_vs_baseline else "-"
-        mem = f"{est.memory_ratio_vs_baseline:.3f}" if est.memory_ratio_vs_baseline else "-"
+        lat = _ratio_text(est.latency_ratio_vs_baseline)
+        mem = _ratio_text(est.memory_ratio_vs_baseline)
         lines.append(
             f"{name:<{width}}  {est.calls:>5d}  {est.scorings:>8d}  "
             f"{est.latency_s:>10.3f}  {est.memory_gb:>9.2f}  {lat:>9}  {mem:>9}"

@@ -17,9 +17,19 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import losses, scorer
-from .core import Qrels, QueryId, ScoredList, TrainingGroup, canonical_order, validate_id
+from .core import (
+    DocId,
+    Qrels,
+    QueryId,
+    ScoredList,
+    TrainingGroup,
+    canonical_order,
+    doc_keys,
+    validate_doc_ids,
+    validate_id,
+)
 from .distill_data import DistillDataset, FeaturesFn
-from .evaluation import ndcg_at_k
+from .evaluation import ndcg_rows
 
 logger = logging.getLogger(__name__)
 
@@ -104,23 +114,112 @@ class RerankPool:
     def __post_init__(self):
         validate_id(self.query, "query id")
         object.__setattr__(self, "docs", tuple(self.docs))
+        validate_doc_ids(self.query, self.docs)
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] != len(self.docs):
             raise ValueError("features must be (len(docs), F)")
         object.__setattr__(self, "features", feats)
 
 
-@dataclass(frozen=True)
+class PoolBlock:
+    """Candidate pools of many queries as one zero-padded (Q, n, F) block.
+
+    Row i is query i's pool: `features[i, :lengths[i]]` are the features of
+    docs[i], and `mask` is False on the zero rows past them. `doc_key[i, j]`
+    ranks docs[i][j] among its row's ids in string order, the tie-break of
+    canonical order. Ids are checked once, here; ranking checks only that
+    the scores are finite. Iterating yields each row as a RerankPool view.
+    """
+
+    def __init__(
+        self, queries: Sequence[QueryId], docs: Sequence[Sequence[DocId]], features: np.ndarray
+    ):
+        self.queries = tuple(queries)
+        self.docs = tuple(map(tuple, docs))
+        for query, row in zip(self.queries, self.docs):
+            validate_id(query, "query id")
+            validate_doc_ids(query, row)
+        self.lengths = np.array([len(row) for row in self.docs], dtype=np.intp)
+        features = np.asarray(features, dtype=np.float64)
+        width = int(self.lengths.max(initial=0))
+        if features.ndim != 3 or features.shape[:2] != (len(self.queries), width):
+            raise ValueError(f"features must be ({len(self.queries)}, {width}, F)")
+        self.features = features
+        self.mask = np.arange(width) < self.lengths[:, None]
+        self.doc_key = np.zeros(self.mask.shape, dtype=np.intp)
+        for i, row in enumerate(self.docs):
+            self.doc_key[i, : len(row)] = doc_keys(row)
+
+    @classmethod
+    def of(cls, pools: "PoolBlock | Sequence[RerankPool]") -> "PoolBlock":
+        """The pools as a block: a block itself, or the pools stacked into one."""
+        if isinstance(pools, PoolBlock):
+            return pools
+        pools = tuple(pools)
+        width = max((len(pool.docs) for pool in pools), default=0)
+        dim = pools[0].features.shape[1] if pools else 0
+        features = np.zeros((len(pools), width, dim))
+        for i, pool in enumerate(pools):
+            features[i, : len(pool.docs)] = pool.features
+        return cls([pool.query for pool in pools], [pool.docs for pool in pools], features)
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def __iter__(self):
+        for query, docs, features in zip(self.queries, self.docs, self.features):
+            yield RerankPool(query, docs, features[: len(docs)])
+
+    def rank(self, model: scorer.ScorerModel) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's scores and canonical order, in one sort.
+
+        Returns the (Q, n) scores and, per row, the column indices by
+        descending score with ties by ascending doc id, padding last: row i
+        of the order lists `rerank(model, pool_i)` first.
+
+        Each row is scored on its own: BLAS sums a row's products in an
+        order that depends on the matrix shape (a 1-row matrix takes another
+        kernel), so scoring the whole block at once could move a score by
+        an ulp and break a tie differently from `rerank`.
+        """
+        scores = np.zeros(self.mask.shape)
+        for row, length, features in zip(scores, self.lengths, self.features):
+            row[:length] = scorer.score_batch(model, features[:length])
+        bad = self.mask & ~np.isfinite(scores)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ValueError(
+                f"non-finite score for doc {self.docs[i][j]!r} in query {self.queries[i]!r}"
+            )
+        order = np.lexsort((self.doc_key, np.where(self.mask, -scores, np.inf)), axis=-1)
+        return scores, order
+
+
 class ValidationSet:
-    """Held-out candidates plus judgments for early stopping."""
+    """Held-out pools plus their judgments, for early stopping and evaluation.
 
-    pools: tuple[RerankPool, ...]
-    qrels: Qrels
+    `grades[i, j]` is the judged grade of the doc in column j of the block's
+    row i (0 when unjudged or padding), and `ideal[i]` holds all of query
+    i's judged grades, best first, zero-padded: the inputs of
+    `evaluation.ndcg_rows`.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "pools", tuple(self.pools))
-        if not self.pools:
+    def __init__(self, pools: PoolBlock | Sequence[RerankPool], qrels: Qrels):
+        self.block = PoolBlock.of(pools)
+        if not len(self.block):
             raise ValueError("validation set must contain at least one pool")
+        judged = [qrels.judged(query) for query in self.block.queries]
+        self.grades = np.zeros(self.block.mask.shape, dtype=np.int64)
+        self.ideal = np.zeros((len(judged), max(1, *map(len, judged))), dtype=np.int64)
+        for i, (docs, grades) in enumerate(zip(self.block.docs, judged)):
+            self.grades[i, : len(docs)] = [grades.get(doc, 0) for doc in docs]
+            self.ideal[i, : len(grades)] = sorted(grades.values(), reverse=True)
+
+    def ndcg(self, model: scorer.ScorerModel, k: int = 10) -> np.ndarray:
+        """Per-pool nDCG@k of the model's ranking; entry i equals
+        `ndcg_at_k(rerank(model, pool_i), qrels, k)` bit for bit."""
+        _, order = self.block.rank(model)
+        return ndcg_rows(np.take_along_axis(self.grades, order[:, :k], axis=1), self.ideal, k)
 
 
 def rerank(model: scorer.ScorerModel, pool: RerankPool) -> ScoredList:
@@ -132,8 +231,7 @@ def rerank(model: scorer.ScorerModel, pool: RerankPool) -> ScoredList:
 def mean_validation_ndcg(
     model: scorer.ScorerModel, validation: ValidationSet, k: int = 10
 ) -> float:
-    values = [ndcg_at_k(rerank(model, pool), validation.qrels, k) for pool in validation.pools]
-    return float(np.mean(values))
+    return float(np.mean(validation.ndcg(model, k)))
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:

@@ -65,3 +65,41 @@ def kendall_tau(order_a, order_b) -> float:
                 discordant += 1
     total = len(items) * (len(items) - 1) // 2
     return (concordant - discordant) / total if total else 1.0
+
+
+def scored_list_checks(query, entries) -> None:
+    """ScoredList's per-doc entry checks, one entry at a time."""
+    from ltrlab.core import validate_id
+
+    seen = set()
+    for doc, score in entries:
+        validate_id(doc, "doc id")
+        if doc in seen:
+            raise ValueError(f"duplicate doc id {doc!r} in list for query {query!r}")
+        seen.add(doc)
+        if not np.isfinite(score):
+            raise ValueError(f"non-finite score for doc {doc!r} in query {query!r}")
+
+
+def teacher_order(world, query, docs):
+    """The synthetic teacher by a sort of (key, doc id) tuples, doc by doc."""
+    qi = world.query_ids.index(query)
+    if len(set(docs)) != len(docs):
+        raise ValueError(f"teacher got duplicate candidates for query {query!r}")
+    cfg = world.config
+    keyed = []
+    for pos, doc in enumerate(docs):
+        j = world._dindex(qi, doc)
+        sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * pos
+        keyed.append((-(world._rel[qi, j] + sigma * world._teacher_u[qi, j]), doc))
+    keyed.sort()
+    return tuple(doc for _, doc in keyed)
+
+
+def outcome(fn):
+    """None when fn() returns, else the type and message of what it raised."""
+    try:
+        fn()
+    except Exception as exc:  # the test compares whatever is raised
+        return type(exc), str(exc)
+    return None

@@ -296,6 +296,39 @@ class TestConfigHandling:
         bad.write_text("{nope")
         assert main(["world", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            ({"train": 0.8, "test": 0.2}, "config section 'split' has no 'validation' split"),
+            ({"train": 0.6, "validation": 0.2}, "config section 'split' has no 'test' split"),
+            (
+                {"train": 0.6, "validation": 0.2, "test": 0.1, "dev": 0.1},
+                "unknown split names in config section 'split': ['dev']",
+            ),
+            (
+                {"train": 0.9, "validation": 0.001, "test": 0.099},
+                "split 'validation' is empty: fraction 0.001 of 200 queries",
+            ),
+            ({"train": 0.9, "validation": 0.2, "test": 0.1}, "split fractions sum to"),
+            ({"train": 0.6, "validation": -0.2, "test": 0.2}, "must be positive"),
+            ([0.6, 0.2, 0.2], "config section 'split' must be a JSON object"),
+        ],
+    )
+    def test_bad_split_named_at_load(self, tmp_path, capsys, split, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SMOKE_CONFIG, split=split)))
+        code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_jobs_flag_removed(self, tmp_path, config_path, capsys):
+        argv = ["world", "--config", str(config_path), "--jobs", "2", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_grid_emitted(self, tmp_path, config_path):

@@ -129,3 +129,13 @@ class TestEstimate:
         jsonl = cost_report_jsonl(rows)
         assert jsonl.count("\n") == 2
         assert '"strategy":"slow"' in jsonl
+
+    def test_zero_ratio_printed_as_number(self):
+        baseline = estimate(100, pointwise(), CostModel(0.2, 2.0))
+        free = estimate(100, pointwise(), CostModel(0.0, 0.0), baseline)
+        assert free.latency_ratio_vs_baseline == 0.0
+        row = cost_report([("base", baseline), ("free", free)]).splitlines()[2].split()
+        assert row[0] == "free"
+        assert row[-2:] == ["0.000", "0.000"]
+        # Without a baseline there is no ratio to print.
+        assert cost_report([("base", baseline)]).splitlines()[1].split()[-2:] == ["-", "-"]
