@@ -14,7 +14,6 @@ from .core import (
     ParseError,
     Qrels,
     ScoredList,
-    TeacherRanking,
     TrainingGroup,
     parse_distill_dataset,
     parse_qrels,
@@ -44,7 +43,7 @@ from .evaluation import (
 )
 from .losses import ApproxConfig, LossOutput, adr_mse, infonce, ranknet, smooth_rank
 from .rerank_sim import CostModel, StrategySpec, estimate, schedule, scoring_count
-from .scorer import AdamWState, ScorerModel, adamw_step, init_model, score, score_grad
+from .scorer import AdamWState, ScorerModel, adamw_step, init_model
 from .trainer import (
     TrainConfig,
     TrainReport,

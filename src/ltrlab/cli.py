@@ -57,10 +57,16 @@ class DistillSpec:
 
 @dataclass(frozen=True)
 class EvalSpec:
+    """The run re-ranked for validation and test, its depth, and the nDCG cutoff."""
+
     retriever: str = "strong"
     depth: int = 100
     k: int = 10
-    significance_level: float = 0.05
+
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+        evaluation.EvalConfig(k=self.k)
 
 
 @dataclass(frozen=True)
@@ -277,44 +283,28 @@ def _train(
 ) -> scorer.ScorerModel:
     """Train as the flags say, write the training reports, return the model."""
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
-    needs_distill = not (args.stage == "single" and loss == trainer.LOSS_INFONCE)
+    stage1 = args.stage == "two" or loss == trainer.LOSS_INFONCE
+    distill = loss != trainer.LOSS_INFONCE
+    run = None
+    if stage1 or not args.dataset:
+        run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
     dataset = None
-    if needs_distill:
-        if args.dataset:
-            dataset = core.parse_distill_dataset(Path(args.dataset).read_text(encoding="utf-8"))
-        else:
-            run = pipeline.restrict_run(
-                world.first_stage_run(cfg.distill.retriever), splits["train"]
-            )
-            dataset = distill_data.build_teacher_dataset(
-                run, world.teacher, world.features_for, depth=cfg.distill.depth
-            )
+    if distill and args.dataset:
+        dataset = core.parse_distill_dataset(Path(args.dataset).read_text(encoding="utf-8"))
+    elif distill:
+        dataset = distill_data.build_teacher_dataset(
+            run, world.teacher, world.features_for, depth=cfg.distill.depth
+        )
     validation = pipeline.make_validation(
         world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
     )
-
-    if args.stage == "single" and loss == trainer.LOSS_INFONCE:
-        groups = distill_data.build_hard_negative_groups(
-            pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"]),
-            world.qrels(),
-            cfg.sampling,
-        )
+    if stage1:
+        groups = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling)
         model, report = trainer.train_stage1(model, groups, world.features_for, cfg.stage1)
         _write_train_outputs(out, "stage1", report)
-    elif args.stage == "single":
+    if distill:
         model, report = trainer.train_distill(model, dataset, validation, cfg.stage2)
         _write_train_outputs(out, "distill", report)
-    else:
-        groups = distill_data.build_hard_negative_groups(
-            pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"]),
-            world.qrels(),
-            cfg.sampling,
-        )
-        model, (report1, report2) = trainer.train_two_stage(
-            model, groups, world.features_for, dataset, validation, cfg.stage1, cfg.stage2
-        )
-        _write_train_outputs(out, "stage1", report1)
-        _write_train_outputs(out, "distill", report2)
     return model
 
 

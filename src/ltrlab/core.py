@@ -152,11 +152,6 @@ class ScoredList:
     def scores(self) -> tuple[float, ...]:
         return tuple(score for _, score in self.entries)
 
-    def truncate(self, depth: int) -> "ScoredList":
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
-        return ScoredList(self.query, self.entries[:depth])
-
 
 @dataclass(frozen=True)
 class TrainingGroup:
@@ -185,40 +180,6 @@ class TrainingGroup:
         return (self.positive,) + self.negatives
 
 
-@dataclass(frozen=True)
-class TeacherRanking:
-    """A teacher's total order over candidate documents, best first.
-
-    Positions are 1-based: the document at index 0 has rank 1, so the
-    standard log2(rank + 1) discount equals 1 at the top.
-    """
-
-    query: QueryId
-    docs: tuple[DocId, ...]
-    source_depth: int
-
-    def __post_init__(self):
-        validate_id(self.query, "query id")
-        object.__setattr__(self, "docs", tuple(self.docs))
-        if not self.docs:
-            raise ValueError(f"teacher ranking for query {self.query!r} is empty")
-        for doc in self.docs:
-            validate_id(doc, "doc id")
-        if len(set(self.docs)) != len(self.docs):
-            raise ValueError(f"teacher ranking for query {self.query!r} has duplicate docs")
-        if self.source_depth < len(self.docs):
-            raise ValueError(
-                f"source_depth {self.source_depth} smaller than ranking length {len(self.docs)}"
-            )
-
-    def __len__(self) -> int:
-        return len(self.docs)
-
-    def rank_of(self, doc: DocId) -> int:
-        """1-based rank of a document."""
-        return self.docs.index(doc) + 1
-
-
 class Qrels:
     """Relevance judgments: (query, doc) -> integer grade >= 0.
 
@@ -241,13 +202,6 @@ class Qrels:
                 per_q[doc] = int(grade)
             data[qid] = per_q
         self._grades = data
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[QueryId, DocId, int]]) -> "Qrels":
-        grades: dict[str, dict[str, int]] = {}
-        for qid, doc, grade in pairs:
-            grades.setdefault(qid, {})[doc] = grade
-        return cls(grades)
 
     def grade(self, query: QueryId, doc: DocId) -> int:
         return self._grades.get(query, {}).get(doc, 0)
@@ -445,10 +399,6 @@ class DistillRecord:
     @property
     def feature_dim(self) -> int:
         return int(self.features.shape[1])
-
-    @property
-    def ranking(self) -> TeacherRanking:
-        return TeacherRanking(self.query, self.docs, self.source_depth)
 
 
 def write_distill_dataset(records: Sequence[DistillRecord]) -> str:

@@ -21,6 +21,7 @@ so a higher score means a smaller (better) approximate rank.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,59 +43,84 @@ class ApproxConfig:
 
 @dataclass(frozen=True)
 class LossOutput:
-    """A non-negative loss value and its gradient w.r.t. each input score."""
+    """Non-negative loss values and their gradients w.r.t. each input score:
+    a float and an (n,) gradient for a 1-d vector, (B,) and (B, n) for a
+    (B, n) block of B lists."""
 
-    value: float
+    value: float | np.ndarray
     grad: np.ndarray
 
 
-def _as_scores(scores, name: str) -> np.ndarray:
+def _as_rows(scores, name: str) -> np.ndarray:
+    """Scores as a (B, n) block: a 1-d vector becomes one row."""
     arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} requires a non-empty 1-d score vector, got shape {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.size == 0:
+        raise ValueError(f"{name} requires non-empty (n,) or (B, n) scores, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} received non-finite scores")
-    return arr
+    return arr.reshape(-1, arr.shape[-1])
+
+
+def _output(scores, values: np.ndarray, grad: np.ndarray) -> LossOutput:
+    if np.ndim(scores) == 1:
+        return LossOutput(float(values[0]), grad[0])
+    return LossOutput(values, grad)
+
+
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    # One 1-d sum per row: a 2-d sum(axis=1) may add a row in another order.
+    return np.array([np.add.reduce(row) for row in rows])
+
+
+@functools.cache
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j among n items, row by row.
+
+    Cached per list length and shared between calls, so read-only."""
+    pairs = np.triu_indices(n, k=1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def infonce(scores, positive_index: int) -> LossOutput:
     """Softmax cross-entropy of the positive against the whole candidate set.
 
-    Computed as logsumexp(scores) - scores[positive_index] with max
+    Computed per row as logsumexp(scores) - scores[positive_index] with max
     subtraction, so scores of any magnitude are safe. The gradient is
     softmax(scores) minus the one-hot positive indicator.
     """
-    s = _as_scores(scores, "infonce")
-    n = s.size
+    s = _as_rows(scores, "infonce")
+    n = s.shape[1]
     if not 0 <= positive_index < n:
         raise ValueError(f"positive_index {positive_index} out of range for {n} scores")
-    z = s - s.max()
+    z = s - s.max(axis=1, keepdims=True)
     expz = np.exp(z)
-    total = expz.sum()
-    # Mathematically >= 0; the max() only strips 1-ulp rounding noise.
-    value = max(float(np.log(total) - z[positive_index]), 0.0)
-    grad = expz / total
-    grad[positive_index] -= 1.0
-    return LossOutput(value, grad)
+    total = _row_sums(expz)
+    values = np.log(total) - z[:, positive_index]
+    # Mathematically >= 0; the clamp strips 1-ulp rounding noise and -0.0.
+    values = np.where(values > 0.0, values, 0.0)
+    grad = expz / total[:, None]
+    grad[:, positive_index] -= 1.0
+    return _output(scores, values, grad)
 
 
 def ranknet(scores) -> LossOutput:
-    """Pairwise logistic loss over a list given in teacher order (best first).
+    """Pairwise logistic loss over lists given in teacher order (best first).
 
     Every ordered pair (i, j) with j below i contributes
     softplus(s_j - s_i); the softplus is evaluated via logaddexp so large
     score gaps do not overflow.
     """
-    s = _as_scores(scores, "ranknet")
-    n = s.size
-    if n == 1:
-        return LossOutput(0.0, np.zeros(1))
-    diff = s[None, :] - s[:, None]  # diff[i, j] = s_j - s_i
-    upper = np.triu_indices(n, k=1)
-    value = float(np.logaddexp(0.0, diff[upper]).sum())
-    pair = np.triu(expit(diff), k=1)  # sigmoid(s_j - s_i) for j > i
-    grad = pair.sum(axis=0) - pair.sum(axis=1)
-    return LossOutput(value, grad)
+    s = _as_rows(scores, "ranknet")
+    rows, n = s.shape
+    upper_i, upper_j = _upper_pairs(n)
+    diff = np.take(s, upper_j, axis=1) - np.take(s, upper_i, axis=1)  # s_j - s_i, i < j
+    values = _row_sums(np.logaddexp(0.0, diff))
+    pair = np.zeros((rows, n * n))  # pair[b, i * n + j] = sigmoid(s_j - s_i) for j > i
+    pair[:, upper_i * n + upper_j] = expit(diff)
+    pair = pair.reshape(rows, n, n)
+    return _output(scores, values, pair.sum(axis=1) - pair.sum(axis=2))
 
 
 def smooth_rank(scores, cfg: ApproxConfig = ApproxConfig()) -> np.ndarray:
@@ -103,10 +129,10 @@ def smooth_rank(scores, cfg: ApproxConfig = ApproxConfig()) -> np.ndarray:
     Returns pi with pi_i = 1 + sum_{j != i} sigmoid(alpha * (s_j - s_i)).
     Because opposing sigmoids sum to one, sum(pi) = n(n+1)/2 for any input.
     """
-    s = _as_scores(scores, "smooth_rank")
-    mat = expit(cfg.alpha * (s[None, :] - s[:, None]))
+    s = _as_rows(scores, "smooth_rank")
+    mat = expit(cfg.alpha * (s[:, None, :] - s[:, :, None]))
     # Row sums include the diagonal sigmoid(0) = 0.5, hence the +0.5 offset.
-    return mat.sum(axis=1) + 0.5
+    return (mat.sum(axis=2) + 0.5).reshape(np.shape(scores))
 
 
 def adr_mse(scores, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:
@@ -117,19 +143,19 @@ def adr_mse(scores, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:
     The gradient chains through every pairwise sigmoid, since each smooth
     rank depends on all scores.
     """
-    s = _as_scores(scores, "adr_mse")
-    n = s.size
+    s = _as_rows(scores, "adr_mse")
+    n = s.shape[1]
     alpha = cfg.alpha
-    mat = expit(alpha * (s[None, :] - s[:, None]))
-    pi = mat.sum(axis=1) + 0.5
+    mat = expit(alpha * (s[:, None, :] - s[:, :, None]))
+    pi = mat.sum(axis=2) + 0.5
     targets = np.arange(1, n + 1, dtype=np.float64)
     weights = 1.0 / np.log2(targets + 1.0)
     gaps = targets - pi
-    value = float(np.sum(weights * gaps * gaps) / n)
+    values = _row_sums(weights * gaps * gaps) / n
     # dL/dpi_i, then through dpi_i/ds_k = alpha*B[i,k] (k != i),
     # dpi_i/ds_i = -alpha*sum_j B[i,j], with B = sigmoid' off-diagonal.
     dpi = (2.0 / n) * weights * (pi - targets)
     bmat = mat * (1.0 - mat)
-    np.fill_diagonal(bmat, 0.0)
-    grad = alpha * (bmat.T @ dpi - dpi * bmat.sum(axis=1))
-    return LossOutput(value, grad)
+    bmat.reshape(len(s), n * n)[:, :: n + 1] = 0.0  # the diagonals
+    back = np.matmul(bmat.swapaxes(1, 2), dpi[:, :, None])[:, :, 0]
+    return _output(scores, values, alpha * (back - dpi * bmat.sum(axis=2)))

@@ -105,13 +105,13 @@ def _mlp_parts(model: ScorerModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return w1, b1, w2, b2
 
 
-def _as_matrix(model: ScorerModel, features) -> np.ndarray:
+def _as_features(model: ScorerModel, features) -> np.ndarray:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != model.feature_dim:
+    if x.ndim not in (2, 3) or x.shape[-1] != model.feature_dim:
         raise ValueError(
-            f"features have shape {np.shape(features)}, expected (*, {model.feature_dim})"
+            f"features have shape {np.shape(features)}, expected (..., {model.feature_dim})"
         )
     if not np.isfinite(x).all():
         raise ValueError("features must be finite")
@@ -119,8 +119,12 @@ def _as_matrix(model: ScorerModel, features) -> np.ndarray:
 
 
 def score_batch(model: ScorerModel, features) -> np.ndarray:
-    """Scores for a (n, F) feature matrix. Deterministic and pure."""
-    x = _as_matrix(model, features)
+    """Scores of an (n, F) list, or (B, n) scores of a (B, n, F) block.
+
+    Deterministic and pure. A block takes one stacked matmul, which runs the
+    same BLAS product per list as scoring the lists one by one.
+    """
+    x = _as_features(model, features)
     if model.architecture == LINEAR:
         w, b = _linear_parts(model)
         return x @ w + b
@@ -128,34 +132,39 @@ def score_batch(model: ScorerModel, features) -> np.ndarray:
     return np.tanh(x @ w1.T + b1) @ w2 + b2
 
 
-def score(model: ScorerModel, features) -> float:
-    """Relevance score for a single feature vector."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d feature vector, got shape {x.shape}")
-    return float(score_batch(model, x[None, :])[0])
+def grad_batch(model: ScorerModel, features, upstream, total=None) -> np.ndarray:
+    """Gradient of sum_i upstream_i * score(x_i) w.r.t. the flat parameters.
 
-
-def grad_batch(model: ScorerModel, features, upstream) -> np.ndarray:
-    """Gradient of sum_i upstream_i * score(x_i) w.r.t. the flat parameters."""
-    x = _as_matrix(model, features)
-    u = np.asarray(upstream, dtype=np.float64).reshape(-1)
-    if u.shape[0] != x.shape[0]:
-        raise ValueError(f"upstream has length {u.shape[0]}, expected {x.shape[0]}")
+    Takes an (n, F) list with (n,) upstream or a (B, n, F) block with (B, n)
+    upstream. A block's per-list gradients are added to `total` (zeros when
+    None) one list at a time, in list order: a caller that passes its
+    running sum gets the bits of one call per list.
+    """
+    x = _as_features(model, features)
+    block = x if x.ndim == 3 else x[None]
+    u = np.asarray(upstream, dtype=np.float64)
+    if u.size != block.shape[0] * block.shape[1]:
+        raise ValueError(f"upstream has {u.size} values, expected shape {x.shape[:-1]}")
+    u = u.reshape(block.shape[:2])
+    per_list = np.empty((len(block), model.num_params))
+    # One 1-d sum per list: a 2-d sum(axis=1) may add a row in another order.
+    per_list[:, -1] = [np.add.reduce(row) for row in u]
     if model.architecture == LINEAR:
-        return np.concatenate([x.T @ u, [u.sum()]])
-    w1, b1, w2, _ = _mlp_parts(model)
-    hidden = np.tanh(x @ w1.T + b1)  # (n, H)
-    delta = (u[:, None] * w2[None, :]) * (1.0 - hidden * hidden)  # (n, H)
-    return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0), hidden.T @ u, [u.sum()]])
-
-
-def score_grad(model: ScorerModel, features, upstream: float = 1.0) -> np.ndarray:
-    """Gradient of upstream * score(features) w.r.t. every parameter."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d feature vector, got shape {x.shape}")
-    return grad_batch(model, x[None, :], np.array([upstream]))
+        per_list[:, :-1] = (block.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
+    else:
+        w1, b1, w2, _ = _mlp_parts(model)
+        fh, h = w1.size, model.hidden_width
+        hidden = np.tanh(block @ w1.T + b1)  # (B, n, H)
+        delta = (u[:, :, None] * w2) * (1.0 - hidden * hidden)  # (B, n, H)
+        per_list[:, :fh] = (delta.swapaxes(1, 2) @ block).reshape(len(block), fh)
+        per_list[:, fh : fh + h] = delta.sum(axis=1)
+        per_list[:, fh + h : -1] = (hidden.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
+    if x.ndim == 2 and total is None:
+        return per_list[0]
+    grad = np.zeros(model.num_params) if total is None else np.array(total, dtype=np.float64)
+    for row in per_list:
+        grad += row
+    return grad
 
 
 @dataclass(frozen=True)
@@ -241,13 +250,8 @@ def checkpoint_text(model: ScorerModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_checkpoint(model: ScorerModel, path: str | Path) -> None:
-    """Write the model as human-diffable decimal text."""
-    Path(path).write_text(checkpoint_text(model), encoding="utf-8")
-
-
 def load_checkpoint(path: str | Path) -> ScorerModel:
-    """Read a checkpoint written by save_checkpoint; exact float round-trip."""
+    """Read a checkpoint written from checkpoint_text; exact float round-trip."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 5 or lines[0] != f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}":
         raise ValueError(f"{path}: not a {_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION} checkpoint")

@@ -9,6 +9,7 @@ All shuffling derives from (seed, epoch), so runs are bit-reproducible.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -249,6 +250,54 @@ def _batches(seed: int, n: int, batch_size: int):
         epoch += 1
 
 
+# A chunk of lists of length n holds at most max(1, _CHUNK_PAIRS // (n * n))
+# of them, which bounds each (B, n, n) pair temporary of the losses.
+_CHUNK_PAIRS = 1 << 14
+
+
+def _chunks(lengths: Sequence[int], batch: np.ndarray):
+    """Split a batch into runs of consecutive equal-length lists, in batch order."""
+    for n, run in itertools.groupby(batch, key=lengths.__getitem__):
+        run = list(run)
+        cap = max(1, _CHUNK_PAIRS // (n * n))
+        for start in range(0, len(run), cap):
+            yield run[start : start + cap]
+
+
+def _steps(
+    model: scorer.ScorerModel,
+    features: Sequence[np.ndarray],
+    loss_fn: Callable[[np.ndarray], losses.LossOutput],
+    cfg: TrainConfig,
+):
+    """AdamW steps on the mean batch loss; yields (step, model, batch loss) after each.
+
+    Each chunk of a batch is stacked into one (B, n, F) block for one
+    scoring, one loss call and one backward pass. Loss values and gradients
+    are added in batch order, so a step has the bits of a list-at-a-time loop.
+    """
+    lengths = [len(f) for f in features]
+    state = scorer.AdamWState.create(
+        model.num_params, cfg.learning_rate, weight_decay=cfg.weight_decay
+    )
+    batches = _batches(cfg.seed, len(features), cfg.batch_size)
+    for step in range(1, cfg.max_steps + 1):
+        batch = next(batches)
+        total = 0.0
+        grad = np.zeros(model.num_params)
+        for chunk in _chunks(lengths, batch):
+            block = np.array([features[i] for i in chunk])
+            out = loss_fn(scorer.score_batch(model, block))
+            for value in out.value.tolist():
+                total += value
+            grad = scorer.grad_batch(model, block, out.grad, grad)
+        batch_loss = total / len(batch)
+        if not np.isfinite(batch_loss):
+            raise TrainingError(f"non-finite loss {batch_loss} at step {step}")
+        model, state = scorer.adamw_step(model, state, grad / len(batch))
+        yield step, model, batch_loss
+
+
 def train_stage1(
     model: scorer.ScorerModel,
     groups: Sequence[TrainingGroup],
@@ -265,23 +314,8 @@ def train_stage1(
     if not groups:
         raise ValueError("train_stage1 requires at least one training group")
     feats = [np.asarray(features_for(g.query, g.members), dtype=np.float64) for g in groups]
-    state = scorer.AdamWState.create(
-        model.num_params, cfg.learning_rate, weight_decay=cfg.weight_decay
-    )
     loss_curve: list[tuple[int, float]] = []
-    batches = _batches(cfg.seed, len(groups), cfg.batch_size)
-    for step in range(1, cfg.max_steps + 1):
-        batch = next(batches)
-        total = 0.0
-        grad = np.zeros(model.num_params)
-        for i in batch:
-            out = losses.infonce(scorer.score_batch(model, feats[i]), positive_index=0)
-            total += out.value
-            grad += scorer.grad_batch(model, feats[i], out.grad)
-        batch_loss = total / len(batch)
-        if not np.isfinite(batch_loss):
-            raise TrainingError(f"non-finite loss {batch_loss} at step {step}")
-        model, state = scorer.adamw_step(model, state, grad / len(batch))
+    for step, model, batch_loss in _steps(model, feats, lambda s: losses.infonce(s, 0), cfg):
         loss_curve.append((step, batch_loss))
     report = TrainReport(
         steps_executed=cfg.max_steps, stop_reason=STOP_MAX_STEPS, loss_curve=loss_curve
@@ -314,16 +348,12 @@ def train_distill(
     if not dataset:
         raise ValueError("train_distill requires a non-empty dataset")
     loss_fn = _distill_loss_fn(cfg)
-    state = scorer.AdamWState.create(
-        model.num_params, cfg.learning_rate, weight_decay=cfg.weight_decay
-    )
     loss_curve: list[tuple[int, float]] = []
     validation_curve: list[tuple[int, float]] = []
     best_score = -np.inf
     best_params = model.params.copy()
     step_of_best = 0
     stop_reason = STOP_MAX_STEPS
-    steps_executed = 0
 
     def validate(step: int, current: scorer.ScorerModel) -> None:
         nonlocal best_score, best_params, step_of_best
@@ -335,27 +365,15 @@ def train_distill(
             step_of_best = step
 
     validate(0, model)
-    batches = _batches(cfg.seed, len(dataset), cfg.batch_size)
-    for step in range(1, cfg.max_steps + 1):
-        batch = next(batches)
-        total = 0.0
-        grad = np.zeros(model.num_params)
-        for i in batch:
-            rec = dataset[i]
-            out = loss_fn(scorer.score_batch(model, rec.features))
-            total += out.value
-            grad += scorer.grad_batch(model, rec.features, out.grad)
-        batch_loss = total / len(batch)
-        if not np.isfinite(batch_loss):
-            raise TrainingError(f"non-finite loss {batch_loss} at step {step}")
-        model, state = scorer.adamw_step(model, state, grad / len(batch))
+    features = [rec.features for rec in dataset]
+    for step, model, batch_loss in _steps(model, features, loss_fn, cfg):
         loss_curve.append((step, batch_loss))
-        steps_executed = step
         if step % cfg.validation_every == 0:
             validate(step, model)
             if step - step_of_best >= cfg.patience_steps:
                 stop_reason = STOP_EARLY
                 break
+    steps_executed = len(loss_curve)
     if stop_reason == STOP_MAX_STEPS and steps_executed % cfg.validation_every != 0:
         validate(steps_executed, model)
     best_model = replace(model, params=best_params)

@@ -103,3 +103,87 @@ def outcome(fn):
     except Exception as exc:  # the test compares whatever is raised
         return type(exc), str(exc)
     return None
+
+
+# The per-list losses and scorer passes that the batched code replaced, kept
+# as they were so the batched code can be compared with them bit for bit.
+
+
+def infonce_oracle(scores, positive_index: int):
+    """InfoNCE of one list: (value, grad)."""
+    s = np.asarray(scores, dtype=np.float64)
+    z = s - s.max()
+    expz = np.exp(z)
+    total = expz.sum()
+    value = max(float(np.log(total) - z[positive_index]), 0.0)
+    grad = expz / total
+    grad[positive_index] -= 1.0
+    return value, grad
+
+
+def ranknet_oracle(scores):
+    """RankNet of one teacher-ordered list: (value, grad)."""
+    from scipy.special import expit
+
+    s = np.asarray(scores, dtype=np.float64)
+    n = s.size
+    if n == 1:
+        return 0.0, np.zeros(1)
+    diff = s[None, :] - s[:, None]
+    upper = np.triu_indices(n, k=1)
+    value = float(np.logaddexp(0.0, diff[upper]).sum())
+    pair = np.triu(expit(diff), k=1)
+    return value, pair.sum(axis=0) - pair.sum(axis=1)
+
+
+def adr_mse_oracle(scores, alpha: float = 1.0):
+    """Discounted rank MSE of one teacher-ordered list: (value, grad)."""
+    from scipy.special import expit
+
+    s = np.asarray(scores, dtype=np.float64)
+    n = s.size
+    mat = expit(alpha * (s[None, :] - s[:, None]))
+    pi = mat.sum(axis=1) + 0.5
+    targets = np.arange(1, n + 1, dtype=np.float64)
+    weights = 1.0 / np.log2(targets + 1.0)
+    gaps = targets - pi
+    value = float(np.sum(weights * gaps * gaps) / n)
+    dpi = (2.0 / n) * weights * (pi - targets)
+    bmat = mat * (1.0 - mat)
+    np.fill_diagonal(bmat, 0.0)
+    return value, alpha * (bmat.T @ dpi - dpi * bmat.sum(axis=1))
+
+
+def score_oracle(model, x):
+    """Scores of one (n, F) list."""
+    p, f, h = model.params, model.feature_dim, model.hidden_width
+    if model.architecture == "linear":
+        return x @ p[:f] + float(p[f])
+    w1, b1, w2 = p[: f * h].reshape(h, f), p[f * h : f * h + h], p[f * h + h : f * h + 2 * h]
+    return np.tanh(x @ w1.T + b1) @ w2 + float(p[-1])
+
+
+def grad_oracle(model, x, u):
+    """Gradient of sum_i u_i * score(x_i) for one (n, F) list."""
+    p, f, h = model.params, model.feature_dim, model.hidden_width
+    if model.architecture == "linear":
+        return np.concatenate([x.T @ u, [u.sum()]])
+    w1, b1, w2 = p[: f * h].reshape(h, f), p[f * h : f * h + h], p[f * h + h : f * h + 2 * h]
+    hidden = np.tanh(x @ w1.T + b1)
+    delta = (u[:, None] * w2[None, :]) * (1.0 - hidden * hidden)
+    return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0), hidden.T @ u, [u.sum()]])
+
+
+def reference_step(model, features, batch, loss):
+    """One training step's mean loss and mean gradient, a list at a time.
+
+    `loss(scores)` returns (value, grad) for one list. Values and gradients
+    are added in batch order, starting from zero.
+    """
+    total = 0.0
+    grad = np.zeros(model.num_params)
+    for i in batch:
+        value, upstream = loss(score_oracle(model, features[i]))
+        total += value
+        grad += grad_oracle(model, features[i], upstream)
+    return total / len(batch), grad / len(batch)

@@ -1,0 +1,332 @@
+"""The batched training step against the list-at-a-time code it replaced.
+
+Every comparison is exact: values, gradients, parameters and reports must
+have the same bits (and the same sign of zero) as the per-list oracles in
+_oracles.py.
+"""
+
+from dataclasses import asdict, replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from ltrlab import losses, scorer, trainer
+from ltrlab.core import DistillRecord
+from ltrlab.distill_data import (
+    SamplingConfig,
+    WorldConfig,
+    build_hard_negative_groups,
+    build_teacher_dataset,
+    generate_world,
+    subsample_depth,
+)
+from ltrlab.pipeline import make_validation, restrict_run, split_query_ids
+
+from _oracles import (
+    adr_mse_oracle,
+    grad_oracle,
+    infonce_oracle,
+    ranknet_oracle,
+    reference_step,
+    score_oracle,
+)
+
+finite = st.floats(min_value=-30, max_value=30, allow_nan=False, allow_infinity=False)
+
+
+def assert_same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@st.composite
+def score_blocks(draw, max_rows=5, max_len=12):
+    shape = (draw(st.integers(1, max_rows)), draw(st.integers(1, max_len)))
+    return draw(arrays(np.float64, shape, elements=finite))
+
+
+@st.composite
+def feature_blocks(draw, dim):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 9)), dim)
+    x = draw(arrays(np.float64, shape, elements=st.floats(-5, 5)))
+    if draw(st.booleans()):
+        x[:, 1::2] = x[:, :1]  # duplicated rows: tied scores
+    return x
+
+
+def model_of(arch, dim, seed, zero=False):
+    model = scorer.init_model(arch, dim, 3 if arch == scorer.MLP else 0, seed=seed)
+    return replace(model, params=np.zeros(model.num_params)) if zero else model
+
+
+class TestLosses:
+    @settings(max_examples=100, deadline=None)
+    @given(score_blocks(), st.data())
+    def test_infonce_rows_match_oracle(self, s, data):
+        positive = data.draw(st.integers(0, s.shape[1] - 1))
+        out = losses.infonce(s, positive)
+        for row, value, grad in zip(s, out.value, out.grad):
+            expected = infonce_oracle(row, positive)
+            assert_same(value, expected[0])
+            assert_same(grad, expected[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(score_blocks())
+    def test_ranknet_rows_match_oracle(self, s):
+        out = losses.ranknet(s)
+        for row, value, grad in zip(s, out.value, out.grad):
+            expected = ranknet_oracle(row)
+            assert_same(value, expected[0])
+            assert_same(grad, expected[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(score_blocks(), st.sampled_from([0.3, 1.0, 4.0]))
+    def test_adr_mse_rows_match_oracle(self, s, alpha):
+        out = losses.adr_mse(s, losses.ApproxConfig(alpha))
+        for row, value, grad in zip(s, out.value, out.grad):
+            expected = adr_mse_oracle(row, alpha)
+            assert_same(value, expected[0])
+            assert_same(grad, expected[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(finite, min_size=1, max_size=12))
+    def test_a_vector_is_one_row(self, s):
+        for batched, oracle in [
+            (losses.infonce(s, 0), infonce_oracle(s, 0)),
+            (losses.ranknet(s), ranknet_oracle(s)),
+            (losses.adr_mse(s), adr_mse_oracle(s)),
+        ]:
+            assert type(batched.value) is float
+            assert_same(batched.value, oracle[0])
+            assert_same(batched.grad, oracle[1])
+
+    @pytest.mark.parametrize("s", [[[3.0]], [[800.0, 0.0]], [[0.0, -900.0, -900.0]]])
+    def test_zero_infonce_loss_is_positive_zero(self, s):
+        value = losses.infonce(np.array(s), 0).value
+        assert_same(value, [0.0])
+        assert_same(losses.infonce(s[0], 0).value, 0.0)
+
+    def test_length_one_lists(self):
+        s = np.array([[2.5], [-1.0]])
+        assert_same(losses.ranknet(s).value, [0.0, 0.0])
+        assert_same(losses.ranknet(s).grad, [[0.0], [0.0]])
+        assert_same(losses.adr_mse(s).value, [0.0, 0.0])
+
+    def test_smooth_rank_of_a_block_row_by_row(self):
+        s = np.random.default_rng(2).normal(size=(3, 7))
+        assert_same(losses.smooth_rank(s), [losses.smooth_rank(row) for row in s])
+
+    @pytest.mark.parametrize("bad", [[], [[]], np.zeros((2, 2, 2)), [[1.0, np.nan]]])
+    def test_bad_blocks_rejected(self, bad):
+        with pytest.raises(ValueError):
+            losses.ranknet(bad)
+
+
+class TestScorerBlocks:
+    @pytest.mark.parametrize("arch", [scorer.LINEAR, scorer.MLP])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16), zero=st.booleans())
+    def test_block_scores_equal_per_list_scores(self, arch, data, seed, zero):
+        model = model_of(arch, 16, seed, zero)
+        x = data.draw(feature_blocks(16))
+        scores = scorer.score_batch(model, x)
+        assert scores.shape == x.shape[:2]
+        for row, features in zip(scores, x):
+            assert_same(row, score_oracle(model, features))
+            assert_same(scorer.score_batch(model, features), score_oracle(model, features))
+
+    @pytest.mark.parametrize("arch", [scorer.LINEAR, scorer.MLP])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16), zero=st.booleans())
+    def test_block_gradient_adds_lists_in_order(self, arch, data, seed, zero):
+        model = model_of(arch, 16, seed, zero)
+        x = data.draw(feature_blocks(16))
+        u = data.draw(arrays(np.float64, x.shape[:2], elements=st.floats(-3, 3)))
+        start = np.random.default_rng(seed).normal(size=model.num_params)
+        expected = start.copy()
+        for features, upstream in zip(x, u):
+            single = grad_oracle(model, features, upstream)
+            assert_same(scorer.grad_batch(model, features, upstream), single)
+            expected += single
+        assert_same(scorer.grad_batch(model, x, u, start), expected)
+        from_zero = np.zeros(model.num_params)
+        for features, upstream in zip(x, u):
+            from_zero += grad_oracle(model, features, upstream)
+        assert_same(scorer.grad_batch(model, x, u), from_zero)
+
+    def test_upstream_shape_checked(self):
+        model = model_of(scorer.LINEAR, 2, 0)
+        with pytest.raises(ValueError, match="upstream has 3 values"):
+            scorer.grad_batch(model, np.zeros((2, 2, 2)), np.zeros(3))
+
+
+LOSS_ORACLES = {
+    trainer.LOSS_INFONCE: (lambda s: losses.infonce(s, 0), lambda s: infonce_oracle(s, 0)),
+    trainer.LOSS_RANKNET: (losses.ranknet, ranknet_oracle),
+    trainer.LOSS_ADR_MSE: (losses.adr_mse, adr_mse_oracle),
+}
+
+
+def reference_loop(model, features, loss, cfg, steps):
+    """`steps` AdamW steps of reference_step over the trainer's batches."""
+    state = scorer.AdamWState.create(
+        model.num_params, cfg.learning_rate, weight_decay=cfg.weight_decay
+    )
+    batches = trainer._batches(cfg.seed, len(features), cfg.batch_size)
+    curve = []
+    for step in range(1, steps + 1):
+        batch_loss, grad = reference_step(model, features, next(batches), loss)
+        model, state = scorer.adamw_step(model, state, grad)
+        curve.append((step, batch_loss))
+    return model, curve
+
+
+class TestTrainingSteps:
+    @pytest.mark.parametrize("budget", [1, 40, trainer._CHUNK_PAIRS])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lengths=st.lists(st.sampled_from([1, 2, 3, 5, 8]), min_size=1, max_size=12),
+        arch=st.sampled_from([scorer.LINEAR, scorer.MLP]),
+        loss=st.sampled_from(sorted(LOSS_ORACLES)),
+        batch_size=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+        zero=st.booleans(),
+    )
+    def test_steps_equal_list_at_a_time_steps(
+        self, budget, lengths, arch, loss, batch_size, seed, zero
+    ):
+        rng = np.random.default_rng(seed)
+        features = [rng.normal(size=(n, 3)) for n in lengths]
+        features[0][-1] = features[0][0]  # a tie in the first list
+        model = model_of(arch, 3, seed, zero)
+        cfg = trainer.TrainConfig(loss=loss, max_steps=4, batch_size=batch_size, seed=seed)
+        batched, oracle = LOSS_ORACLES[loss]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trainer, "_CHUNK_PAIRS", budget)
+            steps = list(trainer._steps(model, features, batched, cfg))
+        curve = [(step, value) for step, _, value in steps]
+        got = steps[-1][1]
+        want, want_curve = reference_loop(model, features, oracle, cfg, 4)
+        assert curve == want_curve
+        assert_same(got.params, want.params)
+
+    def test_chunks_are_runs_of_equal_length_in_batch_order(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_CHUNK_PAIRS", 50)
+        lengths = [5, 5, 5, 3, 5, 1, 1, 1]
+        batch = np.array([0, 1, 2, 3, 4, 5, 6, 7])
+        chunks = [list(c) for c in trainer._chunks(lengths, batch)]
+        assert chunks == [[0, 1], [2], [3], [4], [5, 6, 7]]
+
+
+def small_world():
+    return generate_world(
+        WorldConfig(
+            num_queries=60,
+            docs_per_query=24,
+            feature_dim=5,
+            first_stage_noise={"main": 1.0},
+            teacher_noise=0.3,
+            seed=9,
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def world_setup():
+    world = small_world()
+    splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
+    run = restrict_run(world.first_stage_run("main"), splits["train"])
+    full = build_teacher_dataset(run, world.teacher, world.features_for, depth=12)
+    ragged = list(full[:10]) + list(subsample_depth(full[10:20], 6))
+    for rec in full[20:]:
+        n = 1 + len(rec.query) % 7  # mixed lengths, some of them 1
+        ragged.append(
+            DistillRecord(rec.query, rec.docs[:n], rec.features[:n], rec.first_stage_ranks[:n], 12)
+        )
+    validation = make_validation(world, "main", splits["validation"], 12)
+    groups = build_hard_negative_groups(
+        run, world.qrels(), SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
+    )
+    return world, ragged, validation, groups
+
+
+def reference_distill(model, dataset, validation, cfg, loss):
+    """train_distill as a list-at-a-time loop."""
+    features = [rec.features for rec in dataset]
+    state = scorer.AdamWState.create(
+        model.num_params, cfg.learning_rate, weight_decay=cfg.weight_decay
+    )
+    loss_curve, validation_curve = [], []
+    best = [-np.inf, model.params.copy(), 0]
+
+    def validate(step, current):
+        value = trainer.mean_validation_ndcg(current, validation)
+        validation_curve.append((step, value))
+        if value > best[0] + trainer.IMPROVEMENT_TOLERANCE:
+            best[:] = [value, current.params.copy(), step]
+
+    validate(0, model)
+    batches = trainer._batches(cfg.seed, len(features), cfg.batch_size)
+    stop_reason, steps = trainer.STOP_MAX_STEPS, 0
+    for step in range(1, cfg.max_steps + 1):
+        batch_loss, grad = reference_step(model, features, next(batches), loss)
+        model, state = scorer.adamw_step(model, state, grad)
+        loss_curve.append((step, batch_loss))
+        steps = step
+        if step % cfg.validation_every == 0:
+            validate(step, model)
+            if step - best[2] >= cfg.patience_steps:
+                stop_reason = trainer.STOP_EARLY
+                break
+    if stop_reason == trainer.STOP_MAX_STEPS and steps % cfg.validation_every != 0:
+        validate(steps, model)
+    report = trainer.TrainReport(
+        steps, stop_reason, loss_curve, float(best[0]), best[2], validation_curve
+    )
+    return replace(model, params=best[1]), report
+
+
+class TestWholeRuns:
+    @pytest.mark.parametrize("arch", [scorer.LINEAR, scorer.MLP])
+    def test_train_stage1_equals_reference_loop(self, world_setup, arch):
+        world, _, _, groups = world_setup
+        model = model_of(arch, 5, 3)
+        cfg = trainer.TrainConfig(loss=trainer.LOSS_INFONCE, max_steps=25, batch_size=8, seed=2)
+        got, report = trainer.train_stage1(model, groups, world.features_for, cfg)
+        features = [world.features_for(g.query, g.members) for g in groups]
+        want, curve = reference_loop(model, features, lambda s: infonce_oracle(s, 0), cfg, 25)
+        assert report.loss_curve == curve
+        assert report.steps_executed == 25
+        assert_same(got.params, want.params)
+
+    @pytest.mark.parametrize(
+        "arch, loss, steps, patience",
+        [
+            (scorer.LINEAR, trainer.LOSS_RANKNET, 37, 100),
+            (scorer.MLP, trainer.LOSS_RANKNET, 60, 10),
+            (scorer.LINEAR, trainer.LOSS_ADR_MSE, 23, 100),
+            (scorer.MLP, trainer.LOSS_ADR_MSE, 60, 10),
+        ],
+    )
+    def test_train_distill_equals_reference_loop(self, world_setup, arch, loss, steps, patience):
+        _, ragged, validation, _ = world_setup
+        model = model_of(arch, 5, 4)
+        cfg = trainer.TrainConfig(
+            loss=loss,
+            max_steps=steps,
+            batch_size=6,
+            learning_rate=0.05,
+            patience_steps=patience,
+            validation_every=5,
+            seed=3,
+        )
+        got, report = trainer.train_distill(model, ragged, validation, cfg)
+        oracle = LOSS_ORACLES[loss][1]
+        want, want_report = reference_distill(model, ragged, validation, cfg, oracle)
+        assert asdict(report) == asdict(want_report)
+        assert_same(got.params, want.params)

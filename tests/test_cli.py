@@ -1,4 +1,5 @@
 import json
+import math
 import time
 from pathlib import Path
 
@@ -324,6 +325,28 @@ class TestConfigHandling:
         assert message in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"k": 0}, "bad config section 'eval': cutoff k must be >= 1"),
+            ({"depth": 0}, "bad config section 'eval': depth must be >= 1"),
+            (
+                {"significance_level": 0.05},
+                "unknown keys in config section 'eval': ['significance_level']",
+            ),
+        ],
+    )
+    def test_bad_eval_section_named_at_load(self, tmp_path, capsys, section, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(SMOKE_CONFIG, eval=dict(SMOKE_CONFIG["eval"], **section))))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(bad), "--stage", "two", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
+        assert not (out / "checkpoint.txt").exists()
+
     def test_jobs_flag_removed(self, tmp_path, config_path, capsys):
         argv = ["world", "--config", str(config_path), "--jobs", "2", "--out", str(tmp_path)]
         assert main(argv) == 1
@@ -348,3 +371,57 @@ class TestAblateCommand:
         cells = [json.loads(line) for line in read(out / "ablation.jsonl").splitlines()]
         assert {c["depth"] for c in cells} == {5, 10, 20}
         assert all(0.0 <= c["mean_ndcg10"] <= 1.0 for c in cells)
+
+
+class TestTrainDatasetFaults:
+    """`train --dataset` on damaged and on ragged JSONL datasets."""
+
+    @pytest.fixture(scope="class")
+    def dataset_lines(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("distill")
+        path = out / "config.json"
+        path.write_text(json.dumps(SMOKE_CONFIG), encoding="utf-8")
+        assert main(["distill", "--config", str(path), "--out", str(out)]) == 0
+        return read(out / "distill_dataset.jsonl").splitlines()
+
+    def train(self, tmp_path, config_path, lines):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "t"
+        argv = ["train", "--config", str(config_path), "--dataset", str(dataset)]
+        return main(argv + ["--stage", "single", "--loss", "ranknet", "--out", str(out)]), out
+
+    def test_truncated_line_names_the_line(self, tmp_path, config_path, capsys, dataset_lines):
+        lines = list(dataset_lines)
+        lines[2] = lines[2][: len(lines[2]) // 2]
+        code, out = self.train(tmp_path, config_path, lines)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 3: invalid JSON")
+        assert not (out / "checkpoint.txt").exists()
+
+    def test_nan_feature_names_the_line(self, tmp_path, config_path, capsys, dataset_lines):
+        lines = list(dataset_lines)
+        record = json.loads(lines[1])
+        record["passages"][4]["features"][0] = float("nan")
+        lines[1] = json.dumps(record)
+        code, out = self.train(tmp_path, config_path, lines)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: record for query ")
+        assert "non-finite features" in err
+        assert not (out / "checkpoint.txt").exists()
+
+    def test_records_of_different_lengths_train(self, tmp_path, config_path, dataset_lines):
+        lines = []
+        for i, line in enumerate(dataset_lines):
+            record = json.loads(line)
+            keep = record["passages"][: [20, 20, 7, 1, 13][i % 5]]
+            for rank, passage in enumerate(keep, start=1):
+                passage["teacher_rank"] = rank
+            lines.append(json.dumps(dict(record, passages=keep)))
+        code, out = self.train(tmp_path, config_path, lines)
+        assert code == 0
+        report = json.loads(read(out / "report_distill.json"))
+        assert report["steps_executed"] > 0
+        assert all(math.isfinite(loss) for _, loss in report["loss_curve"])

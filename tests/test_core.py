@@ -11,7 +11,6 @@ from ltrlab.core import (
     ParseError,
     Qrels,
     ScoredList,
-    TeacherRanking,
     TrainingGroup,
     parse_distill_dataset,
     parse_qrels,
@@ -174,14 +173,6 @@ class TestDomainTypes:
     def test_training_group_members(self):
         g = TrainingGroup("q", "pos", ("n1", "n2"))
         assert g.members == ("pos", "n1", "n2")
-
-    def test_teacher_ranking_duplicates(self):
-        with pytest.raises(ValueError):
-            TeacherRanking("q", ("d", "d"), 5)
-
-    def test_teacher_ranking_rank_is_one_based(self):
-        r = TeacherRanking("q", ("a", "b"), 2)
-        assert r.rank_of("a") == 1
 
 
 class TestDistillDataset:

@@ -9,14 +9,12 @@ from ltrlab.scorer import (
     AdamWState,
     ScorerModel,
     adamw_step,
+    checkpoint_text,
     grad_batch,
     init_model,
     load_checkpoint,
     param_count,
-    save_checkpoint,
-    score,
     score_batch,
-    score_grad,
 )
 
 from _oracles import finite_difference_grad, grad_close
@@ -37,23 +35,25 @@ def mlp_forward_reference(model, x):
 class TestScore:
     def test_zero_linear_model(self):
         model = ScorerModel(LINEAR, 3, 0, np.zeros(4))
-        assert score(model, [9.0, -2.0, 4.0]) == 0.0
+        assert score_batch(model, [[9.0, -2.0, 4.0]])[0] == 0.0
 
     def test_linear_by_hand(self):
         model = ScorerModel(LINEAR, 2, 0, np.array([1.0, 2.0, 0.5]))
-        assert score(model, [1.0, 1.0]) == pytest.approx(3.5)
+        assert score_batch(model, [[1.0, 1.0]])[0] == pytest.approx(3.5)
 
     def test_mlp_matches_reference_implementation(self):
         rng = np.random.default_rng(3)
         model = init_model(MLP, 5, hidden_width=4, seed=9)
         for _ in range(25):
             x = rng.normal(size=5)
-            assert score(model, x) == pytest.approx(mlp_forward_reference(model, x), abs=1e-12)
+            assert score_batch(model, [x])[0] == pytest.approx(
+                mlp_forward_reference(model, x), abs=1e-12
+            )
 
     def test_dimension_mismatch(self):
         model = init_model(LINEAR, 4, seed=0)
         with pytest.raises(ValueError):
-            score(model, [1.0, 2.0])
+            score_batch(model, [1.0, 2.0])
 
     def test_param_counts(self):
         assert param_count(LINEAR, 16) == 17
@@ -63,20 +63,20 @@ class TestScore:
         model = init_model(MLP, 3, hidden_width=2, seed=4)
         xs = np.random.default_rng(5).normal(size=(6, 3))
         batched = score_batch(model, xs)
-        assert np.allclose(batched, [score(model, x) for x in xs])
+        assert np.allclose(batched, [score_batch(model, [x])[0] for x in xs])
 
 
 class TestScoreGrad:
     def test_linear_gradient_closed_form(self):
         model = init_model(LINEAR, 3, seed=1)
         x = np.array([0.5, -1.0, 2.0])
-        g = score_grad(model, x, upstream=2.5)
+        g = grad_batch(model, [x], [2.5])
         assert np.allclose(g[:3], 2.5 * x)
         assert g[3] == pytest.approx(2.5)
 
     def test_zero_upstream(self):
         model = init_model(MLP, 3, hidden_width=2, seed=1)
-        assert np.allclose(score_grad(model, np.ones(3), upstream=0.0), 0.0)
+        assert np.allclose(grad_batch(model, [np.ones(3)], [0.0]), 0.0)
 
     @pytest.mark.parametrize("arch,hidden", [(LINEAR, 0), (MLP, 4)])
     def test_finite_differences(self, arch, hidden):
@@ -85,10 +85,10 @@ class TestScoreGrad:
         for _ in range(10):
             x = rng.normal(size=6)
             upstream = float(rng.normal())
-            analytic = score_grad(model, x, upstream)
+            analytic = grad_batch(model, [x], [upstream])
 
             def loss_of(params):
-                return upstream * score(replace(model, params=params), x)
+                return upstream * score_batch(replace(model, params=params), [x])[0]
 
             fd = finite_difference_grad(loss_of, model.params)
             assert grad_close(analytic, fd)
@@ -99,7 +99,7 @@ class TestScoreGrad:
         xs = rng.normal(size=(5, 4))
         u = rng.normal(size=5)
         total = grad_batch(model, xs, u)
-        manual = sum(score_grad(model, xs[i], u[i]) for i in range(5))
+        manual = sum(grad_batch(model, [xs[i]], [u[i]]) for i in range(5))
         assert np.allclose(total, manual)
 
 
@@ -183,7 +183,7 @@ class TestDeterminismAndCheckpoints:
     def test_checkpoint_round_trip_exact(self, tmp_path, arch, hidden):
         model = init_model(arch, 7, hidden_width=hidden, seed=11)
         path = tmp_path / "model.txt"
-        save_checkpoint(model, path)
+        path.write_text(checkpoint_text(model), encoding="utf-8")
         loaded = load_checkpoint(path)
         assert loaded.architecture == model.architecture
         assert loaded.feature_dim == model.feature_dim
