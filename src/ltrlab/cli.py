@@ -54,6 +54,10 @@ class DistillSpec:
     retriever: str = "strong"
     depth: int = 100
 
+    def __post_init__(self):
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
+
 
 @dataclass(frozen=True)
 class EvalSpec:
@@ -182,7 +186,7 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
         stage2_raw["alpha"] = alpha
 
     world = _build_section(distill_data.WorldConfig, world_raw, "world")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         world=world,
         split=_build_split(split_raw, world.num_queries),
         sampling=_build_section(distill_data.SamplingConfig, sampling_raw, "sampling"),
@@ -193,6 +197,24 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
         eval=_build_section(EvalSpec, eval_raw, "eval"),
         ablation=_build_section(AblationSpec, ablation_raw, "ablation"),
     )
+    _check_against_world(cfg)
+    return cfg
+
+
+def _check_against_world(cfg: ExperimentConfig) -> None:
+    """The retrievers the sections name exist, and the distillation depth fits the pool."""
+    retrievers = tuple(sorted(cfg.world.first_stage_noise))
+    for where, spec in (("distill", cfg.distill), ("eval", cfg.eval)):
+        if spec.retriever not in retrievers:
+            raise ConfigError(
+                f"bad config section {where!r}: unknown retriever {spec.retriever!r}; "
+                f"have {retrievers}"
+            )
+    if cfg.distill.depth > cfg.world.docs_per_query:
+        raise ConfigError(
+            f"bad config section 'distill': depth {cfg.distill.depth} exceeds "
+            f"world.docs_per_query {cfg.world.docs_per_query}"
+        )
 
 
 def _print_resolved(command: str, config: ExperimentConfig | dict, args: argparse.Namespace):
@@ -295,9 +317,10 @@ def _train(
         dataset = distill_data.build_teacher_dataset(
             run, world.teacher, world.features_for, depth=cfg.distill.depth
         )
-    validation = pipeline.make_validation(
-        world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
-    )
+    if distill:
+        validation = pipeline.make_validation(
+            world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
+        )
     if stage1:
         groups = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling)
         model, report = trainer.train_stage1(model, groups, world.features_for, cfg.stage1)

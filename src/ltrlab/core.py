@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
+from operator import gt
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -129,6 +131,19 @@ class ScoredList:
         object.__setattr__(self, "entries", entries)
         if not _entries_valid(entries):
             self._check_entries()
+
+    @classmethod
+    def _trusted(cls, query: QueryId, entries: tuple[tuple[DocId, float], ...]) -> ScoredList:
+        """A list built without the constructor's checks.
+
+        Only for producers that have already established every invariant
+        the constructor checks: a valid query id, a tuple of (doc, score)
+        tuples with valid, pairwise distinct doc ids and finite scores.
+        """
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "query", query)
+        object.__setattr__(ranking, "entries", entries)
+        return ranking
 
     def _check_entries(self) -> None:
         """Per-doc checks: the exact error for the first bad entry."""
@@ -250,6 +265,11 @@ def _numbered_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
         yield lineno, line.rstrip("\n")
 
 
+# int() rejects decimal strings of more than sys.get_int_max_str_digits()
+# digits, and that limit is never set below 640.
+_MAX_RANK_DIGITS = 640
+
+
 def parse_run(source: str | IO[str]) -> dict[QueryId, ScoredList]:
     """Parse a TREC run into per-query scored lists.
 
@@ -257,9 +277,59 @@ def parse_run(source: str | IO[str]) -> dict[QueryId, ScoredList]:
     descending score with ties broken by ascending doc id. Blank lines are
     skipped; anything else malformed raises ParseError with its line number.
     """
+    lines = source.splitlines() if isinstance(source, str) else list(source)
+    columns = _run_columns(lines)
+    if columns is None:
+        return _parse_run_checked(lines)
+    run = {}
+    for qid, (docs, scores) in columns.items():
+        if len(set(docs)) != len(docs):
+            return _parse_run_checked(lines)
+        entries = tuple(zip(docs, scores))
+        if not all(map(gt, scores, scores[1:])):
+            entries = canonical_order(entries)
+        run[qid] = ScoredList._trusted(qid, entries)
+    return run
+
+
+def _run_columns(lines: Sequence[str]) -> dict[str, tuple[list[str], list[float]]] | None:
+    """Each query's docs and scores in file order, from cheap per-line checks.
+
+    Ids from `str.split` are non-empty and free of whitespace. None means
+    "not shown valid", not "invalid": `_parse_run_checked` decides. Duplicate
+    docs are left to the caller.
+    """
+    columns: dict[str, tuple[list[str], list[float]]] = {}
+    isfinite = math.isfinite
+    for line in lines:
+        fields = line.split()
+        if len(fields) != 6:
+            if fields:
+                return None
+            continue
+        qid, literal, doc, rank, score_text, _tag = fields
+        # isdecimal() accepts only strings that int() accepts.
+        if literal != "Q0" or not rank.isdecimal() or len(rank) > _MAX_RANK_DIGITS:
+            return None
+        try:
+            score = float(score_text)
+        except ValueError:
+            return None
+        if not isfinite(score):
+            return None
+        column = columns.get(qid)
+        if column is None:
+            column = columns[qid] = ([], [])
+        column[0].append(doc)
+        column[1].append(score)
+    return columns
+
+
+def _parse_run_checked(lines: Sequence[str]) -> dict[QueryId, ScoredList]:
+    """`parse_run` line by line: the exact error for the first bad line."""
     per_query: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    for lineno, line in _numbered_lines(source):
+    for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
@@ -276,13 +346,16 @@ def parse_run(source: str | IO[str]) -> dict[QueryId, ScoredList]:
             score = float(score_text)
         except ValueError:
             raise ParseError(f"score field {score_text!r} is not a number", lineno) from None
-        if not np.isfinite(score):
+        if not math.isfinite(score):
             raise ParseError(f"non-finite score {score_text!r}", lineno)
         if (qid, doc) in seen:
             raise DuplicateEntryError(f"duplicate entry for query {qid!r} doc {doc!r}", lineno)
         seen.add((qid, doc))
         per_query.setdefault(qid, []).append((doc, score))
-    return {qid: ScoredList(qid, canonical_order(entries)) for qid, entries in per_query.items()}
+    return {
+        qid: ScoredList._trusted(qid, canonical_order(entries))
+        for qid, entries in per_query.items()
+    }
 
 
 def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> str:
@@ -298,8 +371,11 @@ def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> str:
         ranking = rankings[qid]
         if ranking.query != qid:
             raise ValueError(f"run maps key {qid!r} to a list for query {ranking.query!r}")
-        for rank, (doc, score) in enumerate(canonical_order(ranking.entries), start=1):
-            out.append(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}")
+        prefix = f"{qid} Q0 "
+        out += [
+            f"{prefix}{doc} {rank} {score:.6f} {tag}"
+            for rank, (doc, score) in enumerate(canonical_order(ranking.entries), start=1)
+        ]
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -231,10 +231,13 @@ class SyntheticWorld:
             doc_index = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
             order = np.lexsort((doc_index, -scores), axis=-1)
             suffixes = [f"_p{j:0{self._doc_width}d}" for j in range(scores.shape[1])]
+            # Generated ids are valid and distinct, so only the scores need
+            # a check: a non-finite one goes to the checking constructor.
+            make = ScoredList._trusted if np.isfinite(scores).all() else ScoredList
             run = {}
             for qid, row, idx in zip(self.query_ids, scores, order):
                 docs = [qid + suffixes[j] for j in idx.tolist()]
-                run[qid] = ScoredList(qid, tuple(zip(docs, row[idx].tolist())))
+                run[qid] = make(qid, tuple(zip(docs, row[idx].tolist())))
             self._runs[retriever] = run
         return self._runs[retriever]
 

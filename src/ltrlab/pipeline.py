@@ -91,13 +91,15 @@ def rerank_run(
 ) -> dict[QueryId, ScoredList]:
     """Every pool re-ranked by the model, as `trainer.rerank` ranks one."""
     block = PoolBlock.of(pools)
+    # The block checked the ids and `rank` the scores: the lists are trusted.
     scores, order = block.rank(model)
     run = {}
     for query, docs, length, row, ranked in zip(
         block.queries, block.docs, block.lengths, scores, order
     ):
         ranked = ranked[:length].tolist()
-        run[query] = ScoredList(query, tuple(zip([docs[j] for j in ranked], row[ranked].tolist())))
+        entries = tuple(zip([docs[j] for j in ranked], row[ranked].tolist()))
+        run[query] = ScoredList._trusted(query, entries)
     return run
 
 

@@ -81,6 +81,7 @@ class TrainConfig:
             raise ValueError("validation_every must be >= 1")
         if self.learning_rate < 0 or self.weight_decay < 0:
             raise ValueError("learning_rate and weight_decay must be >= 0")
+        losses.ApproxConfig(alpha=self.alpha)
 
 
 @dataclass

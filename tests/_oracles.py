@@ -81,6 +81,39 @@ def scored_list_checks(query, entries) -> None:
             raise ValueError(f"non-finite score for doc {doc!r} in query {query!r}")
 
 
+def parse_run_oracle(source):
+    """TREC run parsing one line at a time, with a check per field."""
+    from ltrlab.core import DuplicateEntryError, ParseError, ScoredList, canonical_order
+
+    lines = source.splitlines() if isinstance(source, str) else source
+    per_query = {}
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.rstrip("\n").split()
+        if not fields:
+            continue
+        if len(fields) != 6:
+            raise ParseError(f"expected 6 fields, got {len(fields)}", lineno)
+        qid, literal, doc, rank, score_text, _tag = fields
+        if literal != "Q0":
+            raise ParseError(f"second field must be 'Q0', got {literal!r}", lineno)
+        try:
+            int(rank)
+        except ValueError:
+            raise ParseError(f"rank field {rank!r} is not an integer", lineno) from None
+        try:
+            score = float(score_text)
+        except ValueError:
+            raise ParseError(f"score field {score_text!r} is not a number", lineno) from None
+        if not np.isfinite(score):
+            raise ParseError(f"non-finite score {score_text!r}", lineno)
+        if (qid, doc) in seen:
+            raise DuplicateEntryError(f"duplicate entry for query {qid!r} doc {doc!r}", lineno)
+        seen.add((qid, doc))
+        per_query.setdefault(qid, []).append((doc, score))
+    return {qid: ScoredList(qid, canonical_order(entries)) for qid, entries in per_query.items()}
+
+
 def teacher_order(world, query, docs):
     """The synthetic teacher by a sort of (key, doc id) tuples, doc by doc."""
     qi = world.query_ids.index(query)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from ltrlab import pipeline
 from ltrlab.cli import main
 
 SMOKE_CONFIG = {
@@ -78,6 +79,17 @@ class TestEvalCommand:
     def test_missing_required_flag_is_usage_error(self):
         assert main(["eval", "--run", "whatever"]) == 1
 
+    def test_empty_run_is_data_error(self, tmp_path, capsys):
+        run = tmp_path / "run.trec"
+        run.write_text("\n")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 dA 1\n")
+        out = tmp_path / "o"
+        code = main(["eval", "--run", str(run), "--qrels", str(qrels), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: run file {str(run)!r} contains no queries\n"
+        assert not out.exists()
+
 
 class TestSignificanceCommand:
     def test_identical_runs_no_rejections(self, tmp_path, capsys):
@@ -106,6 +118,21 @@ class TestSignificanceCommand:
         record = json.loads(read(out / "significance.jsonl").splitlines()[0])
         assert record["reject"] is False
         assert "retain" in read(out / "significance.txt")
+
+    def test_empty_runs_are_data_error(self, tmp_path, capsys):
+        base = tmp_path / "base.trec"
+        cand = tmp_path / "cand.trec"
+        base.write_text("")
+        cand.write_text("")
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 dA 1\n")
+        out = tmp_path / "out"
+        argv = ["significance", "--qrels", str(qrels), "--baseline", str(base)]
+        code = main(argv + ["--candidate", str(cand), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: system 'cand' shares fewer than 2 queries with the baseline\n"
+        assert not out.exists()
 
 
 class TestBenchCommand:
@@ -217,6 +244,22 @@ class TestPipelineSmoke:
         assert code == 0
         assert (out / "report_stage1.json").exists()
         assert not (out / "report_distill.json").exists()
+
+    def test_single_stage_infonce_builds_no_validation_set(
+        self, tmp_path, config_path, monkeypatch
+    ):
+        argv = ["train", "--config", str(config_path), "--stage", "single", "--loss", "infonce"]
+        assert main(argv + ["--out", str(tmp_path / "a")]) == 0
+
+        def fail(*args, **kwargs):
+            raise AssertionError("validation set built without distillation")
+
+        monkeypatch.setattr(pipeline, "make_validation", fail)
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        names = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+        for name in names:
+            assert read(tmp_path / "a" / name) == read(tmp_path / "b" / name), name
 
     def test_two_stage_with_infonce_is_usage_error(self, config_path, tmp_path):
         code = main(
@@ -346,6 +389,49 @@ class TestConfigHandling:
         assert err.startswith("error: ")
         assert message in err
         assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            (
+                "stage2",
+                {"loss": "adr-mse", "alpha": -1},
+                "bad config section 'stage2': alpha must be a positive finite number, got -1",
+            ),
+            (
+                "stage2",
+                {"loss": "adr-mse", "alpha": 0.0},
+                "bad config section 'stage2': alpha must be a positive finite number, got 0.0",
+            ),
+            (
+                "distill",
+                {"retriever": "nope"},
+                "bad config section 'distill': unknown retriever 'nope'; have ('strong', 'weak')",
+            ),
+            (
+                "eval",
+                {"retriever": "nope"},
+                "bad config section 'eval': unknown retriever 'nope'; have ('strong', 'weak')",
+            ),
+            (
+                "distill",
+                {"depth": 50},
+                "bad config section 'distill': depth 50 exceeds world.docs_per_query 40",
+            ),
+            ("distill", {"depth": 0}, "bad config section 'distill': depth must be >= 1"),
+        ],
+    )
+    def test_bad_training_section_named_before_training(
+        self, tmp_path, capsys, section, values, message
+    ):
+        bad = tmp_path / "bad.json"
+        config = dict(SMOKE_CONFIG, **{section: dict(SMOKE_CONFIG[section], **values)})
+        bad.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        code = main(["train", "--config", str(bad), "--stage", "two", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_jobs_flag_removed(self, tmp_path, config_path, capsys):
         argv = ["world", "--config", str(config_path), "--jobs", "2", "--out", str(tmp_path)]

@@ -5,19 +5,29 @@ the same ranks, the same floats and the same errors as the code they
 replace.
 """
 
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltrlab import scorer
-from ltrlab.core import DistillRecord, Qrels, ScoredList, canonical_order, validate_doc_ids
+from ltrlab.core import (
+    DistillRecord,
+    Qrels,
+    ScoredList,
+    canonical_order,
+    parse_run,
+    validate_doc_ids,
+    write_run,
+)
 from ltrlab.distill_data import WorldConfig, generate_world
 from ltrlab.evaluation import ndcg_at_k, ndcg_rows
 from ltrlab.pipeline import build_rerank_pools, evaluate_model, rerank_run
 from ltrlab.trainer import PoolBlock, RerankPool, ValidationSet, mean_validation_ndcg, rerank
 
-from _oracles import outcome, scored_list_checks, teacher_order
+from _oracles import outcome, parse_run_oracle, scored_list_checks, teacher_order
 
 WEIRD_IDS = ["d1", "d2", "d10", "", "a b", "a\u00a0b", "a\u2003b", "a\x1cb", "x\n", 5, None]
 SCORES = [0.0, -0.0, 1.5, float("nan"), float("inf"), -float("inf"), np.float64(2.0)]
@@ -107,6 +117,153 @@ class TestScoredListChecks:
             if ch.isspace():
                 with pytest.raises(ValueError, match="contains whitespace"):
                     ScoredList("q", ((f"a{ch}b", 0.0),))
+
+
+# -- TREC run text ------------------------------------------------------------------
+
+RANKS = ["1", "2", "10", "007", "+1", "1_0", "-1", "x", "\u0663", "\u00b2", "1.0"]
+SCORE_TEXTS = ["1e3", "-0.0", "0.0", "0", "2.5", "1_0", "nan", "inf", "-inf", "abc", "\u0661"]
+SEPARATORS = [" ", " ", "\t", "  ", "\x0c", "\x1c", "\u0085", "\u00a0"]
+
+
+@st.composite
+def run_line(draw, valid: bool):
+    """One run line; with valid=False, any field may be malformed."""
+    def pick(good, bad):
+        return draw(st.sampled_from(good if valid else good * 3 + bad))
+
+    fields = [
+        pick(["q1", "q2", "q10"], []),
+        pick(["Q0"], ["Q1", "q0"]),
+        pick(["d1", "d2", "d3", "d10", "D1"], []),
+        pick(["1", "2", "10", "007"], RANKS),
+        draw(st.one_of(
+            st.integers(-4, 4).map(lambda v: f"{v / 2}"),
+            st.floats(-5, 5).map("{:.6f}".format),
+            st.sampled_from(SCORE_TEXTS[:5] if valid else SCORE_TEXTS),
+        )),
+        "t",
+    ]
+    if not valid:
+        fields = (fields + ["extra"])[: draw(st.sampled_from([6, 6, 6, 6, 0, 5, 7]))]
+    return draw(st.sampled_from(SEPARATORS if not valid else [" ", "\t"])).join(fields)
+
+
+def run_text(valid: bool):
+    """Run files; valid ones name each (query, doc) pair once."""
+    unique = (lambda line: tuple(line.split()[0:3:2])) if valid else None
+    return st.tuples(
+        st.lists(run_line(valid), max_size=14, unique_by=unique),
+        st.sampled_from(["", "\n", "\n\n"]),
+    ).map(lambda t: "\n".join(t[0]) + t[1])
+
+
+def parsed(parse, source):
+    """What a parse returns, with scores by their bits, or what it raised."""
+    try:
+        run = parse(source)
+    except Exception as exc:  # the test compares whatever is raised
+        return type(exc), str(exc), getattr(exc, "line", None)
+    assert all(type(ranking) is ScoredList for ranking in run.values())
+    return [
+        (qid, ranking.query, [(doc, score.hex()) for doc, score in ranking.entries])
+        for qid, ranking in run.items()
+    ]
+
+
+def assert_parses_like_oracle(text):
+    assert parsed(parse_run, text) == parsed(parse_run_oracle, text)
+    stream = parsed(parse_run, io.StringIO(text))
+    assert stream == parsed(parse_run_oracle, io.StringIO(text))
+
+
+class TestParseRun:
+    @settings(max_examples=500, deadline=None)
+    @given(run_text(valid=False))
+    def test_same_result_or_error_as_per_line_loop(self, text):
+        assert_parses_like_oracle(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_text(valid=True), st.booleans())
+    def test_valid_runs_in_any_order(self, text, canonical):
+        """Canonical files take the no-sort path, shuffled ones the sort."""
+        if canonical:
+            text = write_run(parse_run_oracle(text), "t")
+        assert_parses_like_oracle(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "q1 Q0 d1 +1 1.0 t",
+            "q1 Q0 d1 1_0 1.0 t",
+            "q1 Q0 d1 x 1.0 t",
+            "q1 Q0 d1 \u0663 1.0 t",
+            "q1 Q0 d1 \u00b2 1.0 t",
+            "q1 Q0 d1 " + "1" * 640 + " 1.0 t",
+            "q1 Q0 d1 " + "1" * 5000 + " 1.0 t",
+            "q1 Q0 d1 1 1e3 t\nq1 Q0 d2 2 -0.0 t\nq1 Q0 d3 3 0.0 t",
+            "q1 Q0 d1 1 nan t",
+            "q1 Q0 d1 1 inf t",
+            "q1 Q0 d1 1 abc t",
+            "q1 Q0 d1 1 1.0 t\nq1 Q0 d1 2 0.5 t",
+            "q1 Q0 d1 1 1.0 t\nq2 Q0 d1 1 0.5 t",
+            "q1 Q0 d1 1 1.0",
+            "q1 Q0 d1 1 1.0 t x",
+            "q1 Q0 d1 1 1.0\nq1 Q0 d2 1 1.0 t x",
+            "q1 Q1 d1 1 1.0 t",
+            "q1 Q0 d1 1 1.0 t\x0cq1 Q0 d2 2 0.5 t",
+            "q1 Q0 d1\x1c1 1.0 t\n",
+            "q1 Q0 d1 1 1.0 t\n\u0085q1 Q0 d2 2 0.5 t",
+            "q1 Q0 d1 1 1.0 t\nq1 Q0 d1 2 0.5 t\nq1 Q0 d2 x 0.5 t",
+            "q1 Q0 d1 1 1.0 t\nq1 Q0 d2 x 0.5 t\nq1 Q0 d1 2 0.5 t",
+            "q2 Q0 d2 1 1.0 t\nq1 Q0 d9 1 2.0 t\nq2 Q0 d10 2 1.0 t\n\n   \nq1 Q0 d1 2 2.0 t",
+            "",
+            "\n \n",
+        ],
+    )
+    def test_edge_cases_match_per_line_loop(self, text):
+        assert_parses_like_oracle(text)
+
+    def test_isdecimal_ranks_are_integers(self):
+        for code in range(0x110000):
+            ch = chr(code)
+            if ch.isdecimal():
+                assert int(ch * 3) >= 0
+
+
+# -- trusted producers: the same lists the checking constructor builds ---------------
+
+
+def assert_checked_equal(run):
+    for qid, ranking in run.items():
+        assert type(ranking) is ScoredList and type(ranking.entries) is tuple
+        assert ranking == ScoredList(qid, ranking.entries)
+        assert all(type(entry) is tuple for entry in ranking.entries)
+
+
+class TestTrustedProducers:
+    def test_parse_run(self):
+        assert_checked_equal(parse_run("q1 Q0 d2 1 1.0 t\nq1 Q0 d1 2 1.0 t\nq2 Q0 d1 1 3 t"))
+        assert_checked_equal(parse_run("q1 Q0 d1 +1 1.0 t\nq1 Q0 d2 2 2.0 t"))
+
+    def test_first_stage_run(self):
+        assert_checked_equal(world_of().first_stage_run("r"))
+
+    def test_rerank_run(self):
+        pools = ragged_pools(np.random.default_rng(3), [4, 1, 12], tie_rows=True)
+        for model in models():
+            assert_checked_equal(rerank_run(model, pools))
+
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
+    def test_first_stage_run_still_rejects_non_finite_scores(self, sigma):
+        world = world_of(first_stage_noise={"r": sigma})
+        with pytest.raises(ValueError, match="non-finite score for doc"):
+            world.first_stage_run("r")
+
+    def test_write_run_sorts_a_public_list(self):
+        ranking = ScoredList("q", (("b", 1.0), ("c", 2.0), ("a", 2.0)))
+        text = "q Q0 a 1 2.000000 t\nq Q0 c 2 2.000000 t\nq Q0 b 3 1.000000 t\n"
+        assert write_run({"q": ranking}, "t") == text
 
 
 # -- first-stage runs -----------------------------------------------------------
