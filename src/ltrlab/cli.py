@@ -186,7 +186,7 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
         stage2_raw["alpha"] = alpha
 
     world = _build_section(distill_data.WorldConfig, world_raw, "world")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         world=world,
         split=_build_split(split_raw, world.num_queries),
         sampling=_build_section(distill_data.SamplingConfig, sampling_raw, "sampling"),
@@ -197,19 +197,23 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
         eval=_build_section(EvalSpec, eval_raw, "eval"),
         ablation=_build_section(AblationSpec, ablation_raw, "ablation"),
     )
-    _check_against_world(cfg)
-    return cfg
 
 
-def _check_against_world(cfg: ExperimentConfig) -> None:
-    """The retrievers the sections name exist, and the distillation depth fits the pool."""
-    retrievers = tuple(sorted(cfg.world.first_stage_noise))
-    for where, spec in (("distill", cfg.distill), ("eval", cfg.eval)):
-        if spec.retriever not in retrievers:
-            raise ConfigError(
-                f"bad config section {where!r}: unknown retriever {spec.retriever!r}; "
-                f"have {retrievers}"
-            )
+# The checks below compare one section with the world. A command runs each
+# one it needs before any work, and only those: a section it never reads may
+# keep defaults that do not fit the world.
+
+
+def _check_retriever(cfg: ExperimentConfig, where: str) -> None:
+    """The retriever that config section `where` names is one the world has."""
+    name = getattr(cfg, where).retriever
+    have = tuple(sorted(cfg.world.first_stage_noise))
+    if name not in have:
+        raise ConfigError(f"bad config section {where!r}: unknown retriever {name!r}; have {have}")
+
+
+def _check_distill_depth(cfg: ExperimentConfig) -> None:
+    """The distillation depth fits the world's candidate pool."""
     if cfg.distill.depth > cfg.world.docs_per_query:
         raise ConfigError(
             f"bad config section 'distill': depth {cfg.distill.depth} exceeds "
@@ -272,6 +276,8 @@ def cmd_world(args) -> int:
 def cmd_distill(args) -> int:
     cfg = load_experiment_config(args.config, args)
     _print_resolved("distill", cfg, args)
+    _check_retriever(cfg, "distill")
+    _check_distill_depth(cfg)
     world = distill_data.generate_world(cfg.world)
     splits = _splits(cfg, world)
     run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
@@ -298,15 +304,14 @@ def _write_train_outputs(out: Path, tag: str, report: trainer.TrainReport) -> No
 def _train(
     args,
     cfg: ExperimentConfig,
-    loss: str,
+    stage1: bool,
+    distill: bool,
     world: distill_data.SyntheticWorld,
     splits: Mapping[str, Sequence[str]],
     out: Path,
 ) -> scorer.ScorerModel:
     """Train as the flags say, write the training reports, return the model."""
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
-    stage1 = args.stage == "two" or loss == trainer.LOSS_INFONCE
-    distill = loss != trainer.LOSS_INFONCE
     run = None
     if stage1 or not args.dataset:
         run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
@@ -337,12 +342,19 @@ def cmd_train(args) -> int:
     loss = args.loss or cfg.stage2.loss
     if args.stage == "two" and loss == trainer.LOSS_INFONCE:
         raise UsageError("--stage two requires a distillation loss (ranknet or adr-mse)")
+    stage1 = args.stage == "two" or loss == trainer.LOSS_INFONCE
+    distill = loss != trainer.LOSS_INFONCE
+    if stage1 or not args.dataset:
+        _check_retriever(cfg, "distill")
+    if distill and not args.dataset:
+        _check_distill_depth(cfg)
+    _check_retriever(cfg, "eval")
     world = distill_data.generate_world(cfg.world)
     splits = _splits(cfg, world)
     out = _out_dir(args)
     # The training data goes out of scope with _train, before the test pools
     # are built, so the two never take memory at the same time.
-    model = _train(args, cfg, loss, world, splits, out)
+    model = _train(args, cfg, stage1, distill, world, splits, out)
 
     _atomic_write(out / "checkpoint.txt", scorer.checkpoint_text(model))
     test_pools = pipeline.build_rerank_pools(
@@ -429,6 +441,8 @@ def cmd_significance(args) -> int:
 def cmd_ablate(args) -> int:
     cfg = load_experiment_config(args.config, args)
     _print_resolved("ablate", cfg, args)
+    _check_retriever(cfg, "distill")
+    _check_retriever(cfg, "eval")
     world = distill_data.generate_world(cfg.world)
     splits = _splits(cfg, world)
     depths = sorted(cfg.ablation.depths)

@@ -12,7 +12,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from operator import gt
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -265,97 +264,73 @@ def _numbered_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
         yield lineno, line.rstrip("\n")
 
 
-# int() rejects decimal strings of more than sys.get_int_max_str_digits()
-# digits, and that limit is never set below 640.
-_MAX_RANK_DIGITS = 640
-
-
 def parse_run(source: str | IO[str]) -> dict[QueryId, ScoredList]:
     """Parse a TREC run into per-query scored lists.
 
     Ranks in the file are ignored and recomputed: entries come out sorted by
     descending score with ties broken by ascending doc id. Blank lines are
     skipped; anything else malformed raises ParseError with its line number.
+    The first bad line wins, a duplicate (query, doc) pair included.
     """
     lines = source.splitlines() if isinstance(source, str) else list(source)
-    columns = _run_columns(lines)
-    if columns is None:
-        return _parse_run_checked(lines)
-    run = {}
-    for qid, (docs, scores) in columns.items():
-        if len(set(docs)) != len(docs):
-            return _parse_run_checked(lines)
-        entries = tuple(zip(docs, scores))
-        if not all(map(gt, scores, scores[1:])):
-            entries = canonical_order(entries)
-        run[qid] = ScoredList._trusted(qid, entries)
-    return run
-
-
-def _run_columns(lines: Sequence[str]) -> dict[str, tuple[list[str], list[float]]] | None:
-    """Each query's docs and scores in file order, from cheap per-line checks.
-
-    Ids from `str.split` are non-empty and free of whitespace. None means
-    "not shown valid", not "invalid": `_parse_run_checked` decides. Duplicate
-    docs are left to the caller.
-    """
     columns: dict[str, tuple[list[str], list[float]]] = {}
     isfinite = math.isfinite
-    for line in lines:
-        fields = line.split()
-        if len(fields) != 6:
-            if fields:
-                return None
-            continue
-        qid, literal, doc, rank, score_text, _tag = fields
-        # isdecimal() accepts only strings that int() accepts.
-        if literal != "Q0" or not rank.isdecimal() or len(rank) > _MAX_RANK_DIGITS:
-            return None
-        try:
-            score = float(score_text)
-        except ValueError:
-            return None
-        if not isfinite(score):
-            return None
-        column = columns.get(qid)
-        if column is None:
-            column = columns[qid] = ([], [])
-        column[0].append(doc)
-        column[1].append(score)
-    return columns
-
-
-def _parse_run_checked(lines: Sequence[str]) -> dict[QueryId, ScoredList]:
-    """`parse_run` line by line: the exact error for the first bad line."""
-    per_query: dict[str, list[tuple[str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
         if len(fields) != 6:
-            raise ParseError(f"expected 6 fields, got {len(fields)}", lineno)
+            raise _first_error(lines, lineno, f"expected 6 fields, got {len(fields)}")
         qid, literal, doc, rank, score_text, _tag = fields
         if literal != "Q0":
-            raise ParseError(f"second field must be 'Q0', got {literal!r}", lineno)
+            raise _first_error(lines, lineno, f"second field must be 'Q0', got {literal!r}")
         try:
             int(rank)
         except ValueError:
-            raise ParseError(f"rank field {rank!r} is not an integer", lineno) from None
+            raise _first_error(lines, lineno, f"rank field {rank!r} is not an integer") from None
         try:
             score = float(score_text)
         except ValueError:
-            raise ParseError(f"score field {score_text!r} is not a number", lineno) from None
-        if not math.isfinite(score):
-            raise ParseError(f"non-finite score {score_text!r}", lineno)
-        if (qid, doc) in seen:
-            raise DuplicateEntryError(f"duplicate entry for query {qid!r} doc {doc!r}", lineno)
-        seen.add((qid, doc))
-        per_query.setdefault(qid, []).append((doc, score))
+            message = f"score field {score_text!r} is not a number"
+            raise _first_error(lines, lineno, message) from None
+        if not isfinite(score):
+            raise _first_error(lines, lineno, f"non-finite score {score_text!r}")
+        column = columns.get(qid)
+        if column is None:
+            column = columns[qid] = ([], [])
+        column[0].append(doc)
+        column[1].append(score)
+    # Ids from str.split are non-empty and free of whitespace, and every score
+    # is finite: only a repeated doc can still break a ScoredList invariant.
+    for docs, _scores in columns.values():
+        if len(set(docs)) != len(docs):
+            raise _first_duplicate(lines)
     return {
-        qid: ScoredList._trusted(qid, canonical_order(entries))
-        for qid, entries in per_query.items()
+        qid: ScoredList._trusted(qid, canonical_order(zip(docs, scores)))
+        for qid, (docs, scores) in columns.items()
     }
+
+
+def _first_error(lines: Sequence[str], lineno: int, message: str) -> ParseError:
+    """The error for bad line `lineno`, unless an earlier line repeats a pair."""
+    return _first_duplicate(lines[: lineno - 1]) or ParseError(message, lineno)
+
+
+def _first_duplicate(lines: Sequence[str]) -> DuplicateEntryError | None:
+    """The error for the first line that repeats an earlier (query, doc) pair.
+
+    Every non-blank line must already have been read as six fields.
+    """
+    seen: set[tuple[str, str]] = set()
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields:
+            continue
+        qid, doc = fields[0], fields[2]
+        if (qid, doc) in seen:
+            return DuplicateEntryError(f"duplicate entry for query {qid!r} doc {doc!r}", lineno)
+        seen.add((qid, doc))
+    return None
 
 
 def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> str:
@@ -371,11 +346,8 @@ def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> str:
         ranking = rankings[qid]
         if ranking.query != qid:
             raise ValueError(f"run maps key {qid!r} to a list for query {ranking.query!r}")
-        prefix = f"{qid} Q0 "
-        out += [
-            f"{prefix}{doc} {rank} {score:.6f} {tag}"
-            for rank, (doc, score) in enumerate(canonical_order(ranking.entries), start=1)
-        ]
+        for rank, (doc, score) in enumerate(canonical_order(ranking.entries), start=1):
+            out.append(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}")
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -309,6 +309,11 @@ class TestPipelineSmoke:
         assert '"num_queries": 200' in out
 
 
+TRAIN_TWO = ["train", "--stage", "two"]
+UNKNOWN_RETRIEVER = "bad config section %r: unknown retriever 'nope'; have ('strong', 'weak')"
+DEPTH_EXCEEDS_POOL = "bad config section 'distill': depth 50 exceeds world.docs_per_query 40"
+
+
 class TestConfigHandling:
     def test_unknown_top_level_key_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -391,47 +396,57 @@ class TestConfigHandling:
         assert not (out / "checkpoint.txt").exists()
 
     @pytest.mark.parametrize(
-        "section, values, message",
+        "command, section, values, message",
         [
             (
+                TRAIN_TWO,
                 "stage2",
                 {"loss": "adr-mse", "alpha": -1},
                 "bad config section 'stage2': alpha must be a positive finite number, got -1",
             ),
             (
+                TRAIN_TWO,
                 "stage2",
                 {"loss": "adr-mse", "alpha": 0.0},
                 "bad config section 'stage2': alpha must be a positive finite number, got 0.0",
             ),
-            (
-                "distill",
-                {"retriever": "nope"},
-                "bad config section 'distill': unknown retriever 'nope'; have ('strong', 'weak')",
-            ),
-            (
-                "eval",
-                {"retriever": "nope"},
-                "bad config section 'eval': unknown retriever 'nope'; have ('strong', 'weak')",
-            ),
-            (
-                "distill",
-                {"depth": 50},
-                "bad config section 'distill': depth 50 exceeds world.docs_per_query 40",
-            ),
-            ("distill", {"depth": 0}, "bad config section 'distill': depth must be >= 1"),
+            (TRAIN_TWO, "distill", {"retriever": "nope"}, UNKNOWN_RETRIEVER % "distill"),
+            (TRAIN_TWO, "eval", {"retriever": "nope"}, UNKNOWN_RETRIEVER % "eval"),
+            (TRAIN_TWO, "distill", {"depth": 50}, DEPTH_EXCEEDS_POOL),
+            (TRAIN_TWO, "distill", {"depth": 0}, "bad config section 'distill': depth must be >= 1"),
+            (["distill"], "distill", {"retriever": "nope"}, UNKNOWN_RETRIEVER % "distill"),
+            (["distill"], "distill", {"depth": 50}, DEPTH_EXCEEDS_POOL),
+            (["ablate"], "distill", {"retriever": "nope"}, UNKNOWN_RETRIEVER % "distill"),
+            (["ablate"], "eval", {"retriever": "nope"}, UNKNOWN_RETRIEVER % "eval"),
         ],
     )
-    def test_bad_training_section_named_before_training(
-        self, tmp_path, capsys, section, values, message
+    def test_bad_section_named_before_work(
+        self, tmp_path, capsys, command, section, values, message
     ):
         bad = tmp_path / "bad.json"
         config = dict(SMOKE_CONFIG, **{section: dict(SMOKE_CONFIG[section], **values)})
         bad.write_text(json.dumps(config))
         out = tmp_path / "o"
-        code = main(["train", "--config", str(bad), "--stage", "two", "--out", str(out)])
-        assert code == 2
+        assert main(command + ["--config", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_world_ignores_sections_it_never_reads(self, tmp_path):
+        """The default distill depth of 100 and retriever 'strong' do not fit this world."""
+        config = {k: v for k, v in SMOKE_CONFIG.items() if k not in ("distill", "eval")}
+        world = dict(SMOKE_CONFIG["world"], docs_per_query=60, first_stage_noise={"bm25": 0.5})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(config, world=world)))
+        out = tmp_path / "o"
+        assert main(["world", "--config", str(path), "--out", str(out)]) == 0
+        assert len(read(out / "run_bm25.trec").splitlines()) == 200 * 60
+
+    def test_distill_ignores_eval_section(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, eval={"retriever": "nope"})))
+        out = tmp_path / "o"
+        assert main(["distill", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "distill_dataset.jsonl").exists()
 
     def test_jobs_flag_removed(self, tmp_path, config_path, capsys):
         argv = ["world", "--config", str(config_path), "--jobs", "2", "--out", str(tmp_path)]
@@ -440,6 +455,15 @@ class TestConfigHandling:
 
 
 class TestAblateCommand:
+    def test_distill_depth_unused(self, tmp_path):
+        """The grid takes its depths from `ablation.depths`, never `distill.depth`."""
+        path = tmp_path / "config.json"
+        config = dict(SMOKE_CONFIG, distill=dict(SMOKE_CONFIG["distill"], depth=100))
+        config["ablation"] = {"depths": [5], "fractions": [1.0]}
+        path.write_text(json.dumps(config))
+        assert main(["ablate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert len(read(tmp_path / "o" / "ablation.tsv").splitlines()) == 2
+
     def test_grid_emitted(self, tmp_path, config_path):
         out = tmp_path / "ablate"
         code = main(["ablate", "--config", str(config_path), "--out", str(out)])
@@ -497,6 +521,21 @@ class TestTrainDatasetFaults:
         assert err.startswith("error: line 2: record for query ")
         assert "non-finite features" in err
         assert not (out / "checkpoint.txt").exists()
+
+    def test_distill_section_unused_with_dataset(self, tmp_path, config_path, dataset_lines):
+        """Single-stage distillation from a file builds no run and no dataset."""
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        code, expected = self.train(tmp_path / "a", config_path, dataset_lines)
+        assert code == 0
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, distill={"retriever": "nope", "depth": 100})))
+        code, out = self.train(tmp_path / "b", path, dataset_lines)
+        assert code == 0
+        names = sorted(p.name for p in expected.iterdir())
+        assert names == sorted(p.name for p in out.iterdir())
+        for name in names:
+            assert read(out / name) == read(expected / name), name
 
     def test_records_of_different_lengths_train(self, tmp_path, config_path, dataset_lines):
         lines = []
