@@ -32,7 +32,6 @@ from .distill_data import (
     subsample_depth,
 )
 from .evaluation import (
-    EvalConfig,
     SignificanceReport,
     geometric_mean,
     holm_bonferroni,

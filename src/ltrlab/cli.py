@@ -70,13 +70,24 @@ class EvalSpec:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        evaluation.EvalConfig(k=self.k)
+        if self.k < 1:
+            raise ValueError("cutoff k must be >= 1")
 
 
 @dataclass(frozen=True)
 class AblationSpec:
     depths: tuple[int, ...] = (10, 25, 50, 100)
     fractions: tuple[float, ...] = (0.1, 0.25, 0.5, 1.0)
+
+    def __post_init__(self):
+        if not self.depths:
+            raise ValueError("depths must not be empty")
+        for depth in self.depths:
+            if depth < 1:
+                raise ValueError(f"depth {depth} must be >= 1")
+        for fraction in self.fractions:
+            if not 0.0 < fraction <= 1.0:
+                raise ValueError(f"query fraction must lie in (0, 1], got {fraction}")
 
 
 @dataclass(frozen=True)
@@ -212,11 +223,11 @@ def _check_retriever(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError(f"bad config section {where!r}: unknown retriever {name!r}; have {have}")
 
 
-def _check_distill_depth(cfg: ExperimentConfig) -> None:
-    """The distillation depth fits the world's candidate pool."""
-    if cfg.distill.depth > cfg.world.docs_per_query:
+def _check_depth(cfg: ExperimentConfig, where: str, depth: int) -> None:
+    """A dataset depth that config section `where` asks for fits the world's pool."""
+    if depth > cfg.world.docs_per_query:
         raise ConfigError(
-            f"bad config section 'distill': depth {cfg.distill.depth} exceeds "
+            f"bad config section {where!r}: depth {depth} exceeds "
             f"world.docs_per_query {cfg.world.docs_per_query}"
         )
 
@@ -277,7 +288,7 @@ def cmd_distill(args) -> int:
     cfg = load_experiment_config(args.config, args)
     _print_resolved("distill", cfg, args)
     _check_retriever(cfg, "distill")
-    _check_distill_depth(cfg)
+    _check_depth(cfg, "distill", cfg.distill.depth)
     world = distill_data.generate_world(cfg.world)
     splits = _splits(cfg, world)
     run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
@@ -347,7 +358,7 @@ def cmd_train(args) -> int:
     if stage1 or not args.dataset:
         _check_retriever(cfg, "distill")
     if distill and not args.dataset:
-        _check_distill_depth(cfg)
+        _check_depth(cfg, "distill", cfg.distill.depth)
     _check_retriever(cfg, "eval")
     world = distill_data.generate_world(cfg.world)
     splits = _splits(cfg, world)
@@ -443,10 +454,11 @@ def cmd_ablate(args) -> int:
     _print_resolved("ablate", cfg, args)
     _check_retriever(cfg, "distill")
     _check_retriever(cfg, "eval")
-    world = distill_data.generate_world(cfg.world)
-    splits = _splits(cfg, world)
     depths = sorted(cfg.ablation.depths)
     max_depth = depths[-1]
+    _check_depth(cfg, "ablation", max_depth)
+    world = distill_data.generate_world(cfg.world)
+    splits = _splits(cfg, world)
     run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
     full = distill_data.build_teacher_dataset(
         run, world.teacher, world.features_for, depth=max_depth

@@ -93,26 +93,6 @@ def validate_doc_ids(query: QueryId, docs: Sequence[DocId]) -> None:
         seen.add(doc)
 
 
-_FAST_SCORE_TYPES = frozenset({float, np.float64})
-
-
-def _entries_valid(entries: tuple[tuple, ...]) -> bool:
-    """`_ids_valid` for (doc, score) pairs, plus finite float scores."""
-    if not entries:
-        return True
-    if sum(map(len, entries)) != 2 * len(entries):
-        return False
-    try:
-        docs, scores = zip(*entries)
-    except ValueError:
-        return False
-    return (
-        _ids_valid(docs)
-        and set(map(type, scores)) <= _FAST_SCORE_TYPES
-        and bool(np.isfinite(np.array(scores, dtype=np.float64)).all())
-    )
-
-
 @dataclass(frozen=True)
 class ScoredList:
     """A query's candidate documents with relevance scores.
@@ -128,8 +108,14 @@ class ScoredList:
         validate_id(self.query, "query id")
         entries = tuple(map(tuple, self.entries))
         object.__setattr__(self, "entries", entries)
-        if not _entries_valid(entries):
-            self._check_entries()
+        seen: set[str] = set()
+        for doc, score in entries:
+            validate_id(doc, "doc id")
+            if doc in seen:
+                raise ValueError(f"duplicate doc id {doc!r} in list for query {self.query!r}")
+            seen.add(doc)
+            if not np.isfinite(score):
+                raise ValueError(f"non-finite score for doc {doc!r} in query {self.query!r}")
 
     @classmethod
     def _trusted(cls, query: QueryId, entries: tuple[tuple[DocId, float], ...]) -> ScoredList:
@@ -144,27 +130,12 @@ class ScoredList:
         object.__setattr__(ranking, "entries", entries)
         return ranking
 
-    def _check_entries(self) -> None:
-        """Per-doc checks: the exact error for the first bad entry."""
-        seen: set[str] = set()
-        for doc, score in self.entries:
-            validate_id(doc, "doc id")
-            if doc in seen:
-                raise ValueError(f"duplicate doc id {doc!r} in list for query {self.query!r}")
-            seen.add(doc)
-            if not np.isfinite(score):
-                raise ValueError(f"non-finite score for doc {doc!r} in query {self.query!r}")
-
     def __len__(self) -> int:
         return len(self.entries)
 
     @property
     def docs(self) -> tuple[DocId, ...]:
         return next(zip(*self.entries), ())
-
-    @property
-    def scores(self) -> tuple[float, ...]:
-        return tuple(score for _, score in self.entries)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -61,6 +62,11 @@ class SamplingConfig:
             raise ValueError("pool_depth must be >= num_negatives + 1")
 
 
+def _check_noise(key: str, sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"{key} must be a finite number >= 0, got {sigma!r}")
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Shape and noise levels of the synthetic retrieval world.
@@ -100,14 +106,11 @@ class WorldConfig:
         for name, sigma in self.first_stage_noise.items():
             if not name or any(c.isspace() for c in name):
                 raise ValueError(f"bad retriever name {name!r}")
-            if sigma < 0:
-                raise ValueError(f"retriever {name!r} has negative noise")
-        if self.teacher_noise < 0 or self.teacher_noise_rank_growth < 0:
-            raise ValueError("teacher noise parameters must be >= 0")
+            _check_noise(f"first_stage_noise[{name!r}]", sigma)
+        for key in ("teacher_noise", "teacher_noise_rank_growth", "feature_noise"):
+            _check_noise(key, getattr(self, key))
         if self.feature_map not in (FEATURE_MAP_PRODUCT, FEATURE_MAP_SATURATED):
             raise ValueError(f"unknown feature_map {self.feature_map!r}")
-        if self.feature_noise < 0:
-            raise ValueError("feature_noise must be >= 0")
 
 
 class SyntheticWorld:
@@ -175,10 +178,6 @@ class SyntheticWorld:
     def true_relevance(self, query: QueryId, doc: DocId) -> float:
         qi = self._qindex(query)
         return float(self._rel[qi, self._dindex(qi, doc)])
-
-    def pair_features(self, query: QueryId, doc: DocId) -> np.ndarray:
-        qi = self._qindex(query)
-        return self._features[qi, self._dindex(qi, doc)].copy()
 
     def _generated_indices(self, qi: int, docs: Sequence[DocId]) -> np.ndarray | None:
         """Pool indices of docs if every id has the generated form, else None.

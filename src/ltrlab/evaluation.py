@@ -24,20 +24,6 @@ logger = logging.getLogger(__name__)
 GEOMEAN_FLOOR = 1e-4
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Metric cutoff and significance level."""
-
-    k: int = 10
-    significance_level: float = 0.05
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("cutoff k must be >= 1")
-        if not 0.0 < self.significance_level < 1.0:
-            raise ValueError("significance_level must lie in (0, 1)")
-
-
 def ndcg_at_k(ranking: ScoredList, qrels: Qrels, k: int = 10) -> float:
     """Normalized DCG at cutoff k for one query.
 
@@ -243,21 +229,6 @@ def significance_report(
         for (name, t, p, n), reject in zip(stats, decisions)
     )
     return SignificanceReport(baseline, alpha, comparisons)
-
-
-def pool_collections(
-    per_collection: Mapping[str, Mapping[str, float]],
-) -> dict[str, float]:
-    """Merge per-collection query scores into one pooled set for a single test.
-
-    Query keys are prefixed with their collection name so they stay unique.
-    The default protocol tests per collection; this is the pooled variant.
-    """
-    pooled: dict[str, float] = {}
-    for coll, scores in per_collection.items():
-        for qid, value in scores.items():
-            pooled[f"{coll}:{qid}"] = value
-    return pooled
 
 
 def per_query_scores_text(scores: Mapping[str, float], metric: str) -> str:

@@ -16,7 +16,7 @@ import numpy as np
 from . import scorer, trainer
 from .core import Qrels, QueryId, ScoredList
 from .distill_data import DistillDataset, SyntheticWorld
-from .trainer import PoolBlock, RerankPool, TrainConfig, ValidationSet
+from .trainer import PoolBlock, TrainConfig, ValidationSet
 
 logger = logging.getLogger(__name__)
 
@@ -74,10 +74,7 @@ def make_validation(
 
 
 def evaluate_model(
-    model: scorer.ScorerModel,
-    pools: PoolBlock | Sequence[RerankPool],
-    qrels: Qrels,
-    k: int = 10,
+    model: scorer.ScorerModel, pools: PoolBlock, qrels: Qrels, k: int = 10
 ) -> dict[QueryId, float]:
     """Per-query nDCG@k of the model re-ranking each pool."""
     if not len(pools):
@@ -86,16 +83,13 @@ def evaluate_model(
     return dict(zip(judged.block.queries, judged.ndcg(model, k).tolist()))
 
 
-def rerank_run(
-    model: scorer.ScorerModel, pools: PoolBlock | Sequence[RerankPool]
-) -> dict[QueryId, ScoredList]:
-    """Every pool re-ranked by the model, as `trainer.rerank` ranks one."""
-    block = PoolBlock.of(pools)
+def rerank_run(model: scorer.ScorerModel, pools: PoolBlock) -> dict[QueryId, ScoredList]:
+    """Every pool re-ranked by the model, in canonical order."""
     # The block checked the ids and `rank` the scores: the lists are trusted.
-    scores, order = block.rank(model)
+    scores, order = pools.rank(model)
     run = {}
     for query, docs, length, row, ranked in zip(
-        block.queries, block.docs, block.lengths, scores, order
+        pools.queries, pools.docs, pools.lengths, scores, order
     ):
         ranked = ranked[:length].tolist()
         entries = tuple(zip([docs[j] for j in ranked], row[ranked].tolist()))

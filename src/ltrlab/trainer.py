@@ -13,7 +13,7 @@ import itertools
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,9 +22,7 @@ from .core import (
     DocId,
     Qrels,
     QueryId,
-    ScoredList,
     TrainingGroup,
-    canonical_order,
     doc_keys,
     validate_doc_ids,
     validate_id,
@@ -105,22 +103,15 @@ class TrainReport:
         return [json.dumps(by_step[s], separators=(",", ":")) for s in sorted(by_step)]
 
 
-@dataclass(frozen=True)
-class RerankPool:
-    """One query's candidates with their features, ready to re-score."""
+class RerankPool(NamedTuple):
+    """One row of a PoolBlock: a query's candidates and their features.
+
+    An unchecked view; the block checked the ids when it was built.
+    """
 
     query: QueryId
-    docs: tuple[str, ...]
+    docs: tuple[DocId, ...]
     features: np.ndarray
-
-    def __post_init__(self):
-        validate_id(self.query, "query id")
-        object.__setattr__(self, "docs", tuple(self.docs))
-        validate_doc_ids(self.query, self.docs)
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2 or feats.shape[0] != len(self.docs):
-            raise ValueError("features must be (len(docs), F)")
-        object.__setattr__(self, "features", feats)
 
 
 class PoolBlock:
@@ -152,19 +143,6 @@ class PoolBlock:
         for i, row in enumerate(self.docs):
             self.doc_key[i, : len(row)] = doc_keys(row)
 
-    @classmethod
-    def of(cls, pools: "PoolBlock | Sequence[RerankPool]") -> "PoolBlock":
-        """The pools as a block: a block itself, or the pools stacked into one."""
-        if isinstance(pools, PoolBlock):
-            return pools
-        pools = tuple(pools)
-        width = max((len(pool.docs) for pool in pools), default=0)
-        dim = pools[0].features.shape[1] if pools else 0
-        features = np.zeros((len(pools), width, dim))
-        for i, pool in enumerate(pools):
-            features[i, : len(pool.docs)] = pool.features
-        return cls([pool.query for pool in pools], [pool.docs for pool in pools], features)
-
     def __len__(self) -> int:
         return len(self.queries)
 
@@ -177,12 +155,13 @@ class PoolBlock:
 
         Returns the (Q, n) scores and, per row, the column indices by
         descending score with ties by ascending doc id, padding last: row i
-        of the order lists `rerank(model, pool_i)` first.
+        of the order is `core.canonical_order` of row i's (doc, score) pairs.
 
         Each row is scored on its own: BLAS sums a row's products in an
         order that depends on the matrix shape (a 1-row matrix takes another
         kernel), so scoring the whole block at once could move a score by
-        an ulp and break a tie differently from `rerank`.
+        an ulp from `scorer.score_batch` of the row alone and break a tie
+        differently.
         """
         scores = np.zeros(self.mask.shape)
         for row, length, features in zip(scores, self.lengths, self.features):
@@ -206,8 +185,8 @@ class ValidationSet:
     `evaluation.ndcg_rows`.
     """
 
-    def __init__(self, pools: PoolBlock | Sequence[RerankPool], qrels: Qrels):
-        self.block = PoolBlock.of(pools)
+    def __init__(self, block: PoolBlock, qrels: Qrels):
+        self.block = block
         if not len(self.block):
             raise ValueError("validation set must contain at least one pool")
         judged = [qrels.judged(query) for query in self.block.queries]
@@ -218,16 +197,10 @@ class ValidationSet:
             self.ideal[i, : len(grades)] = sorted(grades.values(), reverse=True)
 
     def ndcg(self, model: scorer.ScorerModel, k: int = 10) -> np.ndarray:
-        """Per-pool nDCG@k of the model's ranking; entry i equals
-        `ndcg_at_k(rerank(model, pool_i), qrels, k)` bit for bit."""
+        """Per-pool nDCG@k of the model's ranking; entry i equals `ndcg_at_k`
+        of row i in canonical order, bit for bit."""
         _, order = self.block.rank(model)
         return ndcg_rows(np.take_along_axis(self.grades, order[:, :k], axis=1), self.ideal, k)
-
-
-def rerank(model: scorer.ScorerModel, pool: RerankPool) -> ScoredList:
-    """Score a pool and return it in canonical ranked order."""
-    scores = scorer.score_batch(model, pool.features)
-    return ScoredList(pool.query, canonical_order(zip(pool.docs, scores)))
 
 
 def mean_validation_ndcg(

@@ -418,6 +418,49 @@ class TestConfigHandling:
             (["distill"], "distill", {"depth": 50}, DEPTH_EXCEEDS_POOL),
             (["ablate"], "distill", {"retriever": "nope"}, UNKNOWN_RETRIEVER % "distill"),
             (["ablate"], "eval", {"retriever": "nope"}, UNKNOWN_RETRIEVER % "eval"),
+            (
+                ["distill"],
+                "world",
+                {"teacher_noise": math.nan},
+                "bad config section 'world': teacher_noise must be a finite number >= 0, got nan",
+            ),
+            (
+                ["world"],
+                "world",
+                {"first_stage_noise": {"strong": math.inf, "weak": 3.0}},
+                "bad config section 'world': "
+                "first_stage_noise['strong'] must be a finite number >= 0, got inf",
+            ),
+            (
+                ["world"],
+                "world",
+                {"num_queries": 2},
+                "split 'validation' is empty: fraction 0.2 of 2 queries",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"depths": []},
+                "bad config section 'ablation': depths must not be empty",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"depths": [5, 50]},
+                "bad config section 'ablation': depth 50 exceeds world.docs_per_query 40",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"depths": [0, 10]},
+                "bad config section 'ablation': depth 0 must be >= 1",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"fractions": [0.0, 1.0]},
+                "bad config section 'ablation': query fraction must lie in (0, 1], got 0.0",
+            ),
         ],
     )
     def test_bad_section_named_before_work(

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -103,6 +105,16 @@ class TestGenerateWorld:
             WorldConfig(first_stage_noise={"x": -1.0})
         with pytest.raises(ValueError):
             WorldConfig(feature_map="mystery")
+
+    @pytest.mark.parametrize("sigma", [-1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "key", ["first_stage_noise", "teacher_noise", "teacher_noise_rank_growth", "feature_noise"]
+    )
+    def test_noise_must_be_finite_and_non_negative(self, key, sigma):
+        value = {"x": sigma} if key == "first_stage_noise" else sigma
+        name = "first_stage_noise['x']" if key == "first_stage_noise" else key
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a finite number >= 0"):
+            WorldConfig(**{key: value})
 
 
 class TestHardNegativeGroups:
@@ -219,7 +231,7 @@ class TestTeacherDataset:
         ds = build_teacher_dataset(run, world.teacher, world.features_for, depth=5)
         rec = ds[0]
         for i, doc in enumerate(rec.docs):
-            assert np.array_equal(rec.features[i], world.pair_features(rec.query, doc))
+            assert np.array_equal(rec.features[i], world.features_for(rec.query, [doc])[0])
 
     def test_non_permutation_teacher_is_hard_error(self):
         world = small_world()

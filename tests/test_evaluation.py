@@ -8,13 +8,11 @@ from scipy.stats import ttest_rel
 
 from ltrlab.core import Qrels, ScoredList
 from ltrlab.evaluation import (
-    EvalConfig,
     geometric_mean,
     holm_bonferroni,
     micro_average,
     ndcg_at_k,
     paired_t_test,
-    pool_collections,
     significance_report,
 )
 
@@ -222,14 +220,3 @@ class TestSignificanceReport:
     def test_missing_baseline(self):
         with pytest.raises(ValueError):
             significance_report({"a": {"q": 1.0}}, baseline="nope")
-
-    def test_pool_collections(self):
-        pooled = pool_collections({"c1": {"q": 0.1}, "c2": {"q": 0.2}})
-        assert pooled == {"c1:q": 0.1, "c2:q": 0.2}
-
-
-def test_eval_config_validation():
-    with pytest.raises(ValueError):
-        EvalConfig(k=0)
-    with pytest.raises(ValueError):
-        EvalConfig(significance_level=1.0)

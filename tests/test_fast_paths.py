@@ -25,9 +25,16 @@ from ltrlab.core import (
 from ltrlab.distill_data import WorldConfig, generate_world
 from ltrlab.evaluation import ndcg_at_k, ndcg_rows
 from ltrlab.pipeline import build_rerank_pools, evaluate_model, rerank_run
-from ltrlab.trainer import PoolBlock, RerankPool, ValidationSet, mean_validation_ndcg, rerank
+from ltrlab.trainer import RerankPool, ValidationSet, mean_validation_ndcg
 
-from _oracles import outcome, parse_run_oracle, scored_list_checks, teacher_order
+from _oracles import (
+    outcome,
+    parse_run_oracle,
+    rerank,
+    scored_list_checks,
+    stack_pools,
+    teacher_order,
+)
 
 WEIRD_IDS = ["d1", "d2", "d10", "", "a b", "a\u00a0b", "a\u2003b", "a\x1cb", "x\n", 5, None]
 SCORES = [0.0, -0.0, 1.5, float("nan"), float("inf"), -float("inf"), np.float64(2.0)]
@@ -108,8 +115,8 @@ class TestScoredListChecks:
     def test_doc_ids_checked_like_scored_list(self, docs):
         expected = outcome(lambda: scored_list_checks("q", [(d, 0.0) for d in docs]))
         assert outcome(lambda: validate_doc_ids("q", docs)) == expected
-        pool = outcome(lambda: RerankPool("q", docs, np.zeros((len(docs), 2))))
-        assert pool == expected
+        block = outcome(lambda: stack_pools([("q", docs, np.zeros((len(docs), 2)))]))
+        assert block == expected
 
     def test_every_whitespace_character_rejected(self):
         for code in range(0x110000):
@@ -244,13 +251,16 @@ class TestTrustedProducers:
         assert_checked_equal(world_of().first_stage_run("r"))
 
     def test_rerank_run(self):
-        pools = ragged_pools(np.random.default_rng(3), [4, 1, 12], tie_rows=True)
+        block = stack_pools(ragged_pools(np.random.default_rng(3), [4, 1, 12], tie_rows=True))
         for model in models():
-            assert_checked_equal(rerank_run(model, pools))
+            assert_checked_equal(rerank_run(model, block))
 
     @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
     def test_first_stage_run_still_rejects_non_finite_scores(self, sigma):
-        world = world_of(first_stage_noise={"r": sigma})
+        # The config rejects non-finite noise, so plant the score; a finite
+        # noise as large as 1e308 still overflows to one.
+        world = world_of()
+        world._fs_scores["r"][2, 5] = sigma
         with pytest.raises(ValueError, match="non-finite score for doc"):
             world.first_stage_run("r")
 
@@ -375,7 +385,7 @@ def ragged_pools(rng, sizes, dim=3, tie_rows=False):
         feats = rng.integers(-1, 2, size=(n, dim)).astype(float)
         if tie_rows and n > 1:
             feats[1:] = feats[0]  # duplicated feature rows: every score ties
-        pools.append(RerankPool(f"q{i}", docs, feats))
+        pools.append(RerankPool(f"q{i}", tuple(docs), feats))
     return pools
 
 
@@ -406,15 +416,16 @@ class TestBatchedValidation:
         rng = np.random.default_rng(seed)
         pools = ragged_pools(rng, sizes, tie_rows=tie_rows)
         qrels = random_qrels(rng, pools)
-        validation = ValidationSet(pools, qrels)
+        block = stack_pools(pools)
+        validation = ValidationSet(block, qrels)
         for model in models():
             oracle = [ndcg_at_k(rerank(model, pool), qrels, k) for pool in pools]
             assert validation.ndcg(model, k).tolist() == oracle
             assert mean_validation_ndcg(model, validation, k) == float(np.mean(oracle))
-            assert evaluate_model(model, pools, qrels, k) == {
+            assert evaluate_model(model, block, qrels, k) == {
                 pool.query: value for pool, value in zip(pools, oracle)
             }
-            run = rerank_run(model, pools)
+            run = rerank_run(model, block)
             assert {q: r.entries for q, r in run.items()} == {
                 pool.query: rerank(model, pool).entries for pool in pools
             }
@@ -424,16 +435,16 @@ class TestBatchedValidation:
         pools = ragged_pools(rng, [1, 1, 1])
         qrels = Qrels({"q0": {pools[0].docs[0]: 2}, "q1": {"other": 1}})
         for model in models():
-            assert ValidationSet(pools, qrels).ndcg(model).tolist() == [1.0, 0.0, 0.0]
+            assert ValidationSet(stack_pools(pools), qrels).ndcg(model).tolist() == [1.0, 0.0, 0.0]
 
     def test_string_order_differs_from_pool_order(self):
-        pools = [RerankPool("q", ["d9", "d10", "d1"], np.zeros((3, 3)))]
+        pool = ("q", ("d9", "d10", "d1"), np.zeros((3, 3)))
         qrels = Qrels({"q": {"d10": 1}})
         zero = models()[0]
-        assert rerank(zero, pools[0]).docs == ("d1", "d10", "d9")
-        expected = ndcg_at_k(rerank(zero, pools[0]), qrels, 10)
-        assert ValidationSet(pools, qrels).ndcg(zero).tolist() == [expected]
-        assert rerank_run(zero, pools)["q"].docs == ("d1", "d10", "d9")
+        assert rerank(zero, pool).docs == ("d1", "d10", "d9")
+        expected = ndcg_at_k(rerank(zero, pool), qrels, 10)
+        assert ValidationSet(stack_pools([pool]), qrels).ndcg(zero).tolist() == [expected]
+        assert rerank_run(zero, stack_pools([pool]))["q"].docs == ("d1", "d10", "d9")
 
     def test_block_from_world_matches_stacked_pools(self):
         world = world_of()
@@ -443,28 +454,30 @@ class TestBatchedValidation:
             docs = run[qid].docs[:5]
             assert pool.docs == docs
             assert np.array_equal(pool.features, world.features_for(qid, docs))
-        stacked = PoolBlock.of(list(block))
-        assert np.array_equal(stacked.features, block.features)
-        assert PoolBlock.of(block) is block
+        pools = ragged_pools(np.random.default_rng(5), [3, 1, 7])
+        for row, pool in zip(stack_pools(pools), pools):
+            assert (row.query, row.docs) == (pool.query, pool.docs)
+            assert np.array_equal(row.features, pool.features)
 
     def test_empty_pools(self):
         model = models()[1]
-        assert evaluate_model(model, [], Qrels()) == {}
-        assert rerank_run(model, []) == {}
+        empty = stack_pools([])
+        assert evaluate_model(model, empty, Qrels()) == {}
+        assert rerank_run(model, empty) == {}
         with pytest.raises(ValueError, match="at least one pool"):
-            ValidationSet([], Qrels())
+            ValidationSet(empty, Qrels())
 
     def test_non_finite_scores_rejected_like_rerank(self):
-        pools = [RerankPool("q", ["d1", "d2"], [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+        pool = ("q", ("d1", "d2"), [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
         model = scorer.ScorerModel(scorer.LINEAR, 3, 0, np.array([10.0, 0.0, 0.0, 0.0]))
         message = "non-finite score for doc 'd1' in query 'q'"
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=message):
-                rerank(model, pools[0])
+                rerank(model, pool)
             with pytest.raises(ValueError, match=message):
-                ValidationSet(pools, Qrels()).ndcg(model)
+                ValidationSet(stack_pools([pool]), Qrels()).ndcg(model)
             with pytest.raises(ValueError, match=message):
-                rerank_run(model, pools)
+                rerank_run(model, stack_pools([pool]))
 
 
 class TestNdcgRows:

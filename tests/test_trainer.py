@@ -7,18 +7,22 @@ from ltrlab import scorer
 from ltrlab.core import Qrels
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
 from ltrlab.losses import ranknet
-from ltrlab.pipeline import make_validation, restrict_run, split_query_ids
+from ltrlab.pipeline import (
+    build_rerank_pools,
+    make_validation,
+    rerank_run,
+    restrict_run,
+    split_query_ids,
+)
 from ltrlab.trainer import (
     LOSS_ADR_MSE,
     LOSS_INFONCE,
     LOSS_RANKNET,
     STOP_EARLY,
     STOP_MAX_STEPS,
-    RerankPool,
     TrainConfig,
     ValidationSet,
     mean_validation_ndcg,
-    rerank,
     train_distill,
     train_stage1,
     train_two_stage,
@@ -154,22 +158,19 @@ class TestTrainDistill:
         world, splits, run, dataset, validation = setup
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_distill(model, dataset, validation, distill_cfg(loss=loss))
+        reranked = rerank_run(trained, build_rerank_pools(world, run, splits["test"], 30))
         taus = []
         for qid in splits["test"]:
             docs = run[qid].docs[:30]
-            pool = RerankPool(qid, docs, world.features_for(qid, docs))
-            model_order = rerank(trained, pool).docs
             teacher_order = tuple(sorted(docs, key=lambda d: -world.true_relevance(qid, d)))
-            taus.append(kendall_tau(model_order, teacher_order))
+            taus.append(kendall_tau(reranked[qid].docs, teacher_order))
         assert float(np.mean(taus)) > 0.9
 
     def test_early_stop_boundary(self, setup):
         world, splits, run, dataset, _ = setup
         # Validation pools with no judged positives give a constant nDCG of 0,
         # so the very first post-step check is non-improving.
-        qid = splits["validation"][0]
-        docs = run[qid].docs[:5]
-        pools = (RerankPool(qid, docs, world.features_for(qid, docs)),)
+        pools = build_rerank_pools(world, run, splits["validation"][:1], 5)
         constant = ValidationSet(pools, Qrels())
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_distill(
