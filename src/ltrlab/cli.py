@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -82,6 +83,8 @@ class AblationSpec:
     def __post_init__(self):
         if not self.depths:
             raise ValueError("depths must not be empty")
+        if not self.fractions:
+            raise ValueError("fractions must not be empty")
         for depth in self.depths:
             if depth < 1:
                 raise ValueError(f"depth {depth} must be >= 1")
@@ -131,6 +134,10 @@ def _build_split(data, num_queries: int) -> dict[str, float]:
     return split
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _build_section(cls, data: Mapping, where: str, defaults: Mapping | None = None):
     merged = dict(defaults or {})
     merged.update(data)
@@ -138,7 +145,14 @@ def _build_section(cls, data: Mapping, where: str, defaults: Mapping | None = No
     unknown = sorted(set(merged) - known)
     if unknown:
         raise ConfigError(f"unknown keys in config section {where!r}: {unknown}")
+    hints = typing.get_type_hints(cls)
     for key, value in merged.items():
+        ints = hints[key] == tuple[int, ...]
+        if (hints[key] is int and not _is_int(value)) or (
+            ints and not (isinstance(value, (list, tuple)) and all(map(_is_int, value)))
+        ):
+            kind = "a list of integers" if ints else "an integer"
+            raise ConfigError(f"bad config section {where!r}: {key} must be {kind}, got {value!r}")
         if isinstance(value, list):
             merged[key] = tuple(value)
     try:
@@ -291,10 +305,8 @@ def cmd_distill(args) -> int:
     _check_depth(cfg, "distill", cfg.distill.depth)
     world = distill_data.generate_world(cfg.world)
     splits = _splits(cfg, world)
-    run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
-    dataset = distill_data.build_teacher_dataset(
-        run, world.teacher, world.features_for, depth=cfg.distill.depth
-    )
+    run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
+    dataset = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth)
     out = _out_dir(args)
     _atomic_write(out / "distill_dataset.jsonl", core.write_distill_dataset(dataset))
     print(
@@ -325,14 +337,12 @@ def _train(
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
     run = None
     if stage1 or not args.dataset:
-        run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
+        run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
     dataset = None
     if distill and args.dataset:
         dataset = core.parse_distill_dataset(Path(args.dataset).read_text(encoding="utf-8"))
     elif distill:
-        dataset = distill_data.build_teacher_dataset(
-            run, world.teacher, world.features_for, depth=cfg.distill.depth
-        )
+        dataset = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth)
     if distill:
         validation = pipeline.make_validation(
             world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
@@ -371,11 +381,8 @@ def cmd_train(args) -> int:
     test_pools = pipeline.build_rerank_pools(
         world, world.first_stage_run(cfg.eval.retriever), splits["test"], cfg.eval.depth
     )
-    test_scores = pipeline.evaluate_model(model, test_pools, world.qrels(), cfg.eval.k)
-    _atomic_write(
-        out / "test_run.trec",
-        core.write_run(pipeline.rerank_run(model, test_pools), tag="ltrlab"),
-    )
+    test_scores, test_run = pipeline.evaluate_model(model, test_pools, world.qrels(), cfg.eval.k)
+    _atomic_write(out / "test_run.trec", core.write_run(test_run, tag="ltrlab"))
     _atomic_write(
         out / "test_per_query.tsv",
         evaluation.per_query_scores_text(test_scores, f"nDCG@{cfg.eval.k}"),
@@ -459,10 +466,8 @@ def cmd_ablate(args) -> int:
     _check_depth(cfg, "ablation", max_depth)
     world = distill_data.generate_world(cfg.world)
     splits = _splits(cfg, world)
-    run = pipeline.restrict_run(world.first_stage_run(cfg.distill.retriever), splits["train"])
-    full = distill_data.build_teacher_dataset(
-        run, world.teacher, world.features_for, depth=max_depth
-    )
+    run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
+    full = distill_data.build_teacher_dataset(run, depth=max_depth)
     datasets = {
         d: (full if d == max_depth else distill_data.subsample_depth(full, d)) for d in depths
     }

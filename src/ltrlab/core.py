@@ -44,7 +44,7 @@ def validate_id(value: str, kind: str = "identifier") -> str:
     """
     if not isinstance(value, str) or not value:
         raise ValueError(f"{kind} must be a non-empty string, got {value!r}")
-    if any(ch.isspace() for ch in value):
+    if value.split() != [value]:  # str.split and str.isspace agree on whitespace
         raise ValueError(f"{kind} {value!r} contains whitespace")
     return value
 

@@ -20,7 +20,7 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -31,15 +31,12 @@ from .core import (
     QueryId,
     ScoredList,
     TrainingGroup,
-    doc_keys,
 )
 
 logger = logging.getLogger(__name__)
 
 DistillDataset = list[DistillRecord]
 
-# teacher(query, docs_in_first_stage_order) -> docs permuted best-first
-TeacherFn = Callable[[QueryId, Sequence[DocId]], Sequence[DocId]]
 # features_for(query, docs) -> (len(docs), F) feature matrix
 FeaturesFn = Callable[[QueryId, Sequence[DocId]], np.ndarray]
 
@@ -133,29 +130,30 @@ class SyntheticWorld:
         self._features = features  # (Q, P, F)
         self._teacher_u = teacher_unit_noise  # (Q, P)
         self._fs_scores = first_stage_scores  # name -> (Q, P)
-        self._doc_width = len(str(config.docs_per_query - 1))
+        width = len(str(config.docs_per_query - 1))
+        self._suffixes = [f"_p{j:0{width}d}" for j in range(config.docs_per_query)]
         self.query_ids: tuple[str, ...] = tuple(
             f"q{i:0{len(str(config.num_queries - 1))}d}" for i in range(config.num_queries)
         )
         self._query_index = {qid: i for i, qid in enumerate(self.query_ids)}
-        prefix_len = len(self._doc_id(0, 0)) - self._doc_width
-        self._offset_limits = np.array([0] * prefix_len + [9] * self._doc_width, dtype=np.uint8)
-        self._place_values = np.array(
-            [0] * prefix_len + [10**e for e in reversed(range(self._doc_width))], dtype=np.intp
-        )
         self._qrels: Qrels | None = None
-        self._runs: dict[str, dict[str, ScoredList]] = {}
+        # Orders, not runs: a run refers to its world, and a cycle delays freeing it.
+        self._orders: dict[str, np.ndarray] = {}
 
     @property
     def retriever_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._fs_scores))
 
     def doc_ids(self, query: QueryId) -> tuple[str, ...]:
-        qi = self._qindex(query)
-        return tuple(self._doc_id(qi, j) for j in range(self.config.docs_per_query))
+        return tuple(self._doc_ids(self._qindex(query), range(self.config.docs_per_query)))
 
     def _doc_id(self, qi: int, j: int) -> str:
-        return f"{self.query_ids[qi]}_p{j:0{self._doc_width}d}"
+        return self.query_ids[qi] + self._suffixes[j]
+
+    def _doc_ids(self, qi: int, idx: Iterable[int]) -> list[str]:
+        """Ids of query qi's docs at pool indices idx."""
+        qid, suffixes = self.query_ids[qi], self._suffixes
+        return [qid + suffixes[j] for j in idx]
 
     def _qindex(self, query: QueryId) -> int:
         try:
@@ -175,39 +173,22 @@ class SyntheticWorld:
             raise KeyError(f"doc {doc!r} outside the pool for {self.query_ids[qi]!r}")
         return j
 
+    def _pool_index(self, qi: int, doc: DocId) -> int | None:
+        """Pool index of doc if it is exactly one of query qi's ids, else None."""
+        try:
+            j = self._dindex(qi, doc)
+        except KeyError:
+            return None
+        return j if self._doc_id(qi, j) == doc else None
+
     def true_relevance(self, query: QueryId, doc: DocId) -> float:
         qi = self._qindex(query)
         return float(self._rel[qi, self._dindex(qi, doc)])
 
-    def _generated_indices(self, qi: int, docs: Sequence[DocId]) -> np.ndarray | None:
-        """Pool indices of docs if every id has the generated form, else None.
-
-        A query's generated ids share one prefix and end in a zero-padded
-        index, so all of them are checked and decoded in one pass over their
-        code points. Their string order is their index order.
-        """
-        template = _code_points(self._doc_id(qi, 0))
-        try:
-            if set(map(len, docs)) != {len(template)}:
-                return None
-            codes = _code_points("".join(docs)).reshape(len(docs), len(template))
-        except (TypeError, ValueError):
-            return None
-        # Prefix columns must match exactly and digit columns hold 0-9; the
-        # unsigned difference wraps anything below the template to a large value.
-        offsets = codes - template
-        if (offsets > self._offset_limits).any():
-            return None
-        idx = offsets @ self._place_values
-        return idx if idx.max() < self.config.docs_per_query else None
-
     def features_for(self, query: QueryId, docs: Sequence[DocId]) -> np.ndarray:
         """Feature matrix (len(docs), F) for one query's documents."""
         qi = self._qindex(query)
-        idx = self._generated_indices(qi, docs)
-        if idx is None:
-            idx = [self._dindex(qi, d) for d in docs]
-        return self._features[qi, idx]
+        return self._features[qi, [self._dindex(qi, d) for d in docs]]
 
     def qrels(self) -> Qrels:
         """Sparse judgments: grade 1 for each query's truly best pool doc."""
@@ -219,52 +200,76 @@ class SyntheticWorld:
             self._qrels = Qrels(grades)
         return self._qrels
 
-    def first_stage_run(self, retriever: str) -> dict[str, ScoredList]:
+    def first_stage_run(self, retriever: str) -> WorldRun:
         """Full-pool ranking by rel + retriever noise, canonically ordered."""
         if retriever not in self._fs_scores:
             raise KeyError(f"unknown retriever {retriever!r}; have {self.retriever_names}")
-        if retriever not in self._runs:
-            scores = self._fs_scores[retriever]
+        scores = self._fs_scores[retriever]
+        if retriever not in self._orders:
             # Zero-padded ids sort like their pool index, so the index is the
             # tie-break key of canonical order.
             doc_index = np.broadcast_to(np.arange(scores.shape[1]), scores.shape)
             order = np.lexsort((doc_index, -scores), axis=-1)
-            suffixes = [f"_p{j:0{self._doc_width}d}" for j in range(scores.shape[1])]
-            # Generated ids are valid and distinct, so only the scores need
-            # a check: a non-finite one goes to the checking constructor.
-            make = ScoredList._trusted if np.isfinite(scores).all() else ScoredList
-            run = {}
-            for qid, row, idx in zip(self.query_ids, scores, order):
-                docs = [qid + suffixes[j] for j in idx.tolist()]
-                run[qid] = make(qid, tuple(zip(docs, row[idx].tolist())))
-            self._runs[retriever] = run
-        return self._runs[retriever]
-
-    def teacher(self, query: QueryId, docs: Sequence[DocId]) -> tuple[str, ...]:
-        """Rank the given candidates best-first by noisy true relevance.
-
-        Candidates are expected in first-stage order; when
-        teacher_noise_rank_growth > 0 the noise scale for the candidate at
-        0-based input position p is teacher_noise + growth * p. The unit
-        noise per (query, doc) is fixed at world generation, so the teacher
-        is deterministic.
-        """
-        qi = self._qindex(query)
-        if len(set(docs)) != len(docs):
-            raise ValueError(f"teacher got duplicate candidates for query {query!r}")
-        j = tie_key = self._generated_indices(qi, docs)
-        if j is None:
-            j = [self._dindex(qi, d) for d in docs]
-            tie_key = doc_keys(docs)
-        cfg = self.config
-        sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * np.arange(len(docs))
-        key = -(self._rel[qi, j] + sigma * self._teacher_u[qi, j])
-        return tuple([docs[i] for i in np.lexsort((tie_key, key)).tolist()])
+            if not np.isfinite(scores).all():
+                # The first non-finite score in run order, as ScoredList names it.
+                bad = ~np.isfinite(np.take_along_axis(scores, order, axis=1))
+                qi, pos = np.argwhere(bad)[0]
+                raise ValueError(
+                    f"non-finite score for doc {self._doc_id(qi, order[qi, pos])!r} "
+                    f"in query {self.query_ids[qi]!r}"
+                )
+            self._orders[retriever] = order
+        return WorldRun(self, scores, np.arange(len(scores)), self._orders[retriever])
 
 
-def _code_points(text: str) -> np.ndarray:
-    """Latin-1 code points of text; ValueError for anything beyond Latin-1."""
-    return np.frombuffer(text.encode("latin-1"), dtype=np.uint8)
+class WorldRun(Mapping[QueryId, ScoredList]):
+    """A first-stage run over a world's pools, held as pool indices.
+
+    Row r is query `queries[r]`, world query index `qindex[r]`, and
+    `order[r]` holds its pool indices by descending score, ties by ascending
+    pool index, which is doc-id order. Rows are in query-id order. Read as a
+    mapping, a key builds that one query's ScoredList: the world's ids are
+    valid and its scores were checked finite when the run was built.
+    """
+
+    def __init__(
+        self, world: SyntheticWorld, scores: np.ndarray, qindex: np.ndarray, order: np.ndarray
+    ):
+        self.world = world
+        self.qindex = qindex  # (R,)
+        self.order = order  # (R, P)
+        self._scores = scores  # the world's (Q, P) scores of this retriever
+        self.queries = tuple(world.query_ids[qi] for qi in qindex.tolist())
+        self._row = {qid: r for r, qid in enumerate(self.queries)}
+
+    def rows(self, queries: Iterable[QueryId]) -> np.ndarray:
+        """Row of each query, in the given order; KeyError for one not in the run."""
+        return np.array([self._row[q] for q in queries], dtype=np.intp)
+
+    def restrict(self, queries: Iterable[QueryId]) -> WorldRun:
+        """The run of just these queries (each once), in query-id order."""
+        rows = np.unique(self.rows(queries))
+        return WorldRun(self.world, self._scores, self.qindex[rows], self.order[rows])
+
+    def top(self, queries: Sequence[QueryId], depth: int) -> tuple[list[list[DocId]], np.ndarray]:
+        """The top-`depth` doc ids of each query and their (len(queries), n, F) features."""
+        rows = self.rows(queries)
+        qindex, top = self.qindex[rows], self.order[rows, : depth if len(rows) else 0]
+        docs = [self.world._doc_ids(qi, idx) for qi, idx in zip(qindex.tolist(), top.tolist())]
+        return docs, self.world._features[qindex[:, None], top]
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def __iter__(self) -> Iterator[QueryId]:
+        return iter(self.queries)
+
+    def __getitem__(self, query: QueryId) -> ScoredList:
+        r = self._row[query]
+        qi, idx = int(self.qindex[r]), self.order[r]
+        scores = self._scores[qi, idx].tolist()
+        docs = self.world._doc_ids(qi, idx.tolist())
+        return ScoredList._trusted(query, tuple(zip(docs, scores)))
 
 
 def generate_world(config: WorldConfig) -> SyntheticWorld:
@@ -299,7 +304,7 @@ def _query_rng(seed: int, query: QueryId) -> np.random.Generator:
 
 
 def build_hard_negative_groups(
-    run: Mapping[QueryId, ScoredList], qrels: Qrels, cfg: SamplingConfig
+    run: WorldRun, qrels: Qrels, cfg: SamplingConfig
 ) -> list[TrainingGroup]:
     """Sample hard-negative training groups from the top of a first-stage run.
 
@@ -310,28 +315,31 @@ def build_hard_negative_groups(
     when they have no positive, when the run is shallower than pool_depth,
     or when the eligible pool is smaller than num_negatives.
     """
+    world = run.world
+    run_depth = run.order.shape[1]
     groups: list[TrainingGroup] = []
     skipped_no_positive = 0
     skipped_shallow = 0
     skipped_small_pool = 0
-    for qid in sorted(run):
-        ranking = run[qid]
+    for qid, qi, row in zip(run.queries, run.qindex.tolist(), run.order):
         positives = qrels.positives(qid)
         if not positives:
             skipped_no_positive += 1
             continue
-        if len(ranking) < cfg.pool_depth:
+        if run_depth < cfg.pool_depth:
             logger.warning(
                 "query %r has run depth %d < pool_depth %d; skipped",
                 qid,
-                len(ranking),
+                run_depth,
                 cfg.pool_depth,
             )
             skipped_shallow += 1
             continue
-        positive = positives[0]
-        exclude = set(positives)
-        pool = [doc for doc, _ in ranking.entries[: cfg.pool_depth] if doc not in exclude]
+        pool = row[: cfg.pool_depth]
+        for doc in positives:
+            j = world._pool_index(qi, doc)
+            if j is not None:
+                pool = pool[pool != j]
         if len(pool) < cfg.num_negatives:
             logger.warning(
                 "query %r has only %d eligible negatives (< %d); skipped",
@@ -343,7 +351,8 @@ def build_hard_negative_groups(
             continue
         rng = _query_rng(cfg.seed, qid)
         chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
-        groups.append(TrainingGroup(qid, positive, tuple(pool[i] for i in chosen)))
+        negatives = tuple(world._doc_ids(qi, pool[chosen].tolist()))
+        groups.append(TrainingGroup(qid, positives[0], negatives))
     skipped = skipped_no_positive + skipped_shallow + skipped_small_pool
     if skipped:
         logger.info(
@@ -358,42 +367,40 @@ def build_hard_negative_groups(
     return groups
 
 
-def build_teacher_dataset(
-    run: Mapping[QueryId, ScoredList],
-    teacher: TeacherFn,
-    features_for: FeaturesFn,
-    depth: int = 100,
-) -> DistillDataset:
-    """Re-rank each query's first-stage top `depth` with the teacher.
+def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
+    """Re-rank each query's first-stage top `depth` with the world's teacher.
 
-    The teacher must return a permutation of exactly the candidates it was
-    given; anything else is a hard error naming the query. First-stage ranks
+    The teacher ranks the candidates best-first by noisy true relevance
+    rel + sigma_p * u, ties by ascending doc id. The unit noise u per
+    (query, doc) is fixed at world generation, so the teacher is
+    deterministic; sigma_p = teacher_noise + teacher_noise_rank_growth * p
+    for the candidate at 0-based first-stage position p. First-stage ranks
     (1-based positions in the run) are recorded alongside the teacher order.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    dataset: DistillDataset = []
-    for qid in sorted(run):
-        ranking = run[qid]
-        if len(ranking) < depth:
-            raise ValueError(
-                f"query {qid!r} has run depth {len(ranking)} < requested depth {depth}"
-            )
-        top_docs = ranking.docs[:depth]
-        ranked = tuple(teacher(qid, top_docs))
-        fs_rank = dict(zip(top_docs, range(1, depth + 1)))
-        if len(ranked) != depth or set(ranked) != fs_rank.keys():
-            raise ValueError(f"teacher returned a non-permutation for query {qid!r}")
-        dataset.append(
-            DistillRecord(
-                query=qid,
-                docs=ranked,
-                features=features_for(qid, ranked),
-                first_stage_ranks=tuple(map(fs_rank.__getitem__, ranked)),
-                source_depth=depth,
-            )
+    if not len(run):
+        return []
+    world, cfg = run.world, run.world.config
+    if run.order.shape[1] < depth:
+        raise ValueError(
+            f"query {run.queries[0]!r} has run depth {run.order.shape[1]} "
+            f"< requested depth {depth}"
         )
-    return dataset
+    qindex = run.qindex[:, None]
+    top = run.order[:, :depth]
+    sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * np.arange(depth)
+    key = -(world._rel[qindex, top] + sigma * world._teacher_u[qindex, top])
+    # Pool-index order is doc-id order, so `top` breaks the teacher's ties.
+    teacher = np.lexsort((top, key), axis=-1)
+    ranked = np.take_along_axis(top, teacher, axis=1)
+    features = world._features[qindex, ranked]
+    return [
+        DistillRecord(qid, tuple(world._doc_ids(qi, idx)), feats, tuple(fs_ranks), depth)
+        for qid, qi, idx, feats, fs_ranks in zip(
+            run.queries, run.qindex.tolist(), ranked.tolist(), features, (teacher + 1).tolist()
+        )
+    ]
 
 
 def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:

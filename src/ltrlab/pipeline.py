@@ -15,7 +15,7 @@ import numpy as np
 
 from . import scorer, trainer
 from .core import Qrels, QueryId, ScoredList
-from .distill_data import DistillDataset, SyntheticWorld
+from .distill_data import DistillDataset, SyntheticWorld, WorldRun
 from .trainer import PoolBlock, TrainConfig, ValidationSet
 
 logger = logging.getLogger(__name__)
@@ -44,25 +44,13 @@ def split_query_ids(
     return out
 
 
-def restrict_run(
-    run: Mapping[QueryId, ScoredList], queries: Sequence[QueryId]
-) -> dict[QueryId, ScoredList]:
-    return {q: run[q] for q in queries if q in run}
-
-
 def build_rerank_pools(
-    world: SyntheticWorld,
-    run: Mapping[QueryId, ScoredList],
-    queries: Sequence[QueryId],
-    depth: int,
+    world: SyntheticWorld, run: WorldRun, queries: Sequence[QueryId], depth: int
 ) -> PoolBlock:
-    """Top-`depth` candidates of each query's run with their features."""
-    docs = [run[qid].docs[:depth] for qid in queries]
-    width = max(map(len, docs), default=0)
-    features = np.zeros((len(queries), width, world.config.feature_dim))
-    for i, (qid, row) in enumerate(zip(queries, docs)):
-        features[i, : len(row)] = world.features_for(qid, row)
-    return PoolBlock(queries, docs, features)
+    """Top-`depth` candidates of each query's run of `world`, with their features."""
+    if run.world is not world:
+        raise ValueError("the run is not a run of this world")
+    return PoolBlock(queries, *run.top(queries, depth))
 
 
 def make_validation(
@@ -75,18 +63,14 @@ def make_validation(
 
 def evaluate_model(
     model: scorer.ScorerModel, pools: PoolBlock, qrels: Qrels, k: int = 10
-) -> dict[QueryId, float]:
-    """Per-query nDCG@k of the model re-ranking each pool."""
+) -> tuple[dict[QueryId, float], dict[QueryId, ScoredList]]:
+    """Per-query nDCG@k of the model re-ranking each pool, and the re-ranked
+    run in canonical order, both from one ranking of the block."""
     if not len(pools):
-        return {}
-    judged = ValidationSet(pools, qrels)
-    return dict(zip(judged.block.queries, judged.ndcg(model, k).tolist()))
-
-
-def rerank_run(model: scorer.ScorerModel, pools: PoolBlock) -> dict[QueryId, ScoredList]:
-    """Every pool re-ranked by the model, in canonical order."""
-    # The block checked the ids and `rank` the scores: the lists are trusted.
+        return {}, {}
     scores, order = pools.rank(model)
+    ndcg = ValidationSet(pools, qrels).ndcg_of(order, k)
+    # The block checked the ids and `rank` the scores: the lists are trusted.
     run = {}
     for query, docs, length, row, ranked in zip(
         pools.queries, pools.docs, pools.lengths, scores, order
@@ -94,7 +78,7 @@ def rerank_run(model: scorer.ScorerModel, pools: PoolBlock) -> dict[QueryId, Sco
         ranked = ranked[:length].tolist()
         entries = tuple(zip([docs[j] for j in ranked], row[ranked].tolist()))
         run[query] = ScoredList._trusted(query, entries)
-    return run
+    return dict(zip(pools.queries, ndcg.tolist())), run
 
 
 @dataclass(frozen=True)

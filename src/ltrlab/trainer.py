@@ -199,7 +199,10 @@ class ValidationSet:
     def ndcg(self, model: scorer.ScorerModel, k: int = 10) -> np.ndarray:
         """Per-pool nDCG@k of the model's ranking; entry i equals `ndcg_at_k`
         of row i in canonical order, bit for bit."""
-        _, order = self.block.rank(model)
+        return self.ndcg_of(self.block.rank(model)[1], k)
+
+    def ndcg_of(self, order: np.ndarray, k: int = 10) -> np.ndarray:
+        """Per-pool nDCG@k of the block ranked by `order`, as `PoolBlock.rank` gives it."""
         return ndcg_rows(np.take_along_axis(self.grades, order[:, :k], axis=1), self.ideal, k)
 
 

@@ -244,3 +244,88 @@ def reference_step(model, features, batch, loss):
         total += value
         grad += grad_oracle(model, features[i], upstream)
     return total / len(batch), grad / len(batch)
+
+
+# The string-keyed world paths that the index runs replaced: lists of doc
+# ids in, ids decoded back to pool indices one at a time.
+
+
+def first_stage_run_oracle(world, retriever):
+    """A world's first-stage run as checked ScoredLists, ordered by `canonical_order`."""
+    from ltrlab.core import ScoredList, canonical_order
+
+    scores = world._fs_scores[retriever]
+    return {
+        qid: ScoredList(
+            qid,
+            canonical_order(
+                (world._doc_id(qi, j), float(scores[qi, j])) for j in range(scores.shape[1])
+            ),
+        )
+        for qi, qid in enumerate(world.query_ids)
+    }
+
+
+def restrict_run_oracle(run, queries):
+    return {q: run[q] for q in queries if q in run}
+
+
+def teacher_dataset_oracle(run, teacher, features_for, depth):
+    """Each query's first-stage top `depth` re-ranked by `teacher(query, docs)`."""
+    from ltrlab.core import DistillRecord
+
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    dataset = []
+    for qid in sorted(run):
+        ranking = run[qid]
+        if len(ranking) < depth:
+            raise ValueError(
+                f"query {qid!r} has run depth {len(ranking)} < requested depth {depth}"
+            )
+        top_docs = ranking.docs[:depth]
+        ranked = tuple(teacher(qid, top_docs))
+        fs_rank = dict(zip(top_docs, range(1, depth + 1)))
+        if len(ranked) != depth or set(ranked) != fs_rank.keys():
+            raise ValueError(f"teacher returned a non-permutation for query {qid!r}")
+        dataset.append(
+            DistillRecord(
+                qid, ranked, features_for(qid, ranked), [fs_rank[d] for d in ranked], depth
+            )
+        )
+    return dataset
+
+
+def hard_negative_groups_oracle(run, qrels, cfg):
+    """Hard-negative groups drawn from (doc, score) lists; returns the groups
+    and the (no positive, shallow run, small pool) skip counts."""
+    from ltrlab.core import TrainingGroup
+    from ltrlab.distill_data import _query_rng
+
+    groups, skipped = [], [0, 0, 0]
+    for qid in sorted(run):
+        ranking = run[qid]
+        positives = qrels.positives(qid)
+        if not positives:
+            skipped[0] += 1
+            continue
+        if len(ranking) < cfg.pool_depth:
+            skipped[1] += 1
+            continue
+        exclude = set(positives)
+        pool = [doc for doc, _ in ranking.entries[: cfg.pool_depth] if doc not in exclude]
+        if len(pool) < cfg.num_negatives:
+            skipped[2] += 1
+            continue
+        chosen = _query_rng(cfg.seed, qid).choice(len(pool), size=cfg.num_negatives, replace=False)
+        groups.append(TrainingGroup(qid, positives[0], tuple(pool[i] for i in chosen)))
+    return groups, tuple(skipped)
+
+
+def rerank_pools_oracle(world, run, queries, depth):
+    """Top-`depth` pools of a string-keyed run, features looked up doc by doc."""
+    pools = []
+    for qid in queries:
+        docs = run[qid].docs[:depth]
+        pools.append((qid, docs, world.features_for(qid, docs).reshape(len(docs), -1)))
+    return pools

@@ -32,7 +32,6 @@ from ltrlab.pipeline import (
     build_rerank_pools,
     evaluate_model,
     make_validation,
-    restrict_run,
     split_query_ids,
 )
 from ltrlab.rerank_sim import CostModel, estimate, pointwise, schedule, scoring_count, sliding_window
@@ -268,8 +267,8 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
     test_pools = build_rerank_pools(world, world.first_stage_run("low"), splits["test"], 50)
     result = {}
     for name in ("low", "high"):
-        run = restrict_run(world.first_stage_run(name), splits["train"])
-        dataset = build_teacher_dataset(run, world.teacher, world.features_for, depth=50)
+        run = world.first_stage_run(name).restrict(splits["train"])
+        dataset = build_teacher_dataset(run, depth=50)
         model = scorer.init_model(scorer.MLP, 16, hidden_width=8, seed=seed + 1)
         cfg = TrainConfig(
             loss="ranknet",
@@ -282,7 +281,7 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
             seed=seed + 2,
         )
         trained, _ = train_distill(model, dataset, validation, cfg)
-        scores = evaluate_model(trained, test_pools, world.qrels(), 10)
+        scores, _ = evaluate_model(trained, test_pools, world.qrels(), 10)
         result[name] = float(np.mean(list(scores.values())))
     return result
 
@@ -324,11 +323,11 @@ def training_regimes():
             )
         )
         splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
-        run_train = restrict_run(world.first_stage_run("strong"), splits["train"])
+        run_train = world.first_stage_run("strong").restrict(splits["train"])
         groups = build_hard_negative_groups(
             run_train, world.qrels(), SamplingConfig(pool_depth=200, num_negatives=7, seed=seed + 3)
         )
-        dataset = build_teacher_dataset(run_train, world.teacher, world.features_for, depth=50)
+        dataset = build_teacher_dataset(run_train, depth=50)
         validation = make_validation(world, "strong", splits["validation"], 50)
         test_pools = build_rerank_pools(
             world, world.first_stage_run("strong"), splits["test"], 50
@@ -346,7 +345,8 @@ def training_regimes():
             )
 
         def test_ndcg(m):
-            return float(np.mean(list(evaluate_model(m, test_pools, world.qrels(), 10).values())))
+            scores, _ = evaluate_model(m, test_pools, world.qrels(), 10)
+            return float(np.mean(list(scores.values())))
 
         stage1_model, _ = train_stage1(model0, groups, world.features_for, cfg1)
         single_model, _ = train_distill(model0, dataset, validation, cfg2("ranknet"))

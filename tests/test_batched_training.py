@@ -23,7 +23,7 @@ from ltrlab.distill_data import (
     generate_world,
     subsample_depth,
 )
-from ltrlab.pipeline import make_validation, restrict_run, split_query_ids
+from ltrlab.pipeline import make_validation, split_query_ids
 
 from _oracles import (
     adr_mse_oracle,
@@ -240,8 +240,8 @@ def small_world():
 def world_setup():
     world = small_world()
     splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
-    run = restrict_run(world.first_stage_run("main"), splits["train"])
-    full = build_teacher_dataset(run, world.teacher, world.features_for, depth=12)
+    run = world.first_stage_run("main").restrict(splits["train"])
+    full = build_teacher_dataset(run, depth=12)
     ragged = list(full[:10]) + list(subsample_depth(full[10:20], 6))
     for rec in full[20:]:
         n = 1 + len(rec.query) % 7  # mixed lengths, some of them 1

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ltrlab import pipeline
+from ltrlab import pipeline, trainer
 from ltrlab.cli import main
 
 SMOKE_CONFIG = {
@@ -277,6 +277,22 @@ class TestPipelineSmoke:
         )
         assert code == 1
 
+    def test_ranks_the_test_block_once(self, tmp_path, config_path, monkeypatch):
+        """One ranking of the test pools gives both test_run.trec and the nDCG."""
+        ranked = []
+        rank = trainer.PoolBlock.rank
+
+        def counting_rank(block, model):
+            ranked.append(block.queries)
+            return rank(block, model)
+
+        monkeypatch.setattr(trainer.PoolBlock, "rank", counting_rank)
+        argv = ["train", "--config", str(config_path), "--stage", "two"]
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+        test_queries = tuple(f"q{i}" for i in range(160, 200))
+        assert ranked.count(test_queries) == 1
+        assert len(ranked) > 1  # the validation passes rank their own block
+
     def test_reproducible_byte_identical(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -460,6 +476,42 @@ class TestConfigHandling:
                 "ablation",
                 {"fractions": [0.0, 1.0]},
                 "bad config section 'ablation': query fraction must lie in (0, 1], got 0.0",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"fractions": []},
+                "bad config section 'ablation': fractions must not be empty",
+            ),
+            (
+                ["distill"],
+                "distill",
+                {"depth": 2.5},
+                "bad config section 'distill': depth must be an integer, got 2.5",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"depths": [2.5, 10]},
+                "bad config section 'ablation': depths must be a list of integers, got [2.5, 10]",
+            ),
+            (
+                TRAIN_TWO,
+                "stage1",
+                {"max_steps": True},
+                "bad config section 'stage1': max_steps must be an integer, got True",
+            ),
+            (
+                ["world"],
+                "world",
+                {"num_queries": 200.0},
+                "bad config section 'world': num_queries must be an integer, got 200.0",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"depths": 5},
+                "bad config section 'ablation': depths must be a list of integers, got 5",
             ),
         ],
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from ltrlab.core import Qrels, ScoredList
+from ltrlab.core import Qrels
 from ltrlab.distill_data import (
     SamplingConfig,
     WorldConfig,
@@ -41,11 +41,10 @@ class TestGenerateWorld:
 
     def test_zero_noise_teacher_matches_true_relevance(self):
         world = small_world()
-        for qid in world.query_ids[:5]:
-            docs = world.doc_ids(qid)[:10]
-            ranked = world.teacher(qid, docs)
-            by_rel = sorted(docs, key=lambda d: -world.true_relevance(qid, d))
-            assert list(ranked) == by_rel
+        run = world.first_stage_run("noisy").restrict(world.query_ids[:5])
+        for rec in build_teacher_dataset(run, depth=10):
+            by_rel = sorted(rec.docs, key=lambda d: -world.true_relevance(rec.query, d))
+            assert list(rec.docs) == by_rel
 
     def test_qrels_single_positive_is_true_best(self):
         world = small_world()
@@ -119,15 +118,10 @@ class TestGenerateWorld:
 
 class TestHardNegativeGroups:
     def _run_and_qrels(self, n_queries=10, depth=20):
-        entries = {}
-        qrels = {}
-        for qi in range(n_queries):
-            qid = f"q{qi:02d}"
-            entries[qid] = ScoredList(
-                qid, tuple((f"{qid}_d{j:02d}", float(depth - j)) for j in range(depth))
-            )
-            qrels[qid] = {f"{qid}_d00": 1}
-        return entries, Qrels(qrels)
+        """A noise-free run whose top doc is each query's one positive."""
+        world = small_world(num_queries=n_queries, docs_per_query=depth)
+        run = world.first_stage_run("clean")
+        return run, Qrels({qid: {run[qid].docs[0]: 1} for qid in run})
 
     def test_group_shape(self):
         run, qrels = self._run_and_qrels()
@@ -161,31 +155,23 @@ class TestHardNegativeGroups:
 
     def test_shallow_queries_skipped_with_warning(self, caplog):
         run, qrels = self._run_and_qrels(depth=20)
-        qid = "q00"
-        run[qid] = ScoredList(qid, run[qid].entries[:5])
         with caplog.at_level("WARNING"):
-            groups = build_hard_negative_groups(run, qrels, SamplingConfig(pool_depth=20))
-        assert len(groups) == 9
-        assert any("q00" in r.message for r in caplog.records)
+            groups = build_hard_negative_groups(run, qrels, SamplingConfig(pool_depth=21))
+        assert groups == []
+        assert any("'q0' has run depth 20 < pool_depth 21" in r.message for r in caplog.records)
 
     def test_sampling_uniform_over_subsets(self):
         # 10^4 independent draws of 2 negatives from 6 eligible docs; the 15
         # possible subsets should be uniform (chi-square, not rejected at 0.01).
         n_draws = 10_000
-        run = {}
-        qrels = {}
-        for qi in range(n_draws):
-            qid = f"s{qi:05d}"
-            run[qid] = ScoredList(
-                qid, tuple((f"{qid}_d{j}", float(7 - j)) for j in range(7))
-            )
-            qrels[qid] = {f"{qid}_d0": 1}
+        run, qrels = self._run_and_qrels(n_queries=n_draws, depth=7)
         cfg = SamplingConfig(pool_depth=7, num_negatives=2, seed=17)
-        groups = build_hard_negative_groups(run, Qrels(qrels), cfg)
+        groups = build_hard_negative_groups(run, qrels, cfg)
         assert len(groups) == n_draws
         counts = {}
         for g in groups:
-            key = tuple(sorted(doc.rsplit("_d", 1)[1] for doc in g.negatives))
+            ranks = run[g.query].docs
+            key = tuple(sorted(str(ranks.index(doc)) for doc in g.negatives))
             counts[key] = counts.get(key, 0) + 1
         subsets = list(itertools.combinations("123456", 2))
         assert set(counts) <= set(subsets)
@@ -206,21 +192,21 @@ class TestTeacherDataset:
             )
         )
         run = world.first_stage_run("r")
-        ds = build_teacher_dataset(run, world.teacher, world.features_for, depth=100)
+        ds = build_teacher_dataset(run, depth=100)
         assert all(len(rec) == 100 for rec in ds)
         assert all(rec.source_depth == 100 for rec in ds)
 
     def test_depth_one_is_first_stage_top(self):
         world = small_world()
         run = world.first_stage_run("noisy")
-        ds = build_teacher_dataset(run, world.teacher, world.features_for, depth=1)
+        ds = build_teacher_dataset(run, depth=1)
         for rec in ds:
             assert rec.docs == (run[rec.query].docs[0],)
 
     def test_zero_noise_teacher_orders_by_relevance(self):
         world = small_world()
         run = world.first_stage_run("noisy")
-        ds = build_teacher_dataset(run, world.teacher, world.features_for, depth=10)
+        ds = build_teacher_dataset(run, depth=10)
         for rec in ds:
             rels = [world.true_relevance(rec.query, d) for d in rec.docs]
             assert rels == sorted(rels, reverse=True)
@@ -228,26 +214,16 @@ class TestTeacherDataset:
     def test_features_align_with_docs(self):
         world = small_world()
         run = world.first_stage_run("clean")
-        ds = build_teacher_dataset(run, world.teacher, world.features_for, depth=5)
+        ds = build_teacher_dataset(run, depth=5)
         rec = ds[0]
         for i, doc in enumerate(rec.docs):
             assert np.array_equal(rec.features[i], world.features_for(rec.query, [doc])[0])
-
-    def test_non_permutation_teacher_is_hard_error(self):
-        world = small_world()
-        run = world.first_stage_run("clean")
-
-        def broken_teacher(qid, docs):
-            return tuple(docs[:-1]) + (docs[-2],)
-
-        with pytest.raises(ValueError, match="non-permutation.*q"):
-            build_teacher_dataset(run, broken_teacher, world.features_for, depth=5)
 
     def test_shallow_run_rejected(self):
         world = small_world()
         run = world.first_stage_run("clean")
         with pytest.raises(ValueError, match="depth"):
-            build_teacher_dataset(run, world.teacher, world.features_for, depth=1000)
+            build_teacher_dataset(run, depth=1000)
 
 
 class TestSubsampleDepth:
@@ -294,7 +270,7 @@ class TestSubsampleDepth:
             )
         )
         run = world.first_stage_run("r")
-        full = build_teacher_dataset(run, world.teacher, world.features_for, depth=50)
+        full = build_teacher_dataset(run, depth=50)
         via_50_25 = subsample_depth(subsample_depth(full, 40), 25)
         direct = subsample_depth(full, 25)
         for a, b in zip(via_50_25, direct):

@@ -5,7 +5,11 @@ the same ranks, the same floats and the same errors as the code they
 replace.
 """
 
+import gc
 import io
+import logging
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -17,22 +21,32 @@ from ltrlab.core import (
     DistillRecord,
     Qrels,
     ScoredList,
-    canonical_order,
     parse_run,
     validate_doc_ids,
     write_run,
 )
-from ltrlab.distill_data import WorldConfig, generate_world
+from ltrlab.distill_data import (
+    SamplingConfig,
+    WorldConfig,
+    build_hard_negative_groups,
+    build_teacher_dataset,
+    generate_world,
+)
 from ltrlab.evaluation import ndcg_at_k, ndcg_rows
-from ltrlab.pipeline import build_rerank_pools, evaluate_model, rerank_run
+from ltrlab.pipeline import build_rerank_pools, evaluate_model
 from ltrlab.trainer import RerankPool, ValidationSet, mean_validation_ndcg
 
 from _oracles import (
+    first_stage_run_oracle,
+    hard_negative_groups_oracle,
     outcome,
     parse_run_oracle,
     rerank,
+    rerank_pools_oracle,
+    restrict_run_oracle,
     scored_list_checks,
     stack_pools,
+    teacher_dataset_oracle,
     teacher_order,
 )
 
@@ -253,7 +267,7 @@ class TestTrustedProducers:
     def test_rerank_run(self):
         block = stack_pools(ragged_pools(np.random.default_rng(3), [4, 1, 12], tie_rows=True))
         for model in models():
-            assert_checked_equal(rerank_run(model, block))
+            assert_checked_equal(evaluate_model(model, block, Qrels())[1])
 
     @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
     def test_first_stage_run_still_rejects_non_finite_scores(self, sigma):
@@ -270,85 +284,236 @@ class TestTrustedProducers:
         assert write_run({"q": ranking}, "t") == text
 
 
-# -- first-stage runs -----------------------------------------------------------
+# -- world runs: index matrices against the string-keyed paths ---------------
 
 
-def first_stage_oracle(world, retriever):
-    scores = world._fs_scores[retriever]
-    return {
-        qid: canonical_order(
-            (world._doc_id(qi, j), float(scores[qi, j])) for j in range(scores.shape[1])
+def run_entries(run):
+    return {q: r.entries for q, r in run.items()}
+
+
+def force_ties(world, data, arrays):
+    """Redraw the named (Q, P) world arrays from a small set of values."""
+    for name in arrays:
+        shape = world._rel.shape
+        values = data.draw(
+            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), min_size=shape[0] * shape[1],
+                     max_size=shape[0] * shape[1]), label=name
         )
-        for qi, qid in enumerate(world.query_ids)
-    }
+        tied = np.array(values).reshape(shape)
+        if name == "fs":
+            world._fs_scores["r"] = tied
+        else:
+            setattr(world, name, tied)
+
+
+def query_subset(data, world, **kwargs):
+    return data.draw(st.lists(st.sampled_from(world.query_ids), **kwargs), label="queries")
+
+
+def records(dataset):
+    return [
+        (r.query, r.docs, r.features.tolist(), r.first_stage_ranks, r.source_depth)
+        for r in dataset
+    ]
+
+
+def string_teacher(world):
+    return lambda query, docs: teacher_order(world, query, docs)
 
 
 class TestFirstStageOrder:
     def test_matches_canonical_order(self):
         world = world_of()
         run = world.first_stage_run("r")
-        oracle = first_stage_oracle(world, "r")
-        assert {q: r.entries for q, r in run.items()} == oracle
+        oracle = first_stage_run_oracle(world, "r")
+        assert run == oracle
+        assert run_entries(run) == run_entries(oracle)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_forced_ties_break_by_doc_id(self, data):
         world = world_of()
-        shape = world._fs_scores["r"].shape
-        values = data.draw(
-            st.lists(st.sampled_from([-1.0, -0.0, 0.0, 2.5]), min_size=shape[0] * shape[1],
-                     max_size=shape[0] * shape[1])
-        )
-        world._fs_scores["r"] = np.array(values).reshape(shape)
+        force_ties(world, data, ["fs"])
         run = world.first_stage_run("r")
-        oracle = first_stage_oracle(world, "r")
-        assert {q: r.entries for q, r in run.items()} == oracle
+        oracle = first_stage_run_oracle(world, "r")
+        assert run_entries(run) == run_entries(oracle)
+        assert write_run(run, "r") == write_run(oracle, "r")
 
-
-# -- teacher and feature lookup -----------------------------------------------------
-
-
-class TestTeacherOrder:
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_matches_tuple_sort(self, data):
+    def test_restricted_run_is_the_restricted_mapping(self, data):
+        world = world_of()
+        queries = query_subset(data, world, max_size=14)
+        run = world.first_stage_run("r").restrict(queries)
+        oracle = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
+        assert run == oracle and len(run) == len(oracle)
+        assert list(run) == sorted(oracle)
+        assert write_run(run, "r") == write_run(oracle, "r")
+        assert run.restrict(queries[:2]) == restrict_run_oracle(oracle, queries[:2])
+
+    def test_reads_like_a_mapping(self):
+        world = world_of()
+        run = world.first_stage_run("r")
+        assert run == world.first_stage_run("r")
+        assert run.order is world.first_stage_run("r").order
+        assert "q03" in run and "q99" not in run and "q03" not in run.restrict(["q01"])
+        assert list(run.restrict(["q05", "q01", "q05"])) == ["q01", "q05"]
+        with pytest.raises(KeyError):
+            run["q99"]
+        with pytest.raises(KeyError, match="'q05'"):
+            run.restrict(["q01"]).restrict(["q05"])
+
+
+    def test_world_freed_without_the_cycle_collector(self):
+        """A run refers to its world, so the world must not cache runs."""
+        world = world_of()
+        world.first_stage_run("r").restrict(["q01"])
+        ref = weakref.ref(world)
+        gc.disable()
+        try:
+            del world
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestTeacherDataset:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_string_teacher(self, data):
         world = world_of(teacher_noise=data.draw(st.sampled_from([0.0, 0.5])),
                          teacher_noise_rank_growth=data.draw(st.sampled_from([0.0, 0.3])))
-        if data.draw(st.booleans()):  # force ties on the teacher's key
-            world._rel[:] = np.round(world._rel)
-            world._teacher_u[:] = 0.0
-        qi = data.draw(st.integers(0, 11))
-        qid = world.query_ids[qi]
-        docs = data.draw(st.permutations(world.doc_ids(qid)))
-        docs = tuple(docs[: data.draw(st.integers(1, 12))])
-        assert world.teacher(qid, docs) == teacher_order(world, qid, docs)
+        force_ties(world, data, data.draw(st.sets(st.sampled_from(["_rel", "_teacher_u", "fs"]))))
+        depth = data.draw(st.sampled_from([1, 2, 7, 12]), label="depth")
+        queries = query_subset(data, world, min_size=1, max_size=14)
+        run = world.first_stage_run("r").restrict(queries)
+        oracle = teacher_dataset_oracle(
+            restrict_run_oracle(first_stage_run_oracle(world, "r"), queries),
+            string_teacher(world),
+            world.features_for,
+            depth,
+        )
+        assert records(build_teacher_dataset(run, depth)) == records(oracle)
 
-    def test_ids_not_in_generated_form_tie_by_string_order(self):
-        world = world_of(teacher_noise=0.0)
-        world._rel[:] = 0.0
-        qid = world.query_ids[0]
-        # "q00_p5" parses to pool index 5 but sorts after "q00_p10".
-        docs = ("q00_p5", "q00_p10", "q00_p01")
-        assert world.teacher(qid, docs) == teacher_order(world, qid, docs)
-        assert world.teacher(qid, docs) == ("q00_p01", "q00_p10", "q00_p5")
-
-    @pytest.mark.parametrize(
-        "docs",
-        [
-            ("q00_p01", "q01_p02"),
-            ("q00_p01", "q00_p12"),
-            ("q00_p01", "q00_pxx"),
-            ("q00_p01", "q00_p01"),
-            ("q00_p01", 3),
-        ],
-    )
-    def test_errors_match(self, docs):
+    @pytest.mark.parametrize("depth", [0, 13])
+    def test_errors_match(self, depth):
         world = world_of()
-        qid = world.query_ids[0]
-        expected = outcome(lambda: teacher_order(world, qid, docs))
+        run = world.first_stage_run("r")
+        expected = outcome(
+            lambda: teacher_dataset_oracle(run, string_teacher(world), world.features_for, depth)
+        )
         assert expected is not None
-        assert outcome(lambda: world.teacher(qid, docs)) == expected
+        assert outcome(lambda: build_teacher_dataset(run, depth)) == expected
 
+    def test_no_queries(self):
+        world = world_of()
+        assert build_teacher_dataset(world.first_stage_run("r").restrict([]), 13) == []
+
+
+@contextmanager
+def sampling_log():
+    """Collects the skip counts that build_hard_negative_groups logs."""
+    counts = []
+
+    class Handler(logging.Handler):
+        def emit(self, record):
+            if record.msg.startswith("hard-negative sampling"):
+                counts.append(record.args[2:])
+
+    logger = logging.getLogger("ltrlab.distill_data")
+    handler, level = Handler(), logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        yield counts
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+# Judged docs of q00: ids of its own pool, an id of another query's pool, ids
+# that decode to a pool index without being that doc's id, and foreign ids.
+JUDGED = ["q00_p00", "q00_p03", "q00_p11", "q01_p02", "q00_p3", "q00_p+4", "d1", "q00_p12"]
+
+
+class TestHardNegativeGroups:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_string_sampling(self, data):
+        world = world_of()
+        if data.draw(st.booleans(), label="tied run"):
+            force_ties(world, data, ["fs"])
+        queries = query_subset(data, world, max_size=14)
+        grades = {}
+        for qid in data.draw(st.lists(st.sampled_from(world.query_ids), max_size=12)):
+            docs = [d.replace("q00", qid, 1) for d in JUDGED] + list(world.doc_ids(qid))
+            judged = data.draw(st.lists(st.sampled_from(docs), max_size=6), label=qid)
+            grades[qid] = {d: data.draw(st.integers(0, 3)) for d in judged}
+        qrels = Qrels(grades)
+        pool_depth = data.draw(st.integers(2, 14), label="pool_depth")
+        negatives = data.draw(st.integers(1, pool_depth - 1), label="num_negatives")
+        cfg = SamplingConfig(pool_depth, negatives, seed=data.draw(st.integers(0, 3)))
+        run = world.first_stage_run("r").restrict(queries)
+        oracle_run = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
+        expected, skipped = hard_negative_groups_oracle(oracle_run, qrels, cfg)
+        with sampling_log() as counts:
+            assert build_hard_negative_groups(run, qrels, cfg) == expected
+        assert counts == ([skipped] if any(skipped) else [])
+
+    def test_every_skip_reason(self):
+        world = world_of()
+        run = world.first_stage_run("r")
+        top = {qid: run[qid].docs for qid in run}
+        qrels = Qrels({
+            "q00": {},
+            "q01": {top["q01"][0]: 1},
+            "q02": {top["q02"][0]: 2, top["q02"][1]: 1, top["q02"][2]: 1, "q02_p5": 1},
+        })
+        # q02 keeps 9 of its top 12 docs: "q02_p5" is not an id of its pool.
+        for cfg, skipped in [
+            (SamplingConfig(12, 10), (10, 0, 1)),
+            (SamplingConfig(13, 10), (10, 2, 0)),
+        ]:
+            expected, oracle_skipped = hard_negative_groups_oracle(run, qrels, cfg)
+            assert oracle_skipped == skipped
+            with sampling_log() as counts:
+                assert build_hard_negative_groups(run, qrels, cfg) == expected
+            assert counts == [skipped]
+
+
+class TestRerankPools:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_matches_pools_of_string_run(self, data):
+        world = world_of()
+        if data.draw(st.booleans(), label="tied run"):
+            force_ties(world, data, ["fs"])
+        run = world.first_stage_run("r")
+        if data.draw(st.booleans(), label="restricted"):
+            run = run.restrict(query_subset(data, world, max_size=14))
+        queries = data.draw(st.lists(st.sampled_from(run.queries), max_size=8)) if len(run) else []
+        depth = data.draw(st.integers(1, 15), label="depth")
+        block = build_rerank_pools(world, run, queries, depth)
+        pools = rerank_pools_oracle(world, first_stage_run_oracle(world, "r"), queries, depth)
+        assert (block.queries, block.docs) == (tuple(queries), tuple(docs for _, docs, _ in pools))
+        if pools:
+            assert np.array_equal(block.features, stack_pools(pools).features)
+        else:
+            assert block.features.shape == (0, 0, 3)
+
+    def test_errors(self):
+        world, other = world_of(), world_of()
+        run = world.first_stage_run("r")
+        with pytest.raises(KeyError, match="'x'"):
+            build_rerank_pools(world, run, ["q01", "x"], 5)
+        with pytest.raises(ValueError, match="not a run of this world"):
+            build_rerank_pools(other, run, ["q01"], 5)
+
+
+# -- feature lookup ----------------------------------------------------------------
+
+
+class TestFeaturesFor:
     @pytest.mark.parametrize(
         "docs",
         [
@@ -422,10 +587,8 @@ class TestBatchedValidation:
             oracle = [ndcg_at_k(rerank(model, pool), qrels, k) for pool in pools]
             assert validation.ndcg(model, k).tolist() == oracle
             assert mean_validation_ndcg(model, validation, k) == float(np.mean(oracle))
-            assert evaluate_model(model, block, qrels, k) == {
-                pool.query: value for pool, value in zip(pools, oracle)
-            }
-            run = rerank_run(model, block)
+            scores, run = evaluate_model(model, block, qrels, k)
+            assert scores == {pool.query: value for pool, value in zip(pools, oracle)}
             assert {q: r.entries for q, r in run.items()} == {
                 pool.query: rerank(model, pool).entries for pool in pools
             }
@@ -444,7 +607,7 @@ class TestBatchedValidation:
         assert rerank(zero, pool).docs == ("d1", "d10", "d9")
         expected = ndcg_at_k(rerank(zero, pool), qrels, 10)
         assert ValidationSet(stack_pools([pool]), qrels).ndcg(zero).tolist() == [expected]
-        assert rerank_run(zero, stack_pools([pool]))["q"].docs == ("d1", "d10", "d9")
+        assert evaluate_model(zero, stack_pools([pool]), qrels)[1]["q"].docs == ("d1", "d10", "d9")
 
     def test_block_from_world_matches_stacked_pools(self):
         world = world_of()
@@ -462,8 +625,7 @@ class TestBatchedValidation:
     def test_empty_pools(self):
         model = models()[1]
         empty = stack_pools([])
-        assert evaluate_model(model, empty, Qrels()) == {}
-        assert rerank_run(model, empty) == {}
+        assert evaluate_model(model, empty, Qrels()) == ({}, {})
         with pytest.raises(ValueError, match="at least one pool"):
             ValidationSet(empty, Qrels())
 
@@ -477,7 +639,7 @@ class TestBatchedValidation:
             with pytest.raises(ValueError, match=message):
                 ValidationSet(stack_pools([pool]), Qrels()).ndcg(model)
             with pytest.raises(ValueError, match=message):
-                rerank_run(model, stack_pools([pool]))
+                evaluate_model(model, stack_pools([pool]), Qrels())
 
 
 class TestNdcgRows:

@@ -165,3 +165,52 @@ def test_moving_toward_teacher_order_never_increases_loss(loss_fn, n):
         values = [loss_fn((1 - t) * start + t * target).value for t in np.linspace(0, 1, 10)]
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-9
+
+
+def float64_tolerance(n: int, magnitude: float) -> float:
+    """Bound on how far two float64 evaluations of one loss may differ when
+    their inputs agree in every score difference up to rounding.
+
+    Shifting or reordering rounds each score difference by at most
+    2 * eps * M, with M the largest |score| involved. Each loss and each
+    gradient entry changes by at most n^2 / 2 times that over its pairs, and
+    the pairwise sums round by about as much again; the factor 8 covers both
+    evaluations. Fixed from eps, not fitted to observed differences.
+    """
+    return 8 * n * n * np.finfo(np.float64).eps * max(1.0, magnitude)
+
+
+class TestInvariances:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        score_vectors,
+        st.floats(min_value=-100, max_value=100, allow_nan=False),
+        st.integers(0, 1_000_000),
+        st.sampled_from([0.5, 1.0, 2.0]),
+    )
+    def test_translation_invariant_value_and_gradient(self, scores, shift, pos_seed, alpha):
+        s = np.array(scores)
+        shifted = s + shift
+        tol = float64_tolerance(len(s), float(np.abs(s).max()) + abs(shift))
+        pos = pos_seed % len(s)
+        cfg = ApproxConfig(alpha)
+        for loss in (lambda v: infonce(v, pos), ranknet, lambda v: adr_mse(v, cfg)):
+            a, b = loss(s), loss(shifted)
+            assert abs(a.value - b.value) <= tol
+            assert np.abs(a.grad - b.grad).max() <= tol
+
+    @settings(max_examples=200, deadline=None)
+    @given(score_vectors, st.integers(0, 1_000_000), st.randoms(use_true_random=False))
+    def test_infonce_equivariant_under_permuted_negatives(self, scores, pos_seed, random):
+        s = np.array(scores)
+        pos = pos_seed % len(s)
+        negatives = [i for i in range(len(s)) if i != pos]
+        perm = list(range(len(s)))
+        shuffled = negatives[:]
+        random.shuffle(shuffled)
+        for i, j in zip(negatives, shuffled):
+            perm[i] = j
+        tol = float64_tolerance(len(s), float(np.abs(s).max()))
+        a, b = infonce(s, pos), infonce(s[perm], pos)
+        assert abs(a.value - b.value) <= tol
+        assert np.abs(a.grad[perm] - b.grad).max() <= tol

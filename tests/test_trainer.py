@@ -9,9 +9,8 @@ from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_wor
 from ltrlab.losses import ranknet
 from ltrlab.pipeline import (
     build_rerank_pools,
+    evaluate_model,
     make_validation,
-    rerank_run,
-    restrict_run,
     split_query_ids,
 )
 from ltrlab.trainer import (
@@ -49,9 +48,7 @@ def setup():
     world = build_world()
     splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
     run = world.first_stage_run("main")
-    dataset = build_teacher_dataset(
-        restrict_run(run, splits["train"]), world.teacher, world.features_for, depth=30
-    )
+    dataset = build_teacher_dataset(run.restrict(splits["train"]), depth=30)
     validation = make_validation(world, "main", splits["validation"], 30)
     return world, splits, run, dataset, validation
 
@@ -75,7 +72,7 @@ class TestStage1:
     def _groups(self, world, splits):
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
-        run = restrict_run(world.first_stage_run("main"), splits["train"])
+        run = world.first_stage_run("main").restrict(splits["train"])
         cfg = SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         return build_hard_negative_groups(run, world.qrels(), cfg)
 
@@ -158,7 +155,8 @@ class TestTrainDistill:
         world, splits, run, dataset, validation = setup
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_distill(model, dataset, validation, distill_cfg(loss=loss))
-        reranked = rerank_run(trained, build_rerank_pools(world, run, splits["test"], 30))
+        test_pools = build_rerank_pools(world, run, splits["test"], 30)
+        _, reranked = evaluate_model(trained, test_pools, Qrels(), 10)
         taus = []
         for qid in splits["test"]:
             docs = run[qid].docs[:30]
@@ -253,7 +251,7 @@ class TestTwoStage:
         world, splits, _, dataset, validation = setup
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
-        run = restrict_run(world.first_stage_run("main"), splits["train"])
+        run = world.first_stage_run("main").restrict(splits["train"])
         groups = build_hard_negative_groups(
             run, world.qrels(), SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         )
@@ -276,7 +274,7 @@ class TestTwoStage:
         world, splits, _, dataset, validation = setup
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
-        run = restrict_run(world.first_stage_run("main"), splits["train"])
+        run = world.first_stage_run("main").restrict(splits["train"])
         groups = build_hard_negative_groups(
             run, world.qrels(), SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         )
