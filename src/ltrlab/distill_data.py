@@ -171,15 +171,9 @@ class SyntheticWorld:
             raise KeyError(f"malformed doc id {doc!r}") from None
         if not 0 <= j < self.config.docs_per_query:
             raise KeyError(f"doc {doc!r} outside the pool for {self.query_ids[qi]!r}")
+        if self._doc_id(qi, j) != doc:
+            raise KeyError(f"malformed doc id {doc!r}")
         return j
-
-    def _pool_index(self, qi: int, doc: DocId) -> int | None:
-        """Pool index of doc if it is exactly one of query qi's ids, else None."""
-        try:
-            j = self._dindex(qi, doc)
-        except KeyError:
-            return None
-        return j if self._doc_id(qi, j) == doc else None
 
     def true_relevance(self, query: QueryId, doc: DocId) -> float:
         qi = self._qindex(query)
@@ -337,9 +331,10 @@ def build_hard_negative_groups(
             continue
         pool = row[: cfg.pool_depth]
         for doc in positives:
-            j = world._pool_index(qi, doc)
-            if j is not None:
-                pool = pool[pool != j]
+            try:
+                pool = pool[pool != world._dindex(qi, doc)]
+            except KeyError:  # a judged doc that is not in this query's pool
+                pass
         if len(pool) < cfg.num_negatives:
             logger.warning(
                 "query %r has only %d eligible negatives (< %d); skipped",

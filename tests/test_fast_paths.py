@@ -514,6 +514,15 @@ class TestRerankPools:
 
 
 class TestFeaturesFor:
+    @pytest.mark.parametrize("doc", ["q00_p7", "q00_p+7", "q00_p\u0667", "q00_p7 ", "q00_p007"])
+    def test_only_exact_pool_ids_resolve(self, doc):
+        world = world_of()
+        assert world.features_for("q00", ["q00_p07"]).shape == (1, 3)
+        with pytest.raises(KeyError, match="malformed doc id"):
+            world.features_for("q00", [doc])
+        with pytest.raises(KeyError, match="malformed doc id"):
+            world.true_relevance("q00", doc)
+
     @pytest.mark.parametrize(
         "docs",
         [
