@@ -18,7 +18,9 @@ import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from . import core, distill_data, evaluation, pipeline, rerank_sim, scorer, trainer
 
@@ -253,11 +255,20 @@ def _print_resolved(command: str, config: ExperimentConfig | dict, args: argpars
     print(json.dumps({"config": resolved, "flags": flags}, indent=2, sort_keys=True, default=str))
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
+    """Write `text`, or its chunks as they come, to a temp file renamed to `path`.
+
+    If writing fails, the temp file is removed and `path` is left as it was.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines((text,) if isinstance(text, str) else text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _out_dir(args) -> Path:
@@ -340,7 +351,8 @@ def _train(
         run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
     dataset = None
     if distill and args.dataset:
-        dataset = core.parse_distill_dataset(Path(args.dataset).read_text(encoding="utf-8"))
+        with open(args.dataset, encoding="utf-8") as f:
+            dataset = core.parse_distill_dataset(f)
     elif distill:
         dataset = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth)
     if distill:
@@ -399,12 +411,40 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _read_qrels(path: str) -> core.Qrels:
+    with open(path, encoding="utf-8") as f:
+        return core.parse_qrels(f)
+
+
+def _padded(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Rows of grades, zero-padded on the right to one (at least 1-wide) matrix."""
+    out = np.zeros((len(rows), max(1, *map(len, rows))), dtype=np.int64)
+    for i, row in enumerate(rows):
+        out[i, : len(row)] = row
+    return out
+
+
+def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, float]:
+    """nDCG@k of every query of a parsed run, in the run's query order."""
+    if not run:
+        return {}
+    ranked, ideal = [], []
+    bounds = run.offsets.tolist()
+    for qid, lo, hi in zip(run.queries, bounds, bounds[1:]):
+        judged = qrels.judged(qid)
+        ranked.append([judged.get(doc, 0) for doc in run.docs[lo:hi][:k]])
+        ideal.append(sorted(judged.values(), reverse=True)[:k])
+    values = evaluation.ndcg_rows(_padded(ranked), _padded(ideal), k)
+    return dict(zip(run.queries, values.tolist()))
+
+
 def cmd_eval(args) -> int:
     flags = {"run": args.run, "qrels": args.qrels, "k": args.k, "out": args.out}
     _print_resolved("eval", flags, args)
-    run = core.parse_run(Path(args.run).read_text(encoding="utf-8"))
-    qrels = core.parse_qrels(Path(args.qrels).read_text(encoding="utf-8"))
-    scores = {qid: evaluation.ndcg_at_k(ranking, qrels, args.k) for qid, ranking in run.items()}
+    with open(args.run, encoding="utf-8") as f:
+        run = core.parse_run(f)
+    qrels = _read_qrels(args.qrels)
+    scores = _ndcg_by_query(run, qrels, args.k)
     if not scores:
         raise ConfigError(f"run file {args.run!r} contains no queries")
     out = _out_dir(args)
@@ -435,11 +475,11 @@ def cmd_significance(args) -> int:
         "out": args.out,
     }
     _print_resolved("significance", flags, args)
-    qrels = core.parse_qrels(Path(args.qrels).read_text(encoding="utf-8"))
+    qrels = _read_qrels(args.qrels)
 
     def run_scores(path: str) -> dict[str, float]:
-        run = core.parse_run(Path(path).read_text(encoding="utf-8"))
-        return {qid: evaluation.ndcg_at_k(ranking, qrels, args.k) for qid, ranking in run.items()}
+        with open(path, encoding="utf-8") as f:
+            return _ndcg_by_query(core.parse_run(f), qrels, args.k)
 
     baseline_name = Path(args.baseline).stem
     per_system = {baseline_name: run_scores(args.baseline)}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -235,91 +236,139 @@ def _numbered_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
         yield lineno, line.rstrip("\n")
 
 
-def parse_run(source: str | IO[str]) -> dict[QueryId, ScoredList]:
+class ParsedRun(Mapping[QueryId, ScoredList]):
+    """A parsed TREC run held as flat columns.
+
+    `queries` are in order of first appearance in the source. Query i's
+    entries are `docs[offsets[i]:offsets[i + 1]]` with the same slice of
+    `scores`, in canonical order. Read as a mapping, a key builds that one
+    query's ScoredList: `parse_run` has checked every entry.
+    """
+
+    def __init__(
+        self,
+        queries: tuple[QueryId, ...],
+        offsets: np.ndarray,
+        docs: list[DocId],
+        scores: np.ndarray,
+    ):
+        self.queries = queries
+        self.offsets = offsets  # (Q + 1,)
+        self.docs = docs
+        self.scores = scores  # float64, one per doc
+        self._index = {qid: i for i, qid in enumerate(queries)}
+
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def __iter__(self) -> Iterator[QueryId]:
+        return iter(self.queries)
+
+    def __getitem__(self, query: QueryId) -> ScoredList:
+        i = self._index[query]
+        lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
+        entries = tuple(zip(self.docs[lo:hi], self.scores[lo:hi].tolist()))
+        return ScoredList._trusted(query, entries)
+
+
+def parse_run(source: str | Iterable[str]) -> ParsedRun:
     """Parse a TREC run into per-query scored lists.
 
-    Ranks in the file are ignored and recomputed: entries come out sorted by
-    descending score with ties broken by ascending doc id. Blank lines are
-    skipped; anything else malformed raises ParseError with its line number.
-    The first bad line wins, a duplicate (query, doc) pair included.
+    `source` is the run text or an iterable of its lines, such as an open
+    file, which is read once. Ranks in the file are ignored and recomputed:
+    entries come out sorted by descending score with ties broken by
+    ascending doc id. Blank lines are skipped; anything else malformed
+    raises ParseError with its line number. The first bad line wins, a
+    duplicate (query, doc) pair included.
     """
-    lines = source.splitlines() if isinstance(source, str) else list(source)
-    columns: dict[str, tuple[list[str], list[float]]] = {}
-    isfinite = math.isfinite
+    lines = source.splitlines() if isinstance(source, str) else source
+    index: dict[QueryId, int] = {}
+    qidx, docs, scores, linenos = array("q"), [], array("d"), array("q")
+
+    def fail(message: str, lineno: int) -> ParseError:
+        """The error for bad line `lineno`, unless an earlier line repeats a pair."""
+        return _first_duplicate(tuple(index), qidx, docs, linenos) or ParseError(message, lineno)
+
+    isfinite, last = math.isfinite, None
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
             continue
         if len(fields) != 6:
-            raise _first_error(lines, lineno, f"expected 6 fields, got {len(fields)}")
+            raise fail(f"expected 6 fields, got {len(fields)}", lineno)
         qid, literal, doc, rank, score_text, _tag = fields
         if literal != "Q0":
-            raise _first_error(lines, lineno, f"second field must be 'Q0', got {literal!r}")
+            raise fail(f"second field must be 'Q0', got {literal!r}", lineno)
         try:
             int(rank)
         except ValueError:
-            raise _first_error(lines, lineno, f"rank field {rank!r} is not an integer") from None
+            raise fail(f"rank field {rank!r} is not an integer", lineno) from None
         try:
             score = float(score_text)
         except ValueError:
-            message = f"score field {score_text!r} is not a number"
-            raise _first_error(lines, lineno, message) from None
+            raise fail(f"score field {score_text!r} is not a number", lineno) from None
         if not isfinite(score):
-            raise _first_error(lines, lineno, f"non-finite score {score_text!r}")
-        column = columns.get(qid)
-        if column is None:
-            column = columns[qid] = ([], [])
-        column[0].append(doc)
-        column[1].append(score)
+            raise fail(f"non-finite score {score_text!r}", lineno)
+        if qid != last:  # a run's lines are mostly grouped by query
+            last, q = qid, index.setdefault(qid, len(index))
+        qidx.append(q)
+        docs.append(doc)
+        scores.append(score)
+        linenos.append(lineno)
+    queries = tuple(index)
+    qidx_a, scores_a = np.frombuffer(qidx, dtype=np.int64), np.frombuffer(scores)
+    order = np.lexsort((-scores_a, qidx_a))
+    ranked_q, ranked_scores = qidx_a[order], scores_a[order]
+    # Positions i and i + 1 tie when they hold equal scores of one query. The
+    # stable sort left each run of ties lo..hi in file order: sort it by doc id.
+    tied = (ranked_scores[1:] == ranked_scores[:-1]) & (ranked_q[1:] == ranked_q[:-1])
+    runs = np.flatnonzero(np.diff(tied, prepend=False, append=False)).reshape(-1, 2)
+    for lo, hi in runs.tolist():
+        order[lo : hi + 1] = sorted(order[lo : hi + 1].tolist(), key=docs.__getitem__)
+    offsets = np.searchsorted(ranked_q, np.arange(len(queries) + 1))
+    ranked_docs = [docs[i] for i in order.tolist()]
     # Ids from str.split are non-empty and free of whitespace, and every score
     # is finite: only a repeated doc can still break a ScoredList invariant.
-    for docs, _scores in columns.values():
-        if len(set(docs)) != len(docs):
-            raise _first_duplicate(lines)
-    return {
-        qid: ScoredList._trusted(qid, canonical_order(zip(docs, scores)))
-        for qid, (docs, scores) in columns.items()
-    }
+    bounds = offsets.tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if len(set(ranked_docs[lo:hi])) != hi - lo:
+            raise _first_duplicate(queries, qidx, docs, linenos)
+    return ParsedRun(queries, offsets, ranked_docs, scores_a[order])
 
 
-def _first_error(lines: Sequence[str], lineno: int, message: str) -> ParseError:
-    """The error for bad line `lineno`, unless an earlier line repeats a pair."""
-    return _first_duplicate(lines[: lineno - 1]) or ParseError(message, lineno)
-
-
-def _first_duplicate(lines: Sequence[str]) -> DuplicateEntryError | None:
-    """The error for the first line that repeats an earlier (query, doc) pair.
-
-    Every non-blank line must already have been read as six fields.
-    """
-    seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(lines, start=1):
-        fields = line.split()
-        if not fields:
-            continue
-        qid, doc = fields[0], fields[2]
-        if (qid, doc) in seen:
-            return DuplicateEntryError(f"duplicate entry for query {qid!r} doc {doc!r}", lineno)
-        seen.add((qid, doc))
+def _first_duplicate(
+    queries: Sequence[QueryId], qidx: Sequence[int], docs: Sequence[DocId], linenos: Sequence[int]
+) -> DuplicateEntryError | None:
+    """The error for the first entry, in file order, that repeats an earlier
+    (query, doc) pair; entry i is `queries[qidx[i]]`, `docs[i]` on line `linenos[i]`."""
+    seen: set[tuple[int, str]] = set()
+    for q, doc, lineno in zip(qidx, docs, linenos):
+        if (q, doc) in seen:
+            return DuplicateEntryError(
+                f"duplicate entry for query {queries[q]!r} doc {doc!r}", lineno
+            )
+        seen.add((q, doc))
     return None
 
 
-def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> str:
-    """Serialize rankings as TREC run text.
+def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> Iterator[str]:
+    """Serialize rankings as TREC run text, one chunk of lines per query.
 
     Queries are emitted in sorted order, entries in canonical order, scores
-    with exactly 6 decimal places. parse_run(write_run(x)) reproduces the
-    ordering and the scores to 6 decimals.
+    with exactly 6 decimal places. parse_run("".join(write_run(x))) reproduces
+    the ordering and the scores to 6 decimals.
     """
     validate_id(tag, "run tag")
-    out: list[str] = []
     for qid in sorted(rankings):
         ranking = rankings[qid]
         if ranking.query != qid:
             raise ValueError(f"run maps key {qid!r} to a list for query {ranking.query!r}")
-        for rank, (doc, score) in enumerate(canonical_order(ranking.entries), start=1):
-            out.append(f"{qid} Q0 {doc} {rank} {score:.6f} {tag}")
-    return "\n".join(out) + ("\n" if out else "")
+        yield "".join(
+            [
+                f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
+                for rank, (doc, score) in enumerate(canonical_order(ranking.entries), start=1)
+            ]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +461,31 @@ class DistillRecord:
         if len(set(self.first_stage_ranks)) != n:
             raise ValueError(f"record for query {self.query!r} has duplicate first-stage ranks")
 
+    @classmethod
+    def _trusted(
+        cls,
+        query: QueryId,
+        docs: tuple[DocId, ...],
+        features: np.ndarray,
+        first_stage_ranks: tuple[int, ...],
+        source_depth: int,
+    ) -> DistillRecord:
+        """A record built without the constructor's checks and conversions.
+
+        Only for producers that have already established every invariant
+        the constructor checks, with the constructor's types: a valid query
+        id, a tuple of pairwise distinct doc ids, a 2-d float64 array of
+        finite features with one row per doc, and a tuple of distinct int
+        first-stage ranks in 1..source_depth, one per doc.
+        """
+        record = object.__new__(cls)
+        object.__setattr__(record, "query", query)
+        object.__setattr__(record, "docs", docs)
+        object.__setattr__(record, "features", features)
+        object.__setattr__(record, "first_stage_ranks", first_stage_ranks)
+        object.__setattr__(record, "source_depth", source_depth)
+        return record
+
     def __len__(self) -> int:
         return len(self.docs)
 
@@ -420,22 +494,22 @@ class DistillRecord:
         return int(self.features.shape[1])
 
 
-def write_distill_dataset(records: Sequence[DistillRecord]) -> str:
-    """Serialize distillation records as JSON lines, one query per line."""
-    out: list[str] = []
+def write_distill_dataset(records: Iterable[DistillRecord]) -> Iterator[str]:
+    """Serialize distillation records as JSON lines, one chunk per record."""
     for rec in records:
         passages = [
             {
                 "doc_id": doc,
-                "features": [float(x) for x in rec.features[i]],
-                "first_stage_rank": rec.first_stage_ranks[i],
+                "features": features,
+                "first_stage_rank": first_stage_rank,
                 "teacher_rank": i + 1,
             }
-            for i, doc in enumerate(rec.docs)
+            for i, (doc, features, first_stage_rank) in enumerate(
+                zip(rec.docs, rec.features.tolist(), rec.first_stage_ranks)
+            )
         ]
         obj = {"query_id": rec.query, "source_depth": rec.source_depth, "passages": passages}
-        out.append(json.dumps(obj, separators=(",", ":")))
-    return "\n".join(out) + ("\n" if out else "")
+        yield json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 def parse_distill_dataset(source: str | IO[str]) -> list[DistillRecord]:

@@ -390,8 +390,14 @@ def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
     teacher = np.lexsort((top, key), axis=-1)
     ranked = np.take_along_axis(top, teacher, axis=1)
     features = world._features[qindex, ranked]
+    finite = np.isfinite(features).all(axis=(1, 2))
+    if not finite.all():
+        query = run.queries[int(np.argmin(finite))]
+        raise ValueError(f"record for query {query!r} has non-finite features")
+    # World ids are valid and distinct, and the first-stage ranks are a
+    # permutation of 1..depth: only the features needed checking.
     return [
-        DistillRecord(qid, tuple(world._doc_ids(qi, idx)), feats, tuple(fs_ranks), depth)
+        DistillRecord._trusted(qid, tuple(world._doc_ids(qi, idx)), feats, tuple(fs_ranks), depth)
         for qid, qi, idx, feats, fs_ranks in zip(
             run.queries, run.qindex.tolist(), ranked.tolist(), features, (teacher + 1).tolist()
         )
@@ -415,13 +421,16 @@ def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:
                 f"{rec.source_depth} (query {rec.query!r})"
             )
         keep = [i for i, r in enumerate(rec.first_stage_ranks) if r <= depth]
+        if not keep:
+            raise ValueError(f"record for query {rec.query!r} has no docs")
+        # A subset of a record's docs keeps every invariant of the record.
         out.append(
-            DistillRecord(
-                query=rec.query,
-                docs=tuple(rec.docs[i] for i in keep),
-                features=rec.features[keep],
-                first_stage_ranks=tuple(rec.first_stage_ranks[i] for i in keep),
-                source_depth=depth,
+            DistillRecord._trusted(
+                rec.query,
+                tuple(rec.docs[i] for i in keep),
+                rec.features[keep],
+                tuple(rec.first_stage_ranks[i] for i in keep),
+                depth,
             )
         )
     return out

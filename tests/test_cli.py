@@ -1,12 +1,17 @@
 import json
 import math
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from ltrlab import pipeline, trainer
-from ltrlab.cli import main
+from ltrlab import core, pipeline, trainer
+from ltrlab.cli import _atomic_write, main
+from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
+from ltrlab.evaluation import ndcg_at_k, per_query_scores_text
+
+from _oracles import parse_run_oracle
 
 SMOKE_CONFIG = {
     "world": {
@@ -45,6 +50,14 @@ def config_path(tmp_path):
 
 def read(path: Path) -> str:
     return path.read_text(encoding="utf-8")
+
+
+def eval_argv(tmp_path: Path, run_text: str, qrels_text: str) -> list[str]:
+    """`eval` arguments for a run and qrels written to files in tmp_path."""
+    run, qrels = tmp_path / "run.trec", tmp_path / "qrels.txt"
+    run.write_text(run_text, encoding="utf-8")
+    qrels.write_text(qrels_text, encoding="utf-8")
+    return ["eval", "--run", str(run), "--qrels", str(qrels)]
 
 
 class TestEvalCommand:
@@ -89,6 +102,80 @@ class TestEvalCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: run file {str(run)!r} contains no queries\n"
         assert not out.exists()
+
+
+    RUN = (
+        "q3 Q0 x 1 1.0 t\nq1 Q0 d10 1 2.0 t\nq1 Q0 d2 2 2.0 t\nq1 Q0 d1 3 -0.0 t\n"
+        "q2 Q0 a 1 1.5 t\nq1 Q0 d3 4 0.0 t\nq4 Q0 b 1 3 t\nq4 Q0 c 2 1 t\nq4 Q0 a 3 2 t\n"
+    )
+    QRELS = (
+        "q1 0 d2 2\nq1 0 d1 1\nq1 0 d3 3\nq2 0 a 0\n"
+        "q4 0 a 1\nq4 0 b 2\nq4 0 z 3\nq4 0 y 1\n"
+    )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_outputs_equal_per_query_ndcg_at_k(self, tmp_path, k):
+        self.assert_eval_is_ndcg_at_k(tmp_path, self.RUN, self.QRELS, k)
+
+    def test_world_run_equals_per_query_ndcg_at_k(self, tmp_path, config_path):
+        world = tmp_path / "world"
+        assert main(["world", "--config", str(config_path), "--out", str(world)]) == 0
+        run, qrels = read(world / "run_weak.trec"), read(world / "qrels.txt")
+        self.assert_eval_is_ndcg_at_k(tmp_path, run, qrels, 10)
+
+    @staticmethod
+    def assert_eval_is_ndcg_at_k(tmp_path, run_text, qrels_text, k):
+        out = tmp_path / "out"
+        argv = eval_argv(tmp_path, run_text, qrels_text)
+        assert main(argv + ["--k", str(k), "--out", str(out)]) == 0
+        qrels = core.parse_qrels(qrels_text)
+        expected = {q: ndcg_at_k(r, qrels, k) for q, r in parse_run_oracle(run_text).items()}
+        assert read(out / "per_query.tsv") == per_query_scores_text(expected, f"nDCG@{k}")
+        assert json.loads(read(out / "eval_summary.json")) == {
+            "metric": f"nDCG@{k}",
+            "num_queries": len(expected),
+            "mean": sum(expected.values()) / len(expected),
+        }
+
+    def test_zero_cutoff_is_data_error(self, tmp_path, capsys):
+        argv = eval_argv(tmp_path, self.RUN, self.QRELS)
+        assert main(argv + ["--k", "0", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: cutoff k must be >= 1\n"
+
+
+class TestAtomicWrite:
+    def test_failed_write_leaves_no_temp_file_and_keeps_the_target(self, tmp_path):
+        target = tmp_path / "run.trec"
+        target.write_text("old\n", encoding="utf-8")
+
+        def chunks():
+            yield "q1 Q0 d1 1 1.000000 t\n"
+            raise ValueError("bad list")
+
+        with pytest.raises(ValueError, match="bad list"):
+            _atomic_write(target, chunks())
+        assert read(target) == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
+
+    def test_run_rejected_mid_file_writes_nothing(self, tmp_path):
+        good = core.ScoredList("q1", (("d1", 1.0),))
+        rankings = {"q1": good, "q2": good}
+        with pytest.raises(ValueError, match="maps key 'q2' to a list for query 'q1'"):
+            _atomic_write(tmp_path / "run.trec", core.write_run(rankings, "t"))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dataset_write_holds_no_whole_file(self, tmp_path):
+        world = generate_world(WorldConfig(num_queries=60, docs_per_query=50, seed=3))
+        dataset = build_teacher_dataset(world.first_stage_run("strong"), depth=50)
+        path = tmp_path / "distill_dataset.jsonl"
+        tracemalloc.start()
+        try:
+            _atomic_write(path, core.write_distill_dataset(dataset))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "".join(core.write_distill_dataset(dataset)) == read(path)
+        assert peak < path.stat().st_size / 4
 
 
 class TestSignificanceCommand:

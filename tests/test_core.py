@@ -67,15 +67,15 @@ class TestParseRun:
 
 class TestWriteRun:
     def test_format(self):
-        text = write_run({"q1": ScoredList("q1", (("dA", 2.5),))}, tag="sys")
+        text = "".join(write_run({"q1": ScoredList("q1", (("dA", 2.5),))}, tag="sys"))
         assert text == "q1 Q0 dA 1 2.500000 sys\n"
 
     def test_empty(self):
-        assert write_run({}, tag="sys") == ""
+        assert "".join(write_run({}, tag="sys")) == ""
 
     def test_tag_validated(self):
         with pytest.raises(ValueError):
-            write_run({}, tag="bad tag")
+            "".join(write_run({}, tag="bad tag"))
 
 
 @st.composite
@@ -101,7 +101,7 @@ def runs(draw):
 @settings(max_examples=60, deadline=None)
 @given(runs())
 def test_run_round_trip(run):
-    reparsed = parse_run(write_run(run, tag="t"))
+    reparsed = parse_run("".join(write_run(run, tag="t")))
     assert set(reparsed) == set(run)
     for qid in run:
         expected = sorted(run[qid].entries, key=lambda e: (-e[1], e[0]))
@@ -187,7 +187,7 @@ class TestDistillDataset:
 
     def test_round_trip(self):
         rec = self._record()
-        parsed = parse_distill_dataset(write_distill_dataset([rec]))
+        parsed = parse_distill_dataset("".join(write_distill_dataset([rec])))
         assert len(parsed) == 1
         got = parsed[0]
         assert got.query == rec.query
@@ -199,7 +199,7 @@ class TestDistillDataset:
     def test_full_precision_floats(self):
         feats = np.array([[0.1 + 0.2, np.pi]])
         rec = DistillRecord("q", ("d",), feats, (1,), 1)
-        got = parse_distill_dataset(write_distill_dataset([rec]))[0]
+        got = parse_distill_dataset("".join(write_distill_dataset([rec])))[0]
         assert got.features[0, 0] == feats[0, 0]
         assert got.features[0, 1] == np.pi
 
@@ -213,7 +213,7 @@ class TestDistillDataset:
             parse_distill_dataset(text)
 
     def test_bad_json_line_number(self):
-        good = write_distill_dataset([self._record()]).rstrip("\n")
+        good = "".join(write_distill_dataset([self._record()])).rstrip("\n")
         with pytest.raises(ParseError, match="line 2"):
             parse_distill_dataset(good + "\n{broken")
 

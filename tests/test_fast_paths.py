@@ -31,6 +31,7 @@ from ltrlab.distill_data import (
     build_hard_negative_groups,
     build_teacher_dataset,
     generate_world,
+    subsample_depth,
 )
 from ltrlab.evaluation import ndcg_at_k, ndcg_rows
 from ltrlab.pipeline import build_rerank_pools, evaluate_model
@@ -193,7 +194,11 @@ def parsed(parse, source):
 
 
 def assert_parses_like_oracle(text):
-    assert parsed(parse_run, text) == parsed(parse_run_oracle, text)
+    expected = parsed(parse_run_oracle, text)
+    assert parsed(parse_run, text) == expected
+    lines = text.splitlines(keepends=True)
+    assert parsed(parse_run, lines) == expected
+    assert parsed(parse_run, (line for line in lines)) == expected  # read once
     stream = parsed(parse_run, io.StringIO(text))
     assert stream == parsed(parse_run_oracle, io.StringIO(text))
 
@@ -209,7 +214,7 @@ class TestParseRun:
     def test_valid_runs_in_any_order(self, text, canonical):
         """Files in canonical order and in any other order parse alike."""
         if canonical:
-            text = write_run(parse_run_oracle(text), "t")
+            text = "".join(write_run(parse_run_oracle(text), "t"))
         assert_parses_like_oracle(text)
 
     @pytest.mark.parametrize(
@@ -240,10 +245,30 @@ class TestParseRun:
             "q2 Q0 d2 1 1.0 t\nq1 Q0 d9 1 2.0 t\nq2 Q0 d10 2 1.0 t\n\n   \nq1 Q0 d1 2 2.0 t",
             "",
             "\n \n",
+            "q1 Q0 d2 1 0.0 t\nq1 Q0 d10 2 -0.0 t\nq1 Q0 d1 3 0 t\nq1 Q0 D1 4 -0 t",
+            "q2 Q0 b 1 1.0 t\nq1 Q0 z 1 -0.0 t\nq2 Q0 a 2 1 t\nq1 Q0 y 2 0.0 t\nq1 Q0 x 3 5 t",
+            "q1 Q0 c 1 2 t\nq1 Q0 b 2 1 t\nq1 Q0 a 3 2 t\nq1 Q0 e 4 1 t\nq1 Q0 d 5 1 t",
+            "\nq1 Q0 d1 1 1.0 t\n\n  \nq1 Q0 d1 2 1.0 t\n",
+            "\n\nq1 Q0 d1 1 1.0 t\nq2 Q0 d1 1 1.0 t\n \nq1 Q0 d1 2 2.0 t\nq1 Q0 d2 2 x t",
+            "q1 Q0 d1 1 1.0 t\n\nq1 Q0 d2 2 1.0 t\n\t\nq1 Q0 d3 3 1.0 t x",
         ],
     )
     def test_edge_cases_match_per_line_loop(self, text):
         assert_parses_like_oracle(text)
+
+    def test_reads_like_a_mapping(self):
+        text = "q2 Q0 d2 1 1 t\nq1 Q0 d9 1 -0 t\nq2 Q0 d10 2 1 t\nq3 Q0 a 1 7 t\nq1 Q0 d1 2 0 t"
+        run = parse_run(line for line in text.splitlines())
+        oracle = parse_run_oracle(text)
+        assert len(run) == len(oracle) == 3
+        assert list(run) == list(oracle) == ["q2", "q1", "q3"]
+        for qid, ranking in oracle.items():
+            assert run[qid] == ranking
+            assert [s.hex() for _, s in run[qid].entries] == [s.hex() for _, s in ranking.entries]
+        assert run == oracle
+        assert "q1" in run and "q4" not in run and run.get("q4") is None
+        with pytest.raises(KeyError):
+            run["q4"]
 
 
 # -- trusted producers: the same lists the checking constructor builds ---------------
@@ -264,6 +289,42 @@ class TestTrustedProducers:
     def test_first_stage_run(self):
         assert_checked_equal(world_of().first_stage_run("r"))
 
+    def test_distill_records(self):
+        full = build_teacher_dataset(world_of().first_stage_run("r"), depth=9)
+        for record in full + subsample_depth(full, 4) + subsample_depth(full[:3], 1):
+            checked = DistillRecord(
+                record.query,
+                record.docs,
+                record.features,
+                record.first_stage_ranks,
+                record.source_depth,
+            )
+            assert type(record) is DistillRecord
+            assert type(record.query) is str and record.query == checked.query
+            assert type(record.docs) is tuple and record.docs == checked.docs
+            assert all(type(doc) is str for doc in record.docs)
+            assert type(record.first_stage_ranks) is tuple
+            assert record.first_stage_ranks == checked.first_stage_ranks
+            assert all(type(rank) is int for rank in record.first_stage_ranks)
+            assert type(record.source_depth) is int
+            assert record.source_depth == checked.source_depth
+            assert type(record.features) is np.ndarray
+            assert record.features.dtype == checked.features.dtype == np.float64
+            assert record.features.shape == checked.features.shape
+            assert record.features.tobytes() == checked.features.tobytes()
+
+    def test_teacher_dataset_still_rejects_non_finite_features(self):
+        # Finite feature noise as large as 1e308 can still overflow a feature.
+        world = world_of()
+        world._features[5, 3, 1] = float("inf")
+        with pytest.raises(ValueError, match="record for query 'q05' has non-finite features"):
+            build_teacher_dataset(world.first_stage_run("r"), depth=12)
+
+    def test_subsample_still_rejects_an_empty_record(self):
+        record = DistillRecord("q", ("a", "b"), np.ones((2, 3)), (4, 2), source_depth=5)
+        with pytest.raises(ValueError, match="record for query 'q' has no docs"):
+            subsample_depth([record], 1)
+
     def test_rerank_run(self):
         block = stack_pools(ragged_pools(np.random.default_rng(3), [4, 1, 12], tie_rows=True))
         for model in models():
@@ -281,7 +342,7 @@ class TestTrustedProducers:
     def test_write_run_sorts_a_public_list(self):
         ranking = ScoredList("q", (("b", 1.0), ("c", 2.0), ("a", 2.0)))
         text = "q Q0 a 1 2.000000 t\nq Q0 c 2 2.000000 t\nq Q0 b 3 1.000000 t\n"
-        assert write_run({"q": ranking}, "t") == text
+        assert "".join(write_run({"q": ranking}, "t")) == text
 
 
 # -- world runs: index matrices against the string-keyed paths ---------------
@@ -337,7 +398,7 @@ class TestFirstStageOrder:
         run = world.first_stage_run("r")
         oracle = first_stage_run_oracle(world, "r")
         assert run_entries(run) == run_entries(oracle)
-        assert write_run(run, "r") == write_run(oracle, "r")
+        assert "".join(write_run(run, "r")) == "".join(write_run(oracle, "r"))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -348,7 +409,7 @@ class TestFirstStageOrder:
         oracle = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
         assert run == oracle and len(run) == len(oracle)
         assert list(run) == sorted(oracle)
-        assert write_run(run, "r") == write_run(oracle, "r")
+        assert "".join(write_run(run, "r")) == "".join(write_run(oracle, "r"))
         assert run.restrict(queries[:2]) == restrict_run_oracle(oracle, queries[:2])
 
     def test_reads_like_a_mapping(self):
