@@ -9,12 +9,13 @@ simulator.
 """
 
 from .core import (
+    DistillDataset,
     DistillRecord,
     DuplicateEntryError,
+    ListBlock,
     ParseError,
     Qrels,
     ScoredList,
-    TrainingGroup,
     parse_distill_dataset,
     parse_qrels,
     parse_run,
@@ -49,7 +50,6 @@ from .trainer import (
     ValidationSet,
     train_distill,
     train_stage1,
-    train_two_stage,
 )
 
 __version__ = "0.1.0"

@@ -335,6 +335,18 @@ def _write_train_outputs(out: Path, tag: str, report: trainer.TrainReport) -> No
     _atomic_write(out / f"metrics_{tag}.jsonl", "\n".join(report.metrics_lines()) + "\n")
 
 
+def _read_dataset(path: str, feature_dim: int) -> list[np.ndarray]:
+    """The feature lists of a dataset file whose width is the world's; its doc
+    ids and ranks, which training never reads, are freed on return."""
+    with open(path, encoding="utf-8") as f:
+        dataset = core.parse_distill_dataset(f)
+    width = dataset.features.shape[1]
+    if len(dataset) and width != feature_dim:
+        message = f"dataset {path!r} has {width} features per doc"
+        raise ConfigError(f"{message}, but world.feature_dim is {feature_dim}")
+    return dataset.lists()
+
+
 def _train(
     args,
     cfg: ExperimentConfig,
@@ -345,26 +357,24 @@ def _train(
     out: Path,
 ) -> scorer.ScorerModel:
     """Train as the flags say, write the training reports, return the model."""
+    run = lists = None
+    if distill and args.dataset:
+        lists = _read_dataset(args.dataset, cfg.world.feature_dim)
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
-    run = None
     if stage1 or not args.dataset:
         run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
-    dataset = None
-    if distill and args.dataset:
-        with open(args.dataset, encoding="utf-8") as f:
-            dataset = core.parse_distill_dataset(f)
-    elif distill:
-        dataset = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth)
+    if distill and not args.dataset:
+        lists = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth).lists()
     if distill:
         validation = pipeline.make_validation(
             world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
         )
     if stage1:
-        groups = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling)
-        model, report = trainer.train_stage1(model, groups, world.features_for, cfg.stage1)
+        groups = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling).lists()
+        model, report = trainer.train_stage1(model, groups, cfg.stage1)
         _write_train_outputs(out, "stage1", report)
     if distill:
-        model, report = trainer.train_distill(model, dataset, validation, cfg.stage2)
+        model, report = trainer.train_distill(model, lists, validation, cfg.stage2)
         _write_train_outputs(out, "distill", report)
     return model
 

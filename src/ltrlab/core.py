@@ -139,31 +139,28 @@ class ScoredList:
         return next(zip(*self.entries), ())
 
 
-@dataclass(frozen=True)
-class TrainingGroup:
-    """One relevant document plus a sample of hard negatives for a query."""
+@dataclass(eq=False, repr=False)
+class ListBlock:
+    """Candidate lists of many queries, held as flat columns.
 
-    query: QueryId
-    positive: DocId
-    negatives: tuple[DocId, ...]
+    List i belongs to query `queries[i]`: it is rows `offsets[i]:offsets[i + 1]`
+    of the doc ids `docs` and of the contiguous (N, F) float64 `features`.
+    Producers fill a block from data they have checked, so it is not
+    checked again.
+    """
 
-    def __post_init__(self):
-        validate_id(self.query, "query id")
-        validate_id(self.positive, "doc id")
-        object.__setattr__(self, "negatives", tuple(self.negatives))
-        for doc in self.negatives:
-            validate_id(doc, "doc id")
-        if len(set(self.negatives)) != len(self.negatives):
-            raise ValueError(f"negatives for query {self.query!r} are not pairwise distinct")
-        if self.positive in self.negatives:
-            raise ValueError(
-                f"positive doc {self.positive!r} also appears among negatives for query {self.query!r}"
-            )
+    queries: tuple[QueryId, ...]
+    offsets: np.ndarray  # (L + 1,)
+    docs: list[DocId]
+    features: np.ndarray
 
-    @property
-    def members(self) -> tuple[DocId, ...]:
-        """All group members, positive first."""
-        return (self.positive,) + self.negatives
+    def __len__(self) -> int:
+        return len(self.queries)
+
+    def lists(self) -> list[np.ndarray]:
+        """Each list's (n, F) features, as views of the block."""
+        bounds = self.offsets.tolist()
+        return [self.features[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class Qrels:
@@ -420,101 +417,91 @@ def write_qrels(qrels: Qrels) -> str:
 # Floats are serialized at full precision (shortest round-trip repr).
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistillRecord:
-    """One query's teacher-ranked candidates with features and first-stage ranks.
-
-    `docs` is the teacher order, best first; row i of `features` and entry i
-    of `first_stage_ranks` belong to docs[i].
-    """
+    """One list of a DistillDataset, best first, as unchecked views of its columns."""
 
     query: QueryId
-    docs: tuple[DocId, ...]
+    docs: list[DocId]
     features: np.ndarray
-    first_stage_ranks: tuple[int, ...]
+    first_stage_ranks: np.ndarray
     source_depth: int
-
-    def __post_init__(self):
-        validate_id(self.query, "query id")
-        object.__setattr__(self, "docs", tuple(self.docs))
-        object.__setattr__(self, "first_stage_ranks", tuple(map(int, self.first_stage_ranks)))
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
-            raise ValueError(f"features must be a 2-d array, got shape {feats.shape}")
-        object.__setattr__(self, "features", feats)
-        n = len(self.docs)
-        if n == 0:
-            raise ValueError(f"record for query {self.query!r} has no docs")
-        if len(set(self.docs)) != n:
-            raise ValueError(f"record for query {self.query!r} has duplicate docs")
-        if feats.shape[0] != n or len(self.first_stage_ranks) != n:
-            raise ValueError(
-                f"record for query {self.query!r}: docs/features/ranks lengths disagree"
-            )
-        if not np.isfinite(feats).all():
-            raise ValueError(f"record for query {self.query!r} has non-finite features")
-        if min(self.first_stage_ranks) < 1 or max(self.first_stage_ranks) > self.source_depth:
-            rank = next(r for r in self.first_stage_ranks if r < 1 or r > self.source_depth)
-            raise ValueError(
-                f"first-stage rank {rank} outside 1..{self.source_depth} for query {self.query!r}"
-            )
-        if len(set(self.first_stage_ranks)) != n:
-            raise ValueError(f"record for query {self.query!r} has duplicate first-stage ranks")
-
-    @classmethod
-    def _trusted(
-        cls,
-        query: QueryId,
-        docs: tuple[DocId, ...],
-        features: np.ndarray,
-        first_stage_ranks: tuple[int, ...],
-        source_depth: int,
-    ) -> DistillRecord:
-        """A record built without the constructor's checks and conversions.
-
-        Only for producers that have already established every invariant
-        the constructor checks, with the constructor's types: a valid query
-        id, a tuple of pairwise distinct doc ids, a 2-d float64 array of
-        finite features with one row per doc, and a tuple of distinct int
-        first-stage ranks in 1..source_depth, one per doc.
-        """
-        record = object.__new__(cls)
-        object.__setattr__(record, "query", query)
-        object.__setattr__(record, "docs", docs)
-        object.__setattr__(record, "features", features)
-        object.__setattr__(record, "first_stage_ranks", first_stage_ranks)
-        object.__setattr__(record, "source_depth", source_depth)
-        return record
 
     def __len__(self) -> int:
         return len(self.docs)
 
-    @property
-    def feature_dim(self) -> int:
-        return int(self.features.shape[1])
+
+@dataclass(eq=False, repr=False)
+class DistillDataset(ListBlock):
+    """Teacher-ranked lists with their first-stage ranks.
+
+    Each list is in teacher order, best first. `first_stage_ranks[j]` is the
+    1-based first-stage rank of `docs[j]`, and `source_depths[i]` is the run
+    depth that list i was taken from. Iterating yields each list as a
+    DistillRecord.
+    """
+
+    first_stage_ranks: np.ndarray  # (N,) int64
+    source_depths: np.ndarray  # (L,) int64
+
+    def __iter__(self) -> Iterator[DistillRecord]:
+        bounds, depths = self.offsets.tolist(), self.source_depths.tolist()
+        for query, lo, hi, depth in zip(self.queries, bounds, bounds[1:], depths):
+            yield DistillRecord(
+                query, self.docs[lo:hi], self.features[lo:hi], self.first_stage_ranks[lo:hi], depth
+            )
 
 
-def write_distill_dataset(records: Iterable[DistillRecord]) -> Iterator[str]:
-    """Serialize distillation records as JSON lines, one chunk per record."""
-    for rec in records:
+def write_distill_dataset(dataset: DistillDataset) -> Iterator[str]:
+    """Serialize a distillation dataset as JSON lines, one chunk per list."""
+    for rec in dataset:
         passages = [
-            {
-                "doc_id": doc,
-                "features": features,
-                "first_stage_rank": first_stage_rank,
-                "teacher_rank": i + 1,
-            }
-            for i, (doc, features, first_stage_rank) in enumerate(
-                zip(rec.docs, rec.features.tolist(), rec.first_stage_ranks)
+            {"doc_id": doc, "features": features, "first_stage_rank": rank, "teacher_rank": i}
+            for i, (doc, features, rank) in enumerate(
+                zip(rec.docs, rec.features.tolist(), rec.first_stage_ranks.tolist()), start=1
             )
         ]
         obj = {"query_id": rec.query, "source_depth": rec.source_depth, "passages": passages}
         yield json.dumps(obj, separators=(",", ":")) + "\n"
 
 
-def parse_distill_dataset(source: str | IO[str]) -> list[DistillRecord]:
-    """Parse JSON-lines distillation records, validating shape and order."""
-    records: list[DistillRecord] = []
+def _integer(obj: Mapping, key: str) -> int:
+    value = obj[key]
+    if type(value) is not int or not -(2**63) <= value < 2**63:
+        raise TypeError(f"{key} must be a 64-bit integer, got {value!r}")
+    return value
+
+
+def _check_record(query: str, docs: list, features: np.ndarray, ranks: list, depth: int) -> None:
+    """Raise ValueError for the first invariant of a dataset list that fails."""
+    validate_id(query, "query id")
+    if features.ndim != 2:
+        raise ValueError(f"features must be a 2-d array, got shape {features.shape}")
+    if not docs:
+        raise ValueError(f"record for query {query!r} has no docs")
+    if not _ids_valid(docs):
+        for doc in docs:
+            validate_id(doc, "doc_id")
+        raise ValueError(f"record for query {query!r} has duplicate docs")
+    if not np.isfinite(features).all():
+        raise ValueError(f"record for query {query!r} has non-finite features")
+    if min(ranks) < 1 or max(ranks) > depth:
+        rank = next(r for r in ranks if r < 1 or r > depth)
+        raise ValueError(f"first-stage rank {rank} outside 1..{depth} for query {query!r}")
+    if len(set(ranks)) != len(docs):
+        raise ValueError(f"record for query {query!r} has duplicate first-stage ranks")
+
+
+def parse_distill_dataset(source: str | IO[str]) -> DistillDataset:
+    """Parse JSON-lines distillation records into one DistillDataset.
+
+    This is where lists from outside are checked: the first bad record
+    raises ParseError with its line number. Every record must have the
+    feature width of the first one.
+    """
+    queries, docs = [], []
+    offsets, ranks, depths, features = array("q", [0]), array("q"), array("q"), array("d")
+    width = None
     for lineno, line in _numbered_lines(source):
         if not line.strip():
             continue
@@ -524,18 +511,35 @@ def parse_distill_dataset(source: str | IO[str]) -> list[DistillRecord]:
             raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
         try:
             query = obj["query_id"]
-            source_depth = int(obj["source_depth"])
+            source_depth = _integer(obj, "source_depth")
             passages = obj["passages"]
-            docs = tuple(p["doc_id"] for p in passages)
-            features = np.array([p["features"] for p in passages], dtype=np.float64)
-            fs_ranks = tuple(int(p["first_stage_rank"]) for p in passages)
-            teacher_ranks = [int(p["teacher_rank"]) for p in passages]
+            rec_docs = [p["doc_id"] for p in passages]
+            feats = np.array([p["features"] for p in passages], dtype=np.float64)
+            rec_ranks = [_integer(p, "first_stage_rank") for p in passages]
+            teacher_ranks = [_integer(p, "teacher_rank") for p in passages]
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad record structure: {exc}", lineno) from None
         if teacher_ranks != list(range(1, len(passages) + 1)):
             raise ParseError("passages are not in teacher order (teacher_rank must be 1..n)", lineno)
         try:
-            records.append(DistillRecord(query, docs, features, fs_ranks, source_depth))
+            _check_record(query, rec_docs, feats, rec_ranks, source_depth)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-    return records
+        if width not in (None, feats.shape[1]):
+            message = f"record for query {query!r} has {feats.shape[1]} features per doc"
+            raise ParseError(f"{message}, the first record {width}", lineno)
+        width = feats.shape[1]
+        queries.append(query)
+        docs += rec_docs
+        features.frombytes(feats.tobytes())
+        ranks.extend(rec_ranks)
+        depths.append(source_depth)
+        offsets.append(len(docs))
+    return DistillDataset(
+        tuple(queries),
+        np.frombuffer(offsets, dtype=np.int64),
+        docs,
+        np.frombuffer(features).reshape(len(docs), width or 0),
+        np.frombuffer(ranks, dtype=np.int64),
+        np.frombuffer(depths, dtype=np.int64),
+    )

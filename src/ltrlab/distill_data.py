@@ -16,29 +16,18 @@ query i derives from (seed, i), so parallel and serial generation agree.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    DistillRecord,
-    DocId,
-    Qrels,
-    QueryId,
-    ScoredList,
-    TrainingGroup,
-)
+from .core import DistillDataset, DocId, ListBlock, Qrels, QueryId, ScoredList
 
 logger = logging.getLogger(__name__)
-
-DistillDataset = list[DistillRecord]
-
-# features_for(query, docs) -> (len(docs), F) feature matrix
-FeaturesFn = Callable[[QueryId, Sequence[DocId]], np.ndarray]
 
 FEATURE_MAP_PRODUCT = "product"
 FEATURE_MAP_SATURATED = "saturated"
@@ -135,7 +124,6 @@ class SyntheticWorld:
         self.query_ids: tuple[str, ...] = tuple(
             f"q{i:0{len(str(config.num_queries - 1))}d}" for i in range(config.num_queries)
         )
-        self._query_index = {qid: i for i, qid in enumerate(self.query_ids)}
         self._qrels: Qrels | None = None
         # Orders, not runs: a run refers to its world, and a cycle delays freeing it.
         self._orders: dict[str, np.ndarray] = {}
@@ -144,9 +132,6 @@ class SyntheticWorld:
     def retriever_names(self) -> tuple[str, ...]:
         return tuple(sorted(self._fs_scores))
 
-    def doc_ids(self, query: QueryId) -> tuple[str, ...]:
-        return tuple(self._doc_ids(self._qindex(query), range(self.config.docs_per_query)))
-
     def _doc_id(self, qi: int, j: int) -> str:
         return self.query_ids[qi] + self._suffixes[j]
 
@@ -154,12 +139,6 @@ class SyntheticWorld:
         """Ids of query qi's docs at pool indices idx."""
         qid, suffixes = self.query_ids[qi], self._suffixes
         return [qid + suffixes[j] for j in idx]
-
-    def _qindex(self, query: QueryId) -> int:
-        try:
-            return self._query_index[query]
-        except KeyError:
-            raise KeyError(f"unknown query {query!r}") from None
 
     def _dindex(self, qi: int, doc: DocId) -> int:
         prefix = f"{self.query_ids[qi]}_p"
@@ -174,15 +153,6 @@ class SyntheticWorld:
         if self._doc_id(qi, j) != doc:
             raise KeyError(f"malformed doc id {doc!r}")
         return j
-
-    def true_relevance(self, query: QueryId, doc: DocId) -> float:
-        qi = self._qindex(query)
-        return float(self._rel[qi, self._dindex(qi, doc)])
-
-    def features_for(self, query: QueryId, docs: Sequence[DocId]) -> np.ndarray:
-        """Feature matrix (len(docs), F) for one query's documents."""
-        qi = self._qindex(query)
-        return self._features[qi, [self._dindex(qi, d) for d in docs]]
 
     def qrels(self) -> Qrels:
         """Sparse judgments: grade 1 for each query's truly best pool doc."""
@@ -297,9 +267,7 @@ def _query_rng(seed: int, query: QueryId) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=words))
 
 
-def build_hard_negative_groups(
-    run: WorldRun, qrels: Qrels, cfg: SamplingConfig
-) -> list[TrainingGroup]:
+def build_hard_negative_groups(run: WorldRun, qrels: Qrels, cfg: SamplingConfig) -> ListBlock:
     """Sample hard-negative training groups from the top of a first-stage run.
 
     Per query that has at least one judged-positive doc: the positive is the
@@ -307,15 +275,17 @@ def build_hard_negative_groups(
     uniformly without replacement from the top pool_depth of the run with
     every judged-positive doc excluded. Queries are skipped (and counted)
     when they have no positive, when the run is shallower than pool_depth,
-    or when the eligible pool is smaller than num_negatives.
+    or when the eligible pool is smaller than num_negatives. Each group is
+    one list of the block, positive first; a positive that is not a doc of
+    its query's pool raises KeyError.
     """
     world = run.world
     run_depth = run.order.shape[1]
-    groups: list[TrainingGroup] = []
+    rows, members = [], []
     skipped_no_positive = 0
     skipped_shallow = 0
     skipped_small_pool = 0
-    for qid, qi, row in zip(run.queries, run.qindex.tolist(), run.order):
+    for r, (qid, qi, row) in enumerate(zip(run.queries, run.qindex.tolist(), run.order)):
         positives = qrels.positives(qid)
         if not positives:
             skipped_no_positive += 1
@@ -346,20 +316,27 @@ def build_hard_negative_groups(
             continue
         rng = _query_rng(cfg.seed, qid)
         chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
-        negatives = tuple(world._doc_ids(qi, pool[chosen].tolist()))
-        groups.append(TrainingGroup(qid, positives[0], negatives))
+        rows.append(r)
+        members.append([world._dindex(qi, positives[0]), *pool[chosen].tolist()])
     skipped = skipped_no_positive + skipped_shallow + skipped_small_pool
     if skipped:
         logger.info(
             "hard-negative sampling: %d groups, %d queries skipped "
             "(%d no positive, %d shallow run, %d small pool)",
-            len(groups),
+            len(rows),
             skipped,
             skipped_no_positive,
             skipped_shallow,
             skipped_small_pool,
         )
-    return groups
+    size, qindex = cfg.num_negatives + 1, run.qindex[rows]
+    index = np.array(members, dtype=np.intp).reshape(len(rows), size)
+    return ListBlock(
+        tuple(run.queries[r] for r in rows),
+        np.arange(len(rows) + 1) * size,
+        list(itertools.chain.from_iterable(map(world._doc_ids, qindex.tolist(), members))),
+        world._features[qindex[:, None], index].reshape(-1, world.config.feature_dim),
+    )
 
 
 def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
@@ -374,17 +351,15 @@ def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if not len(run):
-        return []
     world, cfg = run.world, run.world.config
-    if run.order.shape[1] < depth:
+    if len(run) and run.order.shape[1] < depth:
         raise ValueError(
             f"query {run.queries[0]!r} has run depth {run.order.shape[1]} "
             f"< requested depth {depth}"
         )
     qindex = run.qindex[:, None]
     top = run.order[:, :depth]
-    sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * np.arange(depth)
+    sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * np.arange(top.shape[1])
     key = -(world._rel[qindex, top] + sigma * world._teacher_u[qindex, top])
     # Pool-index order is doc-id order, so `top` breaks the teacher's ties.
     teacher = np.lexsort((top, key), axis=-1)
@@ -396,12 +371,15 @@ def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
         raise ValueError(f"record for query {query!r} has non-finite features")
     # World ids are valid and distinct, and the first-stage ranks are a
     # permutation of 1..depth: only the features needed checking.
-    return [
-        DistillRecord._trusted(qid, tuple(world._doc_ids(qi, idx)), feats, tuple(fs_ranks), depth)
-        for qid, qi, idx, feats, fs_ranks in zip(
-            run.queries, run.qindex.tolist(), ranked.tolist(), features, (teacher + 1).tolist()
-        )
-    ]
+    docs = itertools.chain.from_iterable(map(world._doc_ids, run.qindex.tolist(), ranked.tolist()))
+    return DistillDataset(
+        run.queries,
+        np.arange(len(run) + 1) * depth,
+        list(docs),
+        features.reshape(-1, cfg.feature_dim),
+        (teacher + 1).ravel(),
+        np.full(len(run), depth),
+    )
 
 
 def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:
@@ -409,28 +387,29 @@ def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:
 
     The filter is on first-stage rank; the surviving docs keep their relative
     teacher order. Composition holds: subsampling to 50 and then 25 equals
-    subsampling to 25 directly.
+    subsampling to 25 directly. The first list that is not deeper than
+    `depth`, or that would keep no doc, raises ValueError.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    out: DistillDataset = []
-    for rec in dataset:
-        if depth >= rec.source_depth:
+    keep = dataset.first_stage_ranks <= depth
+    offsets = np.concatenate(([0], np.cumsum(keep)))[dataset.offsets]
+    bad = (dataset.source_depths <= depth) | (offsets[1:] == offsets[:-1])
+    if bad.any():
+        i = int(np.argmax(bad))
+        query, source_depth = dataset.queries[i], int(dataset.source_depths[i])
+        if source_depth <= depth:
             raise ValueError(
                 f"subsample depth {depth} must be smaller than source depth "
-                f"{rec.source_depth} (query {rec.query!r})"
+                f"{source_depth} (query {query!r})"
             )
-        keep = [i for i, r in enumerate(rec.first_stage_ranks) if r <= depth]
-        if not keep:
-            raise ValueError(f"record for query {rec.query!r} has no docs")
-        # A subset of a record's docs keeps every invariant of the record.
-        out.append(
-            DistillRecord._trusted(
-                rec.query,
-                tuple(rec.docs[i] for i in keep),
-                rec.features[keep],
-                tuple(rec.first_stage_ranks[i] for i in keep),
-                depth,
-            )
-        )
-    return out
+        raise ValueError(f"record for query {query!r} has no docs")
+    # A subset of a list's docs keeps every invariant of the list.
+    return DistillDataset(
+        dataset.queries,
+        offsets,
+        list(itertools.compress(dataset.docs, keep.tolist())),
+        dataset.features[keep],
+        dataset.first_stage_ranks[keep],
+        np.full(len(dataset), depth),
+    )

@@ -14,8 +14,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import scorer, trainer
-from .core import Qrels, QueryId, ScoredList
-from .distill_data import DistillDataset, SyntheticWorld, WorldRun
+from .core import ListBlock, Qrels, QueryId, ScoredList
+from .distill_data import SyntheticWorld, WorldRun
 from .trainer import PoolBlock, TrainConfig, ValidationSet
 
 logger = logging.getLogger(__name__)
@@ -92,20 +92,20 @@ class AblationCell:
     steps_executed: int
 
 
-def subsample_queries(dataset: DistillDataset, fraction: float, seed: int) -> DistillDataset:
-    """Seeded uniform subsample of a fraction of the dataset's queries."""
+def subsample_queries(lists: Sequence[np.ndarray], fraction: float, seed: int) -> list[np.ndarray]:
+    """Seeded uniform subsample of a fraction of the training lists, one per query."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"query fraction must lie in (0, 1], got {fraction}")
     if fraction == 1.0:
-        return list(dataset)
-    count = max(1, int(round(fraction * len(dataset))))
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(dataset),)))
-    chosen = sorted(rng.choice(len(dataset), size=count, replace=False))
-    return [dataset[i] for i in chosen]
+        return list(lists)
+    count = max(1, int(round(fraction * len(lists))))
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(lists),)))
+    chosen = sorted(rng.choice(len(lists), size=count, replace=False))
+    return [lists[i] for i in chosen]
 
 
 def ablation_grid(
-    datasets_by_depth: Mapping[int, DistillDataset],
+    datasets_by_depth: Mapping[int, ListBlock],
     fractions: Sequence[float],
     base_model: scorer.ScorerModel,
     validation: ValidationSet,
@@ -119,8 +119,9 @@ def ablation_grid(
     """
     cells: list[AblationCell] = []
     for depth in sorted(datasets_by_depth):
+        lists = datasets_by_depth[depth].lists()
         for fraction in fractions:
-            data = subsample_queries(datasets_by_depth[depth], fraction, subsample_seed)
+            data = subsample_queries(lists, fraction, subsample_seed)
             model, report = trainer.train_distill(base_model, data, validation, cfg)
             cells.append(
                 AblationCell(

@@ -18,16 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import losses, scorer
-from .core import (
-    DocId,
-    Qrels,
-    QueryId,
-    TrainingGroup,
-    doc_keys,
-    validate_doc_ids,
-    validate_id,
-)
-from .distill_data import DistillDataset, FeaturesFn
+from .core import DocId, Qrels, QueryId, doc_keys, validate_doc_ids, validate_id
 from .evaluation import ndcg_rows
 
 logger = logging.getLogger(__name__)
@@ -276,55 +267,44 @@ def _steps(
 
 
 def train_stage1(
-    model: scorer.ScorerModel,
-    groups: Sequence[TrainingGroup],
-    features_for: FeaturesFn,
-    cfg: TrainConfig,
+    model: scorer.ScorerModel, lists: Sequence[np.ndarray], cfg: TrainConfig
 ) -> tuple[scorer.ScorerModel, TrainReport]:
     """InfoNCE training on hard-negative groups for exactly max_steps steps.
 
-    The batch loss is the arithmetic mean of per-group losses; one AdamW
-    step runs per batch. There is no early stopping in this stage.
+    Each list holds one group's (n, F) features, positive first. The batch
+    loss is the arithmetic mean of per-group losses; one AdamW step runs per
+    batch. There is no early stopping in this stage.
     """
     if cfg.loss != LOSS_INFONCE:
         raise ValueError(f"train_stage1 requires loss={LOSS_INFONCE!r}, got {cfg.loss!r}")
-    if not groups:
+    if not len(lists):
         raise ValueError("train_stage1 requires at least one training group")
-    feats = [np.asarray(features_for(g.query, g.members), dtype=np.float64) for g in groups]
     loss_curve: list[tuple[int, float]] = []
-    for step, model, batch_loss in _steps(model, feats, lambda s: losses.infonce(s, 0), cfg):
+    for step, model, batch_loss in _steps(model, lists, lambda s: losses.infonce(s, 0), cfg):
         loss_curve.append((step, batch_loss))
-    report = TrainReport(
-        steps_executed=cfg.max_steps, stop_reason=STOP_MAX_STEPS, loss_curve=loss_curve
-    )
-    return model, report
-
-
-def _distill_loss_fn(cfg: TrainConfig) -> Callable[[np.ndarray], losses.LossOutput]:
-    if cfg.loss == LOSS_RANKNET:
-        return losses.ranknet
-    approx = losses.ApproxConfig(alpha=cfg.alpha)
-    return lambda s: losses.adr_mse(s, approx)
+    return model, TrainReport(cfg.max_steps, STOP_MAX_STEPS, loss_curve)
 
 
 def train_distill(
     model: scorer.ScorerModel,
-    dataset: DistillDataset,
+    lists: Sequence[np.ndarray],
     validation: ValidationSet,
     cfg: TrainConfig,
 ) -> tuple[scorer.ScorerModel, TrainReport]:
     """Listwise distillation training with nDCG@10 early stopping.
 
-    Validates before the first step and every validation_every steps;
+    Each list holds the (n, F) features of one teacher-ranked list, best
+    first. Validates before the first step and every validation_every steps;
     improvement means strictly greater (beyond a 1e-9 tolerance). Stops when
     no improvement has been seen for patience_steps optimizer steps, or at
     max_steps. Returns the checkpoint with the best validation score.
     """
     if cfg.loss not in DISTILL_LOSSES:
         raise ValueError(f"train_distill requires a distillation loss, got {cfg.loss!r}")
-    if not dataset:
+    if not len(lists):
         raise ValueError("train_distill requires a non-empty dataset")
-    loss_fn = _distill_loss_fn(cfg)
+    approx = losses.ApproxConfig(alpha=cfg.alpha)
+    loss_fn = losses.ranknet if cfg.loss == LOSS_RANKNET else lambda s: losses.adr_mse(s, approx)
     loss_curve: list[tuple[int, float]] = []
     validation_curve: list[tuple[int, float]] = []
     best_score = -np.inf
@@ -342,8 +322,7 @@ def train_distill(
             step_of_best = step
 
     validate(0, model)
-    features = [rec.features for rec in dataset]
-    for step, model, batch_loss in _steps(model, features, loss_fn, cfg):
+    for step, model, batch_loss in _steps(model, lists, loss_fn, cfg):
         loss_curve.append((step, batch_loss))
         if step % cfg.validation_every == 0:
             validate(step, model)
@@ -364,17 +343,3 @@ def train_distill(
     )
     return best_model, report
 
-
-def train_two_stage(
-    model: scorer.ScorerModel,
-    groups: Sequence[TrainingGroup],
-    features_for: FeaturesFn,
-    dataset: DistillDataset,
-    validation: ValidationSet,
-    stage1_cfg: TrainConfig,
-    distill_cfg: TrainConfig,
-) -> tuple[scorer.ScorerModel, tuple[TrainReport, TrainReport]]:
-    """Stage 1 (InfoNCE on labels) followed by distillation fine-tuning."""
-    model, report1 = train_stage1(model, groups, features_for, stage1_cfg)
-    model, report2 = train_distill(model, dataset, validation, distill_cfg)
-    return model, (report1, report2)

@@ -270,10 +270,17 @@ def restrict_run_oracle(run, queries):
     return {q: run[q] for q in queries if q in run}
 
 
-def teacher_dataset_oracle(run, teacher, features_for, depth):
-    """Each query's first-stage top `depth` re-ranked by `teacher(query, docs)`."""
-    from ltrlab.core import DistillRecord
+def features_oracle(world, query, docs):
+    """A query's (len(docs), F) features, looked up one doc id at a time."""
+    qi = world.query_ids.index(query)
+    rows = [world._features[qi, world._dindex(qi, doc)] for doc in docs]
+    return np.array(rows).reshape(len(docs), world.config.feature_dim)
 
+
+def teacher_dataset_oracle(world, run, depth):
+    """Each query's first-stage top `depth` of a string-keyed run, re-ranked
+    by `teacher_order`: one (query, docs, features, first-stage ranks,
+    source depth) tuple per query, in query-id order."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     dataset = []
@@ -284,22 +291,38 @@ def teacher_dataset_oracle(run, teacher, features_for, depth):
                 f"query {qid!r} has run depth {len(ranking)} < requested depth {depth}"
             )
         top_docs = ranking.docs[:depth]
-        ranked = tuple(teacher(qid, top_docs))
+        ranked = teacher_order(world, qid, top_docs)
         fs_rank = dict(zip(top_docs, range(1, depth + 1)))
-        if len(ranked) != depth or set(ranked) != fs_rank.keys():
-            raise ValueError(f"teacher returned a non-permutation for query {qid!r}")
-        dataset.append(
-            DistillRecord(
-                qid, ranked, features_for(qid, ranked), [fs_rank[d] for d in ranked], depth
-            )
-        )
+        features = features_oracle(world, qid, ranked)
+        if not np.isfinite(features).all():
+            raise ValueError(f"record for query {qid!r} has non-finite features")
+        dataset.append((qid, ranked, features, tuple(fs_rank[d] for d in ranked), depth))
     return dataset
 
 
+def subsample_depth_oracle(records, depth):
+    """The record-at-a-time depth filter over (query, docs, features,
+    first-stage ranks, source depth) tuples."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    out = []
+    for query, docs, features, ranks, source_depth in records:
+        if depth >= source_depth:
+            raise ValueError(
+                f"subsample depth {depth} must be smaller than source depth "
+                f"{source_depth} (query {query!r})"
+            )
+        keep = [i for i, r in enumerate(ranks) if r <= depth]
+        if not keep:
+            raise ValueError(f"record for query {query!r} has no docs")
+        kept = (tuple(docs[i] for i in keep), np.asarray(features)[keep])
+        out.append((query, *kept, tuple(ranks[i] for i in keep), depth))
+    return out
+
+
 def hard_negative_groups_oracle(run, qrels, cfg):
-    """Hard-negative groups drawn from (doc, score) lists; returns the groups
-    and the (no positive, shallow run, small pool) skip counts."""
-    from ltrlab.core import TrainingGroup
+    """Hard-negative groups drawn from (doc, score) lists: (query, positive,
+    negatives) tuples and the (no positive, shallow run, small pool) skip counts."""
     from ltrlab.distill_data import _query_rng
 
     groups, skipped = [], [0, 0, 0]
@@ -318,7 +341,7 @@ def hard_negative_groups_oracle(run, qrels, cfg):
             skipped[2] += 1
             continue
         chosen = _query_rng(cfg.seed, qid).choice(len(pool), size=cfg.num_negatives, replace=False)
-        groups.append(TrainingGroup(qid, positives[0], tuple(pool[i] for i in chosen)))
+        groups.append((qid, positives[0], tuple(pool[i] for i in chosen)))
     return groups, tuple(skipped)
 
 
@@ -327,5 +350,45 @@ def rerank_pools_oracle(world, run, queries, depth):
     pools = []
     for qid in queries:
         docs = run[qid].docs[:depth]
-        pools.append((qid, docs, world.features_for(qid, docs).reshape(len(docs), -1)))
+        pools.append((qid, docs, features_oracle(world, qid, docs)))
     return pools
+
+
+def stack_records(records, dim=0):
+    """(query, docs, features, first-stage ranks, source depth) tuples as one
+    DistillDataset; `dim` is the feature width of an empty one."""
+    from ltrlab.core import DistillDataset
+
+    records = list(records)
+    lengths = [len(docs) for _, docs, _, _, _ in records]
+    features = [np.asarray(f, dtype=np.float64).reshape(len(d), -1) for _, d, f, _, _ in records]
+    return DistillDataset(
+        tuple(query for query, _, _, _, _ in records),
+        np.cumsum([0] + lengths),
+        [doc for _, docs, _, _, _ in records for doc in docs],
+        np.concatenate(features) if records else np.zeros((0, dim)),
+        np.array([r for _, _, _, ranks, _ in records for r in ranks], dtype=np.int64),
+        np.array([depth for _, _, _, _, depth in records], dtype=np.int64),
+    )
+
+
+def record_values(records):
+    """DistillRecords, or (query, docs, features, first-stage ranks, source
+    depth) tuples, as plain Python values that compare with ==."""
+    return [
+        (query, tuple(docs), np.asarray(features).tolist(), [int(r) for r in ranks], int(depth))
+        for query, docs, features, ranks, depth in (
+            rec if isinstance(rec, tuple)
+            else (rec.query, rec.docs, rec.features, rec.first_stage_ranks, rec.source_depth)
+            for rec in records
+        )
+    ]
+
+
+def block_lists(block):
+    """Each list of a ListBlock as (query, docs, features)."""
+    bounds = block.offsets.tolist()
+    return [
+        (query, tuple(block.docs[lo:hi]), block.features[lo:hi])
+        for query, lo, hi in zip(block.queries, bounds, bounds[1:])
+    ]

@@ -35,7 +35,7 @@ from ltrlab.pipeline import (
     split_query_ids,
 )
 from ltrlab.rerank_sim import CostModel, estimate, pointwise, schedule, scoring_count, sliding_window
-from ltrlab.trainer import TrainConfig, train_distill, train_stage1, train_two_stage
+from ltrlab.trainer import TrainConfig, train_distill, train_stage1
 
 from _oracles import finite_difference_grad, grad_close, ndcg_bruteforce
 
@@ -268,7 +268,7 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
     result = {}
     for name in ("low", "high"):
         run = world.first_stage_run(name).restrict(splits["train"])
-        dataset = build_teacher_dataset(run, depth=50)
+        dataset = build_teacher_dataset(run, depth=50).lists()
         model = scorer.init_model(scorer.MLP, 16, hidden_width=8, seed=seed + 1)
         cfg = TrainConfig(
             loss="ranknet",
@@ -326,8 +326,8 @@ def training_regimes():
         run_train = world.first_stage_run("strong").restrict(splits["train"])
         groups = build_hard_negative_groups(
             run_train, world.qrels(), SamplingConfig(pool_depth=200, num_negatives=7, seed=seed + 3)
-        )
-        dataset = build_teacher_dataset(run_train, depth=50)
+        ).lists()
+        dataset = build_teacher_dataset(run_train, depth=50).lists()
         validation = make_validation(world, "strong", splits["validation"], 50)
         test_pools = build_rerank_pools(
             world, world.first_stage_run("strong"), splits["test"], 50
@@ -348,11 +348,10 @@ def training_regimes():
             scores, _ = evaluate_model(m, test_pools, world.qrels(), 10)
             return float(np.mean(list(scores.values())))
 
-        stage1_model, _ = train_stage1(model0, groups, world.features_for, cfg1)
+        stage1_model, _ = train_stage1(model0, groups, cfg1)
         single_model, _ = train_distill(model0, dataset, validation, cfg2("ranknet"))
-        two_model, _ = train_two_stage(
-            model0, groups, world.features_for, dataset, validation, cfg1, cfg2("ranknet")
-        )
+        # Two-stage: distillation fine-tunes the stage-1 model.
+        two_model, _ = train_distill(stage1_model, dataset, validation, cfg2("ranknet"))
         adr_model, _ = train_distill(model0, dataset, validation, cfg2("adr-mse"))
         return {
             "stage1_only": test_ndcg(stage1_model),

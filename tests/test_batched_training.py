@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ltrlab import losses, scorer, trainer
-from ltrlab.core import DistillRecord
 from ltrlab.distill_data import (
     SamplingConfig,
     WorldConfig,
@@ -27,6 +26,8 @@ from ltrlab.pipeline import make_validation, split_query_ids
 
 from _oracles import (
     adr_mse_oracle,
+    block_lists,
+    features_oracle,
     grad_oracle,
     infonce_oracle,
     ranknet_oracle,
@@ -242,12 +243,10 @@ def world_setup():
     splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
     run = world.first_stage_run("main").restrict(splits["train"])
     full = build_teacher_dataset(run, depth=12)
-    ragged = list(full[:10]) + list(subsample_depth(full[10:20], 6))
-    for rec in full[20:]:
-        n = 1 + len(rec.query) % 7  # mixed lengths, some of them 1
-        ragged.append(
-            DistillRecord(rec.query, rec.docs[:n], rec.features[:n], rec.first_stage_ranks[:n], 12)
-        )
+    shallow = subsample_depth(full, 6).lists()
+    ragged = full.lists()[:10] + shallow[10:20]
+    for i, features in enumerate(full.lists()[20:]):
+        ragged.append(features[: 1 + i % 7])  # mixed lengths, some of them 1
     validation = make_validation(world, "main", splits["validation"], 12)
     groups = build_hard_negative_groups(
         run, world.qrels(), SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
@@ -255,9 +254,8 @@ def world_setup():
     return world, ragged, validation, groups
 
 
-def reference_distill(model, dataset, validation, cfg, loss):
+def reference_distill(model, features, validation, cfg, loss):
     """train_distill as a list-at-a-time loop."""
-    features = [rec.features for rec in dataset]
     state = scorer.AdamWState.create(
         model.num_params, cfg.learning_rate, weight_decay=cfg.weight_decay
     )
@@ -297,8 +295,8 @@ class TestWholeRuns:
         world, _, _, groups = world_setup
         model = model_of(arch, 5, 3)
         cfg = trainer.TrainConfig(loss=trainer.LOSS_INFONCE, max_steps=25, batch_size=8, seed=2)
-        got, report = trainer.train_stage1(model, groups, world.features_for, cfg)
-        features = [world.features_for(g.query, g.members) for g in groups]
+        got, report = trainer.train_stage1(model, groups.lists(), cfg)
+        features = [features_oracle(world, query, docs) for query, docs, _ in block_lists(groups)]
         want, curve = reference_loop(model, features, lambda s: infonce_oracle(s, 0), cfg, 25)
         assert report.loss_curve == curve
         assert report.steps_executed == 25

@@ -704,6 +704,38 @@ class TestTrainDatasetFaults:
         assert "non-finite features" in err
         assert not (out / "checkpoint.txt").exists()
 
+    @staticmethod
+    def narrowed(line, width):
+        record = json.loads(line)
+        for passage in record["passages"]:
+            passage["features"] = passage["features"][:width]
+        return json.dumps(record)
+
+    @pytest.mark.parametrize("stage", ["single", "two"])
+    def test_width_other_than_the_world_names_the_file(
+        self, tmp_path, config_path, capsys, dataset_lines, stage
+    ):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("".join(self.narrowed(line, 7) + "\n" for line in dataset_lines))
+        out = tmp_path / "t"
+        argv = ["train", "--config", str(config_path), "--dataset", str(dataset), "--stage", stage]
+        assert main(argv + ["--loss", "ranknet", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {str(dataset)!r} has 7 features per doc, "
+            "but world.feature_dim is 8\n"
+        )
+        assert not out.exists()
+
+    def test_mixed_widths_name_the_line(self, tmp_path, config_path, capsys, dataset_lines):
+        lines = list(dataset_lines)
+        lines[3] = self.narrowed(lines[3], 7)
+        code, out = self.train(tmp_path, config_path, lines)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: record for query ")
+        assert err.endswith(" has 7 features per doc, the first record 8\n")
+        assert not (out / "checkpoint.txt").exists()
+
     def test_distill_section_unused_with_dataset(self, tmp_path, config_path, dataset_lines):
         """Single-stage distillation from a file builds no run and no dataset."""
         (tmp_path / "a").mkdir()

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -6,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltrlab.core import (
-    DistillRecord,
     DuplicateEntryError,
+    ListBlock,
     ParseError,
     Qrels,
     ScoredList,
-    TrainingGroup,
     parse_distill_dataset,
     parse_qrels,
     parse_run,
@@ -19,6 +19,8 @@ from ltrlab.core import (
     write_qrels,
     write_run,
 )
+
+from _oracles import record_values, stack_records
 
 
 class TestParseRun:
@@ -166,42 +168,75 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             ScoredList("q 1", ())
 
-    def test_training_group_positive_not_in_negatives(self):
-        with pytest.raises(ValueError):
-            TrainingGroup("q", "d1", ("d2", "d1"))
+    def test_list_block_lists_are_views(self):
+        features = np.arange(12.0).reshape(6, 2)
+        block = ListBlock(("q1", "q2", "q3"), np.array([0, 3, 4, 6]), list("abcdef"), features)
+        lists = block.lists()
+        assert len(block) == 3
+        assert [f.tolist() for f in lists] == [
+            features[:3].tolist(), features[3:4].tolist(), features[4:].tolist()
+        ]
+        assert all(np.shares_memory(f, features) for f in lists)
 
-    def test_training_group_members(self):
-        g = TrainingGroup("q", "pos", ("n1", "n2"))
-        assert g.members == ("pos", "n1", "n2")
+
+TWO_BY_TWO = ((1.0, 2.0), (3.0, 4.0))
+
+
+def record_line(query="q", depth=5, docs="ab", features=TWO_BY_TWO, ranks=(2, 1), teacher=None):
+    """One dataset line; the teacher ranks default to 1..n."""
+    teacher = teacher or range(1, len(docs) + 1)
+    passages = [
+        {"doc_id": d, "features": f, "first_stage_rank": r, "teacher_rank": t}
+        for d, f, r, t in zip(docs, features, ranks, teacher)
+    ]
+    return json.dumps({"query_id": query, "source_depth": depth, "passages": passages})
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = "record for query 'q' has non-finite features"
+EMPTY = {"docs": (), "features": (), "ranks": ()}
+THREE = {"docs": ("a", "b", "c"), "features": ((1.0,),) * 3}
+BAD_INTEGER = "bad record structure: {} must be a 64-bit integer, got {}"
 
 
 class TestDistillDataset:
-    def _record(self):
-        return DistillRecord(
-            query="q1",
-            docs=("d3", "d1", "d2"),
-            features=np.arange(6.0).reshape(3, 2),
-            first_stage_ranks=(3, 1, 2),
-            source_depth=3,
+    def _dataset(self):
+        return stack_records(
+            [
+                ("q1", ("d3", "d1", "d2"), np.arange(6.0).reshape(3, 2), (3, 1, 2), 3),
+                ("q2", ("d9",), [[0.5, -1.0]], (4,), 7),
+            ]
         )
 
     def test_round_trip(self):
-        rec = self._record()
-        parsed = parse_distill_dataset("".join(write_distill_dataset([rec])))
-        assert len(parsed) == 1
-        got = parsed[0]
-        assert got.query == rec.query
-        assert got.docs == rec.docs
-        assert got.first_stage_ranks == rec.first_stage_ranks
-        assert got.source_depth == rec.source_depth
-        assert np.array_equal(got.features, rec.features)
+        dataset = self._dataset()
+        parsed = parse_distill_dataset("".join(write_distill_dataset(dataset)))
+        assert type(parsed) is type(dataset) and len(parsed) == 2
+        assert record_values(parsed) == record_values(dataset)
+        assert parsed.offsets.tolist() == [0, 3, 4]
+        assert parsed.source_depths.tolist() == [3, 7]
+        assert parsed.features.flags.c_contiguous and parsed.features.dtype == np.float64
+
+    def test_records_are_views_with_a_length(self):
+        dataset = self._dataset()
+        first, second = dataset
+        assert (first.query, first.docs, len(first), first.source_depth) == (
+            "q1", ["d3", "d1", "d2"], 3, 3
+        )
+        assert np.shares_memory(first.features, dataset.features)
+        assert second.first_stage_ranks.tolist() == [4]
 
     def test_full_precision_floats(self):
         feats = np.array([[0.1 + 0.2, np.pi]])
-        rec = DistillRecord("q", ("d",), feats, (1,), 1)
-        got = parse_distill_dataset("".join(write_distill_dataset([rec])))[0]
+        dataset = stack_records([("q", ("d",), feats, (1,), 1)])
+        got = parse_distill_dataset("".join(write_distill_dataset(dataset)))
         assert got.features[0, 0] == feats[0, 0]
         assert got.features[0, 1] == np.pi
+
+    def test_empty_source(self):
+        dataset = parse_distill_dataset("\n  \n")
+        assert len(dataset) == 0 and dataset.features.shape == (0, 0)
+        assert list(dataset) == [] and dataset.lists() == []
 
     def test_teacher_rank_order_enforced(self):
         text = (
@@ -213,10 +248,72 @@ class TestDistillDataset:
             parse_distill_dataset(text)
 
     def test_bad_json_line_number(self):
-        good = "".join(write_distill_dataset([self._record()])).rstrip("\n")
-        with pytest.raises(ParseError, match="line 2"):
+        good = "".join(write_distill_dataset(self._dataset())).rstrip("\n")
+        with pytest.raises(ParseError, match="line 3"):
             parse_distill_dataset(good + "\n{broken")
 
-    def test_record_validates_rank_range(self):
-        with pytest.raises(ValueError):
-            DistillRecord("q", ("a",), np.ones((1, 2)), (5,), source_depth=3)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            # The checks that distillation records made on construction.
+            ({"query": 5}, "query id must be a non-empty string, got 5"),
+            ({"query": "a b"}, "query id 'a b' contains whitespace"),
+            ({"features": (1.0, 2.0)}, "features must be a 2-d array, got shape (2,)"),
+            (EMPTY, "features must be a 2-d array, got shape (0,)"),
+            ({"docs": ("a", "a")}, "record for query 'q' has duplicate docs"),
+            ({"features": ((1.0, NAN), (3.0, 4.0))}, NON_FINITE),
+            ({"features": ((1.0, 2.0), (INF, 4.0))}, NON_FINITE),
+            (dict(THREE, ranks=(3, 0, 9)), "first-stage rank 0 outside 1..5 for query 'q'"),
+            (dict(THREE, ranks=(3, 9, 0)), "first-stage rank 9 outside 1..5 for query 'q'"),
+            (dict(THREE, ranks=(6, 1, 2)), "first-stage rank 6 outside 1..5 for query 'q'"),
+            (
+                {"ranks": (5,), "depth": 3, "docs": "a"},
+                "first-stage rank 5 outside 1..3 for query 'q'",
+            ),
+            ({"ranks": (2, 2)}, "record for query 'q' has duplicate first-stage ranks"),
+            # Doc ids that could not be written back as a run.
+            ({"docs": ("a", 5)}, "doc_id must be a non-empty string, got 5"),
+            ({"docs": ("", "b")}, "doc_id must be a non-empty string, got ''"),
+            ({"docs": ("a b", "b")}, "doc_id 'a b' contains whitespace"),
+            ({"docs": ("a", None)}, "doc_id must be a non-empty string, got None"),
+            # Integers must be JSON integers, not anything int() accepts.
+            ({"depth": True}, BAD_INTEGER.format("source_depth", True)),
+            ({"depth": 5.0}, BAD_INTEGER.format("source_depth", 5.0)),
+            ({"depth": "5"}, BAD_INTEGER.format("source_depth", "'5'")),
+            ({"depth": 2**63}, BAD_INTEGER.format("source_depth", 2**63)),
+            ({"ranks": (2.7, 1)}, BAD_INTEGER.format("first_stage_rank", 2.7)),
+            ({"ranks": ("3", 1)}, BAD_INTEGER.format("first_stage_rank", "'3'")),
+            ({"ranks": (True, 2)}, BAD_INTEGER.format("first_stage_rank", True)),
+            ({"teacher": (1.0, 2)}, BAD_INTEGER.format("teacher_rank", 1.0)),
+        ],
+    )
+    def test_bad_record_named_with_its_line(self, fields, message):
+        good = record_line(query="q0")
+        with pytest.raises(ParseError) as info:
+            parse_distill_dataset(good + "\n\n" + record_line(**fields))
+        assert str(info.value) == f"line 3: {message}"
+        assert info.value.line == 3
+
+    def test_feature_width_must_match_the_first_record(self):
+        lines = [record_line("q1"), record_line("q2"), record_line("q3", features=((1.0,), (2.0,)))]
+        with pytest.raises(ParseError) as info:
+            parse_distill_dataset("\n".join(lines))
+        assert str(info.value) == (
+            "line 3: record for query 'q3' has 1 features per doc, the first record 2"
+        )
+
+    def test_ragged_features_in_one_record(self):
+        with pytest.raises(ParseError, match="^line 1: bad record structure"):
+            parse_distill_dataset(record_line(features=((1.0, 2.0), (3.0,))))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"docs": "a", "ranks": (5,)},
+            {"docs": "a", "ranks": (1,), "depth": 1},
+            {"ranks": (1, 5), "features": ((0.0, -0.0), (1e308, -1e-308))},
+        ],
+    )
+    def test_edge_records_accepted(self, fields):
+        dataset = parse_distill_dataset(record_line(**fields))
+        assert len(dataset) == 1 and dataset.first_stage_ranks.tolist() == list(fields["ranks"])

@@ -16,6 +16,8 @@ from ltrlab.distill_data import (
     subsample_depth,
 )
 
+from _oracles import block_lists, features_oracle, record_values, stack_records
+
 
 def small_world(**overrides):
     defaults = dict(
@@ -30,20 +32,36 @@ def small_world(**overrides):
     return generate_world(WorldConfig(**defaults))
 
 
+def pool_docs(world, query):
+    """Every doc id of a query's pool, in pool order."""
+    return world._doc_ids(world.query_ids.index(query), range(world.config.docs_per_query))
+
+
+def relevance(world, query, doc):
+    """The hidden relevance of one of a query's docs."""
+    qi = world.query_ids.index(query)
+    return float(world._rel[qi, world._dindex(qi, doc)])
+
+
+def groups_of(block):
+    """A block of hard-negative groups as (query, positive, negatives) tuples."""
+    return [(query, docs[0], docs[1:]) for query, docs, _ in block_lists(block)]
+
+
 class TestGenerateWorld:
     def test_zero_noise_retriever_matches_true_relevance(self):
         world = small_world()
         run = world.first_stage_run("clean")
         for qid in world.query_ids:
-            docs = world.doc_ids(qid)
-            by_rel = sorted(docs, key=lambda d: -world.true_relevance(qid, d))
+            docs = pool_docs(world, qid)
+            by_rel = sorted(docs, key=lambda d: -relevance(world, qid, d))
             assert list(run[qid].docs) == by_rel
 
     def test_zero_noise_teacher_matches_true_relevance(self):
         world = small_world()
         run = world.first_stage_run("noisy").restrict(world.query_ids[:5])
         for rec in build_teacher_dataset(run, depth=10):
-            by_rel = sorted(rec.docs, key=lambda d: -world.true_relevance(rec.query, d))
+            by_rel = sorted(rec.docs, key=lambda d: -relevance(world, rec.query, d))
             assert list(rec.docs) == by_rel
 
     def test_qrels_single_positive_is_true_best(self):
@@ -52,7 +70,7 @@ class TestGenerateWorld:
         for qid in world.query_ids:
             positives = qrels.positives(qid)
             assert len(positives) == 1
-            best = max(world.doc_ids(qid), key=lambda d: world.true_relevance(qid, d))
+            best = max(pool_docs(world, qid), key=lambda d: relevance(world, qid, d))
             assert positives[0] == best
 
     def test_lower_noise_retriever_has_higher_recall(self):
@@ -83,18 +101,17 @@ class TestGenerateWorld:
     def test_deterministic_under_seed(self):
         w1, w2 = small_world(seed=99), small_world(seed=99)
         qid = w1.query_ids[3]
-        assert np.array_equal(
-            w1.features_for(qid, w1.doc_ids(qid)), w2.features_for(qid, w2.doc_ids(qid))
-        )
+        docs = pool_docs(w1, qid)
+        assert np.array_equal(features_oracle(w1, qid, docs), features_oracle(w2, qid, docs))
         assert w1.first_stage_run("noisy")[qid].entries == w2.first_stage_run("noisy")[qid].entries
 
     def test_saturated_feature_map(self):
         flat = small_world(feature_map="product")
         sat = small_world(feature_map="saturated")
         qid = flat.query_ids[0]
-        docs = flat.doc_ids(qid)
+        docs = pool_docs(flat, qid)
         assert np.allclose(
-            sat.features_for(qid, docs), np.tanh(flat.features_for(qid, docs))
+            features_oracle(sat, qid, docs), np.tanh(features_oracle(flat, qid, docs))
         )
 
     def test_invalid_config(self):
@@ -128,36 +145,40 @@ class TestHardNegativeGroups:
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=1)
         groups = build_hard_negative_groups(run, qrels, cfg)
         assert len(groups) == 10
-        for g in groups:
-            assert len(g.members) == 8
+        assert np.diff(groups.offsets).tolist() == [8] * 10
+        assert groups.features.shape == (80, 4)
+        for (query, docs, features), qid in zip(block_lists(groups), run):
+            assert query == qid and len(docs) == 8
+            assert np.array_equal(features, features_oracle(run.world, qid, docs))
 
     def test_empty_qrels_yields_nothing(self):
         run, _ = self._run_and_qrels()
         groups = build_hard_negative_groups(run, Qrels(), SamplingConfig(pool_depth=20))
-        assert groups == []
+        assert len(groups) == 0 and groups.docs == [] and groups.lists() == []
+        assert groups.features.shape == (0, 4)
 
     def test_no_judged_positive_in_negatives(self):
         run, qrels = self._run_and_qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=3)
-        for g in build_hard_negative_groups(run, qrels, cfg):
-            assert qrels.grade(g.query, g.positive) > 0
-            for doc in g.negatives:
-                assert qrels.grade(g.query, doc) == 0
+        for query, positive, negatives in groups_of(build_hard_negative_groups(run, qrels, cfg)):
+            assert qrels.grade(query, positive) > 0
+            for doc in negatives:
+                assert qrels.grade(query, doc) == 0
 
     def test_deterministic_with_seed(self):
         run, qrels = self._run_and_qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=11)
-        assert build_hard_negative_groups(run, qrels, cfg) == build_hard_negative_groups(
-            run, qrels, cfg
-        )
+        first, again = (build_hard_negative_groups(run, qrels, cfg) for _ in range(2))
+        assert groups_of(first) == groups_of(again)
+        assert np.array_equal(first.features, again.features)
         other = build_hard_negative_groups(run, qrels, SamplingConfig(20, 7, seed=12))
-        assert other != build_hard_negative_groups(run, qrels, cfg)
+        assert groups_of(other) != groups_of(first)
 
     def test_shallow_queries_skipped_with_warning(self, caplog):
         run, qrels = self._run_and_qrels(depth=20)
         with caplog.at_level("WARNING"):
             groups = build_hard_negative_groups(run, qrels, SamplingConfig(pool_depth=21))
-        assert groups == []
+        assert len(groups) == 0
         assert any("'q0' has run depth 20 < pool_depth 21" in r.message for r in caplog.records)
 
     def test_sampling_uniform_over_subsets(self):
@@ -169,9 +190,9 @@ class TestHardNegativeGroups:
         groups = build_hard_negative_groups(run, qrels, cfg)
         assert len(groups) == n_draws
         counts = {}
-        for g in groups:
-            ranks = run[g.query].docs
-            key = tuple(sorted(str(ranks.index(doc)) for doc in g.negatives))
+        for query, _, negatives in groups_of(groups):
+            ranks = run[query].docs
+            key = tuple(sorted(str(ranks.index(doc)) for doc in negatives))
             counts[key] = counts.get(key, 0) + 1
         subsets = list(itertools.combinations("123456", 2))
         assert set(counts) <= set(subsets)
@@ -201,23 +222,23 @@ class TestTeacherDataset:
         run = world.first_stage_run("noisy")
         ds = build_teacher_dataset(run, depth=1)
         for rec in ds:
-            assert rec.docs == (run[rec.query].docs[0],)
+            assert rec.docs == [run[rec.query].docs[0]]
 
     def test_zero_noise_teacher_orders_by_relevance(self):
         world = small_world()
         run = world.first_stage_run("noisy")
         ds = build_teacher_dataset(run, depth=10)
         for rec in ds:
-            rels = [world.true_relevance(rec.query, d) for d in rec.docs]
+            rels = [relevance(world, rec.query, d) for d in rec.docs]
             assert rels == sorted(rels, reverse=True)
 
     def test_features_align_with_docs(self):
         world = small_world()
         run = world.first_stage_run("clean")
         ds = build_teacher_dataset(run, depth=5)
-        rec = ds[0]
-        for i, doc in enumerate(rec.docs):
-            assert np.array_equal(rec.features[i], world.features_for(rec.query, [doc])[0])
+        for rec in ds:
+            for i, doc in enumerate(rec.docs):
+                assert np.array_equal(rec.features[i], features_oracle(world, rec.query, [doc])[0])
 
     def test_shallow_run_rejected(self):
         world = small_world()
@@ -231,26 +252,17 @@ class TestSubsampleDepth:
         world = small_world()
         qid = world.query_ids[0]
         docs = tuple(f"{qid}_p{r:04d}" for r in range(len(fs_order_by_teacher)))
-        from ltrlab.core import DistillRecord
-
-        return [
-            DistillRecord(
-                query=qid,
-                docs=docs,
-                features=np.zeros((len(docs), 2)),
-                first_stage_ranks=fs_order_by_teacher,
-                source_depth=max(fs_order_by_teacher),
-            )
-        ]
+        features = np.zeros((len(docs), 2))
+        return stack_records([(qid, docs, features, fs_order_by_teacher, max(fs_order_by_teacher))])
 
     def test_filter_on_first_stage_keep_teacher_order(self):
-        ds = subsample_depth(self._dataset(), 2)
-        rec = ds[0]
-        assert rec.first_stage_ranks == (1, 2)
+        (rec,) = subsample_depth(self._dataset(), 2)
+        assert rec.first_stage_ranks.tolist() == [1, 2]
         assert rec.source_depth == 2
         # Teacher order preserved: fs-rank-1 doc had teacher position 2,
         # fs-rank-2 doc had position 4, so rank-1 doc stays first.
-        assert rec.docs == (self._dataset()[0].docs[1], self._dataset()[0].docs[3])
+        docs = self._dataset().docs
+        assert rec.docs == [docs[1], docs[3]]
 
     def test_depth_not_below_original_rejected(self):
         with pytest.raises(ValueError):
@@ -273,29 +285,20 @@ class TestSubsampleDepth:
         full = build_teacher_dataset(run, depth=50)
         via_50_25 = subsample_depth(subsample_depth(full, 40), 25)
         direct = subsample_depth(full, 25)
-        for a, b in zip(via_50_25, direct):
-            assert a.docs == b.docs
-            assert a.first_stage_ranks == b.first_stage_ranks
-            assert np.array_equal(a.features, b.features)
+        assert record_values(via_50_25) == record_values(direct)
 
     def test_random_permutations_property(self):
         # On random teacher permutations, subsampling keeps exactly the docs
         # with fs rank <= depth, in their original relative order.
-        from ltrlab.core import DistillRecord
-
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(2, 30))
             depth = int(rng.integers(1, n))
             perm = rng.permutation(n) + 1
-            rec = DistillRecord(
-                "q",
-                tuple(f"d{i}" for i in range(n)),
-                np.zeros((n, 1)),
-                tuple(int(r) for r in perm),
-                source_depth=n,
+            dataset = stack_records(
+                [("q", tuple(f"d{i}" for i in range(n)), np.zeros((n, 1)), perm.tolist(), n)]
             )
-            sub = subsample_depth([rec], depth)[0]
+            (sub,) = subsample_depth(dataset, depth)
             kept = [i for i in range(n) if perm[i] <= depth]
-            assert sub.docs == tuple(f"d{i}" for i in kept)
+            assert sub.docs == [f"d{i}" for i in kept]
             assert len(sub) == depth

@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 from ltrlab import scorer
 from ltrlab.core import (
-    DistillRecord,
     Qrels,
     ScoredList,
+    parse_distill_dataset,
     parse_run,
     validate_doc_ids,
+    write_distill_dataset,
     write_run,
 )
 from ltrlab.distill_data import (
@@ -38,17 +39,21 @@ from ltrlab.pipeline import build_rerank_pools, evaluate_model
 from ltrlab.trainer import RerankPool, ValidationSet, mean_validation_ndcg
 
 from _oracles import (
+    block_lists,
+    features_oracle,
     first_stage_run_oracle,
     hard_negative_groups_oracle,
     outcome,
     parse_run_oracle,
+    record_values,
     rerank,
     rerank_pools_oracle,
     restrict_run_oracle,
     scored_list_checks,
     stack_pools,
+    stack_records,
+    subsample_depth_oracle,
     teacher_dataset_oracle,
-    teacher_order,
 )
 
 WEIRD_IDS = ["d1", "d2", "d10", "", "a b", "a\u00a0b", "a\u2003b", "a\x1cb", "x\n", 5, None]
@@ -289,29 +294,17 @@ class TestTrustedProducers:
     def test_first_stage_run(self):
         assert_checked_equal(world_of().first_stage_run("r"))
 
-    def test_distill_records(self):
+    def test_distill_datasets_pass_the_parser(self):
+        """What the producers build, the checking parser reads back unchanged."""
         full = build_teacher_dataset(world_of().first_stage_run("r"), depth=9)
-        for record in full + subsample_depth(full, 4) + subsample_depth(full[:3], 1):
-            checked = DistillRecord(
-                record.query,
-                record.docs,
-                record.features,
-                record.first_stage_ranks,
-                record.source_depth,
-            )
-            assert type(record) is DistillRecord
-            assert type(record.query) is str and record.query == checked.query
-            assert type(record.docs) is tuple and record.docs == checked.docs
-            assert all(type(doc) is str for doc in record.docs)
-            assert type(record.first_stage_ranks) is tuple
-            assert record.first_stage_ranks == checked.first_stage_ranks
-            assert all(type(rank) is int for rank in record.first_stage_ranks)
-            assert type(record.source_depth) is int
-            assert record.source_depth == checked.source_depth
-            assert type(record.features) is np.ndarray
-            assert record.features.dtype == checked.features.dtype == np.float64
-            assert record.features.shape == checked.features.shape
-            assert record.features.tobytes() == checked.features.tobytes()
+        for dataset in [full, subsample_depth(full, 4), subsample_depth(full, 1)]:
+            assert_dataset_layout(dataset)
+            text = "".join(write_distill_dataset(dataset))
+            parsed = parse_distill_dataset(text)
+            assert_dataset_layout(parsed)
+            assert record_values(parsed) == record_values(dataset)
+            assert parsed.features.tobytes() == dataset.features.tobytes()
+            assert "".join(write_distill_dataset(parsed)) == text
 
     def test_teacher_dataset_still_rejects_non_finite_features(self):
         # Finite feature noise as large as 1e308 can still overflow a feature.
@@ -321,9 +314,9 @@ class TestTrustedProducers:
             build_teacher_dataset(world.first_stage_run("r"), depth=12)
 
     def test_subsample_still_rejects_an_empty_record(self):
-        record = DistillRecord("q", ("a", "b"), np.ones((2, 3)), (4, 2), source_depth=5)
+        dataset = stack_records([("q", ("a", "b"), np.ones((2, 3)), (4, 2), 5)])
         with pytest.raises(ValueError, match="record for query 'q' has no docs"):
-            subsample_depth([record], 1)
+            subsample_depth(dataset, 1)
 
     def test_rerank_run(self):
         block = stack_pools(ragged_pools(np.random.default_rng(3), [4, 1, 12], tie_rows=True))
@@ -371,15 +364,18 @@ def query_subset(data, world, **kwargs):
     return data.draw(st.lists(st.sampled_from(world.query_ids), **kwargs), label="queries")
 
 
-def records(dataset):
-    return [
-        (r.query, r.docs, r.features.tolist(), r.first_stage_ranks, r.source_depth)
-        for r in dataset
-    ]
-
-
-def string_teacher(world):
-    return lambda query, docs: teacher_order(world, query, docs)
+def assert_dataset_layout(dataset):
+    """The column types and shapes that every DistillDataset producer fills."""
+    n, lists = len(dataset.docs), len(dataset)
+    assert type(dataset.queries) is tuple and all(type(q) is str for q in dataset.queries)
+    assert type(dataset.docs) is list and all(type(doc) is str for doc in dataset.docs)
+    assert dataset.offsets.dtype.kind == "i" and dataset.offsets.shape == (lists + 1,)
+    assert dataset.offsets[0] == 0 and dataset.offsets[-1] == n
+    assert (np.diff(dataset.offsets) >= 1).all()
+    assert dataset.features.dtype == np.float64 and dataset.features.flags.c_contiguous
+    assert dataset.features.ndim == 2 and len(dataset.features) == n
+    assert dataset.first_stage_ranks.dtype.kind == "i" and dataset.first_stage_ranks.shape == (n,)
+    assert dataset.source_depths.dtype.kind == "i" and dataset.source_depths.shape == (lists,)
 
 
 class TestFirstStageOrder:
@@ -449,26 +445,26 @@ class TestTeacherDataset:
         queries = query_subset(data, world, min_size=1, max_size=14)
         run = world.first_stage_run("r").restrict(queries)
         oracle = teacher_dataset_oracle(
-            restrict_run_oracle(first_stage_run_oracle(world, "r"), queries),
-            string_teacher(world),
-            world.features_for,
-            depth,
+            world, restrict_run_oracle(first_stage_run_oracle(world, "r"), queries), depth
         )
-        assert records(build_teacher_dataset(run, depth)) == records(oracle)
+        dataset = build_teacher_dataset(run, depth)
+        assert_dataset_layout(dataset)
+        assert record_values(dataset) == record_values(oracle)
 
     @pytest.mark.parametrize("depth", [0, 13])
     def test_errors_match(self, depth):
         world = world_of()
         run = world.first_stage_run("r")
-        expected = outcome(
-            lambda: teacher_dataset_oracle(run, string_teacher(world), world.features_for, depth)
-        )
+        expected = outcome(lambda: teacher_dataset_oracle(world, run, depth))
         assert expected is not None
         assert outcome(lambda: build_teacher_dataset(run, depth)) == expected
 
     def test_no_queries(self):
         world = world_of()
-        assert build_teacher_dataset(world.first_stage_run("r").restrict([]), 13) == []
+        for depth in [1, 13]:
+            dataset = build_teacher_dataset(world.first_stage_run("r").restrict([]), depth)
+            assert len(dataset) == 0 and dataset.docs == [] and list(dataset) == []
+            assert dataset.features.shape == (0, 3) and dataset.offsets.tolist() == [0]
 
 
 @contextmanager
@@ -497,6 +493,17 @@ def sampling_log():
 JUDGED = ["q00_p00", "q00_p03", "q00_p11", "q01_p02", "q00_p3", "q00_p+4", "d1", "q00_p12"]
 
 
+def assert_groups_equal(world, block, groups):
+    """A block of groups holds the oracle's (query, positive, negatives)
+    groups, and each list the features of its docs, looked up doc by doc."""
+    lists = block_lists(block)
+    assert [(query, docs[0], docs[1:]) for query, docs, _ in lists] == groups
+    for query, docs, features in lists:
+        assert np.array_equal(features, features_oracle(world, query, docs))
+    assert block.features.dtype == np.float64 and block.features.flags.c_contiguous
+    assert block.features.shape[1] == world.config.feature_dim
+
+
 class TestHardNegativeGroups:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -507,7 +514,8 @@ class TestHardNegativeGroups:
         queries = query_subset(data, world, max_size=14)
         grades = {}
         for qid in data.draw(st.lists(st.sampled_from(world.query_ids), max_size=12)):
-            docs = [d.replace("q00", qid, 1) for d in JUDGED] + list(world.doc_ids(qid))
+            pool = world._doc_ids(world.query_ids.index(qid), range(12))
+            docs = [d.replace("q00", qid, 1) for d in JUDGED] + pool
             judged = data.draw(st.lists(st.sampled_from(docs), max_size=6), label=qid)
             grades[qid] = {d: data.draw(st.integers(0, 3)) for d in judged}
         qrels = Qrels(grades)
@@ -517,9 +525,24 @@ class TestHardNegativeGroups:
         run = world.first_stage_run("r").restrict(queries)
         oracle_run = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
         expected, skipped = hard_negative_groups_oracle(oracle_run, qrels, cfg)
+        # A group's positive must be a doc of its query's pool: the first
+        # group whose positive is not raises the KeyError of its lookup.
+        outside = [
+            (query, positive) for query, positive, _ in expected
+            if outcome(lambda: world._dindex(world.query_ids.index(query), positive))
+        ]
+        built = []
         with sampling_log() as counts:
-            assert build_hard_negative_groups(run, qrels, cfg) == expected
-        assert counts == ([skipped] if any(skipped) else [])
+            error = outcome(lambda: built.append(build_hard_negative_groups(run, qrels, cfg)))
+        if outside:
+            query, positive = outside[0]
+            qi = world.query_ids.index(query)
+            assert error == outcome(lambda: world._dindex(qi, positive))
+            assert error[0] is KeyError and counts == []
+        else:
+            assert error is None
+            assert_groups_equal(world, built[0], expected)
+            assert counts == ([skipped] if any(skipped) else [])
 
     def test_every_skip_reason(self):
         world = world_of()
@@ -538,7 +561,7 @@ class TestHardNegativeGroups:
             expected, oracle_skipped = hard_negative_groups_oracle(run, qrels, cfg)
             assert oracle_skipped == skipped
             with sampling_log() as counts:
-                assert build_hard_negative_groups(run, qrels, cfg) == expected
+                assert_groups_equal(world, build_hard_negative_groups(run, qrels, cfg), expected)
             assert counts == [skipped]
 
 
@@ -571,42 +594,30 @@ class TestRerankPools:
             build_rerank_pools(other, run, ["q01"], 5)
 
 
-# -- feature lookup ----------------------------------------------------------------
+# -- doc id lookup ------------------------------------------------------------------
 
 
-class TestFeaturesFor:
+class TestDocIndex:
     @pytest.mark.parametrize("doc", ["q00_p7", "q00_p+7", "q00_p\u0667", "q00_p7 ", "q00_p007"])
     def test_only_exact_pool_ids_resolve(self, doc):
         world = world_of()
-        assert world.features_for("q00", ["q00_p07"]).shape == (1, 3)
+        assert world._dindex(0, "q00_p07") == 7
         with pytest.raises(KeyError, match="malformed doc id"):
-            world.features_for("q00", [doc])
-        with pytest.raises(KeyError, match="malformed doc id"):
-            world.true_relevance("q00", doc)
+            world._dindex(0, doc)
 
     @pytest.mark.parametrize(
-        "docs",
+        "doc, message",
         [
-            ("q00_p01", "q00_p11", "q00_p00"),
-            ("q00_p5", "q00_p+7", "q00_p0011"),
-            ("q00_p01", "q01_p02"),
-            ("q00_p12",),
-            ("q00_p1x",),
-            ("q00_p\u0661",),
-            (),
+            ("q01_p02", "doc 'q01_p02' does not belong to query 'q00'"),
+            ("d1", "doc 'd1' does not belong to query 'q00'"),
+            ("q00_p12", "doc 'q00_p12' outside the pool for 'q00'"),
+            ("q00_p1x", "malformed doc id 'q00_p1x'"),
         ],
     )
-    def test_features_for_matches_doc_by_doc_lookup(self, docs):
-        world = world_of()
-        qid = world.query_ids[0]
-
-        def oracle():
-            return world._features[0, [world._dindex(0, d) for d in docs]]
-
-        expected = outcome(oracle)
-        assert outcome(lambda: world.features_for(qid, docs)) == expected
-        if expected is None:
-            assert np.array_equal(world.features_for(qid, docs), oracle())
+    def test_foreign_ids_named(self, doc, message):
+        with pytest.raises(KeyError) as info:
+            world_of()._dindex(0, doc)
+        assert info.value.args == (message,)
 
 
 # -- batched validation and test evaluation ---------------------------------------
@@ -686,7 +697,7 @@ class TestBatchedValidation:
         for pool, qid in zip(block, world.query_ids[:4]):
             docs = run[qid].docs[:5]
             assert pool.docs == docs
-            assert np.array_equal(pool.features, world.features_for(qid, docs))
+            assert np.array_equal(pool.features, features_oracle(world, qid, docs))
         pools = ragged_pools(np.random.default_rng(5), [3, 1, 7])
         for row, pool in zip(stack_pools(pools), pools):
             assert (row.query, row.docs) == (pool.query, pool.docs)
@@ -736,15 +747,66 @@ class TestNdcgRows:
             ndcg_rows(np.zeros((1, 1), dtype=int), np.zeros((1, 1), dtype=int), 0)
 
 
-# -- distillation records -------------------------------------------------------------
+# -- distillation datasets -----------------------------------------------------------
 
 
-class TestDistillRecordChecks:
-    @pytest.mark.parametrize("ranks, bad", [((3, 0, 9), 0), ((3, 9, 0), 9), ((6, 1, 2), 6)])
-    def test_first_out_of_range_rank_named(self, ranks, bad):
-        with pytest.raises(ValueError, match=f"first-stage rank {bad} outside 1..5"):
-            DistillRecord("q", ("a", "b", "c"), np.zeros((3, 2)), ranks, 5)
+@st.composite
+def distill_records(draw):
+    """(query, docs, features, first-stage ranks, source depth) tuples of one
+    feature width: ragged lists, some of length 1, of mixed source depths."""
+    dim = draw(st.integers(1, 3), label="dim")
+    records = []
+    for i in range(draw(st.integers(0, 6), label="lists")):
+        n = draw(st.integers(1, 6), label="n")
+        depth = draw(st.integers(n, 9), label="source depth")
+        ranks = draw(st.permutations(range(1, depth + 1)))[:n]
+        ids = draw(st.permutations(["d1", "d2", "d10", "a", "b", "c", "x9"]))[:n]
+        values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.5, 1e-300])
+        features = draw(st.lists(values, min_size=n * dim, max_size=n * dim))
+        records.append((f"q{i}", tuple(ids), np.reshape(features, (n, dim)), tuple(ranks), depth))
+    return records, dim
 
-    def test_ranks_converted_with_int(self):
-        rec = DistillRecord("q", ("a", "b"), np.zeros((2, 2)), ("2", 1.0), 5)
-        assert rec.first_stage_ranks == (2, 1)
+
+def feature_bytes(records):
+    return b"".join(np.asarray(f, dtype=np.float64).tobytes() for _, _, f, _, _ in records)
+
+
+class TestSubsampleDepth:
+    @settings(max_examples=200, deadline=None)
+    @given(distill_records(), st.integers(0, 10))
+    def test_matches_record_at_a_time_filter(self, drawn, depth):
+        records, dim = drawn
+        dataset = stack_records(records, dim)
+        expected = outcome(lambda: subsample_depth_oracle(records, depth))
+        assert outcome(lambda: subsample_depth(dataset, depth)) == expected
+        if expected is None:
+            got, oracle = subsample_depth(dataset, depth), subsample_depth_oracle(records, depth)
+            assert_dataset_layout(got)
+            assert record_values(got) == record_values(oracle)
+            assert got.features.tobytes() == feature_bytes(oracle)
+            assert got.source_depths.tolist() == [depth] * len(records)
+
+    def test_first_bad_list_wins(self):
+        records = [
+            ("q1", ("a",), [[1.0]], (1,), 5),
+            ("q2", ("a",), [[1.0]], (4,), 5),  # keeps no doc at depth 2
+            ("q3", ("a",), [[1.0]], (1,), 2),  # not deeper than 2
+        ]
+        with pytest.raises(ValueError, match="^record for query 'q2' has no docs$"):
+            subsample_depth(stack_records(records), 2)
+        with pytest.raises(ValueError, match=r"source depth 2 \(query 'q3'\)"):
+            subsample_depth(stack_records(records[:1] + records[2:]), 2)
+
+
+class TestDatasetText:
+    @settings(max_examples=150, deadline=None)
+    @given(distill_records())
+    def test_written_datasets_parse_back_bit_for_bit(self, drawn):
+        records, dim = drawn
+        text = "".join(write_distill_dataset(stack_records(records, dim)))
+        parsed = parse_distill_dataset(io.StringIO(text))
+        assert_dataset_layout(parsed)
+        assert record_values(parsed) == record_values(records)
+        assert parsed.features.tobytes() == feature_bytes(records)
+        assert parsed.features.shape[1] == (dim if records else 0)
+        assert "".join(write_distill_dataset(parsed)) == text

@@ -24,10 +24,9 @@ from ltrlab.trainer import (
     mean_validation_ndcg,
     train_distill,
     train_stage1,
-    train_two_stage,
 )
 
-from _oracles import kendall_tau
+from _oracles import features_oracle, kendall_tau
 
 
 def build_world(seed=3, num_queries=200):
@@ -48,7 +47,7 @@ def setup():
     world = build_world()
     splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
     run = world.first_stage_run("main")
-    dataset = build_teacher_dataset(run.restrict(splits["train"]), depth=30)
+    dataset = build_teacher_dataset(run.restrict(splits["train"]), depth=30).lists()
     validation = make_validation(world, "main", splits["validation"], 30)
     return world, splits, run, dataset, validation
 
@@ -74,14 +73,14 @@ class TestStage1:
 
         run = world.first_stage_run("main").restrict(splits["train"])
         cfg = SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
-        return build_hard_negative_groups(run, world.qrels(), cfg)
+        return build_hard_negative_groups(run, world.qrels(), cfg).lists()
 
     def test_zero_steps_returns_model_unchanged(self, setup):
         world, splits, *_ = setup
         groups = self._groups(world, splits)
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_stage1(
-            model, groups, world.features_for, distill_cfg(loss=LOSS_INFONCE, max_steps=0)
+            model, groups, distill_cfg(loss=LOSS_INFONCE, max_steps=0)
         )
         assert np.array_equal(trained.params, model.params)
         assert report.steps_executed == 0
@@ -92,28 +91,23 @@ class TestStage1:
         groups = self._groups(world, splits)
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_stage1(
-            model, groups, world.features_for, distill_cfg(loss=LOSS_INFONCE, max_steps=300)
+            model, groups, distill_cfg(loss=LOSS_INFONCE, max_steps=300)
         )
 
         def mean_infonce(m):
             from ltrlab.losses import infonce
 
-            values = [
-                infonce(scorer.score_batch(m, world.features_for(g.query, g.members)), 0).value
-                for g in groups
-            ]
-            return float(np.mean(values))
+            return float(np.mean([infonce(scorer.score_batch(m, g), 0).value for g in groups]))
 
         assert mean_infonce(trained) < mean_infonce(model)
 
     def test_groups_have_eight_members_and_loss_curve_per_step(self, setup):
         world, splits, *_ = setup
         groups = self._groups(world, splits)
-        assert all(len(g.members) == 8 for g in groups)
+        assert all(g.shape == (8, 16) for g in groups)
         _, report = train_stage1(
             scorer.init_model("linear", 16, seed=1),
             groups,
-            world.features_for,
             distill_cfg(loss=LOSS_INFONCE, max_steps=25),
         )
         assert [step for step, _ in report.loss_curve] == list(range(1, 26))
@@ -124,8 +118,8 @@ class TestStage1:
         groups = self._groups(world, splits)
         cfg = distill_cfg(loss=LOSS_INFONCE, max_steps=60)
         model = scorer.init_model("linear", 16, seed=1)
-        a, _ = train_stage1(model, groups, world.features_for, cfg)
-        b, _ = train_stage1(model, groups, world.features_for, cfg)
+        a, _ = train_stage1(model, groups, cfg)
+        b, _ = train_stage1(model, groups, cfg)
         assert np.array_equal(a.params, b.params)
 
     def test_wrong_loss_rejected(self, setup):
@@ -134,7 +128,6 @@ class TestStage1:
             train_stage1(
                 scorer.init_model("linear", 16, seed=1),
                 self._groups(world, splits),
-                world.features_for,
                 distill_cfg(loss=LOSS_RANKNET),
             )
 
@@ -144,9 +137,19 @@ class TestStage1:
             train_stage1(
                 scorer.init_model("linear", 16, seed=1),
                 [],
-                world.features_for,
                 distill_cfg(loss=LOSS_INFONCE),
             )
+
+    def test_groups_gather_the_features_of_their_docs(self, setup):
+        world, splits, *_ = setup
+        from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
+
+        run = world.first_stage_run("main").restrict(splits["train"])
+        groups = build_hard_negative_groups(run, world.qrels(), SamplingConfig(50, 7, seed=2))
+        for i, features in enumerate(groups.lists()):
+            lo, hi = groups.offsets[i], groups.offsets[i + 1]
+            expected = features_oracle(world, groups.queries[i], groups.docs[lo:hi])
+            assert np.array_equal(features, expected)
 
 
 class TestTrainDistill:
@@ -160,7 +163,8 @@ class TestTrainDistill:
         taus = []
         for qid in splits["test"]:
             docs = run[qid].docs[:30]
-            teacher_order = tuple(sorted(docs, key=lambda d: -world.true_relevance(qid, d)))
+            qi = world.query_ids.index(qid)
+            teacher_order = tuple(sorted(docs, key=lambda d: -world._rel[qi, world._dindex(qi, d)]))
             taus.append(kendall_tau(reranked[qid].docs, teacher_order))
         assert float(np.mean(taus)) > 0.9
 
@@ -205,7 +209,7 @@ class TestTrainDistill:
         cfg = distill_cfg(max_steps=1, batch_size=len(dataset))
         _, report = train_distill(model, dataset, validation, cfg)
         expected = float(
-            np.mean([ranknet(scorer.score_batch(model, r.features)).value for r in dataset])
+            np.mean([ranknet(scorer.score_batch(model, features)).value for features in dataset])
         )
         assert report.loss_curve[0][1] == pytest.approx(expected)
 
@@ -247,8 +251,7 @@ class TestTrainDistill:
 
 
 class TestTwoStage:
-    def test_zero_distill_steps_equals_stage1_model(self, setup):
-        world, splits, _, dataset, validation = setup
+    def _stage1(self, world, splits, steps):
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
         run = world.first_stage_run("main").restrict(splits["train"])
@@ -256,34 +259,25 @@ class TestTwoStage:
             run, world.qrels(), SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         )
         model = scorer.init_model("linear", 16, seed=1)
-        cfg1 = distill_cfg(loss=LOSS_INFONCE, max_steps=40)
-        stage1_only, _ = train_stage1(model, groups, world.features_for, cfg1)
-        two_stage, (r1, r2) = train_two_stage(
-            model,
-            groups,
-            world.features_for,
-            dataset,
-            validation,
-            cfg1,
-            distill_cfg(max_steps=0),
+        return train_stage1(model, groups.lists(), distill_cfg(loss=LOSS_INFONCE, max_steps=steps))
+
+    def test_zero_distill_steps_keep_the_stage1_model(self, setup):
+        world, splits, _, dataset, validation = setup
+        stage1_model, _ = self._stage1(world, splits, 40)
+        two_stage, report = train_distill(
+            stage1_model, dataset, validation, distill_cfg(max_steps=0)
         )
-        assert np.array_equal(two_stage.params, stage1_only.params)
-        assert r2.steps_executed == 0
+        assert np.array_equal(two_stage.params, stage1_model.params)
+        assert report.steps_executed == 0
 
     def test_deterministic(self, setup):
         world, splits, _, dataset, validation = setup
-        from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
-
-        run = world.first_stage_run("main").restrict(splits["train"])
-        groups = build_hard_negative_groups(
-            run, world.qrels(), SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
-        )
-        model = scorer.init_model("linear", 16, seed=1)
-        cfg1 = distill_cfg(loss=LOSS_INFONCE, max_steps=30)
-        cfg2 = distill_cfg(max_steps=50)
-        a, _ = train_two_stage(model, groups, world.features_for, dataset, validation, cfg1, cfg2)
-        b, _ = train_two_stage(model, groups, world.features_for, dataset, validation, cfg1, cfg2)
-        assert np.array_equal(a.params, b.params)
+        models = []
+        for _ in range(2):
+            stage1_model, _ = self._stage1(world, splits, 30)
+            model, _ = train_distill(stage1_model, dataset, validation, distill_cfg(max_steps=50))
+            models.append(model)
+        assert np.array_equal(models[0].params, models[1].params)
 
 
 def test_train_config_validation():
