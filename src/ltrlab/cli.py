@@ -426,25 +426,13 @@ def _read_qrels(path: str) -> core.Qrels:
         return core.parse_qrels(f)
 
 
-def _padded(rows: Sequence[Sequence[int]]) -> np.ndarray:
-    """Rows of grades, zero-padded on the right to one (at least 1-wide) matrix."""
-    out = np.zeros((len(rows), max(1, *map(len, rows))), dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, : len(row)] = row
-    return out
-
-
 def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, float]:
     """nDCG@k of every query of a parsed run, in the run's query order."""
     if not run:
         return {}
-    ranked, ideal = [], []
     bounds = run.offsets.tolist()
-    for qid, lo, hi in zip(run.queries, bounds, bounds[1:]):
-        judged = qrels.judged(qid)
-        ranked.append([judged.get(doc, 0) for doc in run.docs[lo:hi][:k]])
-        ideal.append(sorted(judged.values(), reverse=True)[:k])
-    values = evaluation.ndcg_rows(_padded(ranked), _padded(ideal), k)
+    ranked = [run.docs[lo:hi][:k] for lo, hi in zip(bounds, bounds[1:])]
+    values = evaluation.ndcg_rows(*evaluation.grade_rows(qrels, run.queries, ranked), k)
     return dict(zip(run.queries, values.tolist()))
 
 

@@ -2,12 +2,14 @@
 
 Covers the 6-column TREC run format, the 4-column qrels format, and the
 line-delimited distillation dataset format used by the rest of the toolkit.
-All types are immutable values after construction and safe to share between
-workers.
+`ScoredList` and `Qrels` are values, fixed once built; a `ListBlock` holds
+its columns as plain, writable arrays and lists, and no code changes them
+once the block is filled.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -57,17 +59,6 @@ def canonical_order(
     return tuple(sorted(entries, key=lambda e: (-e[1], e[0])))
 
 
-def doc_keys(docs: Sequence[DocId]) -> np.ndarray:
-    """Rank of each doc id in Python string order, 0 for the smallest.
-
-    As the last key of `np.lexsort` it breaks score ties by ascending doc id
-    exactly as `canonical_order` does, for any ids.
-    """
-    keys = np.empty(len(docs), dtype=np.intp)
-    keys[sorted(range(len(docs)), key=docs.__getitem__)] = np.arange(len(docs))
-    return keys
-
-
 def _ids_valid(docs: Sequence) -> bool:
     """One pass over all ids that accepts only what the per-id checks accept.
 
@@ -82,24 +73,13 @@ def _ids_valid(docs: Sequence) -> bool:
     )
 
 
-def validate_doc_ids(query: QueryId, docs: Sequence[DocId]) -> None:
-    """Check one list's doc ids: valid ids, pairwise distinct."""
-    if _ids_valid(docs):
-        return
-    seen: set[str] = set()
-    for doc in docs:
-        validate_id(doc, "doc id")
-        if doc in seen:
-            raise ValueError(f"duplicate doc id {doc!r} in list for query {query!r}")
-        seen.add(doc)
-
-
 @dataclass(frozen=True)
 class ScoredList:
     """A query's candidate documents with relevance scores.
 
-    The entry order is the ranking: producers (`parse_run`, re-ranking) emit
-    entries sorted by descending score with ties broken by ascending doc id.
+    The entry order is the ranking, canonical order: descending score, ties
+    by ascending doc id. The constructor checks the entries and sorts them
+    into that order; the trusted producers build them in it.
     """
 
     query: QueryId
@@ -108,7 +88,6 @@ class ScoredList:
     def __post_init__(self):
         validate_id(self.query, "query id")
         entries = tuple(map(tuple, self.entries))
-        object.__setattr__(self, "entries", entries)
         seen: set[str] = set()
         for doc, score in entries:
             validate_id(doc, "doc id")
@@ -117,6 +96,7 @@ class ScoredList:
             seen.add(doc)
             if not np.isfinite(score):
                 raise ValueError(f"non-finite score for doc {doc!r} in query {self.query!r}")
+        object.__setattr__(self, "entries", canonical_order(entries))
 
     @classmethod
     def _trusted(cls, query: QueryId, entries: tuple[tuple[DocId, float], ...]) -> ScoredList:
@@ -124,7 +104,8 @@ class ScoredList:
 
         Only for producers that have already established every invariant
         the constructor checks: a valid query id, a tuple of (doc, score)
-        tuples with valid, pairwise distinct doc ids and finite scores.
+        tuples with valid, pairwise distinct doc ids and finite scores, in
+        canonical order.
         """
         ranking = object.__new__(cls)
         object.__setattr__(ranking, "query", query)
@@ -351,9 +332,9 @@ def _first_duplicate(
 def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> Iterator[str]:
     """Serialize rankings as TREC run text, one chunk of lines per query.
 
-    Queries are emitted in sorted order, entries in canonical order, scores
-    with exactly 6 decimal places. parse_run("".join(write_run(x))) reproduces
-    the ordering and the scores to 6 decimals.
+    Queries are emitted in sorted order, entries in their list's (canonical)
+    order, scores with exactly 6 decimal places. parse_run("".join(write_run(x)))
+    reproduces the ordering and the scores to 6 decimals.
     """
     validate_id(tag, "run tag")
     for qid in sorted(rankings):
@@ -363,7 +344,7 @@ def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> Iterator[str]
         yield "".join(
             [
                 f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
-                for rank, (doc, score) in enumerate(canonical_order(ranking.entries), start=1)
+                for rank, (doc, score) in enumerate(ranking.entries, start=1)
             ]
         )
 
@@ -514,10 +495,15 @@ def parse_distill_dataset(source: str | IO[str]) -> DistillDataset:
             source_depth = _integer(obj, "source_depth")
             passages = obj["passages"]
             rec_docs = [p["doc_id"] for p in passages]
-            feats = np.array([p["features"] for p in passages], dtype=np.float64)
+            rows = [p["features"] for p in passages]
+            feats = np.array(rows, dtype=np.float64)  # other shapes fail _check_record
+            bad = feats.ndim == 2 and set(map(type, itertools.chain(*rows))) - {int, float}
+            if bad:
+                value = next(v for row in rows for v in row if type(v) in bad)
+                raise TypeError(f"features must be JSON numbers, got {value!r}")
             rec_ranks = [_integer(p, "first_stage_rank") for p in passages]
             teacher_ranks = [_integer(p, "teacher_rank") for p in passages]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"bad record structure: {exc}", lineno) from None
         if teacher_ranks != list(range(1, len(passages) + 1)):
             raise ParseError("passages are not in teacher order (teacher_rank must be 1..n)", lineno)

@@ -215,12 +215,13 @@ class WorldRun(Mapping[QueryId, ScoredList]):
         rows = np.unique(self.rows(queries))
         return WorldRun(self.world, self._scores, self.qindex[rows], self.order[rows])
 
-    def top(self, queries: Sequence[QueryId], depth: int) -> tuple[list[list[DocId]], np.ndarray]:
-        """The top-`depth` doc ids of each query and their (len(queries), n, F) features."""
+    def top(self, queries: Sequence[QueryId], depth: int) -> tuple[list, np.ndarray, np.ndarray]:
+        """The top-`depth` doc ids of each query, their (len(queries), n) pool
+        indices and their (len(queries), n, F) features."""
         rows = self.rows(queries)
         qindex, top = self.qindex[rows], self.order[rows, : depth if len(rows) else 0]
         docs = [self.world._doc_ids(qi, idx) for qi, idx in zip(qindex.tolist(), top.tolist())]
-        return docs, self.world._features[qindex[:, None], top]
+        return docs, top, self.world._features[qindex[:, None], top]
 
     def __len__(self) -> int:
         return len(self.queries)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .core import Qrels, ScoredList
+from .core import DocId, Qrels, QueryId, ScoredList
 
 logger = logging.getLogger(__name__)
 
@@ -69,6 +69,29 @@ def ndcg_rows(ranked_grades: np.ndarray, ideal_grades: np.ndarray, k: int = 10) 
     dcg = _dcg_rows(ranked_grades, k)
     idcg = _dcg_rows(ideal_grades, k)
     return np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg != 0.0)
+
+
+def grade_rows(
+    qrels: Qrels, queries: Sequence[QueryId], ranked_docs: Sequence[Sequence[DocId]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs of `ndcg_rows` for lists of docs in ranked order.
+
+    Row i of the first matrix holds the grades of `ranked_docs[i]` and row i
+    of the second all judged grades of `queries[i]`, best first. Both are
+    zero-padded on the right and at least one column wide.
+    """
+
+    def padded(rows: list[list[int]]) -> np.ndarray:
+        out = np.zeros((len(rows), max([1, *map(len, rows)])), dtype=np.int64)
+        for row, values in zip(out, rows):
+            row[: len(values)] = values
+        return out
+
+    judged = [qrels.judged(query) for query in queries]
+    return (
+        padded([[grades.get(doc, 0) for doc in docs] for grades, docs in zip(judged, ranked_docs)]),
+        padded([sorted(grades.values(), reverse=True) for grades in judged]),
+    )
 
 
 def micro_average(

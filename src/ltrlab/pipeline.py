@@ -50,7 +50,7 @@ def build_rerank_pools(
     """Top-`depth` candidates of each query's run of `world`, with their features."""
     if run.world is not world:
         raise ValueError("the run is not a run of this world")
-    return PoolBlock(queries, *run.top(queries, depth))
+    return PoolBlock(tuple(queries), *run.top(queries, depth))
 
 
 def make_validation(
@@ -70,12 +70,10 @@ def evaluate_model(
         return {}, {}
     scores, order = pools.rank(model)
     ndcg = ValidationSet(pools, qrels).ndcg_of(order, k)
-    # The block checked the ids and `rank` the scores: the lists are trusted.
+    # World ids are valid and `rank` checked the scores: the lists are trusted.
     run = {}
-    for query, docs, length, row, ranked in zip(
-        pools.queries, pools.docs, pools.lengths, scores, order
-    ):
-        ranked = ranked[:length].tolist()
+    for query, docs, row, ranked in zip(pools.queries, pools.docs, scores, order):
+        ranked = ranked.tolist()
         entries = tuple(zip([docs[j] for j in ranked], row[ranked].tolist()))
         run[query] = ScoredList._trusted(query, entries)
     return dict(zip(pools.queries, ndcg.tolist())), run

@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import losses, scorer
-from .core import DocId, Qrels, QueryId, doc_keys, validate_doc_ids, validate_id
-from .evaluation import ndcg_rows
+from .core import DocId, Qrels, QueryId
+from .evaluation import grade_rows, ndcg_rows
 
 logger = logging.getLogger(__name__)
 
@@ -95,58 +95,43 @@ class TrainReport:
 
 
 class RerankPool(NamedTuple):
-    """One row of a PoolBlock: a query's candidates and their features.
-
-    An unchecked view; the block checked the ids when it was built.
-    """
+    """One row of a PoolBlock: a query's candidates and their features."""
 
     query: QueryId
     docs: tuple[DocId, ...]
     features: np.ndarray
 
 
+@dataclass(eq=False, repr=False)
 class PoolBlock:
-    """Candidate pools of many queries as one zero-padded (Q, n, F) block.
+    """The top of many queries' pools in a world run, as one (Q, n, F) block.
 
-    Row i is query i's pool: `features[i, :lengths[i]]` are the features of
-    docs[i], and `mask` is False on the zero rows past them. `doc_key[i, j]`
-    ranks docs[i][j] among its row's ids in string order, the tie-break of
-    canonical order. Ids are checked once, here; ranking checks only that
-    the scores are finite. Iterating yields each row as a RerankPool view.
+    Row i is query `queries[i]`: `docs[i][j]` is the doc at pool index
+    `index[i, j]` of its world query and `features[i, j]` its features.
+    `pipeline.build_rerank_pools` cuts blocks from world runs, whose ids are
+    valid, so nothing checks them again. The world's doc ids are zero-padded
+    and sort like their pool indices, so `index` breaks score ties as
+    canonical order does by doc id. Iterating yields each row as a RerankPool.
     """
 
-    def __init__(
-        self, queries: Sequence[QueryId], docs: Sequence[Sequence[DocId]], features: np.ndarray
-    ):
-        self.queries = tuple(queries)
-        self.docs = tuple(map(tuple, docs))
-        for query, row in zip(self.queries, self.docs):
-            validate_id(query, "query id")
-            validate_doc_ids(query, row)
-        self.lengths = np.array([len(row) for row in self.docs], dtype=np.intp)
-        features = np.asarray(features, dtype=np.float64)
-        width = int(self.lengths.max(initial=0))
-        if features.ndim != 3 or features.shape[:2] != (len(self.queries), width):
-            raise ValueError(f"features must be ({len(self.queries)}, {width}, F)")
-        self.features = features
-        self.mask = np.arange(width) < self.lengths[:, None]
-        self.doc_key = np.zeros(self.mask.shape, dtype=np.intp)
-        for i, row in enumerate(self.docs):
-            self.doc_key[i, : len(row)] = doc_keys(row)
+    queries: tuple[QueryId, ...]
+    docs: list[list[DocId]]
+    index: np.ndarray  # (Q, n)
+    features: np.ndarray  # (Q, n, F)
 
     def __len__(self) -> int:
         return len(self.queries)
 
     def __iter__(self):
         for query, docs, features in zip(self.queries, self.docs, self.features):
-            yield RerankPool(query, docs, features[: len(docs)])
+            yield RerankPool(query, tuple(docs), features)
 
     def rank(self, model: scorer.ScorerModel) -> tuple[np.ndarray, np.ndarray]:
         """Every row's scores and canonical order, in one sort.
 
         Returns the (Q, n) scores and, per row, the column indices by
-        descending score with ties by ascending doc id, padding last: row i
-        of the order is `core.canonical_order` of row i's (doc, score) pairs.
+        descending score with ties by ascending doc id: row i of the order
+        is `core.canonical_order` of row i's (doc, score) pairs.
 
         Each row is scored on its own: BLAS sums a row's products in an
         order that depends on the matrix shape (a 1-row matrix takes another
@@ -154,38 +139,31 @@ class PoolBlock:
         an ulp from `scorer.score_batch` of the row alone and break a tie
         differently.
         """
-        scores = np.zeros(self.mask.shape)
-        for row, length, features in zip(scores, self.lengths, self.features):
-            row[:length] = scorer.score_batch(model, features[:length])
-        bad = self.mask & ~np.isfinite(scores)
+        scores = np.zeros(self.index.shape)
+        for row, features in zip(scores, self.features):
+            row[:] = scorer.score_batch(model, features)
+        bad = ~np.isfinite(scores)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise ValueError(
                 f"non-finite score for doc {self.docs[i][j]!r} in query {self.queries[i]!r}"
             )
-        order = np.lexsort((self.doc_key, np.where(self.mask, -scores, np.inf)), axis=-1)
-        return scores, order
+        return scores, np.lexsort((self.index, -scores), axis=-1)
 
 
 class ValidationSet:
     """Held-out pools plus their judgments, for early stopping and evaluation.
 
     `grades[i, j]` is the judged grade of the doc in column j of the block's
-    row i (0 when unjudged or padding), and `ideal[i]` holds all of query
-    i's judged grades, best first, zero-padded: the inputs of
-    `evaluation.ndcg_rows`.
+    row i (0 when unjudged), and `ideal[i]` holds all of query i's judged
+    grades, best first: the inputs of `evaluation.ndcg_rows`.
     """
 
     def __init__(self, block: PoolBlock, qrels: Qrels):
         self.block = block
         if not len(self.block):
             raise ValueError("validation set must contain at least one pool")
-        judged = [qrels.judged(query) for query in self.block.queries]
-        self.grades = np.zeros(self.block.mask.shape, dtype=np.int64)
-        self.ideal = np.zeros((len(judged), max(1, *map(len, judged))), dtype=np.int64)
-        for i, (docs, grades) in enumerate(zip(self.block.docs, judged)):
-            self.grades[i, : len(docs)] = [grades.get(doc, 0) for doc in docs]
-            self.ideal[i, : len(grades)] = sorted(grades.values(), reverse=True)
+        self.grades, self.ideal = grade_rows(qrels, block.queries, block.docs)
 
     def ndcg(self, model: scorer.ScorerModel, k: int = 10) -> np.ndarray:
         """Per-pool nDCG@k of the model's ranking; entry i equals `ndcg_at_k`

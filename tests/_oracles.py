@@ -140,19 +140,6 @@ def rerank(model, pool):
     return ScoredList(query, canonical_order(zip(docs, scores)))
 
 
-def stack_pools(pools):
-    """(query, docs, features) pools stacked into one zero-padded PoolBlock."""
-    from ltrlab.trainer import PoolBlock
-
-    pools = list(pools)
-    width = max((len(docs) for _, docs, _ in pools), default=0)
-    dim = np.shape(pools[0][2])[1] if pools else 0
-    features = np.zeros((len(pools), width, dim))
-    for row, (_, docs, feats) in zip(features, pools):
-        row[: len(docs)] = feats
-    return PoolBlock([q for q, _, _ in pools], [docs for _, docs, _ in pools], features)
-
-
 def outcome(fn):
     """None when fn() returns, else the type and message of what it raised."""
     try:

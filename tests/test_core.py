@@ -197,6 +197,7 @@ NON_FINITE = "record for query 'q' has non-finite features"
 EMPTY = {"docs": (), "features": (), "ranks": ()}
 THREE = {"docs": ("a", "b", "c"), "features": ((1.0,),) * 3}
 BAD_INTEGER = "bad record structure: {} must be a 64-bit integer, got {}"
+BAD_FEATURE = "bad record structure: features must be JSON numbers, got {}"
 
 
 class TestDistillDataset:
@@ -285,6 +286,14 @@ class TestDistillDataset:
             ({"ranks": ("3", 1)}, BAD_INTEGER.format("first_stage_rank", "'3'")),
             ({"ranks": (True, 2)}, BAD_INTEGER.format("first_stage_rank", True)),
             ({"teacher": (1.0, 2)}, BAD_INTEGER.format("teacher_rank", 1.0)),
+            # Feature values must be JSON numbers, not anything float() accepts.
+            ({"features": ((1.0, "1.5"), (3.0, 4.0))}, BAD_FEATURE.format("'1.5'")),
+            ({"features": ((1.0, 2.0), (True, 4.0))}, BAD_FEATURE.format(True)),
+            ({"features": ((1.0, None), (3.0, 4.0))}, BAD_FEATURE.format(None)),
+            (
+                {"features": ((1.0, 10**400), (3.0, 4.0))},
+                "bad record structure: int too large to convert to float",
+            ),
         ],
     )
     def test_bad_record_named_with_its_line(self, fields, message):

@@ -22,7 +22,6 @@ from ltrlab.core import (
     ScoredList,
     parse_distill_dataset,
     parse_run,
-    validate_doc_ids,
     write_distill_dataset,
     write_run,
 )
@@ -36,7 +35,7 @@ from ltrlab.distill_data import (
 )
 from ltrlab.evaluation import ndcg_at_k, ndcg_rows
 from ltrlab.pipeline import build_rerank_pools, evaluate_model
-from ltrlab.trainer import RerankPool, ValidationSet, mean_validation_ndcg
+from ltrlab.trainer import ValidationSet, mean_validation_ndcg
 
 from _oracles import (
     block_lists,
@@ -50,7 +49,6 @@ from _oracles import (
     rerank_pools_oracle,
     restrict_run_oracle,
     scored_list_checks,
-    stack_pools,
     stack_records,
     subsample_depth_oracle,
     teacher_dataset_oracle,
@@ -117,26 +115,19 @@ class TestScoredListChecks:
         assert outcome(lambda: ScoredList("q", entries)) == expected
 
     @pytest.mark.parametrize(
-        "entries",
+        "entries, order",
         [
-            [],
-            [("d9", 1.0), ("d10", 1.0)],
-            [("d1", 1), ("d2", np.float32(2.0)), ("d3", True)],
-            [("d1", 1 + 0j)],
-            [(np.str_("d1"), 1.0)],
+            ([], []),
+            ([("d9", 1.0), ("d10", 1.0)], [1, 0]),
+            ([("d1", 1), ("d2", np.float32(2.0)), ("d3", True)], [1, 0, 2]),
+            ([("d1", 1 + 0j)], [0]),
+            ([(np.str_("d1"), 1.0)], [0]),
         ],
     )
-    def test_accepts_like_per_doc_loop(self, entries):
+    def test_accepts_like_per_doc_loop(self, entries, order):
+        """Accepted entries come back in canonical order."""
         assert scored_list_checks("q", entries) is None
-        assert ScoredList("q", entries).entries == tuple(map(tuple, entries))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from(WEIRD_IDS), st.text(max_size=3)), max_size=6))
-    def test_doc_ids_checked_like_scored_list(self, docs):
-        expected = outcome(lambda: scored_list_checks("q", [(d, 0.0) for d in docs]))
-        assert outcome(lambda: validate_doc_ids("q", docs)) == expected
-        block = outcome(lambda: stack_pools([("q", docs, np.zeros((len(docs), 2)))]))
-        assert block == expected
+        assert ScoredList("q", entries).entries == tuple(entries[i] for i in order)
 
     def test_every_whitespace_character_rejected(self):
         for code in range(0x110000):
@@ -319,7 +310,8 @@ class TestTrustedProducers:
             subsample_depth(dataset, 1)
 
     def test_rerank_run(self):
-        block = stack_pools(ragged_pools(np.random.default_rng(3), [4, 1, 12], tie_rows=True))
+        world = world_of()
+        block = build_rerank_pools(world, world.first_stage_run("r"), world.query_ids, 12)
         for model in models():
             assert_checked_equal(evaluate_model(model, block, Qrels())[1])
 
@@ -579,11 +571,14 @@ class TestRerankPools:
         depth = data.draw(st.integers(1, 15), label="depth")
         block = build_rerank_pools(world, run, queries, depth)
         pools = rerank_pools_oracle(world, first_stage_run_oracle(world, "r"), queries, depth)
-        assert (block.queries, block.docs) == (tuple(queries), tuple(docs for _, docs, _ in pools))
+        assert block.queries == tuple(queries)
+        assert [tuple(docs) for docs in block.docs] == [docs for _, docs, _ in pools]
+        index = [[world._dindex(world.query_ids.index(q), d) for d in docs] for q, docs, _ in pools]
+        assert block.index.tolist() == (index if pools else [])
         if pools:
-            assert np.array_equal(block.features, stack_pools(pools).features)
+            assert np.array_equal(block.features, np.array([f for _, _, f in pools]))
         else:
-            assert block.features.shape == (0, 0, 3)
+            assert block.index.shape == (0, 0) and block.features.shape == (0, 0, 3)
 
     def test_errors(self):
         world, other = world_of(), world_of()
@@ -592,6 +587,14 @@ class TestRerankPools:
             build_rerank_pools(world, run, ["q01", "x"], 5)
         with pytest.raises(ValueError, match="not a run of this world"):
             build_rerank_pools(other, run, ["q01"], 5)
+
+    @pytest.mark.parametrize("docs_per_query", [1, 9, 10, 11, 100, 101])
+    def test_doc_id_order_is_pool_order(self, docs_per_query):
+        """The tie-break of a block's ranking: pool index order is doc id order."""
+        world = world_of(docs_per_query=docs_per_query)
+        for qi in (0, len(world.query_ids) - 1):
+            docs = world._doc_ids(qi, range(docs_per_query))
+            assert sorted(docs) == docs and len(set(docs)) == docs_per_query
 
 
 # -- doc id lookup ------------------------------------------------------------------
@@ -623,24 +626,14 @@ class TestDocIndex:
 # -- batched validation and test evaluation ---------------------------------------
 
 
-def ragged_pools(rng, sizes, dim=3, tie_rows=False):
-    """Pools whose ids' string order differs from pool order (d9 before d10)."""
-    pools = []
-    for i, n in enumerate(sizes):
-        docs = [f"d{j}" for j in rng.permutation(12)[:n] + 1]
-        feats = rng.integers(-1, 2, size=(n, dim)).astype(float)
-        if tie_rows and n > 1:
-            feats[1:] = feats[0]  # duplicated feature rows: every score ties
-        pools.append(RerankPool(f"q{i}", tuple(docs), feats))
-    return pools
-
-
-def random_qrels(rng, pools):
+def random_qrels(data, world, queries):
+    """Grades for some docs of some queries, and for a doc no pool holds."""
     grades = {}
-    for pool in pools[:-1]:  # the last query has no judgments at all
-        judged = {d: int(rng.integers(0, 4)) for d in pool.docs if rng.random() < 0.5}
-        judged["unretrieved"] = int(rng.integers(0, 4))
-        grades[pool.query] = judged
+    for qid in data.draw(st.lists(st.sampled_from(queries), max_size=len(queries)), label="judged"):
+        docs = data.draw(st.lists(st.sampled_from(world._doc_ids(0, range(12))), max_size=6))
+        judged = {doc.replace("q00", qid, 1): data.draw(st.integers(0, 3)) for doc in docs}
+        judged["unretrieved"] = data.draw(st.integers(0, 3))
+        grades[qid] = judged
     return Qrels(grades)
 
 
@@ -650,77 +643,87 @@ def models(dim=3):
             scorer.init_model(scorer.MLP, dim, hidden_width=4, seed=2)]
 
 
+def world_pools(world, queries, depth):
+    """A block cut from the world's run "r" and the oracle's pools of its rows."""
+    block = build_rerank_pools(world, world.first_stage_run("r"), queries, depth)
+    return block, rerank_pools_oracle(world, first_stage_run_oracle(world, "r"), queries, depth)
+
+
 class TestBatchedValidation:
     @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(st.integers(1, 12), min_size=1, max_size=6),
-        st.integers(1, 14),
-        st.integers(0, 2**16),
-        st.booleans(),
-    )
-    def test_ndcg_and_runs_match_scalar_path(self, sizes, k, seed, tie_rows):
-        rng = np.random.default_rng(seed)
-        pools = ragged_pools(rng, sizes, tie_rows=tie_rows)
-        qrels = random_qrels(rng, pools)
-        block = stack_pools(pools)
+    @given(st.data())
+    def test_ndcg_and_runs_match_scalar_path(self, data):
+        world = world_of()
+        if data.draw(st.booleans(), label="tied run"):
+            force_ties(world, data, ["fs"])
+        run = world.first_stage_run("r")
+        if data.draw(st.booleans(), label="restricted"):
+            run = run.restrict(query_subset(data, world, min_size=1, max_size=14))
+        queries = data.draw(st.lists(st.sampled_from(run.queries), min_size=1, max_size=8))
+        depth = data.draw(st.integers(1, 13), label="depth")
+        k = data.draw(st.integers(1, 14), label="k")
+        qrels = random_qrels(data, world, queries)
+        block = build_rerank_pools(world, run, queries, depth)
+        pools = rerank_pools_oracle(world, first_stage_run_oracle(world, "r"), queries, depth)
         validation = ValidationSet(block, qrels)
         for model in models():
             oracle = [ndcg_at_k(rerank(model, pool), qrels, k) for pool in pools]
             assert validation.ndcg(model, k).tolist() == oracle
             assert mean_validation_ndcg(model, validation, k) == float(np.mean(oracle))
             scores, run = evaluate_model(model, block, qrels, k)
-            assert scores == {pool.query: value for pool, value in zip(pools, oracle)}
+            assert scores == {query: value for (query, _, _), value in zip(pools, oracle)}
             assert {q: r.entries for q, r in run.items()} == {
-                pool.query: rerank(model, pool).entries for pool in pools
+                pool[0]: rerank(model, pool).entries for pool in pools
             }
 
     def test_length_one_pools(self):
-        rng = np.random.default_rng(0)
-        pools = ragged_pools(rng, [1, 1, 1])
-        qrels = Qrels({"q0": {pools[0].docs[0]: 2}, "q1": {"other": 1}})
+        world = world_of()
+        block, pools = world_pools(world, ["q00", "q01", "q02"], 1)
+        qrels = Qrels({"q00": {pools[0][1][0]: 2}, "q01": {"other": 1}})
         for model in models():
-            assert ValidationSet(stack_pools(pools), qrels).ndcg(model).tolist() == [1.0, 0.0, 0.0]
+            assert ValidationSet(block, qrels).ndcg(model).tolist() == [1.0, 0.0, 0.0]
 
-    def test_string_order_differs_from_pool_order(self):
-        pool = ("q", ("d9", "d10", "d1"), np.zeros((3, 3)))
-        qrels = Qrels({"q": {"d10": 1}})
-        zero = models()[0]
-        assert rerank(zero, pool).docs == ("d1", "d10", "d9")
-        expected = ndcg_at_k(rerank(zero, pool), qrels, 10)
-        assert ValidationSet(stack_pools([pool]), qrels).ndcg(zero).tolist() == [expected]
-        assert evaluate_model(zero, stack_pools([pool]), qrels)[1]["q"].docs == ("d1", "d10", "d9")
+    def test_ties_rank_by_doc_id(self):
+        """Under a zero model every score ties: q_p09 comes before q_p10."""
+        world = world_of()
+        block, _ = world_pools(world, world.query_ids, 12)
+        run = evaluate_model(models()[0], block, Qrels())[1]
+        for query, docs in zip(block.queries, block.docs):
+            assert list(run[query].docs) == sorted(docs)
+        assert run["q00"].docs[9:11] == ("q00_p09", "q00_p10")
 
-    def test_block_from_world_matches_stacked_pools(self):
+    def test_block_rows_are_rerank_pools(self):
         world = world_of()
         run = world.first_stage_run("r")
         block = build_rerank_pools(world, run, world.query_ids[:4], 5)
         for pool, qid in zip(block, world.query_ids[:4]):
             docs = run[qid].docs[:5]
-            assert pool.docs == docs
+            assert (pool.query, pool.docs) == (qid, docs)
             assert np.array_equal(pool.features, features_oracle(world, qid, docs))
-        pools = ragged_pools(np.random.default_rng(5), [3, 1, 7])
-        for row, pool in zip(stack_pools(pools), pools):
-            assert (row.query, row.docs) == (pool.query, pool.docs)
-            assert np.array_equal(row.features, pool.features)
 
     def test_empty_pools(self):
         model = models()[1]
-        empty = stack_pools([])
+        world = world_of()
+        empty = build_rerank_pools(world, world.first_stage_run("r"), [], 5)
         assert evaluate_model(model, empty, Qrels()) == ({}, {})
         with pytest.raises(ValueError, match="at least one pool"):
             ValidationSet(empty, Qrels())
 
     def test_non_finite_scores_rejected_like_rerank(self):
-        pool = ("q", ("d1", "d2"), [[1e308, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        world = world_of()
+        run = world.first_stage_run("r")
+        doc = run["q03"].docs[2]
+        world._features[3, world._dindex(3, doc)] = [1e308, 0.0, 0.0]
+        block, pools = world_pools(world, ["q01", "q03"], 5)
         model = scorer.ScorerModel(scorer.LINEAR, 3, 0, np.array([10.0, 0.0, 0.0, 0.0]))
-        message = "non-finite score for doc 'd1' in query 'q'"
+        message = f"non-finite score for doc '{doc}' in query 'q03'"
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError, match=message):
-                rerank(model, pool)
+                rerank(model, pools[1])
             with pytest.raises(ValueError, match=message):
-                ValidationSet(stack_pools([pool]), Qrels()).ndcg(model)
+                ValidationSet(block, Qrels()).ndcg(model)
             with pytest.raises(ValueError, match=message):
-                evaluate_model(model, stack_pools([pool]), Qrels())
+                evaluate_model(model, block, Qrels())
 
 
 class TestNdcgRows:
