@@ -1,10 +1,10 @@
 """Command-line surface: world generation through evaluation and cost simulation.
 
-One experiment is described by one JSON config file; flags override config
-values. Every command prints its resolved configuration before running and
-writes outputs to a temp file followed by an atomic rename, so a crash never
-leaves a partial artifact. Exit status: 0 success, 1 usage error, 2 data or
-validation error.
+One experiment is described by one JSON config file; only --seed and
+train --loss override config values. Every command prints its resolved
+configuration before running and writes outputs to a temp file followed by
+an atomic rename, so a crash never leaves a partial artifact. Exit status:
+0 success, 1 usage error, 2 data or validation error.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import core, distill_data, evaluation, pipeline, rerank_sim, scorer, trainer
-
-logger = logging.getLogger(__name__)
 
 
 class UsageError(Exception):
@@ -50,6 +48,9 @@ class ScorerSpec:
     architecture: str = scorer.LINEAR
     hidden_width: int = 8
     init_seed: int = 0
+
+    def __post_init__(self):  # the scorer's own checks; any feature count will do
+        scorer.param_count(self.architecture, 1, self.hidden_width)
 
 
 @dataclass(frozen=True)
@@ -108,25 +109,52 @@ class ExperimentConfig:
     ablation: AblationSpec
 
 
-_STAGE1_DEFAULTS = {"loss": trainer.LOSS_INFONCE, "max_steps": 2000}
-_STAGE2_DEFAULTS = {"loss": trainer.LOSS_RANKNET, "max_steps": 2000}
-_SPLIT_DEFAULT = {"train": 0.7, "validation": 0.15, "test": 0.15}
+# Defaults that the section classes do not carry. A split in the file replaces
+# this one; the keys of any other section in the file merge over these.
+_DEFAULTS = {
+    "split": {"train": 0.7, "validation": 0.15, "test": 0.15},
+    "stage1": {"loss": trainer.LOSS_INFONCE, "max_steps": 2000},
+    "stage2": {"loss": trainer.LOSS_RANKNET, "max_steps": 2000},
+}
+# The JSON types of a scalar type hint, and its name alone and in a list or object.
+_KINDS = {
+    int: (int, "an integer", "integers"),
+    float: ((int, float), "a number", "numbers"),
+    str: (str, "a string", "strings"),
+}
 
 
-def _build_split(data, num_queries: int) -> dict[str, float]:
+def _check_field(where: str, key: str, hint, value) -> None:
+    """The JSON value of a config key has the kind its type hint names."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+
+    def fits(v, scalar) -> bool:  # JSON true and false are never numbers
+        return isinstance(v, _KINDS[scalar][0]) and not isinstance(v, bool)
+
+    if origin is tuple:  # tuple[int, ...] or tuple[float, ...]
+        kind = f"a list of {_KINDS[args[0]][2]}"
+        ok = isinstance(value, list) and all(fits(v, args[0]) for v in value)
+    elif origin is not None:  # dict[str, float] or Mapping[str, float]
+        kind = f"an object of {_KINDS[args[1]][2]}"
+        ok = isinstance(value, dict) and all(fits(v, args[1]) for v in value.values())
+    else:
+        kind, ok = _KINDS[hint][1], fits(value, hint)
+    if not ok:
+        raise ConfigError(f"bad config section {where!r}: {key} must be {kind}, got {value!r}")
+
+
+def _build_split(split: dict, num_queries: int) -> dict[str, float]:
     """Check the split: exactly the three named splits, each given queries."""
-    if not isinstance(data, Mapping):
-        raise ConfigError("config section 'split' must be a JSON object")
-    split = dict(data)
-    unknown = sorted(set(split) - set(_SPLIT_DEFAULT))
+    unknown = sorted(set(split) - set(_DEFAULTS["split"]))
     if unknown:
         raise ConfigError(f"unknown split names in config section 'split': {unknown}")
-    for name in _SPLIT_DEFAULT:
+    for name in _DEFAULTS["split"]:
         if name not in split:
             raise ConfigError(f"config section 'split' has no {name!r} split")
+        _check_field("split", name, float, split[name])
     try:
         pipeline.split_query_ids(range(num_queries), split)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad config section 'split': {exc}") from None
     for name, fraction in split.items():
         if int(round(fraction * num_queries)) == 0:
@@ -136,94 +164,49 @@ def _build_split(data, num_queries: int) -> dict[str, float]:
     return split
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _build_section(cls, data: Mapping, where: str, defaults: Mapping | None = None):
-    merged = dict(defaults or {})
-    merged.update(data)
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(merged) - known)
+def _build_section(where: str, cls, data: dict, seed: int | None):
+    """One dataclass section: defaults, then the file's keys, then the seed flag."""
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(data) - set(hints))
     if unknown:
         raise ConfigError(f"unknown keys in config section {where!r}: {unknown}")
-    hints = typing.get_type_hints(cls)
-    for key, value in merged.items():
-        ints = hints[key] == tuple[int, ...]
-        if (hints[key] is int and not _is_int(value)) or (
-            ints and not (isinstance(value, (list, tuple)) and all(map(_is_int, value)))
-        ):
-            kind = "a list of integers" if ints else "an integer"
-            raise ConfigError(f"bad config section {where!r}: {key} must be {kind}, got {value!r}")
-        if isinstance(value, list):
-            merged[key] = tuple(value)
+    values = {**_DEFAULTS.get(where, {}), **data}
+    if seed is not None:
+        values.update({key: seed for key in ("seed", "init_seed") if key in hints})
+    for key, value in values.items():
+        _check_field(where, key, hints[key], value)
     try:
-        return cls(**merged)
-    except (TypeError, ValueError) as exc:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    except ValueError as exc:
         raise ConfigError(f"bad config section {where!r}: {exc}") from None
 
 
 def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> ExperimentConfig:
-    """Read the config file (or defaults) and apply flag overrides."""
+    """Read the config file (or defaults) and apply the --seed and --loss flags."""
     raw: dict = {}
     if path is not None:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
-    known_sections = {
-        "world",
-        "split",
-        "sampling",
-        "scorer",
-        "distill",
-        "stage1",
-        "stage2",
-        "eval",
-        "ablation",
-    }
-    unknown = sorted(set(raw) - known_sections)
+    hints = typing.get_type_hints(ExperimentConfig)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise ConfigError(f"unknown top-level config keys: {unknown}")
-
-    world_raw = dict(raw.get("world", {}))
-    sampling_raw = dict(raw.get("sampling", {}))
-    scorer_raw = dict(raw.get("scorer", {}))
-    stage1_raw = dict(raw.get("stage1", {}))
-    stage2_raw = dict(raw.get("stage2", {}))
-    distill_raw = dict(raw.get("distill", {}))
-    eval_raw = dict(raw.get("eval", {}))
-    ablation_raw = dict(raw.get("ablation", {}))
-    split_raw = raw.get("split", _SPLIT_DEFAULT)
-
-    seed = getattr(overrides, "seed", None)
-    if seed is not None:
-        world_raw["seed"] = seed
-        sampling_raw["seed"] = seed
-        scorer_raw["init_seed"] = seed
-        stage1_raw["seed"] = seed
-        stage2_raw["seed"] = seed
-    depth = getattr(overrides, "depth", None)
-    if depth is not None:
-        distill_raw["depth"] = depth
-    loss = getattr(overrides, "loss", None)
-    if loss is not None and loss != trainer.LOSS_INFONCE:
-        stage2_raw["loss"] = loss
-    alpha = getattr(overrides, "alpha", None)
-    if alpha is not None:
-        stage2_raw["alpha"] = alpha
-
-    world = _build_section(distill_data.WorldConfig, world_raw, "world")
-    return ExperimentConfig(
-        world=world,
-        split=_build_split(split_raw, world.num_queries),
-        sampling=_build_section(distill_data.SamplingConfig, sampling_raw, "sampling"),
-        scorer=_build_section(ScorerSpec, scorer_raw, "scorer"),
-        distill=_build_section(DistillSpec, distill_raw, "distill"),
-        stage1=_build_section(trainer.TrainConfig, stage1_raw, "stage1", _STAGE1_DEFAULTS),
-        stage2=_build_section(trainer.TrainConfig, stage2_raw, "stage2", _STAGE2_DEFAULTS),
-        eval=_build_section(EvalSpec, eval_raw, "eval"),
-        ablation=_build_section(AblationSpec, ablation_raw, "ablation"),
-    )
+    seed, loss = getattr(overrides, "seed", None), getattr(overrides, "loss", None)
+    sections: dict = {}
+    for name, cls in hints.items():  # world comes first: the split needs its size
+        data = raw.get(name, _DEFAULTS["split"] if name == "split" else {})
+        if not isinstance(data, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+        if name == "split":
+            sections[name] = _build_split(data, sections["world"].num_queries)
+            continue
+        if name == "stage2" and loss not in (None, trainer.LOSS_INFONCE):
+            data = {**data, "loss": loss}
+        sections[name] = _build_section(name, cls, data, seed)
+    cfg = ExperimentConfig(**sections)
+    _check_loss(cfg, "stage1", (trainer.LOSS_INFONCE,))
+    return cfg
 
 
 # The checks below compare one section with the world. A command runs each
@@ -239,13 +222,19 @@ def _check_retriever(cfg: ExperimentConfig, where: str) -> None:
         raise ConfigError(f"bad config section {where!r}: unknown retriever {name!r}; have {have}")
 
 
-def _check_depth(cfg: ExperimentConfig, where: str, depth: int) -> None:
-    """A dataset depth that config section `where` asks for fits the world's pool."""
+def _check_depth(cfg: ExperimentConfig, where: str, key: str, depth: int) -> None:
+    """The depth that `key` of config section `where` asks for fits the world's pool."""
     if depth > cfg.world.docs_per_query:
-        raise ConfigError(
-            f"bad config section {where!r}: depth {depth} exceeds "
-            f"world.docs_per_query {cfg.world.docs_per_query}"
-        )
+        limit = f"world.docs_per_query {cfg.world.docs_per_query}"
+        raise ConfigError(f"bad config section {where!r}: {key} {depth} exceeds {limit}")
+
+
+def _check_loss(cfg: ExperimentConfig, where: str, allowed: tuple[str, ...]) -> None:
+    """The loss of training section `where` is one its stage trains with."""
+    loss = getattr(cfg, where).loss
+    if loss not in allowed:
+        kind = " or ".join(map(repr, allowed))
+        raise ConfigError(f"bad config section {where!r}: loss must be {kind}, got {loss!r}")
 
 
 def _print_resolved(command: str, config: ExperimentConfig | dict, args: argparse.Namespace):
@@ -271,17 +260,8 @@ def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
         raise
 
 
-def _out_dir(args) -> Path:
-    return Path(args.out)
-
-
 def _init_scorer(spec: ScorerSpec, feature_dim: int) -> scorer.ScorerModel:
-    hidden = spec.hidden_width if spec.architecture == scorer.MLP else 0
-    return scorer.init_model(spec.architecture, feature_dim, hidden, seed=spec.init_seed)
-
-
-def _splits(cfg: ExperimentConfig, world) -> dict[str, tuple[str, ...]]:
-    return pipeline.split_query_ids(world.query_ids, cfg.split)
+    return scorer.init_model(spec.architecture, feature_dim, spec.hidden_width, spec.init_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +273,7 @@ def cmd_world(args) -> int:
     cfg = load_experiment_config(args.config, args)
     _print_resolved("world", cfg, args)
     world = distill_data.generate_world(cfg.world)
-    out = _out_dir(args)
+    out = Path(args.out)
     _atomic_write(
         out / "world_config.json",
         json.dumps(dataclasses.asdict(cfg.world), indent=2, sort_keys=True) + "\n",
@@ -313,12 +293,12 @@ def cmd_distill(args) -> int:
     cfg = load_experiment_config(args.config, args)
     _print_resolved("distill", cfg, args)
     _check_retriever(cfg, "distill")
-    _check_depth(cfg, "distill", cfg.distill.depth)
+    _check_depth(cfg, "distill", "depth", cfg.distill.depth)
     world = distill_data.generate_world(cfg.world)
-    splits = _splits(cfg, world)
+    splits = pipeline.split_query_ids(world.query_ids, cfg.split)
     run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
     dataset = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth)
-    out = _out_dir(args)
+    out = Path(args.out)
     _atomic_write(out / "distill_dataset.jsonl", core.write_distill_dataset(dataset))
     print(
         f"distill: {len(dataset)} queries at depth {cfg.distill.depth} "
@@ -389,12 +369,15 @@ def cmd_train(args) -> int:
     distill = loss != trainer.LOSS_INFONCE
     if stage1 or not args.dataset:
         _check_retriever(cfg, "distill")
+    if stage1:
+        _check_depth(cfg, "sampling", "pool_depth", cfg.sampling.pool_depth)
     if distill and not args.dataset:
-        _check_depth(cfg, "distill", cfg.distill.depth)
+        _check_depth(cfg, "distill", "depth", cfg.distill.depth)
     _check_retriever(cfg, "eval")
+    _check_depth(cfg, "eval", "depth", cfg.eval.depth)
     world = distill_data.generate_world(cfg.world)
-    splits = _splits(cfg, world)
-    out = _out_dir(args)
+    splits = pipeline.split_query_ids(world.query_ids, cfg.split)
+    out = Path(args.out)
     # The training data goes out of scope with _train, before the test pools
     # are built, so the two never take memory at the same time.
     model = _train(args, cfg, stage1, distill, world, splits, out)
@@ -445,20 +428,13 @@ def cmd_eval(args) -> int:
     scores = _ndcg_by_query(run, qrels, args.k)
     if not scores:
         raise ConfigError(f"run file {args.run!r} contains no queries")
-    out = _out_dir(args)
+    out = Path(args.out)
     _atomic_write(
         out / "per_query.tsv", evaluation.per_query_scores_text(scores, f"nDCG@{args.k}")
     )
     mean = sum(scores.values()) / len(scores)
-    _atomic_write(
-        out / "eval_summary.json",
-        json.dumps(
-            {"metric": f"nDCG@{args.k}", "num_queries": len(scores), "mean": mean},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-    )
+    summary = {"metric": f"nDCG@{args.k}", "num_queries": len(scores), "mean": mean}
+    _atomic_write(out / "eval_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"eval: mean nDCG@{args.k} over {len(scores)} queries = {mean:.4f}")
     return 0
 
@@ -487,7 +463,7 @@ def cmd_significance(args) -> int:
             raise ConfigError(f"duplicate system name {name!r}; rename the run files")
         per_system[name] = run_scores(cand)
     report = evaluation.significance_report(per_system, baseline_name, args.alpha)
-    out = _out_dir(args)
+    out = Path(args.out)
     _atomic_write(out / "significance.txt", report.to_text())
     _atomic_write(out / "significance.jsonl", report.to_jsonl())
     print(report.to_text(), end="")
@@ -499,11 +475,13 @@ def cmd_ablate(args) -> int:
     _print_resolved("ablate", cfg, args)
     _check_retriever(cfg, "distill")
     _check_retriever(cfg, "eval")
+    _check_depth(cfg, "eval", "depth", cfg.eval.depth)
+    _check_loss(cfg, "stage2", trainer.DISTILL_LOSSES)
     depths = sorted(cfg.ablation.depths)
     max_depth = depths[-1]
-    _check_depth(cfg, "ablation", max_depth)
+    _check_depth(cfg, "ablation", "depth", max_depth)
     world = distill_data.generate_world(cfg.world)
-    splits = _splits(cfg, world)
+    splits = pipeline.split_query_ids(world.query_ids, cfg.split)
     run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
     full = distill_data.build_teacher_dataset(run, depth=max_depth)
     datasets = {
@@ -516,7 +494,7 @@ def cmd_ablate(args) -> int:
     cells = pipeline.ablation_grid(
         datasets, cfg.ablation.fractions, base_model, validation, cfg.stage2
     )
-    out = _out_dir(args)
+    out = Path(args.out)
     tsv_lines = ["depth\tquery_fraction\tnum_queries\tmean_ndcg10\tsteps"]
     for c in cells:
         tsv_lines.append(
@@ -601,7 +579,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("distill", help="build the teacher-ranked distillation dataset")
     _add_common(p)
-    p.add_argument("--depth", type=int, help="retrieval depth for the dataset")
     p.set_defaults(func=cmd_distill)
 
     p = sub.add_parser("train", help="train the scorer (single- or two-stage)")
@@ -612,8 +589,6 @@ def build_parser() -> _Parser:
         choices=[trainer.LOSS_INFONCE, trainer.LOSS_RANKNET, trainer.LOSS_ADR_MSE],
         help="training loss; infonce with --stage single trains on labels only",
     )
-    p.add_argument("--alpha", type=float, help="sigmoid sharpness for adr-mse")
-    p.add_argument("--depth", type=int, help="distillation depth override")
     p.add_argument("--dataset", help="pre-built distillation dataset (jsonl)")
     p.set_defaults(func=cmd_train)
 

@@ -1,13 +1,15 @@
+import dataclasses
 import json
 import math
 import time
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
 
-from ltrlab import core, pipeline, trainer
-from ltrlab.cli import _atomic_write, main
+from ltrlab import core, distill_data, pipeline, trainer
+from ltrlab.cli import ExperimentConfig, _atomic_write, main
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
 from ltrlab.evaluation import ndcg_at_k, per_query_scores_text
 
@@ -415,6 +417,42 @@ class TestPipelineSmoke:
 TRAIN_TWO = ["train", "--stage", "two"]
 UNKNOWN_RETRIEVER = "bad config section %r: unknown retriever 'nope'; have ('strong', 'weak')"
 DEPTH_EXCEEDS_POOL = "bad config section 'distill': depth 50 exceeds world.docs_per_query 40"
+EVAL_DEPTH_EXCEEDS_POOL = "bad config section 'eval': depth 500 exceeds world.docs_per_query 40"
+
+# How the type rule names the kind of each scalar type hint, alone and in a
+# list or object, and JSON values of another kind for each.
+KIND_NAMES = {
+    int: ("an integer", "integers"),
+    float: ("a number", "numbers"),
+    str: ("a string", "strings"),
+}
+WRONG_SCALARS = {int: [True, "1", 2.5], float: [True, "1"], str: [5, True]}
+
+
+def wrong_kinds() -> list[tuple[str, str, object, str]]:
+    """(section, key, wrong JSON value, kind named) for every field of every
+    config section, from the type hints of ExperimentConfig."""
+    cases = []
+    for section, cls in typing.get_type_hints(ExperimentConfig).items():
+        if dataclasses.is_dataclass(cls):
+            fields = typing.get_type_hints(cls)
+        else:  # the split: one number per split name
+            fields = dict.fromkeys(SMOKE_CONFIG[section], typing.get_args(cls)[1])
+        for key, hint in fields.items():
+            origin, args = typing.get_origin(hint), typing.get_args(hint)
+            if origin is tuple:
+                kind, values = f"a list of {KIND_NAMES[args[0]][1]}", [5, [1, "1"], [True]]
+            elif origin is not None:
+                kind = f"an object of {KIND_NAMES[args[1]][1]}"
+                values = [5, [0.5], {"strong": "1"}, {"strong": 0.5, "weak": True}]
+            else:
+                kind, values = KIND_NAMES[hint][0], WRONG_SCALARS[hint]
+            cases += [(section, key, value, kind) for value in values]
+    return cases
+
+
+def no_world(*args, **kwargs):
+    raise AssertionError("world generated before the config was checked")
 
 
 class TestConfigHandling:
@@ -600,17 +638,125 @@ class TestConfigHandling:
                 {"depths": 5},
                 "bad config section 'ablation': depths must be a list of integers, got 5",
             ),
+            (["world"], "world", 5, "config section 'world' must be a JSON object"),
+            (
+                ["world"],
+                "world",
+                [["num_queries", 50], ["docs_per_query", 40]],
+                "config section 'world' must be a JSON object",
+            ),
+            (TRAIN_TWO, "stage2", "x", "config section 'stage2' must be a JSON object"),
+            (
+                TRAIN_TWO,
+                "stage2",
+                {"alpha": True},
+                "bad config section 'stage2': alpha must be a number, got True",
+            ),
+            (
+                ["world"],
+                "world",
+                {"teacher_noise": True},
+                "bad config section 'world': teacher_noise must be a number, got True",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"fractions": [True]},
+                "bad config section 'ablation': fractions must be a list of numbers, got [True]",
+            ),
+            (
+                TRAIN_TWO,
+                "stage1",
+                {"learning_rate": "0.1"},
+                "bad config section 'stage1': learning_rate must be a number, got '0.1'",
+            ),
+            (
+                TRAIN_TWO,
+                "scorer",
+                {"architecture": "cnn"},
+                "bad config section 'scorer': unknown architecture 'cnn'",
+            ),
+            (
+                TRAIN_TWO,
+                "scorer",
+                {"architecture": "mlp", "hidden_width": 0},
+                "bad config section 'scorer': mlp requires hidden_width >= 1",
+            ),
+            (
+                TRAIN_TWO,
+                "stage1",
+                {"loss": "ranknet"},
+                "bad config section 'stage1': loss must be 'infonce', got 'ranknet'",
+            ),
+            (
+                ["ablate"],
+                "stage2",
+                {"loss": "infonce"},
+                "bad config section 'stage2': "
+                "loss must be 'ranknet' or 'adr-mse', got 'infonce'",
+            ),
+            (
+                TRAIN_TWO,
+                "sampling",
+                {"pool_depth": 200},
+                "bad config section 'sampling': pool_depth 200 exceeds world.docs_per_query 40",
+            ),
+            (
+                ["train", "--loss", "infonce"],
+                "sampling",
+                {"pool_depth": 200},
+                "bad config section 'sampling': pool_depth 200 exceeds world.docs_per_query 40",
+            ),
+            (TRAIN_TWO, "eval", {"depth": 500}, EVAL_DEPTH_EXCEEDS_POOL),
+            (["train", "--loss", "infonce"], "eval", {"depth": 500}, EVAL_DEPTH_EXCEEDS_POOL),
+            (["ablate"], "eval", {"depth": 500}, EVAL_DEPTH_EXCEEDS_POOL),
         ],
     )
     def test_bad_section_named_before_work(
-        self, tmp_path, capsys, command, section, values, message
+        self, tmp_path, capsys, monkeypatch, command, section, values, message
     ):
+        """A dict of values goes into the smoke section; any other value replaces it."""
+        if isinstance(values, dict):
+            values = dict(SMOKE_CONFIG[section], **values)
         bad = tmp_path / "bad.json"
-        config = dict(SMOKE_CONFIG, **{section: dict(SMOKE_CONFIG[section], **values)})
-        bad.write_text(json.dumps(config))
+        bad.write_text(json.dumps(dict(SMOKE_CONFIG, **{section: values})))
+        monkeypatch.setattr(distill_data, "generate_world", no_world)
         out = tmp_path / "o"
         assert main(command + ["--config", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, kind", wrong_kinds())
+    def test_every_field_type_checked_at_load(
+        self, tmp_path, capsys, monkeypatch, section, key, value, kind
+    ):
+        config = dict(SMOKE_CONFIG, **{section: dict(SMOKE_CONFIG[section], **{key: value})})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setattr(distill_data, "generate_world", no_world)
+        out = tmp_path / "o"
+        assert main(["world", "--config", str(path), "--out", str(out)]) == 2
+        message = f"bad config section {section!r}: {key} must be {kind}, got {value!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_stage2_infonce_trains_on_labels_only(self, tmp_path):
+        path = tmp_path / "config.json"
+        stage2 = dict(SMOKE_CONFIG["stage2"], loss="infonce")
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, stage2=stage2)))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "report_stage1.json").exists()
+        assert not (out / "report_distill.json").exists()
+        assert json.loads(read(out / "summary.json"))["loss"] == "infonce"
+
+    @pytest.mark.parametrize(
+        "argv", [["distill", "--depth", "5"], ["train", "--depth", "5"], ["train", "--alpha", "2"]]
+    )
+    def test_flags_that_duplicate_config_keys_removed(self, tmp_path, config_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--config", str(config_path), "--out", str(out)]) == 1
+        assert argv[1] in capsys.readouterr().err
         assert not out.exists()
 
     def test_world_ignores_sections_it_never_reads(self, tmp_path):
