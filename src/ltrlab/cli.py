@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 import typing
@@ -128,8 +129,9 @@ def _check_field(where: str, key: str, hint, value) -> None:
     """The JSON value of a config key has the kind its type hint names."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
 
-    def fits(v, scalar) -> bool:  # JSON true and false are never numbers
-        return isinstance(v, _KINDS[scalar][0]) and not isinstance(v, bool)
+    def fits(v, scalar) -> bool:  # JSON true, false, NaN and Infinity are never numbers
+        finite = not isinstance(v, float) or math.isfinite(v)
+        return finite and isinstance(v, _KINDS[scalar][0]) and not isinstance(v, bool)
 
     if origin is tuple:  # tuple[int, ...] or tuple[float, ...]
         kind = f"a list of {_KINDS[args[0]][2]}"
@@ -281,7 +283,7 @@ def cmd_world(args) -> int:
     _atomic_write(out / "qrels.txt", core.write_qrels(world.qrels()))
     for name in world.retriever_names:
         run = world.first_stage_run(name)
-        _atomic_write(out / f"run_{name}.trec", core.write_run(run, tag=name))
+        _atomic_write(out / f"run_{name}.trec", core.write_run(run.ranked(), tag=name))
     print(
         f"world: {cfg.world.num_queries} queries, pool {cfg.world.docs_per_query}, "
         f"retrievers {list(world.retriever_names)} -> {out}"
@@ -518,12 +520,12 @@ def _parse_system(text: str) -> tuple[str, rerank_sim.StrategySpec, rerank_sim.C
     name, kind = parts[0], parts[1]
     try:
         latency, memory = float(parts[2]), float(parts[3])
+        window, stride = (int(parts[4]), int(parts[5])) if len(parts) == 6 else (20, 10)
     except ValueError:
         raise UsageError(f"bad numbers in --system {text!r}") from None
     if kind == "pointwise":
         spec = rerank_sim.pointwise()
     elif kind == "window":
-        window, stride = (int(parts[4]), int(parts[5])) if len(parts) == 6 else (20, 10)
         spec = rerank_sim.sliding_window(window, stride)
     else:
         raise UsageError(f"unknown strategy kind {kind!r} in --system {text!r}")

@@ -23,6 +23,9 @@ logger = logging.getLogger(__name__)
 
 QueryId = str
 DocId = str
+# One query's ranking as `write_run` takes it: the query id, its doc ids and
+# their scores, in canonical order.
+RankedRow = tuple[QueryId, Sequence[DocId], Sequence[float]]
 
 
 class ParseError(ValueError):
@@ -79,7 +82,7 @@ class ScoredList:
 
     The entry order is the ranking, canonical order: descending score, ties
     by ascending doc id. The constructor checks the entries and sorts them
-    into that order; the trusted producers build them in it.
+    into that order.
     """
 
     query: QueryId
@@ -97,20 +100,6 @@ class ScoredList:
             if not np.isfinite(score):
                 raise ValueError(f"non-finite score for doc {doc!r} in query {self.query!r}")
         object.__setattr__(self, "entries", canonical_order(entries))
-
-    @classmethod
-    def _trusted(cls, query: QueryId, entries: tuple[tuple[DocId, float], ...]) -> ScoredList:
-        """A list built without the constructor's checks.
-
-        Only for producers that have already established every invariant
-        the constructor checks: a valid query id, a tuple of (doc, score)
-        tuples with valid, pairwise distinct doc ids and finite scores, in
-        canonical order.
-        """
-        ranking = object.__new__(cls)
-        object.__setattr__(ranking, "query", query)
-        object.__setattr__(ranking, "entries", entries)
-        return ranking
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -220,7 +209,7 @@ class ParsedRun(Mapping[QueryId, ScoredList]):
     `queries` are in order of first appearance in the source. Query i's
     entries are `docs[offsets[i]:offsets[i + 1]]` with the same slice of
     `scores`, in canonical order. Read as a mapping, a key builds that one
-    query's ScoredList: `parse_run` has checked every entry.
+    query's ScoredList.
     """
 
     def __init__(
@@ -246,7 +235,7 @@ class ParsedRun(Mapping[QueryId, ScoredList]):
         i = self._index[query]
         lo, hi = int(self.offsets[i]), int(self.offsets[i + 1])
         entries = tuple(zip(self.docs[lo:hi], self.scores[lo:hi].tolist()))
-        return ScoredList._trusted(query, entries)
+        return ScoredList(query, entries)
 
 
 def parse_run(source: str | Iterable[str]) -> ParsedRun:
@@ -329,22 +318,19 @@ def _first_duplicate(
     return None
 
 
-def write_run(rankings: Mapping[QueryId, ScoredList], tag: str) -> Iterator[str]:
-    """Serialize rankings as TREC run text, one chunk of lines per query.
+def write_run(lists: Iterable[RankedRow], tag: str) -> Iterator[str]:
+    """Serialize ranked rows as TREC run text, one chunk of lines per row.
 
-    Queries are emitted in sorted order, entries in their list's (canonical)
-    order, scores with exactly 6 decimal places. parse_run("".join(write_run(x)))
-    reproduces the ordering and the scores to 6 decimals.
+    Rows are written in the order given, each row's entries in its own
+    (canonical) order, scores with exactly 6 decimal places. parse_run of
+    the text gives back each row's query, docs and scores to 6 decimals.
     """
     validate_id(tag, "run tag")
-    for qid in sorted(rankings):
-        ranking = rankings[qid]
-        if ranking.query != qid:
-            raise ValueError(f"run maps key {qid!r} to a list for query {ranking.query!r}")
+    for qid, docs, scores in lists:
         yield "".join(
             [
                 f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
-                for rank, (doc, score) in enumerate(ranking.entries, start=1)
+                for rank, (doc, score) in enumerate(zip(docs, scores), start=1)
             ]
         )
 

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import DistillDataset, DocId, ListBlock, Qrels, QueryId, ScoredList
+from .core import DistillDataset, DocId, ListBlock, Qrels, QueryId, RankedRow
 
 logger = logging.getLogger(__name__)
 
@@ -186,14 +186,12 @@ class SyntheticWorld:
         return WorldRun(self, scores, np.arange(len(scores)), self._orders[retriever])
 
 
-class WorldRun(Mapping[QueryId, ScoredList]):
+class WorldRun:
     """A first-stage run over a world's pools, held as pool indices.
 
     Row r is query `queries[r]`, world query index `qindex[r]`, and
     `order[r]` holds its pool indices by descending score, ties by ascending
-    pool index, which is doc-id order. Rows are in query-id order. Read as a
-    mapping, a key builds that one query's ScoredList: the world's ids are
-    valid and its scores were checked finite when the run was built.
+    pool index, which is doc-id order. Rows are in query-id order.
     """
 
     def __init__(
@@ -226,15 +224,10 @@ class WorldRun(Mapping[QueryId, ScoredList]):
     def __len__(self) -> int:
         return len(self.queries)
 
-    def __iter__(self) -> Iterator[QueryId]:
-        return iter(self.queries)
-
-    def __getitem__(self, query: QueryId) -> ScoredList:
-        r = self._row[query]
-        qi, idx = int(self.qindex[r]), self.order[r]
-        scores = self._scores[qi, idx].tolist()
-        docs = self.world._doc_ids(qi, idx.tolist())
-        return ScoredList._trusted(query, tuple(zip(docs, scores)))
+    def ranked(self) -> Iterator[RankedRow]:
+        """Each row's query, doc ids and scores in canonical order, one row at a time."""
+        for query, qi, idx in zip(self.queries, self.qindex.tolist(), self.order):
+            yield query, self.world._doc_ids(qi, idx.tolist()), self._scores[qi, idx].tolist()
 
 
 def generate_world(config: WorldConfig) -> SyntheticWorld:

@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import scorer, trainer
-from .core import ListBlock, Qrels, QueryId, ScoredList
+from .core import ListBlock, Qrels, QueryId, RankedRow
 from .distill_data import SyntheticWorld, WorldRun
 from .trainer import PoolBlock, TrainConfig, ValidationSet
 
@@ -63,19 +63,18 @@ def make_validation(
 
 def evaluate_model(
     model: scorer.ScorerModel, pools: PoolBlock, qrels: Qrels, k: int = 10
-) -> tuple[dict[QueryId, float], dict[QueryId, ScoredList]]:
+) -> tuple[dict[QueryId, float], list[RankedRow]]:
     """Per-query nDCG@k of the model re-ranking each pool, and the re-ranked
-    run in canonical order, both from one ranking of the block."""
+    rows for `core.write_run` in the pools' order, both from one ranking of
+    the block."""
     if not len(pools):
-        return {}, {}
+        return {}, []
     scores, order = pools.rank(model)
     ndcg = ValidationSet(pools, qrels).ndcg_of(order, k)
-    # World ids are valid and `rank` checked the scores: the lists are trusted.
-    run = {}
-    for query, docs, row, ranked in zip(pools.queries, pools.docs, scores, order):
-        ranked = ranked.tolist()
-        entries = tuple(zip([docs[j] for j in ranked], row[ranked].tolist()))
-        run[query] = ScoredList._trusted(query, entries)
+    run = [
+        (query, [docs[j] for j in ranked], row[ranked].tolist())
+        for query, docs, row, ranked in zip(pools.queries, pools.docs, scores, order.tolist())
+    ]
     return dict(zip(pools.queries, ndcg.tolist())), run
 
 

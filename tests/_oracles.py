@@ -81,6 +81,20 @@ def scored_list_checks(query, entries) -> None:
             raise ValueError(f"non-finite score for doc {doc!r} in query {query!r}")
 
 
+def scored_lists(rows):
+    """(query, docs, scores) rows, such as `WorldRun.ranked()` yields, as a
+    dict of checked ScoredLists keyed by query, in row order."""
+    from ltrlab.core import ScoredList
+
+    return {query: ScoredList(query, tuple(zip(docs, scores))) for query, docs, scores in rows}
+
+
+def ranked_rows(lists):
+    """A mapping of query -> ScoredList as the (query, docs, scores) rows that
+    `core.write_run` takes, in query-id order."""
+    return [(q, lists[q].docs, [score for _, score in lists[q].entries]) for q in sorted(lists)]
+
+
 def parse_run_oracle(source):
     """TREC run parsing one line at a time, with a check per field."""
     from ltrlab.core import DuplicateEntryError, ParseError, ScoredList, canonical_order

@@ -159,13 +159,6 @@ class TestAtomicWrite:
         assert read(target) == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
 
-    def test_run_rejected_mid_file_writes_nothing(self, tmp_path):
-        good = core.ScoredList("q1", (("d1", 1.0),))
-        rankings = {"q1": good, "q2": good}
-        with pytest.raises(ValueError, match="maps key 'q2' to a list for query 'q1'"):
-            _atomic_write(tmp_path / "run.trec", core.write_run(rankings, "t"))
-        assert list(tmp_path.iterdir()) == []
-
     def test_dataset_write_holds_no_whole_file(self, tmp_path):
         world = generate_world(WorldConfig(num_queries=60, docs_per_query=50, seed=3))
         dataset = build_teacher_dataset(world.first_stage_run("strong"), depth=50)
@@ -177,6 +170,19 @@ class TestAtomicWrite:
         finally:
             tracemalloc.stop()
         assert "".join(core.write_distill_dataset(dataset)) == read(path)
+        assert peak < path.stat().st_size / 4
+
+    def test_world_run_write_holds_no_whole_file(self, tmp_path):
+        world = generate_world(WorldConfig(num_queries=60, docs_per_query=200, seed=3))
+        run = world.first_stage_run("strong")
+        path = tmp_path / "run_strong.trec"
+        tracemalloc.start()
+        try:
+            _atomic_write(path, core.write_run(run.ranked(), "strong"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "".join(core.write_run(run.ranked(), "strong")) == read(path)
         assert peak < path.stat().st_size / 4
 
 
@@ -251,8 +257,21 @@ class TestBenchCommand:
     def test_requires_a_system(self):
         assert main(["bench", "--depth", "100"]) == 1
 
-    def test_bad_system_spec_is_usage_error(self):
-        assert main(["bench", "--system", "broken"]) == 1
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                "broken",
+                "--system needs name,kind,per_call_latency,memory_gb[,window,stride]; "
+                "got 'broken'",
+            ),
+            ("a,window,x,1", "bad numbers in --system 'a,window,x,1'"),
+            ("a,window,1,1,x,y", "bad numbers in --system 'a,window,1,1,x,y'"),
+        ],
+    )
+    def test_bad_system_spec_is_usage_error(self, capsys, spec, message):
+        assert main(["bench", "--system", spec]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 class TestPipelineSmoke:
@@ -381,6 +400,24 @@ class TestPipelineSmoke:
         test_queries = tuple(f"q{i}" for i in range(160, 200))
         assert ranked.count(test_queries) == 1
         assert len(ranked) > 1  # the validation passes rank their own block
+
+    def test_commands_build_no_scored_list(self, tmp_path, config_path, monkeypatch):
+        """Runs are written from and read into columns, never as ScoredLists."""
+
+        def refuse(ranking):
+            raise AssertionError(f"a ScoredList was built for query {ranking.query!r}")
+
+        monkeypatch.setattr(core.ScoredList, "__post_init__", refuse)
+        world, train = tmp_path / "world", tmp_path / "train"
+        common = ["--config", str(config_path)]
+        assert main(["world", *common, "--out", str(world)]) == 0
+        assert main(["train", *common, "--stage", "two", "--out", str(train)]) == 0
+        qrels, test_run = str(world / "qrels.txt"), str(train / "test_run.trec")
+        argv = ["eval", "--run", test_run, "--qrels", qrels, "--out", str(tmp_path / "e")]
+        assert main(argv) == 0
+        runs = ["--baseline", str(world / "run_weak.trec"), "--candidate", test_run]
+        argv = ["significance", "--qrels", qrels, *runs, "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
 
     def test_reproducible_byte_identical(self, tmp_path, config_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -563,14 +600,32 @@ class TestConfigHandling:
                 ["distill"],
                 "world",
                 {"teacher_noise": math.nan},
-                "bad config section 'world': teacher_noise must be a finite number >= 0, got nan",
+                "bad config section 'world': teacher_noise must be a number, got nan",
             ),
             (
                 ["world"],
                 "world",
                 {"first_stage_noise": {"strong": math.inf, "weak": 3.0}},
-                "bad config section 'world': "
-                "first_stage_noise['strong'] must be a finite number >= 0, got inf",
+                "bad config section 'world': first_stage_noise must be an object of numbers, "
+                "got {'strong': inf, 'weak': 3.0}",
+            ),
+            (
+                TRAIN_TWO,
+                "stage2",
+                {"learning_rate": math.nan},
+                "bad config section 'stage2': learning_rate must be a number, got nan",
+            ),
+            (
+                TRAIN_TWO,
+                "stage1",
+                {"weight_decay": math.inf},
+                "bad config section 'stage1': weight_decay must be a number, got inf",
+            ),
+            (
+                TRAIN_TWO,
+                "split",
+                {"train": math.nan},
+                "bad config section 'split': train must be a number, got nan",
             ),
             (
                 ["world"],

@@ -20,7 +20,7 @@ from ltrlab.core import (
     write_run,
 )
 
-from _oracles import record_values, stack_records
+from _oracles import ranked_rows, record_values, stack_records
 
 
 class TestParseRun:
@@ -69,15 +69,21 @@ class TestParseRun:
 
 class TestWriteRun:
     def test_format(self):
-        text = "".join(write_run({"q1": ScoredList("q1", (("dA", 2.5),))}, tag="sys"))
+        text = "".join(write_run([("q1", ["dA"], [2.5])], tag="sys"))
         assert text == "q1 Q0 dA 1 2.500000 sys\n"
 
+    def test_rows_written_in_the_order_given(self):
+        rows = [("q2", ("dA", "dB"), (1.0, 1.0)), ("q1", ["dC"], [-0.5])]
+        assert "".join(write_run(rows, tag="t")) == (
+            "q2 Q0 dA 1 1.000000 t\nq2 Q0 dB 2 1.000000 t\nq1 Q0 dC 1 -0.500000 t\n"
+        )
+
     def test_empty(self):
-        assert "".join(write_run({}, tag="sys")) == ""
+        assert "".join(write_run([], tag="sys")) == ""
 
     def test_tag_validated(self):
         with pytest.raises(ValueError):
-            "".join(write_run({}, tag="bad tag"))
+            "".join(write_run([], tag="bad tag"))
 
 
 @st.composite
@@ -103,7 +109,7 @@ def runs(draw):
 @settings(max_examples=60, deadline=None)
 @given(runs())
 def test_run_round_trip(run):
-    reparsed = parse_run("".join(write_run(run, tag="t")))
+    reparsed = parse_run("".join(write_run(ranked_rows(run), tag="t")))
     assert set(reparsed) == set(run)
     for qid in run:
         expected = sorted(run[qid].entries, key=lambda e: (-e[1], e[0]))

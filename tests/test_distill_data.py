@@ -16,7 +16,7 @@ from ltrlab.distill_data import (
     subsample_depth,
 )
 
-from _oracles import block_lists, features_oracle, record_values, stack_records
+from _oracles import block_lists, features_oracle, record_values, scored_lists, stack_records
 
 
 def small_world(**overrides):
@@ -51,11 +51,11 @@ def groups_of(block):
 class TestGenerateWorld:
     def test_zero_noise_retriever_matches_true_relevance(self):
         world = small_world()
-        run = world.first_stage_run("clean")
+        ranked = {qid: docs for qid, docs, _ in world.first_stage_run("clean").ranked()}
         for qid in world.query_ids:
             docs = pool_docs(world, qid)
             by_rel = sorted(docs, key=lambda d: -relevance(world, qid, d))
-            assert list(run[qid].docs) == by_rel
+            assert ranked[qid] == by_rel
 
     def test_zero_noise_teacher_matches_true_relevance(self):
         world = small_world()
@@ -89,9 +89,8 @@ class TestGenerateWorld:
 
         def recall_at(run, k):
             hits = 0
-            for qid in world.query_ids:
-                top = set(run[qid].docs[:k])
-                hits += qrels.positives(qid)[0] in top
+            for qid, docs, _ in run.ranked():
+                hits += qrels.positives(qid)[0] in set(docs[:k])
             return hits / len(world.query_ids)
 
         good = recall_at(world.first_stage_run("good"), 100)
@@ -103,7 +102,8 @@ class TestGenerateWorld:
         qid = w1.query_ids[3]
         docs = pool_docs(w1, qid)
         assert np.array_equal(features_oracle(w1, qid, docs), features_oracle(w2, qid, docs))
-        assert w1.first_stage_run("noisy")[qid].entries == w2.first_stage_run("noisy")[qid].entries
+        first, again = (scored_lists(w.first_stage_run("noisy").ranked()) for w in (w1, w2))
+        assert first[qid].entries == again[qid].entries
 
     def test_saturated_feature_map(self):
         flat = small_world(feature_map="product")
@@ -138,7 +138,7 @@ class TestHardNegativeGroups:
         """A noise-free run whose top doc is each query's one positive."""
         world = small_world(num_queries=n_queries, docs_per_query=depth)
         run = world.first_stage_run("clean")
-        return run, Qrels({qid: {run[qid].docs[0]: 1} for qid in run})
+        return run, Qrels({qid: {docs[0]: 1} for qid, docs, _ in run.ranked()})
 
     def test_group_shape(self):
         run, qrels = self._run_and_qrels()
@@ -147,7 +147,7 @@ class TestHardNegativeGroups:
         assert len(groups) == 10
         assert np.diff(groups.offsets).tolist() == [8] * 10
         assert groups.features.shape == (80, 4)
-        for (query, docs, features), qid in zip(block_lists(groups), run):
+        for (query, docs, features), qid in zip(block_lists(groups), run.queries):
             assert query == qid and len(docs) == 8
             assert np.array_equal(features, features_oracle(run.world, qid, docs))
 
@@ -189,9 +189,9 @@ class TestHardNegativeGroups:
         cfg = SamplingConfig(pool_depth=7, num_negatives=2, seed=17)
         groups = build_hard_negative_groups(run, qrels, cfg)
         assert len(groups) == n_draws
-        counts = {}
+        counts, ranked = {}, {query: docs for query, docs, _ in run.ranked()}
         for query, _, negatives in groups_of(groups):
-            ranks = run[query].docs
+            ranks = ranked[query]
             key = tuple(sorted(str(ranks.index(doc)) for doc in negatives))
             counts[key] = counts.get(key, 0) + 1
         subsets = list(itertools.combinations("123456", 2))
@@ -221,8 +221,9 @@ class TestTeacherDataset:
         world = small_world()
         run = world.first_stage_run("noisy")
         ds = build_teacher_dataset(run, depth=1)
+        top = {query: docs[0] for query, docs, _ in run.ranked()}
         for rec in ds:
-            assert rec.docs == [run[rec.query].docs[0]]
+            assert rec.docs == [top[rec.query]]
 
     def test_zero_noise_teacher_orders_by_relevance(self):
         world = small_world()

@@ -44,11 +44,13 @@ from _oracles import (
     hard_negative_groups_oracle,
     outcome,
     parse_run_oracle,
+    ranked_rows,
     record_values,
     rerank,
     rerank_pools_oracle,
     restrict_run_oracle,
     scored_list_checks,
+    scored_lists,
     stack_records,
     subsample_depth_oracle,
     teacher_dataset_oracle,
@@ -210,7 +212,7 @@ class TestParseRun:
     def test_valid_runs_in_any_order(self, text, canonical):
         """Files in canonical order and in any other order parse alike."""
         if canonical:
-            text = "".join(write_run(parse_run_oracle(text), "t"))
+            text = "".join(write_run(ranked_rows(parse_run_oracle(text)), "t"))
         assert_parses_like_oracle(text)
 
     @pytest.mark.parametrize(
@@ -277,13 +279,20 @@ def assert_checked_equal(run):
         assert all(type(entry) is tuple for entry in ranking.entries)
 
 
+def assert_checked_rows(rows):
+    """Ranked rows are the checked constructor's lists, in query-id order."""
+    rows = [(query, list(docs), list(scores)) for query, docs, scores in rows]
+    assert all(type(score) is float for _, _, scores in rows for score in scores)
+    assert [(q, list(docs), s) for q, docs, s in ranked_rows(scored_lists(rows))] == rows
+
+
 class TestTrustedProducers:
     def test_parse_run(self):
         assert_checked_equal(parse_run("q1 Q0 d2 1 1.0 t\nq1 Q0 d1 2 1.0 t\nq2 Q0 d1 1 3 t"))
         assert_checked_equal(parse_run("q1 Q0 d1 +1 1.0 t\nq1 Q0 d2 2 2.0 t"))
 
     def test_first_stage_run(self):
-        assert_checked_equal(world_of().first_stage_run("r"))
+        assert_checked_rows(world_of().first_stage_run("r").ranked())
 
     def test_distill_datasets_pass_the_parser(self):
         """What the producers build, the checking parser reads back unchanged."""
@@ -313,7 +322,7 @@ class TestTrustedProducers:
         world = world_of()
         block = build_rerank_pools(world, world.first_stage_run("r"), world.query_ids, 12)
         for model in models():
-            assert_checked_equal(evaluate_model(model, block, Qrels())[1])
+            assert_checked_rows(evaluate_model(model, block, Qrels())[1])
 
     @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
     def test_first_stage_run_still_rejects_non_finite_scores(self, sigma):
@@ -327,14 +336,15 @@ class TestTrustedProducers:
     def test_write_run_sorts_a_public_list(self):
         ranking = ScoredList("q", (("b", 1.0), ("c", 2.0), ("a", 2.0)))
         text = "q Q0 a 1 2.000000 t\nq Q0 c 2 2.000000 t\nq Q0 b 3 1.000000 t\n"
-        assert "".join(write_run({"q": ranking}, "t")) == text
+        assert "".join(write_run(ranked_rows({"q": ranking}), "t")) == text
 
 
 # -- world runs: index matrices against the string-keyed paths ---------------
 
 
-def run_entries(run):
-    return {q: r.entries for q, r in run.items()}
+def run_entries(rows):
+    """Each row's query and (doc, score) entries, as given and in row order."""
+    return [(query, tuple(zip(docs, scores))) for query, docs, scores in rows]
 
 
 def force_ties(world, data, arrays):
@@ -375,8 +385,7 @@ class TestFirstStageOrder:
         world = world_of()
         run = world.first_stage_run("r")
         oracle = first_stage_run_oracle(world, "r")
-        assert run == oracle
-        assert run_entries(run) == run_entries(oracle)
+        assert run_entries(run.ranked()) == run_entries(ranked_rows(oracle))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -385,8 +394,8 @@ class TestFirstStageOrder:
         force_ties(world, data, ["fs"])
         run = world.first_stage_run("r")
         oracle = first_stage_run_oracle(world, "r")
-        assert run_entries(run) == run_entries(oracle)
-        assert "".join(write_run(run, "r")) == "".join(write_run(oracle, "r"))
+        assert run_entries(run.ranked()) == run_entries(ranked_rows(oracle))
+        assert "".join(write_run(run.ranked(), "r")) == "".join(write_run(ranked_rows(oracle), "r"))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -395,20 +404,17 @@ class TestFirstStageOrder:
         queries = query_subset(data, world, max_size=14)
         run = world.first_stage_run("r").restrict(queries)
         oracle = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
-        assert run == oracle and len(run) == len(oracle)
-        assert list(run) == sorted(oracle)
-        assert "".join(write_run(run, "r")) == "".join(write_run(oracle, "r"))
-        assert run.restrict(queries[:2]) == restrict_run_oracle(oracle, queries[:2])
+        assert run_entries(run.ranked()) == run_entries(ranked_rows(oracle))
+        assert len(run) == len(oracle)
+        assert "".join(write_run(run.ranked(), "r")) == "".join(write_run(ranked_rows(oracle), "r"))
+        twice = ranked_rows(restrict_run_oracle(oracle, queries[:2]))
+        assert run_entries(run.restrict(queries[:2]).ranked()) == run_entries(twice)
 
-    def test_reads_like_a_mapping(self):
+    def test_restricts_and_caches_its_order(self):
         world = world_of()
         run = world.first_stage_run("r")
-        assert run == world.first_stage_run("r")
         assert run.order is world.first_stage_run("r").order
-        assert "q03" in run and "q99" not in run and "q03" not in run.restrict(["q01"])
-        assert list(run.restrict(["q05", "q01", "q05"])) == ["q01", "q05"]
-        with pytest.raises(KeyError):
-            run["q99"]
+        assert run.restrict(["q05", "q01", "q05"]).queries == ("q01", "q05")
         with pytest.raises(KeyError, match="'q05'"):
             run.restrict(["q01"]).restrict(["q05"])
 
@@ -447,7 +453,7 @@ class TestTeacherDataset:
     def test_errors_match(self, depth):
         world = world_of()
         run = world.first_stage_run("r")
-        expected = outcome(lambda: teacher_dataset_oracle(world, run, depth))
+        expected = outcome(lambda: teacher_dataset_oracle(world, scored_lists(run.ranked()), depth))
         assert expected is not None
         assert outcome(lambda: build_teacher_dataset(run, depth)) == expected
 
@@ -539,7 +545,8 @@ class TestHardNegativeGroups:
     def test_every_skip_reason(self):
         world = world_of()
         run = world.first_stage_run("r")
-        top = {qid: run[qid].docs for qid in run}
+        oracle_run = scored_lists(run.ranked())
+        top = {qid: ranking.docs for qid, ranking in oracle_run.items()}
         qrels = Qrels({
             "q00": {},
             "q01": {top["q01"][0]: 1},
@@ -550,7 +557,7 @@ class TestHardNegativeGroups:
             (SamplingConfig(12, 10), (10, 0, 1)),
             (SamplingConfig(13, 10), (10, 2, 0)),
         ]:
-            expected, oracle_skipped = hard_negative_groups_oracle(run, qrels, cfg)
+            expected, oracle_skipped = hard_negative_groups_oracle(oracle_run, qrels, cfg)
             assert oracle_skipped == skipped
             with sampling_log() as counts:
                 assert_groups_equal(world, build_hard_negative_groups(run, qrels, cfg), expected)
@@ -672,9 +679,7 @@ class TestBatchedValidation:
             assert mean_validation_ndcg(model, validation, k) == float(np.mean(oracle))
             scores, run = evaluate_model(model, block, qrels, k)
             assert scores == {query: value for (query, _, _), value in zip(pools, oracle)}
-            assert {q: r.entries for q, r in run.items()} == {
-                pool[0]: rerank(model, pool).entries for pool in pools
-            }
+            assert run_entries(run) == [(pool[0], rerank(model, pool).entries) for pool in pools]
 
     def test_length_one_pools(self):
         world = world_of()
@@ -688,16 +693,17 @@ class TestBatchedValidation:
         world = world_of()
         block, _ = world_pools(world, world.query_ids, 12)
         run = evaluate_model(models()[0], block, Qrels())[1]
-        for query, docs in zip(block.queries, block.docs):
-            assert list(run[query].docs) == sorted(docs)
-        assert run["q00"].docs[9:11] == ("q00_p09", "q00_p10")
+        for (_, ranked, _), docs in zip(run, block.docs):
+            assert ranked == sorted(docs)
+        assert run[0][0] == "q00" and run[0][1][9:11] == ["q00_p09", "q00_p10"]
 
     def test_block_rows_are_rerank_pools(self):
         world = world_of()
         run = world.first_stage_run("r")
         block = build_rerank_pools(world, run, world.query_ids[:4], 5)
+        top = {qid: tuple(docs[:5]) for qid, docs, _ in run.ranked()}
         for pool, qid in zip(block, world.query_ids[:4]):
-            docs = run[qid].docs[:5]
+            docs = top[qid]
             assert (pool.query, pool.docs) == (qid, docs)
             assert np.array_equal(pool.features, features_oracle(world, qid, docs))
 
@@ -705,14 +711,13 @@ class TestBatchedValidation:
         model = models()[1]
         world = world_of()
         empty = build_rerank_pools(world, world.first_stage_run("r"), [], 5)
-        assert evaluate_model(model, empty, Qrels()) == ({}, {})
+        assert evaluate_model(model, empty, Qrels()) == ({}, [])
         with pytest.raises(ValueError, match="at least one pool"):
             ValidationSet(empty, Qrels())
 
     def test_non_finite_scores_rejected_like_rerank(self):
         world = world_of()
-        run = world.first_stage_run("r")
-        doc = run["q03"].docs[2]
+        doc = scored_lists(world.first_stage_run("r").ranked())["q03"].docs[2]
         world._features[3, world._dindex(3, doc)] = [1e308, 0.0, 0.0]
         block, pools = world_pools(world, ["q01", "q03"], 5)
         model = scorer.ScorerModel(scorer.LINEAR, 3, 0, np.array([10.0, 0.0, 0.0, 0.0]))

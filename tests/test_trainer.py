@@ -26,7 +26,7 @@ from ltrlab.trainer import (
     train_stage1,
 )
 
-from _oracles import features_oracle, kendall_tau
+from _oracles import features_oracle, kendall_tau, scored_lists
 
 
 def build_world(seed=3, num_queries=200):
@@ -159,10 +159,10 @@ class TestTrainDistill:
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_distill(model, dataset, validation, distill_cfg(loss=loss))
         test_pools = build_rerank_pools(world, run, splits["test"], 30)
-        _, reranked = evaluate_model(trained, test_pools, Qrels(), 10)
-        taus = []
+        reranked = scored_lists(evaluate_model(trained, test_pools, Qrels(), 10)[1])
+        first_stage, taus = scored_lists(run.ranked()), []
         for qid in splits["test"]:
-            docs = run[qid].docs[:30]
+            docs = first_stage[qid].docs[:30]
             qi = world.query_ids.index(qid)
             teacher_order = tuple(sorted(docs, key=lambda d: -world._rel[qi, world._dindex(qi, d)]))
             taus.append(kendall_tau(reranked[qid].docs, teacher_order))
