@@ -10,6 +10,8 @@ an atomic rename, so a crash never leaves a partial artifact. Exit status:
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import dataclasses
 import json
 import logging
@@ -19,7 +21,7 @@ import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -155,7 +157,7 @@ def _build_split(split: dict, num_queries: int) -> dict[str, float]:
             raise ConfigError(f"config section 'split' has no {name!r} split")
         _check_field("split", name, float, split[name])
     try:
-        pipeline.split_query_ids(range(num_queries), split)
+        pipeline.query_ranges(num_queries, split)
     except ValueError as exc:
         raise ConfigError(f"bad config section 'split': {exc}") from None
     for name, fraction in split.items():
@@ -246,20 +248,37 @@ def _print_resolved(command: str, config: ExperimentConfig | dict, args: argpars
     print(json.dumps({"config": resolved, "flags": flags}, indent=2, sort_keys=True, default=str))
 
 
+@contextlib.contextmanager
+def _atomic_files(*paths: Path) -> Iterator[list[IO[str]]]:
+    """Open a temp file for each path and, when the block ends, rename each
+    onto its path. If anything fails, every temp file is removed and every
+    path is left as it was."""
+    tmps = [path.with_name(path.name + f".tmp-{os.getpid()}") for path in paths]
+    files: list[IO[str]] = []
+    try:
+        for path, tmp in zip(paths, tmps):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            files.append(open(tmp, "w", encoding="utf-8"))
+        yield files
+        for f in files:
+            f.close()
+        for path, tmp in zip(paths, tmps):
+            os.replace(tmp, path)
+    except BaseException:
+        for f in files:
+            f.close()
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+
+
 def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
     """Write `text`, or its chunks as they come, to a temp file renamed to `path`.
 
     If writing fails, the temp file is removed and `path` is left as it was.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp-{os.getpid()}")
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.writelines((text,) if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_files(path) as (f,):
+        f.writelines((text,) if isinstance(text, str) else text)
 
 
 def _init_scorer(spec: ScorerSpec, feature_dim: int) -> scorer.ScorerModel:
@@ -274,19 +293,25 @@ def _init_scorer(spec: ScorerSpec, feature_dim: int) -> scorer.ScorerModel:
 def cmd_world(args) -> int:
     cfg = load_experiment_config(args.config, args)
     _print_resolved("world", cfg, args)
-    world = distill_data.generate_world(cfg.world)
+    names = sorted(cfg.world.first_stage_noise)
     out = Path(args.out)
     _atomic_write(
         out / "world_config.json",
         json.dumps(dataclasses.asdict(cfg.world), indent=2, sort_keys=True) + "\n",
     )
-    _atomic_write(out / "qrels.txt", core.write_qrels(world.qrels()))
-    for name in world.retriever_names:
-        run = world.first_stage_run(name)
-        _atomic_write(out / f"run_{name}.trec", core.write_run(run.ranked(), tag=name))
+    paths = [out / "qrels.txt", *(out / f"run_{name}.trec" for name in names)]
+    with _atomic_files(*paths) as (qrels, *runs):
+
+        def write(world: distill_data.SyntheticWorld) -> None:
+            qrels.write(core.write_qrels(world.qrels()))
+            for name, f in zip(names, runs):
+                f.writelines(core.write_run(world.first_stage_run(name).ranked(), tag=name))
+
+        for _ in distill_data.map_ranges(write, cfg.world, range(cfg.world.num_queries)):
+            pass
     print(
         f"world: {cfg.world.num_queries} queries, pool {cfg.world.docs_per_query}, "
-        f"retrievers {list(world.retriever_names)} -> {out}"
+        f"retrievers {names} -> {out}"
     )
     return 0
 
@@ -296,14 +321,16 @@ def cmd_distill(args) -> int:
     _print_resolved("distill", cfg, args)
     _check_retriever(cfg, "distill")
     _check_depth(cfg, "distill", "depth", cfg.distill.depth)
-    world = distill_data.generate_world(cfg.world)
-    splits = pipeline.split_query_ids(world.query_ids, cfg.split)
-    run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
-    dataset = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth)
+    train = pipeline.query_ranges(cfg.world.num_queries, cfg.split)["train"]
+
+    def records() -> Iterator[str]:
+        for dataset in _teacher_datasets(cfg, train, cfg.distill.depth):
+            yield from core.write_distill_dataset(dataset)
+
     out = Path(args.out)
-    _atomic_write(out / "distill_dataset.jsonl", core.write_distill_dataset(dataset))
+    _atomic_write(out / "distill_dataset.jsonl", records())
     print(
-        f"distill: {len(dataset)} queries at depth {cfg.distill.depth} "
+        f"distill: {len(train)} queries at depth {cfg.distill.depth} "
         f"from retriever {cfg.distill.retriever!r} -> {out / 'distill_dataset.jsonl'}"
     )
     return 0
@@ -329,30 +356,62 @@ def _read_dataset(path: str, feature_dim: int) -> list[np.ndarray]:
     return dataset.lists()
 
 
+def _teacher_datasets(
+    cfg: ExperimentConfig, queries: range, depth: int
+) -> Iterator[core.DistillDataset]:
+    """The teacher dataset of `queries` at `depth`, one world slice at a time."""
+
+    def build(world: distill_data.SyntheticWorld) -> core.DistillDataset:
+        run = world.first_stage_run(cfg.distill.retriever)
+        return distill_data.build_teacher_dataset(run, depth=depth)
+
+    return distill_data.map_ranges(build, cfg.world, queries)
+
+
+def _train_lists(
+    cfg: ExperimentConfig, train: range, groups: bool, depth: int | None
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The hard-negative groups (if `groups`) and the teacher lists at `depth`
+    (if not None) of the train queries, built one world slice at a time."""
+    counts: collections.Counter = collections.Counter()
+
+    def build(world: distill_data.SyntheticWorld) -> tuple[list, list]:
+        run = world.first_stage_run(cfg.distill.retriever)
+        some_groups = some_lists = []
+        if groups:
+            block = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling, counts)
+            some_groups = block.lists()
+        if depth is not None:
+            some_lists = distill_data.build_teacher_dataset(run, depth=depth).lists()
+        return some_groups, some_lists
+
+    group_lists, teacher_lists = [], []
+    for some_groups, some_lists in distill_data.map_ranges(build, cfg.world, train):
+        group_lists += some_groups
+        teacher_lists += some_lists
+    if groups:
+        distill_data.log_sampling(counts)
+    return group_lists, teacher_lists
+
+
 def _train(
-    args,
-    cfg: ExperimentConfig,
-    stage1: bool,
-    distill: bool,
-    world: distill_data.SyntheticWorld,
-    splits: Mapping[str, Sequence[str]],
-    out: Path,
+    args, cfg: ExperimentConfig, stage1: bool, distill: bool, splits: dict[str, range], out: Path
 ) -> scorer.ScorerModel:
     """Train as the flags say, write the training reports, return the model."""
-    run = lists = None
+    groups = lists = None
     if distill and args.dataset:
         lists = _read_dataset(args.dataset, cfg.world.feature_dim)
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
-    if stage1 or not args.dataset:
-        run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
-    if distill and not args.dataset:
-        lists = distill_data.build_teacher_dataset(run, depth=cfg.distill.depth).lists()
+    teacher_depth = cfg.distill.depth if distill and not args.dataset else None
+    if stage1 or teacher_depth is not None:
+        groups, teacher_lists = _train_lists(cfg, splits["train"], stage1, teacher_depth)
+        if teacher_depth is not None:
+            lists = teacher_lists
     if distill:
         validation = pipeline.make_validation(
-            world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
+            cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
         )
     if stage1:
-        groups = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling).lists()
         model, report = trainer.train_stage1(model, groups, cfg.stage1)
         _write_train_outputs(out, "stage1", report)
     if distill:
@@ -377,18 +436,17 @@ def cmd_train(args) -> int:
         _check_depth(cfg, "distill", "depth", cfg.distill.depth)
     _check_retriever(cfg, "eval")
     _check_depth(cfg, "eval", "depth", cfg.eval.depth)
-    world = distill_data.generate_world(cfg.world)
-    splits = pipeline.split_query_ids(world.query_ids, cfg.split)
+    splits = pipeline.query_ranges(cfg.world.num_queries, cfg.split)
     out = Path(args.out)
     # The training data goes out of scope with _train, before the test pools
     # are built, so the two never take memory at the same time.
-    model = _train(args, cfg, stage1, distill, world, splits, out)
+    model = _train(args, cfg, stage1, distill, splits, out)
 
     _atomic_write(out / "checkpoint.txt", scorer.checkpoint_text(model))
-    test_pools = pipeline.build_rerank_pools(
-        world, world.first_stage_run(cfg.eval.retriever), splits["test"], cfg.eval.depth
+    test_pools, qrels = pipeline.range_pools(
+        cfg.world, cfg.eval.retriever, splits["test"], cfg.eval.depth
     )
-    test_scores, test_run = pipeline.evaluate_model(model, test_pools, world.qrels(), cfg.eval.k)
+    test_scores, test_run = pipeline.evaluate_model(model, test_pools, qrels, cfg.eval.k)
     _atomic_write(out / "test_run.trec", core.write_run(test_run, tag="ltrlab"))
     _atomic_write(
         out / "test_per_query.tsv",
@@ -482,20 +540,16 @@ def cmd_ablate(args) -> int:
     depths = sorted(cfg.ablation.depths)
     max_depth = depths[-1]
     _check_depth(cfg, "ablation", "depth", max_depth)
-    world = distill_data.generate_world(cfg.world)
-    splits = pipeline.split_query_ids(world.query_ids, cfg.split)
-    run = world.first_stage_run(cfg.distill.retriever).restrict(splits["train"])
-    full = distill_data.build_teacher_dataset(run, depth=max_depth)
-    datasets = {
-        d: (full if d == max_depth else distill_data.subsample_depth(full, d)) for d in depths
-    }
+    splits = pipeline.query_ranges(cfg.world.num_queries, cfg.split)
+    lists: dict[int, list[np.ndarray]] = {d: [] for d in depths}
+    for full in _teacher_datasets(cfg, splits["train"], max_depth):
+        for d in lists:
+            lists[d] += (full if d == max_depth else distill_data.subsample_depth(full, d)).lists()
     validation = pipeline.make_validation(
-        world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
+        cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
     )
     base_model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
-    cells = pipeline.ablation_grid(
-        datasets, cfg.ablation.fractions, base_model, validation, cfg.stage2
-    )
+    cells = pipeline.ablation_grid(lists, cfg.ablation.fractions, base_model, validation, cfg.stage2)
     out = Path(args.out)
     tsv_lines = ["depth\tquery_fraction\tnum_queries\tmean_ndcg10\tsteps"]
     for c in cells:
@@ -519,7 +573,7 @@ def _parse_system(text: str) -> tuple[str, rerank_sim.StrategySpec, rerank_sim.C
         )
     name, kind = parts[0], parts[1]
     try:
-        latency, memory = float(parts[2]), float(parts[3])
+        cost = rerank_sim.CostModel(float(parts[2]), float(parts[3]))
         window, stride = (int(parts[4]), int(parts[5])) if len(parts) == 6 else (20, 10)
     except ValueError:
         raise UsageError(f"bad numbers in --system {text!r}") from None
@@ -529,7 +583,7 @@ def _parse_system(text: str) -> tuple[str, rerank_sim.StrategySpec, rerank_sim.C
         spec = rerank_sim.sliding_window(window, stride)
     else:
         raise UsageError(f"unknown strategy kind {kind!r} in --system {text!r}")
-    return name, spec, rerank_sim.CostModel(latency, memory)
+    return name, spec, cost
 
 
 def cmd_bench(args) -> int:

@@ -10,7 +10,8 @@ Builds the two kinds of training data the trainer consumes:
 The synthetic world replaces real corpora, retrievers, and LLM teachers: a
 hidden relevance rel(q, d) = dot(q_vec, d_vec) drives noise-parameterized
 first-stage retrievers and a noise-parameterized teacher. All randomness for
-query i derives from (seed, i), so parallel and serial generation agree.
+query i derives from (seed, i), so the world of any range of queries has the
+bits of the same rows of the whole world and can be generated on its own.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import itertools
 import logging
 import math
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -29,8 +31,14 @@ from .core import DistillDataset, DocId, ListBlock, Qrels, QueryId, RankedRow
 
 logger = logging.getLogger(__name__)
 
+T = TypeVar("T")
+
 FEATURE_MAP_PRODUCT = "product"
 FEATURE_MAP_SATURATED = "saturated"
+
+# Queries per world slice in `map_ranges`: about 6.5 MB of features at
+# 200 docs x 16 features.
+_QUERIES_PER_RANGE = 256
 
 
 @dataclass(frozen=True)
@@ -102,13 +110,15 @@ class WorldConfig:
 class SyntheticWorld:
     """A generated retrieval world: corpus, qrels, runs, teacher, features.
 
-    Construct via generate_world. Per-query state is stored in arrays
-    indexed by (query index, doc index); doc ids encode their pool index.
+    Construct via generate_world. It holds the rows of one range of the
+    config's queries. Per-query state is stored in arrays indexed by (query
+    index within the range, doc index); doc ids encode their pool index.
     """
 
     def __init__(
         self,
         config: WorldConfig,
+        queries: range,
         relevance: np.ndarray,
         features: np.ndarray,
         teacher_unit_noise: np.ndarray,
@@ -119,11 +129,9 @@ class SyntheticWorld:
         self._features = features  # (Q, P, F)
         self._teacher_u = teacher_unit_noise  # (Q, P)
         self._fs_scores = first_stage_scores  # name -> (Q, P)
-        width = len(str(config.docs_per_query - 1))
-        self._suffixes = [f"_p{j:0{width}d}" for j in range(config.docs_per_query)]
-        self.query_ids: tuple[str, ...] = tuple(
-            f"q{i:0{len(str(config.num_queries - 1))}d}" for i in range(config.num_queries)
-        )
+        dwidth, qwidth = len(str(config.docs_per_query - 1)), len(str(config.num_queries - 1))
+        self._suffixes = [f"_p{j:0{dwidth}d}" for j in range(config.docs_per_query)]
+        self.query_ids: tuple[str, ...] = tuple(f"q{i:0{qwidth}d}" for i in queries)
         self._qrels: Qrels | None = None
         # Orders, not runs: a run refers to its world, and a cycle delays freeing it.
         self._orders: dict[str, np.ndarray] = {}
@@ -230,28 +238,51 @@ class WorldRun:
             yield query, self.world._doc_ids(qi, idx.tolist()), self._scores[qi, idx].tolist()
 
 
-def generate_world(config: WorldConfig) -> SyntheticWorld:
-    """Generate the full world deterministically from its config."""
-    nq, pool, fdim = config.num_queries, config.docs_per_query, config.feature_dim
+def generate_world(config: WorldConfig, queries: range | None = None) -> SyntheticWorld:
+    """Generate the world's rows of a range of query indices, by default all.
+
+    Each row is drawn from (seed, query index) alone, so it has the same bits
+    in every range that holds it, and query ids keep the width of the whole
+    config.
+    """
+    if queries is None:
+        queries = range(config.num_queries)
+    if not (queries.step == 1 and 0 <= queries.start < queries.stop <= config.num_queries):
+        raise ValueError(f"{queries} is not a non-empty range of the {config.num_queries} queries")
+    nq, pool, fdim = len(queries), config.docs_per_query, config.feature_dim
     rel = np.empty((nq, pool))
     feats = np.empty((nq, pool, fdim))
     teacher_u = np.empty((nq, pool))
     fs_scores = {name: np.empty((nq, pool)) for name in config.first_stage_noise}
-    for qi in range(nq):
+    for row, qi in enumerate(queries):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(qi,)))
         q_vec = rng.normal(size=fdim)
         d_vecs = rng.normal(size=(pool, fdim))
-        rel[qi] = d_vecs @ q_vec
+        rel[row] = d_vecs @ q_vec
         raw = q_vec[None, :] * d_vecs
         mapped = np.tanh(raw) if config.feature_map == FEATURE_MAP_SATURATED else raw
         if config.feature_noise > 0:
             mapped = mapped + config.feature_noise * rng.normal(size=(pool, fdim))
-        feats[qi] = mapped
-        teacher_u[qi] = rng.normal(size=pool)
+        feats[row] = mapped
+        teacher_u[row] = rng.normal(size=pool)
         for name in sorted(config.first_stage_noise):
             sigma = config.first_stage_noise[name]
-            fs_scores[name][qi] = rel[qi] + sigma * rng.normal(size=pool)
-    return SyntheticWorld(config, rel, feats, teacher_u, fs_scores)
+            fs_scores[name][row] = rel[row] + sigma * rng.normal(size=pool)
+    return SyntheticWorld(config, queries, rel, feats, teacher_u, fs_scores)
+
+
+def map_ranges(
+    fn: Callable[[SyntheticWorld], T], config: WorldConfig, queries: range
+) -> Iterator[T]:
+    """`fn` of the world of each consecutive slice of at most
+    `_QUERIES_PER_RANGE` of `queries`, lazily and in order.
+
+    Each world is dropped once `fn` returns, before the next is generated,
+    so one slice is alive at a time as long as no result refers to its world.
+    """
+    step = _QUERIES_PER_RANGE
+    for lo in range(queries.start, queries.stop, step):
+        yield fn(generate_world(config, range(lo, min(lo + step, queries.stop))))
 
 
 def _query_rng(seed: int, query: QueryId) -> np.random.Generator:
@@ -261,7 +292,22 @@ def _query_rng(seed: int, query: QueryId) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=words))
 
 
-def build_hard_negative_groups(run: WorldRun, qrels: Qrels, cfg: SamplingConfig) -> ListBlock:
+def log_sampling(counts: Counter) -> None:
+    """Log one summary of hard-negative sampling, if any query was skipped."""
+    skipped = [counts["no positive"], counts["shallow run"], counts["small pool"]]
+    if sum(skipped):
+        logger.info(
+            "hard-negative sampling: %d groups, %d queries skipped "
+            "(%d no positive, %d shallow run, %d small pool)",
+            counts["groups"],
+            sum(skipped),
+            *skipped,
+        )
+
+
+def build_hard_negative_groups(
+    run: WorldRun, qrels: Qrels, cfg: SamplingConfig, counts: Counter | None = None
+) -> ListBlock:
     """Sample hard-negative training groups from the top of a first-stage run.
 
     Per query that has at least one judged-positive doc: the positive is the
@@ -272,17 +318,19 @@ def build_hard_negative_groups(run: WorldRun, qrels: Qrels, cfg: SamplingConfig)
     or when the eligible pool is smaller than num_negatives. Each group is
     one list of the block, positive first; a positive that is not a doc of
     its query's pool raises KeyError.
+
+    The group and skip counts are added to `counts` when it is given, so
+    that a caller that samples many runs logs them once with `log_sampling`;
+    without it they are logged here.
     """
     world = run.world
     run_depth = run.order.shape[1]
     rows, members = [], []
-    skipped_no_positive = 0
-    skipped_shallow = 0
-    skipped_small_pool = 0
+    tally: Counter = Counter()
     for r, (qid, qi, row) in enumerate(zip(run.queries, run.qindex.tolist(), run.order)):
         positives = qrels.positives(qid)
         if not positives:
-            skipped_no_positive += 1
+            tally["no positive"] += 1
             continue
         if run_depth < cfg.pool_depth:
             logger.warning(
@@ -291,7 +339,7 @@ def build_hard_negative_groups(run: WorldRun, qrels: Qrels, cfg: SamplingConfig)
                 run_depth,
                 cfg.pool_depth,
             )
-            skipped_shallow += 1
+            tally["shallow run"] += 1
             continue
         pool = row[: cfg.pool_depth]
         for doc in positives:
@@ -306,23 +354,17 @@ def build_hard_negative_groups(run: WorldRun, qrels: Qrels, cfg: SamplingConfig)
                 len(pool),
                 cfg.num_negatives,
             )
-            skipped_small_pool += 1
+            tally["small pool"] += 1
             continue
         rng = _query_rng(cfg.seed, qid)
         chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
         rows.append(r)
         members.append([world._dindex(qi, positives[0]), *pool[chosen].tolist()])
-    skipped = skipped_no_positive + skipped_shallow + skipped_small_pool
-    if skipped:
-        logger.info(
-            "hard-negative sampling: %d groups, %d queries skipped "
-            "(%d no positive, %d shallow run, %d small pool)",
-            len(rows),
-            skipped,
-            skipped_no_positive,
-            skipped_shallow,
-            skipped_small_pool,
-        )
+    tally["groups"] = len(rows)
+    if counts is None:
+        log_sampling(tally)
+    else:
+        counts.update(tally)
     size, qindex = cfg.num_negatives + 1, run.qindex[rows]
     index = np.array(members, dtype=np.intp).reshape(len(rows), size)
     return ListBlock(

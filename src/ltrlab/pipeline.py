@@ -1,12 +1,14 @@
 """Pipeline plumbing shared by the CLI and experiment harnesses.
 
-Splits worlds into train/validation/test query sets, builds re-ranking
-pools, evaluates checkpoints, and runs the depth x query-count ablation
-grid over distillation datasets.
+Splits queries into train/validation/test ranges, builds re-ranking pools
+(from a world, or from a query range one world slice at a time), evaluates
+checkpoints, and runs the depth x query-count ablation grid over
+distillation lists.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -14,34 +16,40 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import scorer, trainer
-from .core import ListBlock, Qrels, QueryId, RankedRow
-from .distill_data import SyntheticWorld, WorldRun
+from .core import Qrels, QueryId, RankedRow
+from .distill_data import SyntheticWorld, WorldConfig, WorldRun, map_ranges
 from .trainer import PoolBlock, TrainConfig, ValidationSet
 
 logger = logging.getLogger(__name__)
 
 
-def split_query_ids(
-    query_ids: Sequence[QueryId], fractions: Mapping[str, float]
-) -> dict[str, tuple[QueryId, ...]]:
-    """Deterministic contiguous split of queries into named fractions.
+def query_ranges(num_queries: int, fractions: Mapping[str, float]) -> dict[str, range]:
+    """Deterministic contiguous split of query indices into named fractions.
 
     Fractions must be positive and sum to at most 1 (within rounding).
     Queries are independent draws in the synthetic world, so contiguous
-    slices are already unbiased.
+    ranges are already unbiased.
     """
     total = sum(fractions.values())
     if total > 1.0 + 1e-9:
         raise ValueError(f"split fractions sum to {total} > 1")
     if any(f <= 0 for f in fractions.values()):
         raise ValueError("split fractions must be positive")
-    out: dict[str, tuple[QueryId, ...]] = {}
+    out: dict[str, range] = {}
     start = 0
     for name, frac in fractions.items():
-        count = int(round(frac * len(query_ids)))
-        out[name] = tuple(query_ids[start : start + count])
+        count = int(round(frac * num_queries))
+        out[name] = range(min(start, num_queries), min(start + count, num_queries))
         start += count
     return out
+
+
+def split_query_ids(
+    query_ids: Sequence[QueryId], fractions: Mapping[str, float]
+) -> dict[str, tuple[QueryId, ...]]:
+    """The queries of each range of `query_ranges`."""
+    ranges = query_ranges(len(query_ids), fractions)
+    return {name: tuple(query_ids[r.start : r.stop]) for name, r in ranges.items()}
 
 
 def build_rerank_pools(
@@ -53,12 +61,34 @@ def build_rerank_pools(
     return PoolBlock(tuple(queries), *run.top(queries, depth))
 
 
+def range_pools(
+    config: WorldConfig, retriever: str, queries: range, depth: int
+) -> tuple[PoolBlock, Qrels]:
+    """The top-`depth` pools of `queries` in a retriever's run, and their
+    judgments, built one world slice at a time."""
+
+    def part(world: SyntheticWorld) -> tuple[PoolBlock, Qrels]:
+        run = world.first_stage_run(retriever)
+        return build_rerank_pools(world, run, world.query_ids, depth), world.qrels()
+
+    parts = list(map_ranges(part, config, queries))
+    if not parts:  # rounding can leave the last split empty
+        empty = PoolBlock((), [], np.empty((0, 0), np.intp), np.empty((0, 0, config.feature_dim)))
+        return empty, Qrels()
+    blocks, qrels = zip(*parts)
+    block = PoolBlock(
+        tuple(itertools.chain.from_iterable(b.queries for b in blocks)),
+        list(itertools.chain.from_iterable(b.docs for b in blocks)),
+        np.concatenate([b.index for b in blocks]),
+        np.concatenate([b.features for b in blocks]),
+    )
+    return block, Qrels({q: part.judged(q) for part in qrels for q in part.query_ids()})
+
+
 def make_validation(
-    world: SyntheticWorld, retriever: str, queries: Sequence[QueryId], depth: int
+    config: WorldConfig, retriever: str, queries: range, depth: int
 ) -> ValidationSet:
-    run = world.first_stage_run(retriever)
-    pools = build_rerank_pools(world, run, queries, depth)
-    return ValidationSet(pools, world.qrels().restrict(queries))
+    return ValidationSet(*range_pools(config, retriever, queries, depth))
 
 
 def evaluate_model(
@@ -102,7 +132,7 @@ def subsample_queries(lists: Sequence[np.ndarray], fraction: float, seed: int) -
 
 
 def ablation_grid(
-    datasets_by_depth: Mapping[int, ListBlock],
+    lists_by_depth: Mapping[int, Sequence[np.ndarray]],
     fractions: Sequence[float],
     base_model: scorer.ScorerModel,
     validation: ValidationSet,
@@ -111,12 +141,13 @@ def ablation_grid(
 ) -> list[AblationCell]:
     """Train one model per (depth, fraction) cell and record validation nDCG@10.
 
-    Every cell starts from the same initial model and training config, so
-    cells differ only in their training data.
+    `lists_by_depth` holds the training lists, each an (n, F) feature array,
+    of every depth. Every cell starts from the same initial model and
+    training config, so cells differ only in their training data.
     """
     cells: list[AblationCell] = []
-    for depth in sorted(datasets_by_depth):
-        lists = datasets_by_depth[depth].lists()
+    for depth in sorted(lists_by_depth):
+        lists = lists_by_depth[depth]
         for fraction in fractions:
             data = subsample_queries(lists, fraction, subsample_seed)
             model, report = trainer.train_distill(base_model, data, validation, cfg)

@@ -9,6 +9,7 @@ modeled per scoring call plus a per-strategy resident memory figure.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,8 +56,9 @@ class CostModel:
     per_item_memory: float
 
     def __post_init__(self):
-        if self.per_call_latency < 0 or self.per_item_memory < 0:
-            raise ValueError("cost parameters must be non-negative")
+        for value in (self.per_call_latency, self.per_item_memory):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"cost parameters must be finite and >= 0, got {value!r}")
 
 
 def schedule(n: int, spec: StrategySpec) -> list[tuple[int, int]]:

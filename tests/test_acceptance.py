@@ -32,6 +32,7 @@ from ltrlab.pipeline import (
     build_rerank_pools,
     evaluate_model,
     make_validation,
+    query_ranges,
     split_query_ids,
 )
 from ltrlab.rerank_sim import CostModel, estimate, pointwise, schedule, scoring_count, sliding_window
@@ -262,8 +263,10 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
             seed=seed,
         )
     )
-    splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
-    validation = make_validation(world, "low", splits["validation"], 50)
+    fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
+    splits = split_query_ids(world.query_ids, fractions)
+    validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
+    validation = make_validation(world.config, "low", validation_range, 50)
     test_pools = build_rerank_pools(world, world.first_stage_run("low"), splits["test"], 50)
     result = {}
     for name in ("low", "high"):
@@ -322,13 +325,15 @@ def training_regimes():
                 seed=seed,
             )
         )
-        splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
+        fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
+        splits = split_query_ids(world.query_ids, fractions)
         run_train = world.first_stage_run("strong").restrict(splits["train"])
         groups = build_hard_negative_groups(
             run_train, world.qrels(), SamplingConfig(pool_depth=200, num_negatives=7, seed=seed + 3)
         ).lists()
         dataset = build_teacher_dataset(run_train, depth=50).lists()
-        validation = make_validation(world, "strong", splits["validation"], 50)
+        validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
+        validation = make_validation(world.config, "strong", validation_range, 50)
         test_pools = build_rerank_pools(
             world, world.first_stage_run("strong"), splits["test"], 50
         )

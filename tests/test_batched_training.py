@@ -22,7 +22,7 @@ from ltrlab.distill_data import (
     generate_world,
     subsample_depth,
 )
-from ltrlab.pipeline import make_validation, split_query_ids
+from ltrlab.pipeline import make_validation, query_ranges, split_query_ids
 
 from _oracles import (
     adr_mse_oracle,
@@ -240,14 +240,16 @@ def small_world():
 @pytest.fixture(scope="module")
 def world_setup():
     world = small_world()
-    splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
+    fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
+    splits = split_query_ids(world.query_ids, fractions)
     run = world.first_stage_run("main").restrict(splits["train"])
     full = build_teacher_dataset(run, depth=12)
     shallow = subsample_depth(full, 6).lists()
     ragged = full.lists()[:10] + shallow[10:20]
     for i, features in enumerate(full.lists()[20:]):
         ragged.append(features[: 1 + i % 7])  # mixed lengths, some of them 1
-    validation = make_validation(world, "main", splits["validation"], 12)
+    validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
+    validation = make_validation(world.config, "main", validation_range, 12)
     groups = build_hard_negative_groups(
         run, world.qrels(), SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
     )

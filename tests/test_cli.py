@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import logging
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import typing
@@ -159,6 +163,22 @@ class TestAtomicWrite:
         assert read(target) == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
 
+    def test_failed_world_pass_keeps_every_file(self, tmp_path, config_path, monkeypatch):
+        out = tmp_path / "world"
+        assert main(["world", "--config", str(config_path), "--out", str(out)]) == 0
+        before = {p.name: read(p) for p in out.iterdir()}
+        write_run = core.write_run
+
+        def fail_on_weak(rows, tag):
+            if tag == "weak":
+                raise ValueError("disk full")
+            return write_run(rows, tag)
+
+        monkeypatch.setattr(core, "write_run", fail_on_weak)
+        assert main(["world", "--config", str(config_path), "--seed", "5", "--out", str(out)]) == 2
+        after = {p.name: read(p) for p in out.iterdir() if p.name != "world_config.json"}
+        assert after == {k: v for k, v in before.items() if k != "world_config.json"}
+
     def test_dataset_write_holds_no_whole_file(self, tmp_path):
         world = generate_world(WorldConfig(num_queries=60, docs_per_query=50, seed=3))
         dataset = build_teacher_dataset(world.first_stage_run("strong"), depth=50)
@@ -184,6 +204,86 @@ class TestAtomicWrite:
             tracemalloc.stop()
         assert "".join(core.write_run(run.ranked(), "strong")) == read(path)
         assert peak < path.stat().st_size / 4
+
+
+# A world of 2048 queries fills 8 ranges of 256. The commands read few of its
+# features: distillation depth 5, hard-negative groups of 8, eval depth 10.
+RANGES_CONFIG = dict(
+    SMOKE_CONFIG,
+    world=dict(SMOKE_CONFIG["world"], num_queries=2048, docs_per_query=50, feature_dim=16),
+    sampling={"pool_depth": 50, "num_negatives": 7, "seed": 4},
+    distill={"retriever": "strong", "depth": 5},
+    stage1=dict(SMOKE_CONFIG["stage1"], max_steps=5),
+    stage2=dict(SMOKE_CONFIG["stage2"], max_steps=10),
+    eval={"retriever": "strong", "depth": 10, "k": 10},
+)
+
+
+class TestQueryRanges:
+    def test_commands_hold_less_than_half_the_world_features(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(RANGES_CONFIG), encoding="utf-8")
+        world = RANGES_CONFIG["world"]
+        bound = world["num_queries"] * world["docs_per_query"] * world["feature_dim"] * 8 / 2
+        assert world["num_queries"] >= 8 * distill_data._QUERIES_PER_RANGE
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for command in (["world"], ["distill"], ["train", "--stage", "two"]):
+                tracemalloc.reset_peak()
+                out = tmp_path / command[0]
+                assert main([*command, "--config", str(path), "--out", str(out)]) == 0
+                peaks[command[0]] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(peak < bound for peak in peaks.values()), (peaks, bound)
+
+    def test_one_sampling_summary_per_command(self, config_path, tmp_path, monkeypatch, caplog):
+        """Queries q..0 and q..5 lose their judgments (no positive), and
+        queries q..1 and q..6 have their whole pool judged (too few
+        negatives). The skips of every world slice add up to one log line."""
+        judged = distill_data.SyntheticWorld.qrels
+
+        def qrels(world):
+            grades = {}
+            for qi, query in enumerate(world.query_ids):
+                if int(query[1:]) % 5 == 1:
+                    pool = world._doc_ids(qi, range(world.config.docs_per_query))
+                    grades[query] = dict.fromkeys(pool, 1)
+                elif int(query[1:]) % 5:
+                    grades[query] = judged(world).judged(query)
+            return core.Qrels(grades)
+
+        monkeypatch.setattr(distill_data.SyntheticWorld, "qrels", qrels)
+        world = generate_world(WorldConfig(**SMOKE_CONFIG["world"]))
+        train = pipeline.split_query_ids(world.query_ids, SMOKE_CONFIG["split"])["train"]
+        run = world.first_stage_run(SMOKE_CONFIG["distill"]["retriever"]).restrict(train)
+        sampling = distill_data.SamplingConfig(**SMOKE_CONFIG["sampling"])
+        with caplog.at_level(logging.INFO, logger="ltrlab.distill_data"):
+            distill_data.build_hard_negative_groups(run, world.qrels(), sampling)
+        (expected,) = [r.args for r in caplog.records if r.msg.startswith("hard-negative")]
+        assert expected[2:] == (24, 0, 24)
+
+        monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
+        for command in (["train", "--stage", "two"], ["train", "--loss", "infonce"]):
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="ltrlab.distill_data"):
+                out = tmp_path / command[-1]
+                assert main([*command, "--config", str(config_path), "--out", str(out)]) == 0
+            summaries = [r.args for r in caplog.records if r.msg.startswith("hard-negative")]
+            assert summaries == [expected]
+
+
+class TestModuleEntry:
+    def test_python_m_ltrlab_help(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "ltrlab", "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: ltrlab")
 
 
 class TestSignificanceCommand:
@@ -267,6 +367,11 @@ class TestBenchCommand:
             ),
             ("a,window,x,1", "bad numbers in --system 'a,window,x,1'"),
             ("a,window,1,1,x,y", "bad numbers in --system 'a,window,1,1,x,y'"),
+            ("a,pointwise,nan,1", "bad numbers in --system 'a,pointwise,nan,1'"),
+            ("a,pointwise,1,NaN", "bad numbers in --system 'a,pointwise,1,NaN'"),
+            ("a,pointwise,Infinity,1", "bad numbers in --system 'a,pointwise,Infinity,1'"),
+            ("a,window,1,-inf,20,10", "bad numbers in --system 'a,window,1,-inf,20,10'"),
+            ("a,pointwise,-1,1", "bad numbers in --system 'a,pointwise,-1,1'"),
         ],
     )
     def test_bad_system_spec_is_usage_error(self, capsys, spec, message):

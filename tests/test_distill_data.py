@@ -4,16 +4,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from ltrlab import distill_data, pipeline
 from ltrlab.core import Qrels
 from ltrlab.distill_data import (
+    FEATURE_MAP_PRODUCT,
+    FEATURE_MAP_SATURATED,
     SamplingConfig,
     WorldConfig,
     build_hard_negative_groups,
     build_teacher_dataset,
     generate_world,
     subsample_depth,
+    map_ranges,
 )
 
 from _oracles import block_lists, features_oracle, record_values, scored_lists, stack_records
@@ -199,6 +205,105 @@ class TestHardNegativeGroups:
         expected = n_draws / len(subsets)
         stat = sum((counts.get(s, 0) - expected) ** 2 / expected for s in subsets)
         assert stat < chi2.ppf(0.99, df=len(subsets) - 1)
+
+
+def dataset_columns(dataset):
+    """Every column of a DistillDataset, as values that compare with ==."""
+    return (
+        dataset.queries,
+        dataset.offsets.tolist(),
+        dataset.docs,
+        dataset.features.tolist(),
+        dataset.first_stage_ranks.tolist(),
+        dataset.source_depths.tolist(),
+    )
+
+
+class TestQueryRanges:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_range_rows_equal_whole_world_rows(self, data):
+        num_queries = data.draw(st.integers(1, 120), label="num_queries")
+        noise = st.sampled_from([0.0, 0.5, 3.0])
+        config = WorldConfig(
+            num_queries=num_queries,
+            docs_per_query=data.draw(st.integers(1, 12), label="docs_per_query"),
+            feature_dim=data.draw(st.integers(1, 4), label="feature_dim"),
+            first_stage_noise=data.draw(
+                st.dictionaries(st.sampled_from(["a", "b", "c"]), noise, min_size=1),
+                label="retrievers",
+            ),
+            teacher_noise=data.draw(noise, label="teacher_noise"),
+            teacher_noise_rank_growth=data.draw(st.sampled_from([0.0, 0.1])),
+            feature_map=data.draw(st.sampled_from([FEATURE_MAP_PRODUCT, FEATURE_MAP_SATURATED])),
+            feature_noise=data.draw(st.sampled_from([0.0, 0.3]), label="feature_noise"),
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        )
+        lo = data.draw(st.integers(0, num_queries - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, num_queries), label="hi")
+        whole, part = generate_world(config), generate_world(config, range(lo, hi))
+        assert part.query_ids == whole.query_ids[lo:hi]
+        assert (part._rel == whole._rel[lo:hi]).all()
+        assert (part._features == whole._features[lo:hi]).all()
+        assert (part._teacher_u == whole._teacher_u[lo:hi]).all()
+        assert part.qrels() == whole.qrels().restrict(part.query_ids)
+        depth = data.draw(st.integers(1, config.docs_per_query), label="depth")
+        for name in config.first_stage_noise:
+            assert (part._fs_scores[name] == whole._fs_scores[name][lo:hi]).all()
+            run, whole_run = part.first_stage_run(name), whole.first_stage_run(name)
+            whole_run = whole_run.restrict(part.query_ids)
+            assert list(run.ranked()) == list(whole_run.ranked())
+            assert dataset_columns(build_teacher_dataset(run, depth)) == dataset_columns(
+                build_teacher_dataset(whole_run, depth)
+            )
+            if config.docs_per_query > 1:
+                negatives = data.draw(st.integers(1, config.docs_per_query - 1))
+                cfg = SamplingConfig(config.docs_per_query, negatives)
+                groups, whole_groups = (
+                    [(q, docs, f.tolist()) for q, docs, f in block_lists(groups)]
+                    for groups in (
+                        build_hard_negative_groups(run, part.qrels(), cfg),
+                        build_hard_negative_groups(whole_run, whole.qrels(), cfg),
+                    )
+                )
+                assert groups == whole_groups
+
+    def test_query_ids_keep_the_width_of_the_whole_config(self):
+        world = generate_world(WorldConfig(num_queries=1000, docs_per_query=3), range(7, 9))
+        assert world.query_ids == ("q007", "q008")
+        assert [docs for _, docs, _ in world.first_stage_run("weak").ranked()][0][0][:6] == "q007_p"
+
+    @pytest.mark.parametrize("queries", [range(0), range(3, 3), range(-1, 2), range(0, 11), range(0, 4, 2)])
+    def test_bad_range_rejected(self, queries):
+        with pytest.raises(ValueError, match="is not a non-empty range of the 10 queries"):
+            generate_world(WorldConfig(num_queries=10, docs_per_query=3), queries)
+
+    def test_map_ranges_covers_the_range_in_slices(self, monkeypatch):
+        monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
+        config = WorldConfig(num_queries=40, docs_per_query=3)
+        slices = list(map_ranges(lambda world: world.query_ids, config, range(3, 25)))
+        assert [len(ids) for ids in slices] == [7, 7, 7, 1]
+        assert sum(slices, ()) == generate_world(config).query_ids[3:25]
+        assert list(map_ranges(lambda world: world, config, range(5, 5))) == []
+
+
+class TestRangePools:
+    def test_equal_pools_of_the_whole_world(self, monkeypatch):
+        monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
+        config = WorldConfig(num_queries=40, docs_per_query=30, feature_dim=3, seed=8)
+        whole = generate_world(config)
+        queries = whole.query_ids[5:30]
+        expected = pipeline.build_rerank_pools(whole, whole.first_stage_run("weak"), queries, 12)
+        block, qrels = pipeline.range_pools(config, "weak", range(5, 30), 12)
+        assert block.queries == expected.queries and block.docs == expected.docs
+        assert (block.index == expected.index).all()
+        assert (block.features == expected.features).all()
+        assert qrels == whole.qrels().restrict(queries)
+
+    def test_empty_range_gives_an_empty_block(self):
+        config = WorldConfig(num_queries=3, docs_per_query=10, feature_dim=2)
+        block, qrels = pipeline.range_pools(config, "strong", range(3, 3), 5)
+        assert len(block) == 0 and len(qrels) == 0
 
 
 class TestTeacherDataset:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from ltrlab import distill_data
 from ltrlab.cli import main
 
 from test_cli import SMOKE_CONFIG
@@ -91,15 +92,28 @@ def digests(root: Path) -> dict[str, str]:
     }
 
 
-def test_outputs_match_golden_digests(tmp_path):
+def assert_golden(root: Path) -> None:
+    """Every command's outputs under `root` have the committed digests."""
     golden, now = json.loads(GOLDEN.read_text(encoding="utf-8")), environment()
     differ = {k: (v, now.get(k)) for k, v in golden["environment"].items() if now.get(k) != v}
     assert not differ, f"digests were made on another numeric stack, (golden, now): {differ}"
-    actual = digests(tmp_path)
+    actual = digests(root)
     expected = golden["files"]
     assert sorted(actual) == sorted(expected), "the set of output files changed"
     changed = sorted(name for name in expected if actual[name] != expected[name])
     assert not changed, f"output files whose bytes changed: {changed}"
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    assert_golden(tmp_path)
+
+
+def test_outputs_match_golden_digests_across_range_edges(tmp_path, monkeypatch):
+    """The smoke world's 200 queries fit in one world slice. At 7 queries a
+    slice, which divides neither 200 nor the split boundaries 120 and 160,
+    every command crosses slice edges and must still write the same bytes."""
+    monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
+    assert_golden(tmp_path)
 
 
 if __name__ == "__main__":

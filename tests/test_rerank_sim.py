@@ -118,6 +118,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             CostModel(-1.0, 0.0)
 
+    @pytest.mark.parametrize("costs", [(math.nan, 0.0), (1.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_cost_rejected(self, costs):
+        with pytest.raises(ValueError, match="cost parameters must be finite and >= 0"):
+            CostModel(*costs)
+
     def test_report_formats(self):
         baseline = estimate(100, pointwise(), CostModel(0.2, 2.0))
         rows = [

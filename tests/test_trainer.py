@@ -11,6 +11,7 @@ from ltrlab.pipeline import (
     build_rerank_pools,
     evaluate_model,
     make_validation,
+    query_ranges,
     split_query_ids,
 )
 from ltrlab.trainer import (
@@ -45,10 +46,12 @@ def build_world(seed=3, num_queries=200):
 @pytest.fixture(scope="module")
 def setup():
     world = build_world()
-    splits = split_query_ids(world.query_ids, {"train": 0.6, "validation": 0.2, "test": 0.2})
+    fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
+    splits = split_query_ids(world.query_ids, fractions)
     run = world.first_stage_run("main")
     dataset = build_teacher_dataset(run.restrict(splits["train"]), depth=30).lists()
-    validation = make_validation(world, "main", splits["validation"], 30)
+    validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
+    validation = make_validation(world.config, "main", validation_range, 30)
     return world, splits, run, dataset, validation
 
 
