@@ -157,13 +157,13 @@ def _build_split(split: dict, num_queries: int) -> dict[str, float]:
             raise ConfigError(f"config section 'split' has no {name!r} split")
         _check_field("split", name, float, split[name])
     try:
-        pipeline.query_ranges(num_queries, split)
+        ranges = pipeline.query_ranges(num_queries, split)
     except ValueError as exc:
         raise ConfigError(f"bad config section 'split': {exc}") from None
-    for name, fraction in split.items():
-        if int(round(fraction * num_queries)) == 0:
+    for name, queries in ranges.items():
+        if not queries:
             raise ConfigError(
-                f"split {name!r} is empty: fraction {fraction} of {num_queries} queries"
+                f"split {name!r} is empty: fraction {split[name]} of {num_queries} queries"
             )
     return split
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .core import DocId, Qrels, QueryId, ScoredList
 
@@ -126,8 +125,11 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> tuple
 
     Zero-variance differences use the convention p = 1 when the mean
     difference is 0, else p = 0 with a warning. The t CDF is evaluated via
-    the regularized incomplete beta function.
+    the regularized incomplete beta function, the one use of scipy in the
+    package; importing it here keeps scipy out of every other command.
     """
+    from scipy.special import betainc
+
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

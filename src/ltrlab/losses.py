@@ -17,6 +17,12 @@ The smooth rank shared by the ADR loss is
     pi_i = 1 + sum_{j != i} sigmoid(alpha * (s_j - s_i))
 
 so a higher score means a smaller (better) approximate rank.
+
+The pairwise softplus and sigmoid come from numpy alone, both from one
+e = exp(-|d|) per pair: softplus(d) = max(d, 0) + log1p(e) and
+sigmoid(d) = (1 if d >= 0 else e) / (1 + e). Neither overflows for any
+finite d, and each element's bits do not depend on the array around it,
+so a list's loss has the same bits however lists are grouped into rows.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 __all__ = ["ApproxConfig", "LossOutput", "infonce", "ranknet", "smooth_rank", "adr_mse"]
 
@@ -52,13 +57,16 @@ class LossOutput:
 
 
 def _as_rows(scores, name: str) -> np.ndarray:
-    """Scores as a (B, n) block: a 1-d vector becomes one row."""
+    """Scores as a C-ordered (B, n) block: a 1-d vector becomes one row.
+
+    C order keeps each row's bits independent of the input's memory layout:
+    adr_mse's batched matmul rounds differently on other layouts."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError(f"{name} requires non-empty (n,) or (B, n) scores, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} received non-finite scores")
-    return arr.reshape(-1, arr.shape[-1])
+    return np.ascontiguousarray(arr.reshape(-1, arr.shape[-1]))
 
 
 def _output(scores, values: np.ndarray, grad: np.ndarray) -> LossOutput:
@@ -81,6 +89,18 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     for index in pairs:
         index.flags.writeable = False
     return pairs
+
+
+def _sigmoid(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sigmoid(d) elementwise, and the e = exp(-|d|) it was computed from."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0.0, 1.0, e) / (1.0 + e), e
+
+
+def _softplus_sigmoid(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """softplus(d) = log(1 + exp(d)) and sigmoid(d) elementwise, sharing one exp."""
+    sigmoid, e = _sigmoid(d)
+    return np.maximum(d, 0.0) + np.log1p(e), sigmoid
 
 
 def infonce(scores, positive_index: int) -> LossOutput:
@@ -109,16 +129,17 @@ def ranknet(scores) -> LossOutput:
     """Pairwise logistic loss over lists given in teacher order (best first).
 
     Every ordered pair (i, j) with j below i contributes
-    softplus(s_j - s_i); the softplus is evaluated via logaddexp so large
-    score gaps do not overflow.
+    softplus(s_j - s_i), whose derivative is sigmoid(s_j - s_i); both come
+    from one exp per pair, so large score gaps do not overflow.
     """
     s = _as_rows(scores, "ranknet")
     rows, n = s.shape
     upper_i, upper_j = _upper_pairs(n)
     diff = np.take(s, upper_j, axis=1) - np.take(s, upper_i, axis=1)  # s_j - s_i, i < j
-    values = _row_sums(np.logaddexp(0.0, diff))
+    softplus, sigmoid = _softplus_sigmoid(diff)
+    values = _row_sums(softplus)
     pair = np.zeros((rows, n * n))  # pair[b, i * n + j] = sigmoid(s_j - s_i) for j > i
-    pair[:, upper_i * n + upper_j] = expit(diff)
+    pair[:, upper_i * n + upper_j] = sigmoid
     pair = pair.reshape(rows, n, n)
     return _output(scores, values, pair.sum(axis=1) - pair.sum(axis=2))
 
@@ -130,7 +151,7 @@ def smooth_rank(scores, cfg: ApproxConfig = ApproxConfig()) -> np.ndarray:
     Because opposing sigmoids sum to one, sum(pi) = n(n+1)/2 for any input.
     """
     s = _as_rows(scores, "smooth_rank")
-    mat = expit(cfg.alpha * (s[:, None, :] - s[:, :, None]))
+    mat = _sigmoid(cfg.alpha * (s[:, None, :] - s[:, :, None]))[0]
     # Row sums include the diagonal sigmoid(0) = 0.5, hence the +0.5 offset.
     return (mat.sum(axis=2) + 0.5).reshape(np.shape(scores))
 
@@ -146,7 +167,7 @@ def adr_mse(scores, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:
     s = _as_rows(scores, "adr_mse")
     n = s.shape[1]
     alpha = cfg.alpha
-    mat = expit(alpha * (s[:, None, :] - s[:, :, None]))
+    mat = _sigmoid(alpha * (s[:, None, :] - s[:, :, None]))[0]
     pi = mat.sum(axis=2) + 0.5
     targets = np.arange(1, n + 1, dtype=np.float64)
     weights = 1.0 / np.log2(targets + 1.0)

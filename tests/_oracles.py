@@ -163,8 +163,19 @@ def outcome(fn):
     return None
 
 
+def softplus_sigmoid_reference(d):
+    """log(1 + exp(d)) and 1 / (1 + exp(-d)) elementwise, by numpy's
+    logaddexp and scipy's expit: the reference math for the losses'
+    per-pair kernel, which computes both from one shared exp."""
+    from scipy.special import expit
+
+    return np.logaddexp(0.0, d), expit(d)
+
+
 # The per-list losses and scorer passes that the batched code replaced, kept
 # as they were so the batched code can be compared with them bit for bit.
+# RankNet and ADR-MSE take their pairwise softplus and sigmoid from the
+# losses' per-pair kernel, which is itself checked against the reference above.
 
 
 def infonce_oracle(scores, positive_index: int):
@@ -181,7 +192,7 @@ def infonce_oracle(scores, positive_index: int):
 
 def ranknet_oracle(scores):
     """RankNet of one teacher-ordered list: (value, grad)."""
-    from scipy.special import expit
+    from ltrlab.losses import _softplus_sigmoid
 
     s = np.asarray(scores, dtype=np.float64)
     n = s.size
@@ -189,18 +200,19 @@ def ranknet_oracle(scores):
         return 0.0, np.zeros(1)
     diff = s[None, :] - s[:, None]
     upper = np.triu_indices(n, k=1)
-    value = float(np.logaddexp(0.0, diff[upper]).sum())
-    pair = np.triu(expit(diff), k=1)
+    softplus, sigmoid = _softplus_sigmoid(diff)
+    value = float(softplus[upper].sum())
+    pair = np.triu(sigmoid, k=1)
     return value, pair.sum(axis=0) - pair.sum(axis=1)
 
 
 def adr_mse_oracle(scores, alpha: float = 1.0):
     """Discounted rank MSE of one teacher-ordered list: (value, grad)."""
-    from scipy.special import expit
+    from ltrlab.losses import _sigmoid
 
     s = np.asarray(scores, dtype=np.float64)
     n = s.size
-    mat = expit(alpha * (s[None, :] - s[:, None]))
+    mat = _sigmoid(alpha * (s[None, :] - s[:, None]))[0]
     pi = mat.sum(axis=1) + 0.5
     targets = np.arange(1, n + 1, dtype=np.float64)
     weights = 1.0 / np.log2(targets + 1.0)

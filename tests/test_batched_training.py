@@ -65,6 +65,13 @@ def model_of(arch, dim, seed, zero=False):
     return replace(model, params=np.zeros(model.num_params)) if zero else model
 
 
+def row_outputs(out, vector=False):
+    """Per-row tuples of what a loss returned: (value, grad) from a
+    LossOutput, (ranks,) from smooth_rank; one tuple for a 1-d input."""
+    columns = (out,) if isinstance(out, np.ndarray) else (out.value, out.grad)
+    return tuple(columns) if vector else list(zip(*columns))
+
+
 class TestLosses:
     @settings(max_examples=100, deadline=None)
     @given(score_blocks(), st.data())
@@ -121,6 +128,37 @@ class TestLosses:
     def test_smooth_rank_of_a_block_row_by_row(self):
         s = np.random.default_rng(2).normal(size=(3, 7))
         assert_same(losses.smooth_rank(s), [losses.smooth_rank(row) for row in s])
+
+    @settings(max_examples=100, deadline=None)
+    @given(score_blocks(max_rows=6), st.data())
+    def test_pair_losses_do_not_depend_on_grouping(self, s, data):
+        """Each row's value and gradient have the same bits whether it is
+        scored alone as a 1-d vector, in the first k rows, in a slice of
+        rows, in a strided or reversed view, or in an F-ordered copy."""
+        rows, n = s.shape
+        if data.draw(st.booleans()):
+            s[:, 1::2] = s[:, :1]  # tied scores
+        alpha = data.draw(st.sampled_from([0.3, 1.0, 4.0]))
+        for loss in (
+            losses.ranknet,
+            lambda v: losses.adr_mse(v, losses.ApproxConfig(alpha)),
+            lambda v: losses.smooth_rank(v, losses.ApproxConfig(alpha)),
+        ):
+            whole = row_outputs(loss(s))
+            lo = data.draw(st.integers(0, rows - 1))
+            hi = data.draw(st.integers(lo + 1, rows))
+            wide = np.zeros((rows, 2 * n))
+            wide[:, ::2] = s
+            groupings = [(range(k), s[:k]) for k in range(1, rows + 1)]
+            groupings += [(range(lo, hi), s[lo:hi]), (range(rows), wide[:, ::2])]
+            groupings += [(range(rows - 1, -1, -1), s[::-1]), (range(rows), np.asfortranarray(s))]
+            for picked, block in groupings:
+                for i, got in zip(picked, row_outputs(loss(block)), strict=True):
+                    for a, b in zip(got, whole[i], strict=True):
+                        assert_same(a, b)
+            for i in range(rows):
+                for a, b in zip(row_outputs(loss(s[i]), vector=True), whole[i], strict=True):
+                    assert_same(a, b)
 
     @pytest.mark.parametrize("bad", [[], [[]], np.zeros((2, 2, 2)), [[1.0, np.nan]]])
     def test_bad_blocks_rejected(self, bad):

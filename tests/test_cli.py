@@ -285,6 +285,23 @@ class TestModuleEntry:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: ltrlab")
 
+    def test_training_never_imports_scipy(self, tmp_path, config_path):
+        """Only `significance` needs scipy; a training process never loads it."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = (
+            "import sys\n"
+            "import ltrlab.cli\n"
+            "code = ltrlab.cli.main(sys.argv[1:])\n"
+            "assert code == 0, code\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        argv = [*TRAIN_TWO, "--config", str(config_path), "--out", str(tmp_path / "o")]
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+
 
 class TestSignificanceCommand:
     def test_identical_runs_no_rejections(self, tmp_path, capsys):
@@ -737,6 +754,12 @@ class TestConfigHandling:
                 "world",
                 {"num_queries": 2},
                 "split 'validation' is empty: fraction 0.2 of 2 queries",
+            ),
+            (
+                ["train", "--loss", "infonce"],
+                "world",
+                {"num_queries": 3},
+                "split 'test' is empty: fraction 0.2 of 3 queries",
             ),
             (
                 ["ablate"],

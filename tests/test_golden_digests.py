@@ -4,6 +4,11 @@
 the smoke config at two seeds, and the versions of the numeric stack that
 made them. The test runs the same commands again and compares every digest.
 
+The file also records numpy's SIMD targets: the bits of `np.exp`, `np.log1p`
+and `np.tanh` depend on which kernel numpy dispatches to on the CPU at hand.
+They are for information only: a failure prints the recorded and the current
+targets, but a different CPU is no failure by itself.
+
 To re-baseline after a deliberate change of the outputs, run from the
 repository root:
 
@@ -40,6 +45,20 @@ def environment() -> dict[str, str]:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas['name']} {blas.get('version', 'unknown')}",
+    }
+
+
+def simd_targets() -> dict[str, list[str]]:
+    """numpy's baseline SIMD targets and the dispatch targets this CPU enables."""
+    from numpy._core._multiarray_umath import (
+        __cpu_baseline__,
+        __cpu_dispatch__,
+        __cpu_features__,
+    )
+
+    return {
+        "baseline": list(__cpu_baseline__),
+        "dispatch": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)],
     }
 
 
@@ -95,13 +114,16 @@ def digests(root: Path) -> dict[str, str]:
 def assert_golden(root: Path) -> None:
     """Every command's outputs under `root` have the committed digests."""
     golden, now = json.loads(GOLDEN.read_text(encoding="utf-8")), environment()
+    simd = f"SIMD targets (golden, now): {(golden['simd'], simd_targets())}"
     differ = {k: (v, now.get(k)) for k, v in golden["environment"].items() if now.get(k) != v}
-    assert not differ, f"digests were made on another numeric stack, (golden, now): {differ}"
+    assert not differ, (
+        f"digests were made on another numeric stack, (golden, now): {differ}; {simd}"
+    )
     actual = digests(root)
     expected = golden["files"]
-    assert sorted(actual) == sorted(expected), "the set of output files changed"
+    assert sorted(actual) == sorted(expected), f"the set of output files changed; {simd}"
     changed = sorted(name for name in expected if actual[name] != expected[name])
-    assert not changed, f"output files whose bytes changed: {changed}"
+    assert not changed, f"output files whose bytes changed: {changed}; {simd}"
 
 
 def test_outputs_match_golden_digests(tmp_path):
@@ -121,6 +143,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         files = digests(Path(tmp))
-    record = {"environment": environment(), "files": files}
+    record = {"environment": environment(), "files": files, "simd": simd_targets()}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(files)} digests to {GOLDEN}", file=sys.stderr)

@@ -5,9 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltrlab.losses import ApproxConfig, adr_mse, infonce, ranknet, smooth_rank
+from ltrlab.losses import (
+    ApproxConfig,
+    _softplus_sigmoid,
+    adr_mse,
+    infonce,
+    ranknet,
+    smooth_rank,
+)
 
-from _oracles import finite_difference_grad, grad_close
+from _oracles import finite_difference_grad, grad_close, softplus_sigmoid_reference
 
 score_vectors = st.lists(
     st.floats(min_value=-30, max_value=30, allow_nan=False, allow_infinity=False),
@@ -77,6 +84,60 @@ class TestRankNet:
             out = ranknet(s)
             fd = finite_difference_grad(lambda v: ranknet(v).value, s)
             assert grad_close(out.grad, fd)
+
+
+# Fixed before measuring: the fused kernel and numpy's logaddexp / scipy's
+# expit each round a few operations, so up to 4 ulp apart where both results
+# are normal numbers (|d| <= 700), and within 1e-300 of each other where the
+# tail underflows towards 0.
+ULP_TOL = 4
+KERNEL_RANGE = 700.0
+TAIL_ABS_TOL = 1e-300
+
+
+def ulps_apart(a, b):
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+class TestSoftplusSigmoidKernel:
+    """The per-pair kernel of ranknet, adr_mse and smooth_rank against
+    numpy's logaddexp(0, d) and scipy's expit."""
+
+    def check(self, d):
+        d = np.asarray(d, dtype=np.float64)
+        softplus, sigmoid = _softplus_sigmoid(d)
+        ref_softplus, ref_sigmoid = softplus_sigmoid_reference(d)
+        inside = np.abs(d) <= KERNEL_RANGE
+        for got, ref in ((softplus, ref_softplus), (sigmoid, ref_sigmoid)):
+            assert np.all(ulps_apart(got[inside], ref[inside]) <= ULP_TOL)
+            assert np.all(np.abs(got[~inside] - ref[~inside]) <= TAIL_ABS_TOL)
+
+    def test_dense_grid(self):
+        self.check(np.linspace(-KERNEL_RANGE, KERNEL_RANGE, 200_001))
+        self.check(np.linspace(-800.0, -KERNEL_RANGE, 10_001))
+        self.check(np.linspace(KERNEL_RANGE, 800.0, 10_001))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+    def test_any_finite_difference(self, d):
+        self.check(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=50))
+    def test_score_scale_differences(self, d):
+        self.check(d)
+
+    def test_zero_is_exact(self):
+        for zero in (0.0, -0.0):
+            softplus, sigmoid = _softplus_sigmoid(np.array([zero]))
+            assert softplus[0] == math.log(2.0)
+            assert sigmoid[0] == 0.5
+
+    def test_tail_is_finite_and_bounded(self):
+        softplus, sigmoid = _softplus_sigmoid(np.array([-1e308, -745.0, -709.8, 709.8, 1e308]))
+        assert np.all(np.isfinite(softplus)) and np.all(np.isfinite(sigmoid))
+        assert np.all((sigmoid >= 0.0) & (sigmoid <= 1.0))
+        assert sigmoid[2] > 0.0  # expit gives 0 here; the fused form a subnormal
 
 
 class TestSmoothRank:
