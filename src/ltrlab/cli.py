@@ -156,6 +156,8 @@ def _build_split(split: dict, num_queries: int) -> dict[str, float]:
         if name not in split:
             raise ConfigError(f"config section 'split' has no {name!r} split")
         _check_field("split", name, float, split[name])
+    # Ranges are laid out train, validation, test, whatever the file's key order.
+    split = {name: split[name] for name in _DEFAULTS["split"]}
     try:
         ranges = pipeline.query_ranges(num_queries, split)
     except ValueError as exc:

@@ -60,7 +60,8 @@ def _as_rows(scores, name: str) -> np.ndarray:
     """Scores as a C-ordered (B, n) block: a 1-d vector becomes one row.
 
     C order keeps each row's bits independent of the input's memory layout:
-    adr_mse's batched matmul rounds differently on other layouts."""
+    adr_mse's batched matmul and the axis-1 row sums round differently on
+    other layouts."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError(f"{name} requires non-empty (n,) or (B, n) scores, got shape {arr.shape}")
@@ -73,11 +74,6 @@ def _output(scores, values: np.ndarray, grad: np.ndarray) -> LossOutput:
     if np.ndim(scores) == 1:
         return LossOutput(float(values[0]), grad[0])
     return LossOutput(values, grad)
-
-
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    # One 1-d sum per row: a 2-d sum(axis=1) may add a row in another order.
-    return np.array([np.add.reduce(row) for row in rows])
 
 
 @functools.cache
@@ -116,7 +112,7 @@ def infonce(scores, positive_index: int) -> LossOutput:
         raise ValueError(f"positive_index {positive_index} out of range for {n} scores")
     z = s - s.max(axis=1, keepdims=True)
     expz = np.exp(z)
-    total = _row_sums(expz)
+    total = np.add.reduce(expz, axis=1)
     values = np.log(total) - z[:, positive_index]
     # Mathematically >= 0; the clamp strips 1-ulp rounding noise and -0.0.
     values = np.where(values > 0.0, values, 0.0)
@@ -137,7 +133,7 @@ def ranknet(scores) -> LossOutput:
     upper_i, upper_j = _upper_pairs(n)
     diff = np.take(s, upper_j, axis=1) - np.take(s, upper_i, axis=1)  # s_j - s_i, i < j
     softplus, sigmoid = _softplus_sigmoid(diff)
-    values = _row_sums(softplus)
+    values = np.add.reduce(softplus, axis=1)
     pair = np.zeros((rows, n * n))  # pair[b, i * n + j] = sigmoid(s_j - s_i) for j > i
     pair[:, upper_i * n + upper_j] = sigmoid
     pair = pair.reshape(rows, n, n)
@@ -172,7 +168,7 @@ def adr_mse(scores, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:
     targets = np.arange(1, n + 1, dtype=np.float64)
     weights = 1.0 / np.log2(targets + 1.0)
     gaps = targets - pi
-    values = _row_sums(weights * gaps * gaps) / n
+    values = np.add.reduce(weights * gaps * gaps, axis=1) / n
     # dL/dpi_i, then through dpi_i/ds_k = alpha*B[i,k] (k != i),
     # dpi_i/ds_i = -alpha*sum_j B[i,j], with B = sigmoid' off-diagonal.
     dpi = (2.0 / n) * weights * (pi - targets)

@@ -137,18 +137,19 @@ def grad_batch(model: ScorerModel, features, upstream, total=None) -> np.ndarray
 
     Takes an (n, F) list with (n,) upstream or a (B, n, F) block with (B, n)
     upstream. A block's per-list gradients are added to `total` (zeros when
-    None) one list at a time, in list order: a caller that passes its
-    running sum gets the bits of one call per list.
+    None) by one axis-0 reduce, which adds them one list at a time in list
+    order: a caller that passes its running sum gets the bits of one call
+    per list.
     """
     x = _as_features(model, features)
     block = x if x.ndim == 3 else x[None]
     u = np.asarray(upstream, dtype=np.float64)
     if u.size != block.shape[0] * block.shape[1]:
         raise ValueError(f"upstream has {u.size} values, expected shape {x.shape[:-1]}")
-    u = u.reshape(block.shape[:2])
-    per_list = np.empty((len(block), model.num_params))
-    # One 1-d sum per list: a 2-d sum(axis=1) may add a row in another order.
-    per_list[:, -1] = [np.add.reduce(row) for row in u]
+    u = np.ascontiguousarray(u.reshape(block.shape[:2]))  # C order: see losses._as_rows
+    rows = np.empty((len(block) + 1, model.num_params))  # the start, then one row per list
+    per_list = rows[1:]
+    per_list[:, -1] = np.add.reduce(u, axis=1)
     if model.architecture == LINEAR:
         per_list[:, :-1] = (block.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
     else:
@@ -161,10 +162,8 @@ def grad_batch(model: ScorerModel, features, upstream, total=None) -> np.ndarray
         per_list[:, fh + h : -1] = (hidden.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
     if x.ndim == 2 and total is None:
         return per_list[0]
-    grad = np.zeros(model.num_params) if total is None else np.array(total, dtype=np.float64)
-    for row in per_list:
-        grad += row
-    return grad
+    rows[0] = 0.0 if total is None else total
+    return np.add.reduce(rows, axis=0)
 
 
 @dataclass(frozen=True)

@@ -197,8 +197,9 @@ def _batches(seed: int, n: int, batch_size: int):
 
 
 # A chunk of lists of length n holds at most max(1, _CHUNK_PAIRS // (n * n))
-# of them, which bounds each (B, n, n) pair temporary of the losses.
-_CHUNK_PAIRS = 1 << 14
+# of them, which bounds each (B, n, n) pair temporary of the losses at 1 MiB
+# of float64, under a 2 MiB per-core L2: 32 lists at n = 50, 13 at n = 100.
+_CHUNK_PAIRS = 1 << 17
 
 
 def _chunks(lengths: Sequence[int], batch: np.ndarray):

@@ -244,6 +244,22 @@ def grad_oracle(model, x, u):
     return np.concatenate([(delta.T @ x).ravel(), delta.sum(axis=0), hidden.T @ u, [u.sum()]])
 
 
+def row_sums(rows):
+    """One 1-d sum per row of a (B, m) block: the loop that the losses ran
+    before they summed a block's rows with one axis-1 reduce."""
+    return np.array([np.add.reduce(row) for row in rows])
+
+
+def add_in_order(start, rows):
+    """`start` plus each row, one `+=` at a time: the loop that
+    `scorer.grad_batch` ran before it added a block's per-list gradients
+    with one axis-0 reduce."""
+    total = np.array(start, dtype=np.float64)
+    for row in rows:
+        total += row
+    return total
+
+
 def reference_step(model, features, batch, loss):
     """One training step's mean loss and mean gradient, a list at a time.
 

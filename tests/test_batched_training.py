@@ -5,6 +5,7 @@ have the same bits (and the same sign of zero) as the per-list oracles in
 _oracles.py.
 """
 
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from ltrlab.distill_data import (
 from ltrlab.pipeline import make_validation, query_ranges, split_query_ids
 
 from _oracles import (
+    add_in_order,
     adr_mse_oracle,
     block_lists,
     features_oracle,
@@ -32,6 +34,7 @@ from _oracles import (
     infonce_oracle,
     ranknet_oracle,
     reference_step,
+    row_sums,
     score_oracle,
 )
 
@@ -187,21 +190,100 @@ class TestScorerBlocks:
         x = data.draw(feature_blocks(16))
         u = data.draw(arrays(np.float64, x.shape[:2], elements=st.floats(-3, 3)))
         start = np.random.default_rng(seed).normal(size=model.num_params)
-        expected = start.copy()
-        for features, upstream in zip(x, u):
-            single = grad_oracle(model, features, upstream)
+        singles = [grad_oracle(model, features, upstream) for features, upstream in zip(x, u)]
+        for features, upstream, single in zip(x, u, singles):
             assert_same(scorer.grad_batch(model, features, upstream), single)
-            expected += single
-        assert_same(scorer.grad_batch(model, x, u, start), expected)
-        from_zero = np.zeros(model.num_params)
-        for features, upstream in zip(x, u):
-            from_zero += grad_oracle(model, features, upstream)
+        assert_same(scorer.grad_batch(model, x, u, start), add_in_order(start, singles))
+        from_zero = add_in_order(np.zeros(model.num_params), singles)
         assert_same(scorer.grad_batch(model, x, u), from_zero)
 
     def test_upstream_shape_checked(self):
         model = model_of(scorer.LINEAR, 2, 0)
         with pytest.raises(ValueError, match="upstream has 3 values"):
             scorer.grad_batch(model, np.zeros((2, 2, 2)), np.zeros(3))
+
+
+def signed_values(rng, shape, ties, zeros):
+    """Normal values at one of three scales; `ties` copies each row's first
+    column into every odd column, `zeros` sets about a third of the entries
+    to 0.0 or -0.0."""
+    x = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 30.0])
+    if ties:
+        x[:, 1::2] = x[:, :1]
+    if zeros:
+        signed = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        x = np.where(rng.random(shape) < 0.3, signed, x)
+    return x
+
+
+def layouts(block):
+    """A (B, m) block as a C-ordered, an F-ordered and a strided array."""
+    wide = np.zeros((block.shape[0], 2 * block.shape[1]))
+    wide[:, ::2] = block
+    return {"C": block, "F": np.asfortranarray(block), "strided": wide[:, ::2]}
+
+
+@st.composite
+def reduction_blocks(draw, max_pairs=None):
+    """A (B, n) block with B in 1..64 and n in 1..300, and B * n * n at most
+    `max_pairs`, with ties and signed zeros; plus the generator that drew it."""
+    n = draw(st.integers(1, 300))
+    most = 64 if max_pairs is None else max(1, min(64, max_pairs // (n * n)))
+    rows = draw(st.integers(1, most))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return signed_values(rng, (rows, n), draw(st.booleans()), draw(st.booleans())), rng
+
+
+class TestRowReductions:
+    """The losses and grad_batch sum a block's rows with one numpy reduce;
+    every output keeps the bits of the per-row loops it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 45_000), st.integers(0, 2**32 - 1), st.booleans())
+    def test_axis_one_reduce_is_the_row_loop(self, rows, m, seed, zeros):
+        """Up to 44 850 terms a row, RankNet's pair count at n = 300."""
+        block = signed_values(np.random.default_rng(seed), (rows, m), False, zeros)
+        want = row_sums(block)
+        assert_same(np.add.reduce(block, axis=1), want)
+        assert_same(np.add.reduce(layouts(block)["strided"], axis=1), want)
+
+    # B * n * n at most 2^20, eight times the trainer's chunk budget.
+    @settings(max_examples=40, deadline=None)
+    @given(reduction_blocks(max_pairs=1 << 20), st.sampled_from([0.3, 1.0, 4.0]), st.data())
+    def test_losses_equal_per_list_oracles(self, drawn, alpha, data):
+        s, _ = drawn
+        positive = data.draw(st.integers(0, s.shape[1] - 1))
+        cases = [
+            (lambda v: losses.infonce(v, positive), lambda r: infonce_oracle(r, positive)),
+            (losses.ranknet, ranknet_oracle),
+            (
+                lambda v: losses.adr_mse(v, losses.ApproxConfig(alpha)),
+                lambda r: adr_mse_oracle(r, alpha),
+            ),
+        ]
+        for loss, oracle in cases:
+            want = [oracle(row) for row in s]
+            for block in layouts(s).values():
+                out = loss(block)
+                for (value, grad), got_value, got_grad in zip(want, out.value, out.grad):
+                    assert_same(got_value, value)
+                    assert_same(got_grad, grad)
+
+    @pytest.mark.parametrize("arch", [scorer.LINEAR, scorer.MLP])
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=reduction_blocks(), zero=st.booleans(), with_total=st.booleans())
+    def test_grad_batch_adds_lists_in_order(self, arch, drawn, zero, with_total):
+        u, rng = drawn
+        model = model_of(arch, 16, int(rng.integers(2**16)), zero)
+        x = rng.normal(size=u.shape + (16,))
+        x[:, 1::2] = x[:, :1]  # tied scores
+        total = signed_values(rng, (1, model.num_params), False, True)[0] if with_total else None
+        singles = [grad_oracle(model, features, row) for features, row in zip(x, u)]
+        start = np.zeros(model.num_params) if total is None else total
+        want = add_in_order(start, singles)
+        for upstream in layouts(u).values():
+            assert_same(scorer.grad_batch(model, x, upstream, total), want)
+            assert_same(scorer.grad_batch(model, x[0], upstream[0]), singles[0])
 
 
 LOSS_ORACLES = {
@@ -260,6 +342,48 @@ class TestTrainingSteps:
         batch = np.array([0, 1, 2, 3, 4, 5, 6, 7])
         chunks = [list(c) for c in trainer._chunks(lengths, batch)]
         assert chunks == [[0, 1], [2], [3], [4], [5, 6, 7]]
+
+
+class TestRealSizes:
+    """The trainer's own pair budget at the list lengths the benchmark trains."""
+
+    @pytest.mark.parametrize(
+        "arch, loss, n",
+        [(scorer.MLP, trainer.LOSS_RANKNET, 50), (scorer.LINEAR, trainer.LOSS_ADR_MSE, 100)],
+    )
+    def test_steps_equal_list_at_a_time_steps(self, arch, loss, n):
+        rng = np.random.default_rng(n)
+        features = [rng.normal(size=(n, 16)) for _ in range(40)]
+        model = model_of(arch, 16, 5)
+        cfg = trainer.TrainConfig(loss=loss, max_steps=3, batch_size=32, seed=6)
+        batched, oracle = LOSS_ORACLES[loss]
+        steps = list(trainer._steps(model, features, batched, cfg))
+        want, want_curve = reference_loop(model, features, oracle, cfg, 3)
+        assert [(step, value) for step, _, value in steps] == want_curve
+        assert_same(steps[-1][1].params, want.params)
+
+    @pytest.mark.parametrize("n, sizes", [(50, [32]), (100, [13, 13, 6])])
+    def test_chunks_of_a_32_list_batch(self, n, sizes):
+        chunks = list(trainer._chunks([n] * 32, np.arange(32)))
+        assert [len(chunk) for chunk in chunks] == sizes
+        assert [i for chunk in chunks for i in chunk] == list(range(32))
+
+    def test_adr_mse_steps_stay_under_6_mib(self):
+        """Two 32-list ADR-MSE steps at n = 100 peak at about 4.2 MiB in
+        chunks of 13 lists. Whole-batch chunks, with no pair budget, peak at
+        about 10.2 MiB: each (32, 100, 100) pair temporary is 2.4 MiB."""
+        rng = np.random.default_rng(0)
+        features = [rng.normal(size=(100, 16)) for _ in range(64)]
+        model = model_of(scorer.LINEAR, 16, 0)
+        cfg = trainer.TrainConfig(loss=trainer.LOSS_ADR_MSE, max_steps=2, batch_size=32)
+        tracemalloc.start()
+        try:
+            for _ in trainer._steps(model, features, losses.adr_mse, cfg):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 def small_world():

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import logging
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from ltrlab import core, distill_data, pipeline, trainer
-from ltrlab.cli import ExperimentConfig, _atomic_write, main
+from ltrlab.cli import ExperimentConfig, _atomic_write, load_experiment_config, main
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
 from ltrlab.evaluation import ndcg_at_k, per_query_scores_text
 
@@ -639,6 +640,28 @@ class TestConfigHandling:
         )
         out = capsys.readouterr().out
         assert '"seed": 99' in out
+
+    def test_split_key_order_moves_no_query(self, tmp_path):
+        """The splits are laid out train, validation, test whatever the key
+        order of the file, so both orders train and test on the same queries."""
+        world = generate_world(WorldConfig(**SMOKE_CONFIG["world"]))
+        canonical = SMOKE_CONFIG["split"]
+        reordered = {name: canonical[name] for name in ("test", "train", "validation")}
+        splits, outs = [], []
+        for name, split in [("canonical", canonical), ("reordered", reordered)]:
+            path, out = tmp_path / f"{name}.json", tmp_path / name
+            path.write_text(json.dumps(dict(SMOKE_CONFIG, split=split)), encoding="utf-8")
+            cfg = load_experiment_config(str(path), argparse.Namespace())
+            splits.append(pipeline.split_query_ids(world.query_ids, cfg.split))
+            argv = ["train", "--config", str(path), "--stage", "single", "--out", str(out)]
+            assert main(argv) == 0
+            outs.append(out)
+        assert splits[0] == splits[1]
+        assert splits[0]["train"] == world.query_ids[:120]
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_invalid_json_config(self, tmp_path):
         bad = tmp_path / "bad.json"
