@@ -54,6 +54,8 @@ class ScorerSpec:
 
     def __post_init__(self):  # the scorer's own checks; any feature count will do
         scorer.param_count(self.architecture, 1, self.hidden_width)
+        if self.init_seed < 0:
+            raise ValueError(f"init_seed must be >= 0, got {self.init_seed}")
 
 
 @dataclass(frozen=True)

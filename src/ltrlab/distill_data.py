@@ -50,6 +50,8 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.num_negatives < 1:
             raise ValueError("num_negatives must be >= 1")
         if self.pool_depth < self.num_negatives + 1:
@@ -94,6 +96,8 @@ class WorldConfig:
     def __post_init__(self):
         if self.num_queries < 1 or self.docs_per_query < 1 or self.feature_dim < 1:
             raise ValueError("world dimensions must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.first_stage_noise:
             raise ValueError("at least one first-stage retriever is required")
         object.__setattr__(self, "first_stage_noise", dict(self.first_stage_noise))

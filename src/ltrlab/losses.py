@@ -61,12 +61,10 @@ def _as_rows(scores, name: str) -> np.ndarray:
 
     C order keeps each row's bits independent of the input's memory layout:
     adr_mse's batched matmul and the axis-1 row sums round differently on
-    other layouts."""
+    other layouts. Checks the shape only: non-finite scores give non-finite output."""
     arr = np.asarray(scores, dtype=np.float64)
     if arr.ndim not in (1, 2) or arr.size == 0:
         raise ValueError(f"{name} requires non-empty (n,) or (B, n) scores, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} received non-finite scores")
     return np.ascontiguousarray(arr.reshape(-1, arr.shape[-1]))
 
 

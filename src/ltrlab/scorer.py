@@ -22,7 +22,9 @@ _CHECKPOINT_VERSION = "v1"
 
 
 def param_count(architecture: str, feature_dim: int, hidden_width: int = 0) -> int:
-    """Number of parameters for an architecture (weights plus biases)."""
+    """Number of parameters (weights plus biases); the one check of a model's shape."""
+    if feature_dim < 1:
+        raise ValueError("feature_dim must be >= 1")
     if architecture == LINEAR:
         return feature_dim + 1
     if architecture == MLP:
@@ -46,10 +48,6 @@ class ScorerModel:
     params: np.ndarray
 
     def __post_init__(self):
-        if self.architecture not in (LINEAR, MLP):
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.feature_dim < 1:
-            raise ValueError("feature_dim must be >= 1")
         params = np.asarray(self.params, dtype=np.float64)
         expected = param_count(self.architecture, self.feature_dim, self.hidden_width)
         if params.shape != (expected,):
@@ -69,14 +67,13 @@ def init_model(
     architecture: str, feature_dim: int, hidden_width: int = 0, seed: int = 0
 ) -> ScorerModel:
     """Seeded uniform initialization in [-1/sqrt(fan_in), 1/sqrt(fan_in)] per layer."""
+    hidden_width = hidden_width if architecture == MLP else 0
+    count = param_count(architecture, feature_dim, hidden_width)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
+    b1 = 1.0 / np.sqrt(feature_dim)
     if architecture == LINEAR:
-        bound = 1.0 / np.sqrt(feature_dim)
-        params = rng.uniform(-bound, bound, size=feature_dim + 1)
-    elif architecture == MLP:
-        if hidden_width < 1:
-            raise ValueError("mlp requires hidden_width >= 1")
-        b1 = 1.0 / np.sqrt(feature_dim)
+        params = rng.uniform(-b1, b1, size=count)
+    else:
         b2 = 1.0 / np.sqrt(hidden_width)
         parts = [
             rng.uniform(-b1, b1, size=feature_dim * hidden_width),
@@ -85,14 +82,7 @@ def init_model(
             rng.uniform(-b2, b2, size=1),
         ]
         params = np.concatenate(parts)
-    else:
-        raise ValueError(f"unknown architecture {architecture!r}")
-    return ScorerModel(architecture, feature_dim, hidden_width if architecture == MLP else 0, params)
-
-
-def _linear_parts(model: ScorerModel) -> tuple[np.ndarray, float]:
-    f = model.feature_dim
-    return model.params[:f], float(model.params[f])
+    return ScorerModel(architecture, feature_dim, hidden_width, params)
 
 
 def _mlp_parts(model: ScorerModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -106,6 +96,8 @@ def _mlp_parts(model: ScorerModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
 
 
 def _as_features(model: ScorerModel, features) -> np.ndarray:
+    """Features as a float64 (n, F) list or (B, n, F) block. Checks the shape
+    only: a non-finite feature gives non-finite outputs, not an error."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -113,8 +105,6 @@ def _as_features(model: ScorerModel, features) -> np.ndarray:
         raise ValueError(
             f"features have shape {np.shape(features)}, expected (..., {model.feature_dim})"
         )
-    if not np.isfinite(x).all():
-        raise ValueError("features must be finite")
     return x
 
 
@@ -126,8 +116,8 @@ def score_batch(model: ScorerModel, features) -> np.ndarray:
     """
     x = _as_features(model, features)
     if model.architecture == LINEAR:
-        w, b = _linear_parts(model)
-        return x @ w + b
+        f = model.feature_dim
+        return x @ model.params[:f] + float(model.params[f])
     w1, b1, w2, b2 = _mlp_parts(model)
     return np.tanh(x @ w1.T + b1) @ w2 + b2
 
@@ -179,16 +169,6 @@ class AdamWState:
     epsilon: float = 1e-8
     weight_decay: float = 0.01
 
-    def __post_init__(self):
-        if self.t < 0:
-            raise ValueError("step counter must be >= 0")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("betas must lie in [0, 1)")
-        if self.learning_rate < 0 or self.epsilon <= 0 or self.weight_decay < 0:
-            raise ValueError("invalid optimizer hyperparameters")
-        if (np.asarray(self.v) < 0).any():
-            raise ValueError("second moments must be non-negative")
-
     @classmethod
     def create(
         cls,
@@ -199,6 +179,15 @@ class AdamWState:
         epsilon: float = 1e-8,
         weight_decay: float = 0.01,
     ) -> "AdamWState":
+        """Zero moments at step 0, and the one check of the hyperparameters:
+        `adamw_step` keeps them, and its second moments are sums of squares."""
+        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+            raise ValueError("betas must lie in [0, 1)")
+        for name, value in (("learning_rate", learning_rate), ("weight_decay", weight_decay)):
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        if not (np.isfinite(epsilon) and epsilon > 0):
+            raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
         zeros = np.zeros(num_params)
         return cls(zeros, zeros.copy(), 0, learning_rate, beta1, beta2, epsilon, weight_decay)
 
@@ -208,8 +197,9 @@ def adamw_step(
 ) -> tuple[ScorerModel, AdamWState]:
     """One AdamW update with bias-corrected moments and decoupled weight decay.
 
-    Rejects non-finite gradients instead of silently continuing, so training
-    loops surface divergence immediately.
+    Rejects a non-finite gradient with FloatingPointError. The new model is
+    built by ScorerModel, whose one scan of the parameters raises ValueError
+    if the update diverged, so training loops surface divergence immediately.
     """
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != model.params.shape:
@@ -225,11 +215,7 @@ def adamw_step(
     # by exactly (1 - lr * wd).
     decayed = model.params * (1.0 - state.learning_rate * state.weight_decay)
     new_params = decayed - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    if not np.isfinite(new_params).all():
-        raise FloatingPointError("parameters became non-finite after AdamW update")
-    new_model = replace(model, params=new_params)
-    new_state = replace(state, m=m, v=v, t=t)
-    return new_model, new_state
+    return replace(model, params=new_params), replace(state, m=m, v=v, t=t)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,9 @@ class TrainConfig:
             raise ValueError("patience_steps must be >= 1")
         if self.validation_every < 1:
             raise ValueError("validation_every must be >= 1")
-        if self.learning_rate < 0 or self.weight_decay < 0:
-            raise ValueError("learning_rate and weight_decay must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        scorer.AdamWState.create(0, self.learning_rate, weight_decay=self.weight_decay)
         losses.ApproxConfig(alpha=self.alpha)
 
 
@@ -211,6 +212,20 @@ def _chunks(lengths: Sequence[int], batch: np.ndarray):
             yield run[start : start + cap]
 
 
+def _check_lists(what: str, model: scorer.ScorerModel, lists: Sequence[np.ndarray]) -> None:
+    """Each list is a finite (n, F) array, n >= 1 and F the model's width: the
+    one check of training lists, which the step loop and its kernels trust."""
+    if not len(lists):
+        raise ValueError(f"{what} requires at least one training list")
+    for i, features in enumerate(lists):
+        x = np.asarray(features)
+        if x.ndim != 2 or not len(x) or x.shape[1] != model.feature_dim:
+            expected = f"(n >= 1, {model.feature_dim})"
+            raise ValueError(f"training list {i} has shape {x.shape}, expected {expected}")
+        if not np.isfinite(x).all():
+            raise ValueError(f"training list {i} has non-finite features")
+
+
 def _steps(
     model: scorer.ScorerModel,
     features: Sequence[np.ndarray],
@@ -256,8 +271,7 @@ def train_stage1(
     """
     if cfg.loss != LOSS_INFONCE:
         raise ValueError(f"train_stage1 requires loss={LOSS_INFONCE!r}, got {cfg.loss!r}")
-    if not len(lists):
-        raise ValueError("train_stage1 requires at least one training group")
+    _check_lists("train_stage1", model, lists)
     loss_curve: list[tuple[int, float]] = []
     for step, model, batch_loss in _steps(model, lists, lambda s: losses.infonce(s, 0), cfg):
         loss_curve.append((step, batch_loss))
@@ -280,8 +294,7 @@ def train_distill(
     """
     if cfg.loss not in DISTILL_LOSSES:
         raise ValueError(f"train_distill requires a distillation loss, got {cfg.loss!r}")
-    if not len(lists):
-        raise ValueError("train_distill requires a non-empty dataset")
+    _check_lists("train_distill", model, lists)
     approx = losses.ApproxConfig(alpha=cfg.alpha)
     loss_fn = losses.ranknet if cfg.loss == LOSS_RANKNET else lambda s: losses.adr_mse(s, approx)
     loss_curve: list[tuple[int, float]] = []

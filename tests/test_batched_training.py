@@ -163,7 +163,7 @@ class TestLosses:
                 for a, b in zip(row_outputs(loss(s[i]), vector=True), whole[i], strict=True):
                     assert_same(a, b)
 
-    @pytest.mark.parametrize("bad", [[], [[]], np.zeros((2, 2, 2)), [[1.0, np.nan]]])
+    @pytest.mark.parametrize("bad", [[], [[]], np.zeros((2, 2, 2))])
     def test_bad_blocks_rejected(self, bad):
         with pytest.raises(ValueError):
             losses.ranknet(bad)
@@ -368,6 +368,30 @@ class TestRealSizes:
         assert [len(chunk) for chunk in chunks] == sizes
         assert [i for chunk in chunks for i in chunk] == list(range(32))
 
+    def test_isfinite_scans_per_step_do_not_grow_with_chunks(self, monkeypatch):
+        """Lists are checked finite once, where they enter training. A step
+        scans its batch loss, its gradient and the new parameters, once each,
+        whether the batch is one chunk (n = 50) or three (n = 100)."""
+        isfinite, calls = np.isfinite, [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return isfinite(*args, **kwargs)
+
+        model = model_of(scorer.LINEAR, 16, 0)
+        cfg = trainer.TrainConfig(loss=trainer.LOSS_ADR_MSE, max_steps=4, batch_size=32)
+        per_step = {}
+        for n in (50, 100):
+            rng = np.random.default_rng(n)
+            features = [rng.normal(size=(n, 16)) for _ in range(32)]
+            marks = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "isfinite", counting)
+                for _ in trainer._steps(model, features, losses.adr_mse, cfg):
+                    marks.append(calls[0])
+            per_step[n] = np.diff(marks).tolist()
+        assert per_step[50] == per_step[100] == [3, 3, 3]
+
     def test_adr_mse_steps_stay_under_6_mib(self):
         """Two 32-list ADR-MSE steps at n = 100 peak at about 4.2 MiB in
         chunks of 13 lists. Whole-batch chunks, with no pair budget, peak at
@@ -451,6 +475,53 @@ def reference_distill(model, features, validation, cfg, loss):
         steps, stop_reason, loss_curve, float(best[0]), best[2], validation_curve
     )
     return replace(model, params=best[1]), report
+
+
+def spoiled(lists, kind):
+    """The lists with list 2 made non-finite, one feature too wide, or empty."""
+    lists = list(lists)
+    x = lists[2].copy()
+    if kind == "nan":
+        x[-1, 0] = np.nan
+    elif kind == "width":
+        x = np.hstack([x, x[:, :1]])
+    else:
+        x = x[:0]
+    lists[2] = x
+    return lists
+
+
+class TestEntryCheck:
+    """train_stage1 and train_distill check their lists once, before they
+    validate or step; the kernels of the step loop trust them."""
+
+    MESSAGES = {
+        "nan": r"^training list 2 has non-finite features$",
+        "width": r"^training list 2 has shape \(\d+, 6\), expected \(n >= 1, 5\)$",
+        "empty": r"^training list 2 has shape \(0, 5\), expected \(n >= 1, 5\)$",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MESSAGES))
+    @pytest.mark.parametrize("stage", ["stage1", "distill"])
+    def test_bad_list_named_before_any_validation(self, world_setup, monkeypatch, stage, kind):
+        _, ragged, validation, groups = world_setup
+        validations = []
+        real = trainer.mean_validation_ndcg
+
+        def counting(*args, **kwargs):
+            validations.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "mean_validation_ndcg", counting)
+        model = model_of(scorer.LINEAR, 5, 0)
+        with pytest.raises(ValueError, match=self.MESSAGES[kind]):
+            if stage == "stage1":
+                cfg = trainer.TrainConfig(loss=trainer.LOSS_INFONCE, max_steps=3)
+                trainer.train_stage1(model, spoiled(groups.lists(), kind), cfg)
+            else:
+                cfg = trainer.TrainConfig(loss=trainer.LOSS_RANKNET, max_steps=3)
+                trainer.train_distill(model, spoiled(ragged, kind), validation, cfg)
+        assert validations == []
 
 
 class TestWholeRuns:

@@ -916,6 +916,43 @@ class TestConfigHandling:
             (TRAIN_TWO, "eval", {"depth": 500}, EVAL_DEPTH_EXCEEDS_POOL),
             (["train", "--loss", "infonce"], "eval", {"depth": 500}, EVAL_DEPTH_EXCEEDS_POOL),
             (["ablate"], "eval", {"depth": 500}, EVAL_DEPTH_EXCEEDS_POOL),
+            (
+                ["world"],
+                "world",
+                {"seed": -5},
+                "bad config section 'world': seed must be >= 0, got -5",
+            ),
+            (
+                TRAIN_TWO,
+                "sampling",
+                {"seed": -1},
+                "bad config section 'sampling': seed must be >= 0, got -1",
+            ),
+            (
+                TRAIN_TWO,
+                "scorer",
+                {"init_seed": -1},
+                "bad config section 'scorer': init_seed must be >= 0, got -1",
+            ),
+            (
+                ["train", "--loss", "infonce"],
+                "stage1",
+                {"seed": -1},
+                "bad config section 'stage1': seed must be >= 0, got -1",
+            ),
+            (
+                ["ablate"],
+                "stage2",
+                {"seed": -2},
+                "bad config section 'stage2': seed must be >= 0, got -2",
+            ),
+            (
+                TRAIN_TWO,
+                "stage2",
+                {"learning_rate": -0.5},
+                "bad config section 'stage2': "
+                "learning_rate must be a finite number >= 0, got -0.5",
+            ),
         ],
     )
     def test_bad_section_named_before_work(
@@ -931,6 +968,32 @@ class TestConfigHandling:
         assert main(command + ["--config", str(bad), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_training_exits_2(self, tmp_path, capsys):
+        path, out = tmp_path / "config.json", tmp_path / "o"
+        stage2 = dict(SMOKE_CONFIG["stage2"], learning_rate=1e308)
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, stage2=stage2)), encoding="utf-8")
+        assert main(TRAIN_TWO + ["--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: parameters must be finite\n"
+        assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("command", [["world"], ["distill"], TRAIN_TWO, ["ablate"]])
+    def test_negative_seed_flag_named_before_work(
+        self, tmp_path, capsys, monkeypatch, config_path, command
+    ):
+        """--seed -1 is refused at load, in the first section that has a seed,
+        and the output directory keeps what it held."""
+        monkeypatch.setattr(distill_data, "generate_world", no_world)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "world_config.json").write_text("old\n", encoding="utf-8")
+        argv = command + ["--config", str(config_path), "--seed", "-1", "--out", str(out)]
+        assert main(argv) == 2
+        message = "bad config section 'world': seed must be >= 0, got -1"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in out.iterdir()] == ["world_config.json"]
+        assert read(out / "world_config.json") == "old\n"
 
     @pytest.mark.parametrize("section, key, value, kind", wrong_kinds())
     def test_every_field_type_checked_at_load(

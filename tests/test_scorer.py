@@ -1,3 +1,5 @@
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +152,31 @@ class TestAdamW:
         with pytest.raises(FloatingPointError):
             adamw_step(model, state, bad)
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_diverging_update_rejected_by_the_model(self):
+        model = ScorerModel(LINEAR, 1, 0, np.array([1e308, 0.0]))
+        state = AdamWState.create(2, learning_rate=1e308, weight_decay=0.0)
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
+            adamw_step(model, state, np.array([-1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("learning_rate", math.inf, "learning_rate must be a finite number >= 0, got inf"),
+            ("learning_rate", -0.1, "learning_rate must be a finite number >= 0, got -0.1"),
+            ("weight_decay", math.nan, "weight_decay must be a finite number >= 0, got nan"),
+            ("weight_decay", -math.inf, "weight_decay must be a finite number >= 0, got -inf"),
+            ("epsilon", math.inf, "epsilon must be a finite number > 0, got inf"),
+            ("epsilon", 0.0, "epsilon must be a finite number > 0, got 0.0"),
+            ("beta1", 1.0, "betas must lie in [0, 1)"),
+            ("beta2", math.nan, "betas must lie in [0, 1)"),
+        ],
+    )
+    def test_bad_hyperparameter_named_at_create(self, field, value, message):
+        kwargs = {"learning_rate": 0.1, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            AdamWState.create(3, **kwargs)
+
     def test_shape_mismatch_rejected(self):
         model = init_model(LINEAR, 2, seed=0)
         state = AdamWState.create(model.num_params, learning_rate=0.1)
@@ -195,3 +222,22 @@ class TestDeterminismAndCheckpoints:
         path.write_text("not a checkpoint\n")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "arch, dim, hidden, message",
+    [
+        ("cnn", 4, 0, "unknown architecture 'cnn'"),
+        (MLP, 4, 0, "mlp requires hidden_width >= 1"),
+        (LINEAR, 0, 0, "feature_dim must be >= 1"),
+        (MLP, 0, 3, "feature_dim must be >= 1"),
+    ],
+)
+def test_bad_shape_named_by_param_count(arch, dim, hidden, message):
+    """init_model and ScorerModel leave the shape checks to param_count."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        init_model(arch, dim, hidden)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ScorerModel(arch, dim, hidden, np.zeros(5))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        param_count(arch, dim, hidden)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -227,7 +229,7 @@ class TestTrainDistill:
     def test_divergence_surfaces_an_error(self, setup):
         _, _, _, dataset, validation = setup
         model = scorer.init_model("linear", 16, seed=1)
-        with pytest.raises((FloatingPointError, ValueError)):
+        with pytest.raises(ValueError, match="^parameters must be finite$"):
             train_distill(
                 model, dataset, validation, distill_cfg(max_steps=50, learning_rate=1e308)
             )
@@ -292,3 +294,16 @@ def test_train_config_validation():
         TrainConfig(loss=LOSS_RANKNET, max_steps=1, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(loss=LOSS_RANKNET, max_steps=1, patience_steps=0)
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+def test_train_config_rejects_a_bad_rate_by_name(field, value):
+    message = f"{field} must be a finite number >= 0, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TrainConfig(loss=LOSS_RANKNET, max_steps=3, **{field: value})
+
+
+def test_train_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        TrainConfig(loss=LOSS_RANKNET, max_steps=3, seed=-1)
