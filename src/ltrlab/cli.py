@@ -276,13 +276,16 @@ def _atomic_files(*paths: Path) -> Iterator[list[IO[str]]]:
         raise
 
 
-def _atomic_write(path: Path, text: str | Iterable[str]) -> None:
-    """Write `text`, or its chunks as they come, to a temp file renamed to `path`.
+def _atomic_write(files: dict[Path, str | Iterable[str]]) -> None:
+    """Write each file's text, or its chunks as they come, as one
+    `_atomic_files` group: if writing fails, every path is left as it was."""
+    with _atomic_files(*files) as handles:
+        for f, text in zip(handles, files.values()):
+            f.writelines((text,) if isinstance(text, str) else text)
 
-    If writing fails, the temp file is removed and `path` is left as it was.
-    """
-    with _atomic_files(path) as (f,):
-        f.writelines((text,) if isinstance(text, str) else text)
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _init_scorer(spec: ScorerSpec, feature_dim: int) -> scorer.ScorerModel:
@@ -299,12 +302,9 @@ def cmd_world(args) -> int:
     _print_resolved("world", cfg, args)
     names = sorted(cfg.world.first_stage_noise)
     out = Path(args.out)
-    _atomic_write(
-        out / "world_config.json",
-        json.dumps(dataclasses.asdict(cfg.world), indent=2, sort_keys=True) + "\n",
-    )
-    paths = [out / "qrels.txt", *(out / f"run_{name}.trec" for name in names)]
-    with _atomic_files(*paths) as (qrels, *runs):
+    paths = [out / "world_config.json", out / "qrels.txt", *(out / f"run_{n}.trec" for n in names)]
+    with _atomic_files(*paths) as (world_config, qrels, *runs):
+        world_config.write(cfg.world.canonical_text())
 
         def write(world: distill_data.SyntheticWorld) -> None:
             qrels.write(core.write_qrels(world.qrels()))
@@ -326,67 +326,65 @@ def cmd_distill(args) -> int:
     _check_retriever(cfg, "distill")
     _check_depth(cfg, "distill", "depth", cfg.distill.depth)
     train = pipeline.query_ranges(cfg.world.num_queries, cfg.split)["train"]
+    depth, path = cfg.distill.depth, Path(args.out) / "distill_dataset.jsonl"
 
-    def records() -> Iterator[str]:
-        for dataset in _teacher_datasets(cfg, train, cfg.distill.depth):
-            yield from core.write_distill_dataset(dataset)
+    def records(world: distill_data.SyntheticWorld) -> str:
+        run = world.first_stage_run(cfg.distill.retriever)
+        return "".join(core.write_distill_dataset(distill_data.build_teacher_dataset(run, depth)))
 
-    out = Path(args.out)
-    _atomic_write(out / "distill_dataset.jsonl", records())
+    _atomic_write({path: distill_data.map_ranges(records, cfg.world, train)})
     print(
-        f"distill: {len(train)} queries at depth {cfg.distill.depth} "
-        f"from retriever {cfg.distill.retriever!r} -> {out / 'distill_dataset.jsonl'}"
+        f"distill: {len(train)} queries at depth {depth} "
+        f"from retriever {cfg.distill.retriever!r} -> {path}"
     )
     return 0
 
 
-def _write_train_outputs(out: Path, tag: str, report: trainer.TrainReport) -> None:
-    _atomic_write(
-        out / f"report_{tag}.json",
-        json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True) + "\n",
-    )
-    _atomic_write(out / f"metrics_{tag}.jsonl", "\n".join(report.metrics_lines()) + "\n")
-
-
-def _read_dataset(path: str, feature_dim: int) -> list[np.ndarray]:
-    """The feature lists of a dataset file whose width is the world's; its doc
-    ids and ranks, which training never reads, are freed on return."""
+def _read_dataset(path: str, cfg: ExperimentConfig, train: range) -> dict[str, list]:
+    """Each query's (list number, space-separated doc ids) pairs of the
+    dataset file at `path`, which must come from the config's world and hold
+    lists of train queries only."""
     with open(path, encoding="utf-8") as f:
         dataset = core.parse_distill_dataset(f)
-    width = dataset.features.shape[1]
-    if len(dataset) and width != feature_dim:
-        message = f"dataset {path!r} has {width} features per doc"
-        raise ConfigError(f"{message}, but world.feature_dim is {feature_dim}")
-    return dataset.lists()
-
-
-def _teacher_datasets(
-    cfg: ExperimentConfig, queries: range, depth: int
-) -> Iterator[core.DistillDataset]:
-    """The teacher dataset of `queries` at `depth`, one world slice at a time."""
-
-    def build(world: distill_data.SyntheticWorld) -> core.DistillDataset:
-        run = world.first_stage_run(cfg.distill.retriever)
-        return distill_data.build_teacher_dataset(run, depth=depth)
-
-    return distill_data.map_ranges(build, cfg.world, queries)
+    world = cfg.world.fingerprint()
+    if dataset.world not in (None, world):
+        raise ConfigError(
+            f"dataset {path!r} was made from world {dataset.world}, "
+            f"but the config's world is {world}"
+        )
+    # Keyed by the world's own query ids, one string of ids a list (not 60 bytes a
+    # doc): nothing of the parsed file outlives this, and its memory is free.
+    queries, lists = {query: query for query in distill_data.query_ids(cfg.world, train)}, {}
+    for i, record in enumerate(dataset):
+        if record.query not in queries:
+            raise ConfigError(
+                f"dataset {path!r} has query {record.query!r}, which is not one of the "
+                f"{len(train)} train queries of the world"
+            )
+        lists.setdefault(queries[record.query], []).append((i, " ".join(record.docs)))
+    return lists
 
 
 def _train_lists(
-    cfg: ExperimentConfig, train: range, groups: bool, depth: int | None
+    cfg: ExperimentConfig, train: range, groups: bool, depth: int | None, dataset: dict | None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """The hard-negative groups (if `groups`) and the teacher lists at `depth`
-    (if not None) of the train queries, built one world slice at a time."""
+    """The hard-negative groups (if `groups`) and the teacher lists of the
+    train queries, built one world slice at a time: the world teacher's lists
+    at `depth`, or those of `dataset` (`_read_dataset`) in its order, whose
+    features each slice gathers by pool index as it takes them out."""
     counts: collections.Counter = collections.Counter()
 
     def build(world: distill_data.SyntheticWorld) -> tuple[list, list]:
-        run = world.first_stage_run(cfg.distill.retriever)
         some_groups = some_lists = []
+        if groups or depth is not None:
+            run = world.first_stage_run(cfg.distill.retriever)
         if groups:
             block = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling, counts)
             some_groups = block.lists()
         if depth is not None:
-            some_lists = distill_data.build_teacher_dataset(run, depth=depth).lists()
+            some_lists = list(run.features(distill_data.teacher_ranking(run, depth)[0]))
+        if dataset is not None:
+            some_lists = distill_data.gather_lists(world, dataset)
         return some_groups, some_lists
 
     group_lists, teacher_lists = [], []
@@ -395,33 +393,30 @@ def _train_lists(
         teacher_lists += some_lists
     if groups:
         distill_data.log_sampling(counts)
+    if dataset is not None:  # (list number, features) pairs, put in the dataset's order
+        teacher_lists = [features for _, features in sorted(teacher_lists, key=lambda p: p[0])]
     return group_lists, teacher_lists
 
 
 def _train(
-    args, cfg: ExperimentConfig, stage1: bool, distill: bool, splits: dict[str, range], out: Path
-) -> scorer.ScorerModel:
-    """Train as the flags say, write the training reports, return the model."""
-    groups = lists = None
-    if distill and args.dataset:
-        lists = _read_dataset(args.dataset, cfg.world.feature_dim)
+    args, cfg: ExperimentConfig, stage1: bool, distill: bool, splits: dict[str, range]
+) -> tuple[scorer.ScorerModel, dict[str, trainer.TrainReport]]:
+    """Train as the flags say; return the model and each stage's report."""
+    train = splits["train"]
+    dataset = _read_dataset(args.dataset, cfg, train) if distill and args.dataset else None
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
     teacher_depth = cfg.distill.depth if distill and not args.dataset else None
-    if stage1 or teacher_depth is not None:
-        groups, teacher_lists = _train_lists(cfg, splits["train"], stage1, teacher_depth)
-        if teacher_depth is not None:
-            lists = teacher_lists
+    groups, lists = _train_lists(cfg, train, stage1, teacher_depth, dataset)
     if distill:
         validation = pipeline.make_validation(
             cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
         )
+    reports = {}
     if stage1:
-        model, report = trainer.train_stage1(model, groups, cfg.stage1)
-        _write_train_outputs(out, "stage1", report)
+        model, reports["stage1"] = trainer.train_stage1(model, groups, cfg.stage1)
     if distill:
-        model, report = trainer.train_distill(model, lists, validation, cfg.stage2)
-        _write_train_outputs(out, "distill", report)
-    return model
+        model, reports["distill"] = trainer.train_distill(model, lists, validation, cfg.stage2)
+    return model, reports
 
 
 def cmd_train(args) -> int:
@@ -441,30 +436,29 @@ def cmd_train(args) -> int:
     _check_retriever(cfg, "eval")
     _check_depth(cfg, "eval", "depth", cfg.eval.depth)
     splits = pipeline.query_ranges(cfg.world.num_queries, cfg.split)
-    out = Path(args.out)
     # The training data goes out of scope with _train, before the test pools
     # are built, so the two never take memory at the same time.
-    model = _train(args, cfg, stage1, distill, splits, out)
-
-    _atomic_write(out / "checkpoint.txt", scorer.checkpoint_text(model))
+    model, reports = _train(args, cfg, stage1, distill, splits)
     test_pools, qrels = pipeline.range_pools(
         cfg.world, cfg.eval.retriever, splits["test"], cfg.eval.depth
     )
-    test_scores, test_run = pipeline.evaluate_model(model, test_pools, qrels, cfg.eval.k)
-    _atomic_write(out / "test_run.trec", core.write_run(test_run, tag="ltrlab"))
-    _atomic_write(
-        out / "test_per_query.tsv",
-        evaluation.per_query_scores_text(test_scores, f"nDCG@{cfg.eval.k}"),
-    )
+    k = cfg.eval.k
+    test_scores, test_run = pipeline.evaluate_model(model, test_pools, qrels, k)
     mean_test = sum(test_scores.values()) / len(test_scores) if test_scores else 0.0
-    summary = {
-        "stage": args.stage,
-        "loss": loss,
-        "num_test_queries": len(test_scores),
-        f"mean_test_ndcg{cfg.eval.k}": mean_test,
+    summary = {"stage": args.stage, "loss": loss, "num_test_queries": len(test_scores)}
+    summary[f"mean_test_ndcg{k}"] = mean_test
+    out = Path(args.out)
+    files: dict[Path, str | Iterable[str]] = {
+        out / "checkpoint.txt": scorer.checkpoint_text(model),
+        out / "test_run.trec": core.write_run(test_run, tag="ltrlab"),
+        out / "test_per_query.tsv": evaluation.per_query_scores_text(test_scores, f"nDCG@{k}"),
+        out / "summary.json": _json_text(summary),
     }
-    _atomic_write(out / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"train: stage={args.stage} loss={loss} test nDCG@{cfg.eval.k}={mean_test:.4f} -> {out}")
+    for tag, report in reports.items():
+        files[out / f"report_{tag}.json"] = _json_text(dataclasses.asdict(report))
+        files[out / f"metrics_{tag}.jsonl"] = "\n".join(report.metrics_lines()) + "\n"
+    _atomic_write(files)
+    print(f"train: stage={args.stage} loss={loss} test nDCG@{k}={mean_test:.4f} -> {out}")
     return 0
 
 
@@ -493,12 +487,12 @@ def cmd_eval(args) -> int:
     if not scores:
         raise ConfigError(f"run file {args.run!r} contains no queries")
     out = Path(args.out)
-    _atomic_write(
-        out / "per_query.tsv", evaluation.per_query_scores_text(scores, f"nDCG@{args.k}")
-    )
     mean = sum(scores.values()) / len(scores)
     summary = {"metric": f"nDCG@{args.k}", "num_queries": len(scores), "mean": mean}
-    _atomic_write(out / "eval_summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write({
+        out / "per_query.tsv": evaluation.per_query_scores_text(scores, f"nDCG@{args.k}"),
+        out / "eval_summary.json": _json_text(summary),
+    })
     print(f"eval: mean nDCG@{args.k} over {len(scores)} queries = {mean:.4f}")
     return 0
 
@@ -528,8 +522,8 @@ def cmd_significance(args) -> int:
         per_system[name] = run_scores(cand)
     report = evaluation.significance_report(per_system, baseline_name, args.alpha)
     out = Path(args.out)
-    _atomic_write(out / "significance.txt", report.to_text())
-    _atomic_write(out / "significance.jsonl", report.to_jsonl())
+    text, jsonl = report.to_text(), report.to_jsonl()
+    _atomic_write({out / "significance.txt": text, out / "significance.jsonl": jsonl})
     print(report.to_text(), end="")
     return 0
 
@@ -545,26 +539,32 @@ def cmd_ablate(args) -> int:
     max_depth = depths[-1]
     _check_depth(cfg, "ablation", "depth", max_depth)
     splits = pipeline.query_ranges(cfg.world.num_queries, cfg.split)
+
+    def build(world: distill_data.SyntheticWorld) -> list[np.ndarray]:
+        run = world.first_stage_run(cfg.distill.retriever)
+        ranked, ranks = distill_data.teacher_ranking(run, max_depth)
+        cuts = (ranked[distill_data.first_stage_top(ranks, d)].reshape(len(run), d) for d in depths)
+        return [run.features(index) for index in cuts]
+
     lists: dict[int, list[np.ndarray]] = {d: [] for d in depths}
-    for full in _teacher_datasets(cfg, splits["train"], max_depth):
-        for d in lists:
-            lists[d] += (full if d == max_depth else distill_data.subsample_depth(full, d)).lists()
+    for blocks in distill_data.map_ranges(build, cfg.world, splits["train"]):
+        for d, block in zip(depths, blocks):
+            lists[d] += list(block)
     validation = pipeline.make_validation(
         cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
     )
     base_model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
     cells = pipeline.ablation_grid(lists, cfg.ablation.fractions, base_model, validation, cfg.stage2)
     out = Path(args.out)
-    tsv_lines = ["depth\tquery_fraction\tnum_queries\tmean_ndcg10\tsteps"]
-    for c in cells:
-        tsv_lines.append(
-            f"{c.depth}\t{c.query_fraction}\t{c.num_queries}\t{repr(c.mean_ndcg10)}\t{c.steps_executed}"
-        )
-    _atomic_write(out / "ablation.tsv", "\n".join(tsv_lines) + "\n")
-    _atomic_write(
-        out / "ablation.jsonl",
-        "\n".join(json.dumps(dataclasses.asdict(c), separators=(",", ":")) for c in cells) + "\n",
-    )
+    tsv_lines = ["depth\tquery_fraction\tnum_queries\tmean_ndcg10\tsteps"] + [
+        f"{c.depth}\t{c.query_fraction}\t{c.num_queries}\t{c.mean_ndcg10!r}\t{c.steps_executed}"
+        for c in cells
+    ]
+    jsonl = (json.dumps(dataclasses.asdict(c), separators=(",", ":")) for c in cells)
+    _atomic_write({
+        out / "ablation.tsv": "\n".join(tsv_lines) + "\n",
+        out / "ablation.jsonl": "\n".join(jsonl) + "\n",
+    })
     print("\n".join(tsv_lines))
     return 0
 
@@ -612,8 +612,8 @@ def cmd_bench(args) -> int:
     print(text, end="")
     if args.out:
         out = Path(args.out)
-        _atomic_write(out / "bench.txt", text)
-        _atomic_write(out / "bench.jsonl", rerank_sim.cost_report_jsonl(rows))
+        jsonl = rerank_sim.cost_report_jsonl(rows)
+        _atomic_write({out / "bench.txt": text, out / "bench.jsonl": jsonl})
     return 0
 
 

@@ -9,7 +9,6 @@ once the block is filled.
 
 from __future__ import annotations
 
-import itertools
 import json
 import logging
 import math
@@ -177,10 +176,6 @@ class Qrels:
         for qid in sorted(self._grades):
             for doc in sorted(self._grades[qid]):
                 yield qid, doc, self._grades[qid][doc]
-
-    def restrict(self, queries: Iterable[QueryId]) -> "Qrels":
-        keep = set(queries)
-        return Qrels({q: docs for q, docs in self._grades.items() if q in keep})
 
     def __len__(self) -> int:
         return sum(len(docs) for docs in self._grades.values())
@@ -377,11 +372,12 @@ def write_qrels(qrels: Qrels) -> str:
 # ---------------------------------------------------------------------------
 #
 # Record schema (key order fixed):
-#   {"query_id": ..., "source_depth": ...,
-#    "passages": [{"doc_id": ..., "features": [...],
-#                  "first_stage_rank": ..., "teacher_rank": ...}, ...]}
+#   {"query_id": ..., "world_sha256": ..., "source_depth": ...,
+#    "passages": [{"doc_id": ..., "first_stage_rank": ..., "teacher_rank": ...}, ...]}
 # Passages appear in teacher order, so teacher_rank is always 1..n in order.
-# Floats are serialized at full precision (shortest round-trip repr).
+# The file holds ids and ranks only: a doc's features live in the world that
+# made the file, and every record names that world by the sha256 of its
+# canonical config text (`WorldConfig.fingerprint`), one value per file.
 
 
 @dataclass(frozen=True, eq=False)
@@ -390,7 +386,6 @@ class DistillRecord:
 
     query: QueryId
     docs: list[DocId]
-    features: np.ndarray
     first_stage_ranks: np.ndarray
     source_depth: int
 
@@ -399,36 +394,42 @@ class DistillRecord:
 
 
 @dataclass(eq=False, repr=False)
-class DistillDataset(ListBlock):
-    """Teacher-ranked lists with their first-stage ranks.
+class DistillDataset:
+    """Teacher-ranked lists of doc ids with their first-stage ranks.
 
-    Each list is in teacher order, best first. `first_stage_ranks[j]` is the
-    1-based first-stage rank of `docs[j]`, and `source_depths[i]` is the run
-    depth that list i was taken from. Iterating yields each list as a
-    DistillRecord.
+    List i belongs to query `queries[i]`: it is rows `offsets[i]:offsets[i + 1]`
+    of `docs` and `first_stage_ranks`, in teacher order, best first.
+    `first_stage_ranks[j]` is the 1-based first-stage rank of `docs[j]`, and
+    `source_depths[i]` is the run depth that list i was taken from. `world`
+    is the fingerprint of the world config that made the lists (None for a
+    parsed file without lists). Iterating yields each list as a DistillRecord.
     """
 
+    world: str | None
+    queries: tuple[QueryId, ...]
+    offsets: np.ndarray  # (L + 1,)
+    docs: list[DocId]
     first_stage_ranks: np.ndarray  # (N,) int64
     source_depths: np.ndarray  # (L,) int64
+
+    def __len__(self) -> int:
+        return len(self.queries)
 
     def __iter__(self) -> Iterator[DistillRecord]:
         bounds, depths = self.offsets.tolist(), self.source_depths.tolist()
         for query, lo, hi, depth in zip(self.queries, bounds, bounds[1:], depths):
-            yield DistillRecord(
-                query, self.docs[lo:hi], self.features[lo:hi], self.first_stage_ranks[lo:hi], depth
-            )
+            yield DistillRecord(query, self.docs[lo:hi], self.first_stage_ranks[lo:hi], depth)
 
 
 def write_distill_dataset(dataset: DistillDataset) -> Iterator[str]:
     """Serialize a distillation dataset as JSON lines, one chunk per list."""
     for rec in dataset:
         passages = [
-            {"doc_id": doc, "features": features, "first_stage_rank": rank, "teacher_rank": i}
-            for i, (doc, features, rank) in enumerate(
-                zip(rec.docs, rec.features.tolist(), rec.first_stage_ranks.tolist()), start=1
-            )
+            {"doc_id": doc, "first_stage_rank": rank, "teacher_rank": i}
+            for i, (doc, rank) in enumerate(zip(rec.docs, rec.first_stage_ranks.tolist()), start=1)
         ]
-        obj = {"query_id": rec.query, "source_depth": rec.source_depth, "passages": passages}
+        obj = {"query_id": rec.query, "world_sha256": dataset.world}
+        obj.update(source_depth=rec.source_depth, passages=passages)
         yield json.dumps(obj, separators=(",", ":")) + "\n"
 
 
@@ -439,19 +440,15 @@ def _integer(obj: Mapping, key: str) -> int:
     return value
 
 
-def _check_record(query: str, docs: list, features: np.ndarray, ranks: list, depth: int) -> None:
+def _check_record(query: str, docs: list, ranks: list, depth: int) -> None:
     """Raise ValueError for the first invariant of a dataset list that fails."""
     validate_id(query, "query id")
-    if features.ndim != 2:
-        raise ValueError(f"features must be a 2-d array, got shape {features.shape}")
     if not docs:
         raise ValueError(f"record for query {query!r} has no docs")
     if not _ids_valid(docs):
         for doc in docs:
             validate_id(doc, "doc_id")
         raise ValueError(f"record for query {query!r} has duplicate docs")
-    if not np.isfinite(features).all():
-        raise ValueError(f"record for query {query!r} has non-finite features")
     if min(ranks) < 1 or max(ranks) > depth:
         rank = next(r for r in ranks if r < 1 or r > depth)
         raise ValueError(f"first-stage rank {rank} outside 1..{depth} for query {query!r}")
@@ -463,12 +460,12 @@ def parse_distill_dataset(source: str | IO[str]) -> DistillDataset:
     """Parse JSON-lines distillation records into one DistillDataset.
 
     This is where lists from outside are checked: the first bad record
-    raises ParseError with its line number. Every record must have the
-    feature width of the first one.
+    raises ParseError with its line number. Every record must name the
+    world of the first one.
     """
     queries, docs = [], []
-    offsets, ranks, depths, features = array("q", [0]), array("q"), array("q"), array("d")
-    width = None
+    offsets, ranks, depths = array("q", [0]), array("q"), array("q")
+    world = None
     for lineno, line in _numbered_lines(source):
         if not line.strip():
             continue
@@ -477,41 +474,30 @@ def parse_distill_dataset(source: str | IO[str]) -> DistillDataset:
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", lineno) from None
         try:
-            query = obj["query_id"]
+            query, fingerprint = obj["query_id"], obj["world_sha256"]
+            if type(fingerprint) is not str:
+                raise TypeError(f"world_sha256 must be a string, got {fingerprint!r}")
             source_depth = _integer(obj, "source_depth")
             passages = obj["passages"]
             rec_docs = [p["doc_id"] for p in passages]
-            rows = [p["features"] for p in passages]
-            feats = np.array(rows, dtype=np.float64)  # other shapes fail _check_record
-            bad = feats.ndim == 2 and set(map(type, itertools.chain(*rows))) - {int, float}
-            if bad:
-                value = next(v for row in rows for v in row if type(v) in bad)
-                raise TypeError(f"features must be JSON numbers, got {value!r}")
             rec_ranks = [_integer(p, "first_stage_rank") for p in passages]
             teacher_ranks = [_integer(p, "teacher_rank") for p in passages]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad record structure: {exc}", lineno) from None
         if teacher_ranks != list(range(1, len(passages) + 1)):
             raise ParseError("passages are not in teacher order (teacher_rank must be 1..n)", lineno)
         try:
-            _check_record(query, rec_docs, feats, rec_ranks, source_depth)
+            _check_record(query, rec_docs, rec_ranks, source_depth)
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from None
-        if width not in (None, feats.shape[1]):
-            message = f"record for query {query!r} has {feats.shape[1]} features per doc"
-            raise ParseError(f"{message}, the first record {width}", lineno)
-        width = feats.shape[1]
+        if world not in (None, fingerprint):
+            message = f"record for query {query!r} is from world {fingerprint}"
+            raise ParseError(f"{message}, the first record from world {world}", lineno)
+        world = fingerprint
         queries.append(query)
         docs += rec_docs
-        features.frombytes(feats.tobytes())
         ranks.extend(rec_ranks)
         depths.append(source_depth)
         offsets.append(len(docs))
-    return DistillDataset(
-        tuple(queries),
-        np.frombuffer(offsets, dtype=np.int64),
-        docs,
-        np.frombuffer(features).reshape(len(docs), width or 0),
-        np.frombuffer(ranks, dtype=np.int64),
-        np.frombuffer(depths, dtype=np.int64),
-    )
+    offsets_a, ranks_a, depths_a = (np.frombuffer(a, np.int64) for a in (offsets, ranks, depths))
+    return DistillDataset(world, tuple(queries), offsets_a, docs, ranks_a, depths_a)

@@ -16,8 +16,10 @@ bits of the same rows of the whole world and can be generated on its own.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
+import json
 import logging
 import math
 import struct
@@ -110,6 +112,20 @@ class WorldConfig:
         if self.feature_map not in (FEATURE_MAP_PRODUCT, FEATURE_MAP_SATURATED):
             raise ValueError(f"unknown feature_map {self.feature_map!r}")
 
+    def canonical_text(self) -> str:
+        """The config as the JSON text of `world_config.json`."""
+        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True) + "\n"
+
+    def fingerprint(self) -> str:
+        """The sha256 of `canonical_text`: the world a distillation dataset names."""
+        return hashlib.sha256(self.canonical_text().encode("utf-8")).hexdigest()
+
+
+def query_ids(config: WorldConfig, queries: range) -> tuple[QueryId, ...]:
+    """The ids of a range of the config's query indices, at the width of the whole config."""
+    width = len(str(config.num_queries - 1))
+    return tuple(f"q{i:0{width}d}" for i in queries)
+
 
 class SyntheticWorld:
     """A generated retrieval world: corpus, qrels, runs, teacher, features.
@@ -133,38 +149,28 @@ class SyntheticWorld:
         self._features = features  # (Q, P, F)
         self._teacher_u = teacher_unit_noise  # (Q, P)
         self._fs_scores = first_stage_scores  # name -> (Q, P)
-        dwidth, qwidth = len(str(config.docs_per_query - 1)), len(str(config.num_queries - 1))
-        self._suffixes = [f"_p{j:0{dwidth}d}" for j in range(config.docs_per_query)]
-        self.query_ids: tuple[str, ...] = tuple(f"q{i:0{qwidth}d}" for i in queries)
+        width = len(str(config.docs_per_query - 1))
+        self._suffixes = [f"_p{j:0{width}d}" for j in range(config.docs_per_query)]
+        self._suffix_index = {suffix: j for j, suffix in enumerate(self._suffixes)}
+        self.query_ids = query_ids(config, queries)
         self._qrels: Qrels | None = None
         # Orders, not runs: a run refers to its world, and a cycle delays freeing it.
         self._orders: dict[str, np.ndarray] = {}
-
-    @property
-    def retriever_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._fs_scores))
-
-    def _doc_id(self, qi: int, j: int) -> str:
-        return self.query_ids[qi] + self._suffixes[j]
 
     def _doc_ids(self, qi: int, idx: Iterable[int]) -> list[str]:
         """Ids of query qi's docs at pool indices idx."""
         qid, suffixes = self.query_ids[qi], self._suffixes
         return [qid + suffixes[j] for j in idx]
 
-    def _dindex(self, qi: int, doc: DocId) -> int:
-        prefix = f"{self.query_ids[qi]}_p"
-        if not doc.startswith(prefix):
-            raise KeyError(f"doc {doc!r} does not belong to query {self.query_ids[qi]!r}")
-        try:
-            j = int(doc[len(prefix):])
-        except ValueError:
-            raise KeyError(f"malformed doc id {doc!r}") from None
-        if not 0 <= j < self.config.docs_per_query:
-            raise KeyError(f"doc {doc!r} outside the pool for {self.query_ids[qi]!r}")
-        if self._doc_id(qi, j) != doc:
-            raise KeyError(f"malformed doc id {doc!r}")
-        return j
+    def pool_index(self, qi: int, docs: Sequence[DocId]) -> list[int]:
+        """Pool index of each of query qi's docs, by their exact ids; ValueError
+        names the first doc that is not one of its pool."""
+        qid, suffix, n = self.query_ids[qi], self._suffix_index, len(self.query_ids[qi])
+        index = [suffix.get(doc[n:], -1) if doc.startswith(qid) else -1 for doc in docs]
+        if -1 in index:
+            doc, pool = docs[index.index(-1)], self.config.docs_per_query
+            raise ValueError(f"doc {doc!r} is not one of the {pool} docs of query {qid!r}")
+        return index
 
     def qrels(self) -> Qrels:
         """Sparse judgments: grade 1 for each query's truly best pool doc."""
@@ -172,14 +178,15 @@ class SyntheticWorld:
             grades = {}
             for qi, qid in enumerate(self.query_ids):
                 best = int(np.argmax(self._rel[qi]))
-                grades[qid] = {self._doc_id(qi, best): 1}
+                grades[qid] = {self._doc_ids(qi, [best])[0]: 1}
             self._qrels = Qrels(grades)
         return self._qrels
 
     def first_stage_run(self, retriever: str) -> WorldRun:
         """Full-pool ranking by rel + retriever noise, canonically ordered."""
         if retriever not in self._fs_scores:
-            raise KeyError(f"unknown retriever {retriever!r}; have {self.retriever_names}")
+            have = tuple(sorted(self._fs_scores))
+            raise KeyError(f"unknown retriever {retriever!r}; have {have}")
         scores = self._fs_scores[retriever]
         if retriever not in self._orders:
             # Zero-padded ids sort like their pool index, so the index is the
@@ -191,7 +198,7 @@ class SyntheticWorld:
                 bad = ~np.isfinite(np.take_along_axis(scores, order, axis=1))
                 qi, pos = np.argwhere(bad)[0]
                 raise ValueError(
-                    f"non-finite score for doc {self._doc_id(qi, order[qi, pos])!r} "
+                    f"non-finite score for doc {self._doc_ids(qi, [order[qi, pos]])[0]!r} "
                     f"in query {self.query_ids[qi]!r}"
                 )
             self._orders[retriever] = order
@@ -216,22 +223,18 @@ class WorldRun:
         self.queries = tuple(world.query_ids[qi] for qi in qindex.tolist())
         self._row = {qid: r for r, qid in enumerate(self.queries)}
 
-    def rows(self, queries: Iterable[QueryId]) -> np.ndarray:
-        """Row of each query, in the given order; KeyError for one not in the run."""
-        return np.array([self._row[q] for q in queries], dtype=np.intp)
-
-    def restrict(self, queries: Iterable[QueryId]) -> WorldRun:
-        """The run of just these queries (each once), in query-id order."""
-        rows = np.unique(self.rows(queries))
-        return WorldRun(self.world, self._scores, self.qindex[rows], self.order[rows])
-
     def top(self, queries: Sequence[QueryId], depth: int) -> tuple[list, np.ndarray, np.ndarray]:
         """The top-`depth` doc ids of each query, their (len(queries), n) pool
-        indices and their (len(queries), n, F) features."""
-        rows = self.rows(queries)
+        indices and their (len(queries), n, F) features; KeyError names a
+        query that is not in the run."""
+        rows = np.array([self._row[q] for q in queries], dtype=np.intp)
         qindex, top = self.qindex[rows], self.order[rows, : depth if len(rows) else 0]
         docs = [self.world._doc_ids(qi, idx) for qi, idx in zip(qindex.tolist(), top.tolist())]
         return docs, top, self.world._features[qindex[:, None], top]
+
+    def features(self, index: np.ndarray) -> np.ndarray:
+        """The (R, n, F) features of pool indices `index[r]` of each row r."""
+        return self.world._features[self.qindex[:, None], index]
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -321,7 +324,7 @@ def build_hard_negative_groups(
     when they have no positive, when the run is shallower than pool_depth,
     or when the eligible pool is smaller than num_negatives. Each group is
     one list of the block, positive first; a positive that is not a doc of
-    its query's pool raises KeyError.
+    its query's pool raises ValueError.
 
     The group and skip counts are added to `counts` when it is given, so
     that a caller that samples many runs logs them once with `log_sampling`;
@@ -348,8 +351,8 @@ def build_hard_negative_groups(
         pool = row[: cfg.pool_depth]
         for doc in positives:
             try:
-                pool = pool[pool != world._dindex(qi, doc)]
-            except KeyError:  # a judged doc that is not in this query's pool
+                pool = pool[pool != world.pool_index(qi, [doc])[0]]
+            except ValueError:  # a judged doc that is not in this query's pool
                 pass
         if len(pool) < cfg.num_negatives:
             logger.warning(
@@ -363,7 +366,7 @@ def build_hard_negative_groups(
         rng = _query_rng(cfg.seed, qid)
         chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
         rows.append(r)
-        members.append([world._dindex(qi, positives[0]), *pool[chosen].tolist()])
+        members.append([*world.pool_index(qi, positives[:1]), *pool[chosen].tolist()])
     tally["groups"] = len(rows)
     if counts is None:
         log_sampling(tally)
@@ -379,15 +382,15 @@ def build_hard_negative_groups(
     )
 
 
-def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
+def teacher_ranking(run: WorldRun, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Re-rank each query's first-stage top `depth` with the world's teacher.
 
     The teacher ranks the candidates best-first by noisy true relevance
     rel + sigma_p * u, ties by ascending doc id. The unit noise u per
     (query, doc) is fixed at world generation, so the teacher is
     deterministic; sigma_p = teacher_noise + teacher_noise_rank_growth * p
-    for the candidate at 0-based first-stage position p. First-stage ranks
-    (1-based positions in the run) are recorded alongside the teacher order.
+    for the candidate at 0-based first-stage position p. Returns the run
+    rows' (R, depth) pool indices in teacher order and their first-stage ranks.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -403,23 +406,38 @@ def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
     key = -(world._rel[qindex, top] + sigma * world._teacher_u[qindex, top])
     # Pool-index order is doc-id order, so `top` breaks the teacher's ties.
     teacher = np.lexsort((top, key), axis=-1)
-    ranked = np.take_along_axis(top, teacher, axis=1)
-    features = world._features[qindex, ranked]
-    finite = np.isfinite(features).all(axis=(1, 2))
-    if not finite.all():
-        query = run.queries[int(np.argmin(finite))]
-        raise ValueError(f"record for query {query!r} has non-finite features")
-    # World ids are valid and distinct, and the first-stage ranks are a
-    # permutation of 1..depth: only the features needed checking.
+    return np.take_along_axis(top, teacher, axis=1), teacher + 1
+
+
+def first_stage_top(ranks: np.ndarray, depth: int) -> np.ndarray:
+    """Which docs of teacher-ranked lists lie in the first-stage top `depth`."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return ranks <= depth
+
+
+def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
+    """The `teacher_ranking` of `run` at `depth` as doc ids and first-stage
+    ranks, which are valid and distinct: nothing needs checking."""
+    ranked, ranks = teacher_ranking(run, depth)
+    world, offsets, depths = run.world, np.arange(len(run) + 1) * depth, np.full(len(run), depth)
     docs = itertools.chain.from_iterable(map(world._doc_ids, run.qindex.tolist(), ranked.tolist()))
-    return DistillDataset(
-        run.queries,
-        np.arange(len(run) + 1) * depth,
-        list(docs),
-        features.reshape(-1, cfg.feature_dim),
-        (teacher + 1).ravel(),
-        np.full(len(run), depth),
-    )
+    fingerprint = world.config.fingerprint()
+    return DistillDataset(fingerprint, run.queries, offsets, list(docs), ranks.ravel(), depths)
+
+
+def gather_lists(world: SyntheticWorld, lists: dict[QueryId, list]) -> list[tuple[int, np.ndarray]]:
+    """Take the lists of `world`'s queries out of `lists`, which holds each
+    query's (list number, space-separated doc ids) pairs, and return the
+    number and (n, F) features of each, gathered by pool index.
+    ValueError names the first doc that is not one of its query's pool."""
+    taken = [(qi, *pair) for qi, q in enumerate(world.query_ids) for pair in lists.pop(q, ())]
+    rows, index, ends = [], [], []
+    for qi, _, docs in taken:
+        index += world.pool_index(qi, docs.split(" "))
+        rows += [qi] * (len(index) - len(rows))
+        ends.append(len(index))
+    return list(zip([i for _, i, _ in taken], np.split(world._features[rows, index], ends[:-1])))
 
 
 def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:
@@ -430,9 +448,7 @@ def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:
     subsampling to 25 directly. The first list that is not deeper than
     `depth`, or that would keep no doc, raises ValueError.
     """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    keep = dataset.first_stage_ranks <= depth
+    keep = first_stage_top(dataset.first_stage_ranks, depth)
     offsets = np.concatenate(([0], np.cumsum(keep)))[dataset.offsets]
     bad = (dataset.source_depths <= depth) | (offsets[1:] == offsets[:-1])
     if bad.any():
@@ -445,11 +461,6 @@ def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:
             )
         raise ValueError(f"record for query {query!r} has no docs")
     # A subset of a list's docs keeps every invariant of the list.
-    return DistillDataset(
-        dataset.queries,
-        offsets,
-        list(itertools.compress(dataset.docs, keep.tolist())),
-        dataset.features[keep],
-        dataset.first_stage_ranks[keep],
-        np.full(len(dataset), depth),
-    )
+    docs, ranks = itertools.compress(dataset.docs, keep.tolist()), dataset.first_stage_ranks[keep]
+    depths = np.full(len(dataset), depth)
+    return DistillDataset(dataset.world, dataset.queries, offsets, list(docs), ranks, depths)

@@ -207,14 +207,16 @@ def adamw_step(
     if not np.isfinite(g).all():
         raise FloatingPointError("non-finite gradient passed to adamw_step")
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1**t)
-    v_hat = v / (1.0 - state.beta2**t)
-    # Decay applied in factored form so zero-gradient steps shrink parameters
-    # by exactly (1 - lr * wd).
-    decayed = model.params * (1.0 - state.learning_rate * state.weight_decay)
-    new_params = decayed - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    # A diverging update overflows here, and ScorerModel's scan reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = state.beta1 * state.m + (1.0 - state.beta1) * g
+        v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+        m_hat = m / (1.0 - state.beta1**t)
+        v_hat = v / (1.0 - state.beta2**t)
+        # Decay applied in factored form so zero-gradient steps shrink
+        # parameters by exactly (1 - lr * wd).
+        decayed = model.params * (1.0 - state.learning_rate * state.weight_decay)
+        new_params = decayed - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return replace(model, params=new_params), replace(state, m=m, v=v, t=t)
 
 

@@ -136,7 +136,7 @@ def teacher_order(world, query, docs):
     cfg = world.config
     keyed = []
     for pos, doc in enumerate(docs):
-        j = world._dindex(qi, doc)
+        j = doc_index_oracle(world, qi, doc)
         sigma = cfg.teacher_noise + cfg.teacher_noise_rank_growth * pos
         keyed.append((-(world._rel[qi, j] + sigma * world._teacher_u[qi, j]), doc))
     keyed.sort()
@@ -288,7 +288,8 @@ def first_stage_run_oracle(world, retriever):
         qid: ScoredList(
             qid,
             canonical_order(
-                (world._doc_id(qi, j), float(scores[qi, j])) for j in range(scores.shape[1])
+                (doc, float(scores[qi, j]))
+                for j, doc in enumerate(world._doc_ids(qi, range(scores.shape[1])))
             ),
         )
         for qi, qid in enumerate(world.query_ids)
@@ -299,10 +300,45 @@ def restrict_run_oracle(run, queries):
     return {q: run[q] for q in queries if q in run}
 
 
+def restrict_run(run, queries):
+    """The WorldRun of just these queries of `run` (each once), in query-id order."""
+    from ltrlab.distill_data import WorldRun
+
+    rows = np.unique(np.array([run._row[q] for q in queries], dtype=np.intp))
+    return WorldRun(run.world, run._scores, run.qindex[rows], run.order[rows])
+
+
+def teacher_lists(run, depth, cut=None):
+    """Each row's teacher list of `run` at `depth`, cut to its first-stage top
+    `cut` if given, as the (n, F) features that `train` and `ablate` gather."""
+    from ltrlab.distill_data import first_stage_top, teacher_ranking
+
+    ranked, ranks = teacher_ranking(run, depth)
+    if cut is not None:
+        ranked = ranked[first_stage_top(ranks, cut)].reshape(len(run), cut)
+    return list(run.features(ranked))
+
+
+def restrict_qrels(qrels, queries):
+    """The judgments of just these queries."""
+    from ltrlab.core import Qrels
+
+    keep = set(queries)
+    return Qrels({q: qrels.judged(q) for q in qrels.query_ids() if q in keep})
+
+
+def doc_index_oracle(world, qi, doc):
+    """Pool index of one of query qi's docs, by a search of its pool's ids."""
+    pool = world._doc_ids(qi, range(world.config.docs_per_query))
+    if doc not in pool:
+        raise ValueError(f"doc {doc!r} is not in the pool of {world.query_ids[qi]!r}")
+    return pool.index(doc)
+
+
 def features_oracle(world, query, docs):
     """A query's (len(docs), F) features, looked up one doc id at a time."""
     qi = world.query_ids.index(query)
-    rows = [world._features[qi, world._dindex(qi, doc)] for doc in docs]
+    rows = [world._features[qi, doc_index_oracle(world, qi, doc)] for doc in docs]
     return np.array(rows).reshape(len(docs), world.config.feature_dim)
 
 
@@ -323,19 +359,17 @@ def teacher_dataset_oracle(world, run, depth):
         ranked = teacher_order(world, qid, top_docs)
         fs_rank = dict(zip(top_docs, range(1, depth + 1)))
         features = features_oracle(world, qid, ranked)
-        if not np.isfinite(features).all():
-            raise ValueError(f"record for query {qid!r} has non-finite features")
         dataset.append((qid, ranked, features, tuple(fs_rank[d] for d in ranked), depth))
     return dataset
 
 
 def subsample_depth_oracle(records, depth):
-    """The record-at-a-time depth filter over (query, docs, features,
-    first-stage ranks, source depth) tuples."""
+    """The record-at-a-time depth filter over (query, docs, first-stage
+    ranks, source depth) tuples."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     out = []
-    for query, docs, features, ranks, source_depth in records:
+    for query, docs, ranks, source_depth in records:
         if depth >= source_depth:
             raise ValueError(
                 f"subsample depth {depth} must be smaller than source depth "
@@ -344,8 +378,7 @@ def subsample_depth_oracle(records, depth):
         keep = [i for i, r in enumerate(ranks) if r <= depth]
         if not keep:
             raise ValueError(f"record for query {query!r} has no docs")
-        kept = (tuple(docs[i] for i in keep), np.asarray(features)[keep])
-        out.append((query, *kept, tuple(ranks[i] for i in keep), depth))
+        out.append((query, tuple(docs[i] for i in keep), tuple(ranks[i] for i in keep), depth))
     return out
 
 
@@ -383,35 +416,41 @@ def rerank_pools_oracle(world, run, queries, depth):
     return pools
 
 
-def stack_records(records, dim=0):
-    """(query, docs, features, first-stage ranks, source depth) tuples as one
-    DistillDataset; `dim` is the feature width of an empty one."""
+WORLD = "0" * 64  # the world fingerprint of the datasets that tests build by hand
+
+
+def stack_records(records, world=WORLD):
+    """(query, docs, first-stage ranks, source depth) tuples as one DistillDataset."""
     from ltrlab.core import DistillDataset
 
     records = list(records)
-    lengths = [len(docs) for _, docs, _, _, _ in records]
-    features = [np.asarray(f, dtype=np.float64).reshape(len(d), -1) for _, d, f, _, _ in records]
     return DistillDataset(
-        tuple(query for query, _, _, _, _ in records),
-        np.cumsum([0] + lengths),
-        [doc for _, docs, _, _, _ in records for doc in docs],
-        np.concatenate(features) if records else np.zeros((0, dim)),
-        np.array([r for _, _, _, ranks, _ in records for r in ranks], dtype=np.int64),
-        np.array([depth for _, _, _, _, depth in records], dtype=np.int64),
+        world if records else None,
+        tuple(query for query, _, _, _ in records),
+        np.cumsum([0] + [len(docs) for _, docs, _, _ in records]),
+        [doc for _, docs, _, _ in records for doc in docs],
+        np.array([r for _, _, ranks, _ in records for r in ranks], dtype=np.int64),
+        np.array([depth for _, _, _, depth in records], dtype=np.int64),
     )
 
 
 def record_values(records):
-    """DistillRecords, or (query, docs, features, first-stage ranks, source
-    depth) tuples, as plain Python values that compare with ==."""
+    """DistillRecords, or (query, docs, first-stage ranks, source depth)
+    tuples, as plain Python values that compare with ==."""
     return [
-        (query, tuple(docs), np.asarray(features).tolist(), [int(r) for r in ranks], int(depth))
-        for query, docs, features, ranks, depth in (
+        (query, tuple(docs), [int(r) for r in ranks], int(depth))
+        for query, docs, ranks, depth in (
             rec if isinstance(rec, tuple)
-            else (rec.query, rec.docs, rec.features, rec.first_stage_ranks, rec.source_depth)
+            else (rec.query, rec.docs, rec.first_stage_ranks, rec.source_depth)
             for rec in records
         )
     ]
+
+
+def without_features(records):
+    """(query, docs, features, first-stage ranks, source depth) tuples, such
+    as `teacher_dataset_oracle` gives, without their features."""
+    return [(query, docs, ranks, depth) for query, docs, _, ranks, depth in records]
 
 
 def block_lists(block):

@@ -23,7 +23,6 @@ from ltrlab.distill_data import (
     SamplingConfig,
     WorldConfig,
     build_hard_negative_groups,
-    build_teacher_dataset,
     generate_world,
 )
 from ltrlab.evaluation import geometric_mean, holm_bonferroni, ndcg_at_k
@@ -38,7 +37,7 @@ from ltrlab.pipeline import (
 from ltrlab.rerank_sim import CostModel, estimate, pointwise, schedule, scoring_count, sliding_window
 from ltrlab.trainer import TrainConfig, train_distill, train_stage1
 
-from _oracles import finite_difference_grad, grad_close, ndcg_bruteforce
+from _oracles import finite_difference_grad, grad_close, ndcg_bruteforce, restrict_run, teacher_lists
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -270,8 +269,8 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
     test_pools = build_rerank_pools(world, world.first_stage_run("low"), splits["test"], 50)
     result = {}
     for name in ("low", "high"):
-        run = world.first_stage_run(name).restrict(splits["train"])
-        dataset = build_teacher_dataset(run, depth=50).lists()
+        run = restrict_run(world.first_stage_run(name), splits["train"])
+        dataset = teacher_lists(run, 50)
         model = scorer.init_model(scorer.MLP, 16, hidden_width=8, seed=seed + 1)
         cfg = TrainConfig(
             loss="ranknet",
@@ -327,11 +326,11 @@ def training_regimes():
         )
         fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
         splits = split_query_ids(world.query_ids, fractions)
-        run_train = world.first_stage_run("strong").restrict(splits["train"])
+        run_train = restrict_run(world.first_stage_run("strong"), splits["train"])
         groups = build_hard_negative_groups(
             run_train, world.qrels(), SamplingConfig(pool_depth=200, num_negatives=7, seed=seed + 3)
         ).lists()
-        dataset = build_teacher_dataset(run_train, depth=50).lists()
+        dataset = teacher_lists(run_train, 50)
         validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
         validation = make_validation(world.config, "strong", validation_range, 50)
         test_pools = build_rerank_pools(

@@ -19,9 +19,7 @@ from ltrlab.distill_data import (
     SamplingConfig,
     WorldConfig,
     build_hard_negative_groups,
-    build_teacher_dataset,
     generate_world,
-    subsample_depth,
 )
 from ltrlab.pipeline import make_validation, query_ranges, split_query_ids
 
@@ -34,8 +32,10 @@ from _oracles import (
     infonce_oracle,
     ranknet_oracle,
     reference_step,
+    restrict_run,
     row_sums,
     score_oracle,
+    teacher_lists,
 )
 
 finite = st.floats(min_value=-30, max_value=30, allow_nan=False, allow_infinity=False)
@@ -428,11 +428,10 @@ def world_setup():
     world = small_world()
     fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
     splits = split_query_ids(world.query_ids, fractions)
-    run = world.first_stage_run("main").restrict(splits["train"])
-    full = build_teacher_dataset(run, depth=12)
-    shallow = subsample_depth(full, 6).lists()
-    ragged = full.lists()[:10] + shallow[10:20]
-    for i, features in enumerate(full.lists()[20:]):
+    run = restrict_run(world.first_stage_run("main"), splits["train"])
+    full, shallow = teacher_lists(run, 12), teacher_lists(run, 12, cut=6)
+    ragged = full[:10] + shallow[10:20]
+    for i, features in enumerate(full[20:]):
         ragged.append(features[: 1 + i % 7])  # mixed lengths, some of them 1
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
     validation = make_validation(world.config, "main", validation_range, 12)

@@ -18,7 +18,7 @@ from ltrlab.cli import ExperimentConfig, _atomic_write, load_experiment_config, 
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
 from ltrlab.evaluation import ndcg_at_k, per_query_scores_text
 
-from _oracles import parse_run_oracle
+from _oracles import parse_run_oracle, restrict_run
 
 SMOKE_CONFIG = {
     "world": {
@@ -160,7 +160,7 @@ class TestAtomicWrite:
             raise ValueError("bad list")
 
         with pytest.raises(ValueError, match="bad list"):
-            _atomic_write(target, chunks())
+            _atomic_write({target: chunks()})
         assert read(target) == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["run.trec"]
 
@@ -181,12 +181,14 @@ class TestAtomicWrite:
         assert after == {k: v for k, v in before.items() if k != "world_config.json"}
 
     def test_dataset_write_holds_no_whole_file(self, tmp_path):
-        world = generate_world(WorldConfig(num_queries=60, docs_per_query=50, seed=3))
+        # A dataset of ids is about 3 KB a query: 300 queries make the file
+        # large against the writer's one record at a time.
+        world = generate_world(WorldConfig(num_queries=300, docs_per_query=50, seed=3))
         dataset = build_teacher_dataset(world.first_stage_run("strong"), depth=50)
         path = tmp_path / "distill_dataset.jsonl"
         tracemalloc.start()
         try:
-            _atomic_write(path, core.write_distill_dataset(dataset))
+            _atomic_write({path: core.write_distill_dataset(dataset)})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -199,7 +201,7 @@ class TestAtomicWrite:
         path = tmp_path / "run_strong.trec"
         tracemalloc.start()
         try:
-            _atomic_write(path, core.write_run(run.ranked(), "strong"))
+            _atomic_write({path: core.write_run(run.ranked(), "strong")})
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -258,7 +260,7 @@ class TestQueryRanges:
         monkeypatch.setattr(distill_data.SyntheticWorld, "qrels", qrels)
         world = generate_world(WorldConfig(**SMOKE_CONFIG["world"]))
         train = pipeline.split_query_ids(world.query_ids, SMOKE_CONFIG["split"])["train"]
-        run = world.first_stage_run(SMOKE_CONFIG["distill"]["retriever"]).restrict(train)
+        run = restrict_run(world.first_stage_run(SMOKE_CONFIG["distill"]["retriever"]), train)
         sampling = distill_data.SamplingConfig(**SMOKE_CONFIG["sampling"])
         with caplog.at_level(logging.INFO, logger="ltrlab.distill_data"):
             distill_data.build_hard_negative_groups(run, world.qrels(), sampling)
@@ -970,13 +972,16 @@ class TestConfigHandling:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     def test_diverging_training_exits_2(self, tmp_path, capsys):
+        """Stage 2 diverges after stage 1 has finished: no numpy warning, and
+        not even stage 1's report reaches `--out`."""
         path, out = tmp_path / "config.json", tmp_path / "o"
         stage2 = dict(SMOKE_CONFIG["stage2"], learning_rate=1e308)
         path.write_text(json.dumps(dict(SMOKE_CONFIG, stage2=stage2)), encoding="utf-8")
         assert main(TRAIN_TWO + ["--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: parameters must be finite\n"
-        assert not (out / "checkpoint.txt").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["world"], ["distill"], TRAIN_TWO, ["ablate"]])
     def test_negative_seed_flag_named_before_work(
@@ -1107,49 +1112,60 @@ class TestTrainDatasetFaults:
         assert err.startswith("error: line 3: invalid JSON")
         assert not (out / "checkpoint.txt").exists()
 
-    def test_nan_feature_names_the_line(self, tmp_path, config_path, capsys, dataset_lines):
-        lines = list(dataset_lines)
-        record = json.loads(lines[1])
-        record["passages"][4]["features"][0] = float("nan")
-        lines[1] = json.dumps(record)
-        code, out = self.train(tmp_path, config_path, lines)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 2: record for query ")
-        assert "non-finite features" in err
-        assert not (out / "checkpoint.txt").exists()
-
-    @staticmethod
-    def narrowed(line, width):
-        record = json.loads(line)
-        for passage in record["passages"]:
-            passage["features"] = passage["features"][:width]
-        return json.dumps(record)
-
     @pytest.mark.parametrize("stage", ["single", "two"])
-    def test_width_other_than_the_world_names_the_file(
+    def test_dataset_of_another_world_refused(
         self, tmp_path, config_path, capsys, dataset_lines, stage
     ):
+        """The world seed changed: the ids are still valid, their features not."""
         dataset = tmp_path / "dataset.jsonl"
-        dataset.write_text("".join(self.narrowed(line, 7) + "\n" for line in dataset_lines))
-        out = tmp_path / "t"
-        argv = ["train", "--config", str(config_path), "--dataset", str(dataset), "--stage", stage]
+        dataset.write_text("\n".join(dataset_lines) + "\n", encoding="utf-8")
+        world = dict(SMOKE_CONFIG["world"], seed=12)
+        path, out = tmp_path / "config.json", tmp_path / "t"
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, world=world)), encoding="utf-8")
+        argv = ["train", "--config", str(path), "--dataset", str(dataset), "--stage", stage]
         assert main(argv + ["--loss", "ranknet", "--out", str(out)]) == 2
+        made, now = (WorldConfig(**w).fingerprint() for w in (SMOKE_CONFIG["world"], world))
         assert capsys.readouterr().err == (
-            f"error: dataset {str(dataset)!r} has 7 features per doc, "
-            "but world.feature_dim is 8\n"
+            f"error: dataset {str(dataset)!r} was made from world {made}, "
+            f"but the config's world is {now}\n"
         )
         assert not out.exists()
 
-    def test_mixed_widths_name_the_line(self, tmp_path, config_path, capsys, dataset_lines):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            "q001_p03",  # a doc of another query
+            "q000_p40",  # pool index 40 of a pool of 40
+            "q000_p3",  # pool index 3 in another width
+        ],
+    )
+    def test_doc_outside_its_pool_refused(self, tmp_path, config_path, capsys, dataset_lines, doc):
         lines = list(dataset_lines)
-        lines[3] = self.narrowed(lines[3], 7)
+        record = json.loads(lines[0])
+        record["passages"][5]["doc_id"] = doc
+        lines[0] = json.dumps(record)
         code, out = self.train(tmp_path, config_path, lines)
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 4: record for query ")
-        assert err.endswith(" has 7 features per doc, the first record 8\n")
-        assert not (out / "checkpoint.txt").exists()
+        assert capsys.readouterr().err == (
+            f"error: doc {doc!r} is not one of the 40 docs of query 'q000'\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("query", ["q200", "q9999", "q160", "x"])
+    def test_query_outside_the_train_split_refused(
+        self, tmp_path, config_path, capsys, dataset_lines, query
+    ):
+        """q200 and q9999 are no queries of the world of 200; q160 is a test query."""
+        lines = list(dataset_lines)
+        record = json.loads(lines[4])
+        lines[4] = json.dumps(dict(record, query_id=query))
+        code, out = self.train(tmp_path, config_path, lines)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {str(tmp_path / 'dataset.jsonl')!r} has query {query!r}, "
+            "which is not one of the 120 train queries of the world\n"
+        )
+        assert not out.exists()
 
     def test_distill_section_unused_with_dataset(self, tmp_path, config_path, dataset_lines):
         """Single-stage distillation from a file builds no run and no dataset."""

@@ -20,7 +20,7 @@ from ltrlab.core import (
     write_run,
 )
 
-from _oracles import ranked_rows, record_values, stack_records
+from _oracles import WORLD, ranked_rows, record_values, restrict_qrels, stack_records
 
 
 class TestParseRun:
@@ -146,7 +146,7 @@ class TestQrels:
 
     def test_restrict(self):
         qrels = Qrels({"q1": {"d": 1}, "q2": {"d": 1}})
-        assert qrels.restrict(["q1"]).query_ids() == ("q1",)
+        assert restrict_qrels(qrels, ["q1"]).query_ids() == ("q1",)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -185,35 +185,31 @@ class TestDomainTypes:
         assert all(np.shares_memory(f, features) for f in lists)
 
 
-TWO_BY_TWO = ((1.0, 2.0), (3.0, 4.0))
+OMIT = object()
 
 
-def record_line(query="q", depth=5, docs="ab", features=TWO_BY_TWO, ranks=(2, 1), teacher=None):
-    """One dataset line; the teacher ranks default to 1..n."""
+def record_line(query="q", depth=5, docs="ab", ranks=(2, 1), teacher=None, world=WORLD, **keys):
+    """One dataset line; the teacher ranks default to 1..n. A key given as
+    OMIT is left out, and any other keyword replaces the key of that name."""
     teacher = teacher or range(1, len(docs) + 1)
     passages = [
-        {"doc_id": d, "features": f, "first_stage_rank": r, "teacher_rank": t}
-        for d, f, r, t in zip(docs, features, ranks, teacher)
+        {"doc_id": d, "first_stage_rank": r, "teacher_rank": t}
+        for d, r, t in zip(docs, ranks, teacher)
     ]
-    return json.dumps({"query_id": query, "source_depth": depth, "passages": passages})
+    obj = {"query_id": query, "world_sha256": world, "source_depth": depth, "passages": passages}
+    obj.update(keys)
+    return json.dumps({k: v for k, v in obj.items() if v is not OMIT})
 
 
-NAN, INF = float("nan"), float("inf")
-NON_FINITE = "record for query 'q' has non-finite features"
-EMPTY = {"docs": (), "features": (), "ranks": ()}
-THREE = {"docs": ("a", "b", "c"), "features": ((1.0,),) * 3}
+EMPTY = {"docs": (), "ranks": ()}
+THREE = {"docs": ("a", "b", "c")}
 BAD_INTEGER = "bad record structure: {} must be a 64-bit integer, got {}"
-BAD_FEATURE = "bad record structure: features must be JSON numbers, got {}"
+BAD_WORLD = "bad record structure: world_sha256 must be a string, got {}"
 
 
 class TestDistillDataset:
     def _dataset(self):
-        return stack_records(
-            [
-                ("q1", ("d3", "d1", "d2"), np.arange(6.0).reshape(3, 2), (3, 1, 2), 3),
-                ("q2", ("d9",), [[0.5, -1.0]], (4,), 7),
-            ]
-        )
+        return stack_records([("q1", ("d3", "d1", "d2"), (3, 1, 2), 3), ("q2", ("d9",), (4,), 7)])
 
     def test_round_trip(self):
         dataset = self._dataset()
@@ -222,7 +218,7 @@ class TestDistillDataset:
         assert record_values(parsed) == record_values(dataset)
         assert parsed.offsets.tolist() == [0, 3, 4]
         assert parsed.source_depths.tolist() == [3, 7]
-        assert parsed.features.flags.c_contiguous and parsed.features.dtype == np.float64
+        assert parsed.world == WORLD
 
     def test_records_are_views_with_a_length(self):
         dataset = self._dataset()
@@ -230,29 +226,25 @@ class TestDistillDataset:
         assert (first.query, first.docs, len(first), first.source_depth) == (
             "q1", ["d3", "d1", "d2"], 3, 3
         )
-        assert np.shares_memory(first.features, dataset.features)
+        assert np.shares_memory(first.first_stage_ranks, dataset.first_stage_ranks)
         assert second.first_stage_ranks.tolist() == [4]
 
-    def test_full_precision_floats(self):
-        feats = np.array([[0.1 + 0.2, np.pi]])
-        dataset = stack_records([("q", ("d",), feats, (1,), 1)])
-        got = parse_distill_dataset("".join(write_distill_dataset(dataset)))
-        assert got.features[0, 0] == feats[0, 0]
-        assert got.features[0, 1] == np.pi
+    def test_record_of_the_old_format_rejected(self):
+        """A record with features and no world names its line."""
+        passage = {"doc_id": "d", "features": [0.5], "first_stage_rank": 1, "teacher_rank": 1}
+        text = json.dumps({"query_id": "q", "source_depth": 1, "passages": [passage]})
+        with pytest.raises(ParseError) as info:
+            parse_distill_dataset(text)
+        assert str(info.value) == "line 1: bad record structure: 'world_sha256'"
 
     def test_empty_source(self):
         dataset = parse_distill_dataset("\n  \n")
-        assert len(dataset) == 0 and dataset.features.shape == (0, 0)
-        assert list(dataset) == [] and dataset.lists() == []
+        assert len(dataset) == 0 and dataset.docs == [] and dataset.world is None
+        assert list(dataset) == [] and dataset.offsets.tolist() == [0]
 
     def test_teacher_rank_order_enforced(self):
-        text = (
-            '{"query_id":"q","source_depth":2,"passages":['
-            '{"doc_id":"a","features":[1.0],"first_stage_rank":1,"teacher_rank":2},'
-            '{"doc_id":"b","features":[1.0],"first_stage_rank":2,"teacher_rank":1}]}'
-        )
         with pytest.raises(ParseError, match="teacher order"):
-            parse_distill_dataset(text)
+            parse_distill_dataset(record_line(teacher=(2, 1)))
 
     def test_bad_json_line_number(self):
         good = "".join(write_distill_dataset(self._dataset())).rstrip("\n")
@@ -265,11 +257,11 @@ class TestDistillDataset:
             # The checks that distillation records made on construction.
             ({"query": 5}, "query id must be a non-empty string, got 5"),
             ({"query": "a b"}, "query id 'a b' contains whitespace"),
-            ({"features": (1.0, 2.0)}, "features must be a 2-d array, got shape (2,)"),
-            (EMPTY, "features must be a 2-d array, got shape (0,)"),
+            ({"world": 5}, BAD_WORLD.format(5)),
+            (EMPTY, "record for query 'q' has no docs"),
             ({"docs": ("a", "a")}, "record for query 'q' has duplicate docs"),
-            ({"features": ((1.0, NAN), (3.0, 4.0))}, NON_FINITE),
-            ({"features": ((1.0, 2.0), (INF, 4.0))}, NON_FINITE),
+            ({"world": None}, BAD_WORLD.format(None)),
+            ({"world": OMIT}, "bad record structure: 'world_sha256'"),
             (dict(THREE, ranks=(3, 0, 9)), "first-stage rank 0 outside 1..5 for query 'q'"),
             (dict(THREE, ranks=(3, 9, 0)), "first-stage rank 9 outside 1..5 for query 'q'"),
             (dict(THREE, ranks=(6, 1, 2)), "first-stage rank 6 outside 1..5 for query 'q'"),
@@ -292,13 +284,17 @@ class TestDistillDataset:
             ({"ranks": ("3", 1)}, BAD_INTEGER.format("first_stage_rank", "'3'")),
             ({"ranks": (True, 2)}, BAD_INTEGER.format("first_stage_rank", True)),
             ({"teacher": (1.0, 2)}, BAD_INTEGER.format("teacher_rank", 1.0)),
-            # Feature values must be JSON numbers, not anything float() accepts.
-            ({"features": ((1.0, "1.5"), (3.0, 4.0))}, BAD_FEATURE.format("'1.5'")),
-            ({"features": ((1.0, 2.0), (True, 4.0))}, BAD_FEATURE.format(True)),
-            ({"features": ((1.0, None), (3.0, 4.0))}, BAD_FEATURE.format(None)),
+            # Every key of a record and of its passages is required.
+            ({"query_id": OMIT}, "bad record structure: 'query_id'"),
+            ({"source_depth": OMIT}, "bad record structure: 'source_depth'"),
             (
-                {"features": ((1.0, 10**400), (3.0, 4.0))},
-                "bad record structure: int too large to convert to float",
+                {"passages": [{"doc_id": "a", "teacher_rank": 1}]},
+                "bad record structure: 'first_stage_rank'",
+            ),
+            # A file holds the lists of one world.
+            (
+                {"world": "f" * 64},
+                f"record for query 'q' is from world {'f' * 64}, the first record from world {WORLD}",
             ),
         ],
     )
@@ -309,24 +305,24 @@ class TestDistillDataset:
         assert str(info.value) == f"line 3: {message}"
         assert info.value.line == 3
 
-    def test_feature_width_must_match_the_first_record(self):
-        lines = [record_line("q1"), record_line("q2"), record_line("q3", features=((1.0,), (2.0,)))]
+    def test_world_must_match_the_first_record(self):
+        lines = [record_line("q1"), record_line("q2"), record_line("q3", world="ab")]
         with pytest.raises(ParseError) as info:
             parse_distill_dataset("\n".join(lines))
         assert str(info.value) == (
-            "line 3: record for query 'q3' has 1 features per doc, the first record 2"
+            f"line 3: record for query 'q3' is from world ab, the first record from world {WORLD}"
         )
 
-    def test_ragged_features_in_one_record(self):
+    def test_passages_must_be_objects(self):
         with pytest.raises(ParseError, match="^line 1: bad record structure"):
-            parse_distill_dataset(record_line(features=((1.0, 2.0), (3.0,))))
+            parse_distill_dataset(record_line(passages=[1, 2]))
 
     @pytest.mark.parametrize(
         "fields",
         [
             {"docs": "a", "ranks": (5,)},
             {"docs": "a", "ranks": (1,), "depth": 1},
-            {"ranks": (1, 5), "features": ((0.0, -0.0), (1e308, -1e-308))},
+            {"ranks": (1, 5)},
         ],
     )
     def test_edge_records_accepted(self, fields):

@@ -22,7 +22,17 @@ from ltrlab.distill_data import (
     map_ranges,
 )
 
-from _oracles import block_lists, features_oracle, record_values, scored_lists, stack_records
+from _oracles import (
+    block_lists,
+    doc_index_oracle,
+    features_oracle,
+    record_values,
+    restrict_qrels,
+    restrict_run,
+    scored_lists,
+    stack_records,
+    teacher_lists,
+)
 
 
 def small_world(**overrides):
@@ -46,7 +56,7 @@ def pool_docs(world, query):
 def relevance(world, query, doc):
     """The hidden relevance of one of a query's docs."""
     qi = world.query_ids.index(query)
-    return float(world._rel[qi, world._dindex(qi, doc)])
+    return float(world._rel[qi, doc_index_oracle(world, qi, doc)])
 
 
 def groups_of(block):
@@ -65,7 +75,7 @@ class TestGenerateWorld:
 
     def test_zero_noise_teacher_matches_true_relevance(self):
         world = small_world()
-        run = world.first_stage_run("noisy").restrict(world.query_ids[:5])
+        run = restrict_run(world.first_stage_run("noisy"), world.query_ids[:5])
         for rec in build_teacher_dataset(run, depth=10):
             by_rel = sorted(rec.docs, key=lambda d: -relevance(world, rec.query, d))
             assert list(rec.docs) == by_rel
@@ -213,7 +223,6 @@ def dataset_columns(dataset):
         dataset.queries,
         dataset.offsets.tolist(),
         dataset.docs,
-        dataset.features.tolist(),
         dataset.first_stage_ranks.tolist(),
         dataset.source_depths.tolist(),
     )
@@ -246,16 +255,18 @@ class TestQueryRanges:
         assert (part._rel == whole._rel[lo:hi]).all()
         assert (part._features == whole._features[lo:hi]).all()
         assert (part._teacher_u == whole._teacher_u[lo:hi]).all()
-        assert part.qrels() == whole.qrels().restrict(part.query_ids)
+        assert part.qrels() == restrict_qrels(whole.qrels(), part.query_ids)
         depth = data.draw(st.integers(1, config.docs_per_query), label="depth")
         for name in config.first_stage_noise:
             assert (part._fs_scores[name] == whole._fs_scores[name][lo:hi]).all()
             run, whole_run = part.first_stage_run(name), whole.first_stage_run(name)
-            whole_run = whole_run.restrict(part.query_ids)
+            whole_run = restrict_run(whole_run, part.query_ids)
             assert list(run.ranked()) == list(whole_run.ranked())
             assert dataset_columns(build_teacher_dataset(run, depth)) == dataset_columns(
                 build_teacher_dataset(whole_run, depth)
             )
+            lists, whole_lists = (teacher_lists(r, depth) for r in (run, whole_run))
+            assert [f.tolist() for f in lists] == [f.tolist() for f in whole_lists]
             if config.docs_per_query > 1:
                 negatives = data.draw(st.integers(1, config.docs_per_query - 1))
                 cfg = SamplingConfig(config.docs_per_query, negatives)
@@ -298,7 +309,7 @@ class TestRangePools:
         assert block.queries == expected.queries and block.docs == expected.docs
         assert (block.index == expected.index).all()
         assert (block.features == expected.features).all()
-        assert qrels == whole.qrels().restrict(queries)
+        assert qrels == restrict_qrels(whole.qrels(), queries)
 
     def test_empty_range_gives_an_empty_block(self):
         config = WorldConfig(num_queries=3, docs_per_query=10, feature_dim=2)
@@ -342,9 +353,9 @@ class TestTeacherDataset:
         world = small_world()
         run = world.first_stage_run("clean")
         ds = build_teacher_dataset(run, depth=5)
-        for rec in ds:
+        for rec, features in zip(ds, teacher_lists(run, 5)):
             for i, doc in enumerate(rec.docs):
-                assert np.array_equal(rec.features[i], features_oracle(world, rec.query, [doc])[0])
+                assert np.array_equal(features[i], features_oracle(world, rec.query, [doc])[0])
 
     def test_shallow_run_rejected(self):
         world = small_world()
@@ -358,8 +369,7 @@ class TestSubsampleDepth:
         world = small_world()
         qid = world.query_ids[0]
         docs = tuple(f"{qid}_p{r:04d}" for r in range(len(fs_order_by_teacher)))
-        features = np.zeros((len(docs), 2))
-        return stack_records([(qid, docs, features, fs_order_by_teacher, max(fs_order_by_teacher))])
+        return stack_records([(qid, docs, fs_order_by_teacher, max(fs_order_by_teacher))])
 
     def test_filter_on_first_stage_keep_teacher_order(self):
         (rec,) = subsample_depth(self._dataset(), 2)
@@ -402,7 +412,7 @@ class TestSubsampleDepth:
             depth = int(rng.integers(1, n))
             perm = rng.permutation(n) + 1
             dataset = stack_records(
-                [("q", tuple(f"d{i}" for i in range(n)), np.zeros((n, 1)), perm.tolist(), n)]
+                [("q", tuple(f"d{i}" for i in range(n)), perm.tolist(), n)]
             )
             (sub,) = subsample_depth(dataset, depth)
             kept = [i for i in range(n) if perm[i] <= depth]

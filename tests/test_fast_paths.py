@@ -5,18 +5,23 @@ the same ranks, the same floats and the same errors as the code they
 replace.
 """
 
+import argparse
+import dataclasses
 import gc
 import io
 import logging
+import tempfile
 import weakref
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ltrlab import scorer
+from ltrlab import distill_data, scorer, trainer
+from ltrlab.cli import DistillSpec, _read_dataset, _train_lists, load_experiment_config
 from ltrlab.core import (
     Qrels,
     ScoredList,
@@ -38,7 +43,9 @@ from ltrlab.pipeline import build_rerank_pools, evaluate_model
 from ltrlab.trainer import ValidationSet, mean_validation_ndcg
 
 from _oracles import (
+    WORLD,
     block_lists,
+    doc_index_oracle,
     features_oracle,
     first_stage_run_oracle,
     hard_negative_groups_oracle,
@@ -48,12 +55,15 @@ from _oracles import (
     record_values,
     rerank,
     rerank_pools_oracle,
+    restrict_run,
     restrict_run_oracle,
     scored_list_checks,
     scored_lists,
     stack_records,
     subsample_depth_oracle,
     teacher_dataset_oracle,
+    teacher_lists,
+    without_features,
 )
 
 WEIRD_IDS = ["d1", "d2", "d10", "", "a b", "a\u00a0b", "a\u2003b", "a\x1cb", "x\n", 5, None]
@@ -303,18 +313,23 @@ class TestTrustedProducers:
             parsed = parse_distill_dataset(text)
             assert_dataset_layout(parsed)
             assert record_values(parsed) == record_values(dataset)
-            assert parsed.features.tobytes() == dataset.features.tobytes()
+            assert parsed.world == dataset.world
             assert "".join(write_distill_dataset(parsed)) == text
 
     def test_teacher_dataset_still_rejects_non_finite_features(self):
+        """A dataset holds no features; its lists' features, gathered from the
+        world for training, are checked where training starts."""
         # Finite feature noise as large as 1e308 can still overflow a feature.
         world = world_of()
         world._features[5, 3, 1] = float("inf")
-        with pytest.raises(ValueError, match="record for query 'q05' has non-finite features"):
-            build_teacher_dataset(world.first_stage_run("r"), depth=12)
+        lists = teacher_lists(world.first_stage_run("r"), 12)
+        cfg = trainer.TrainConfig(loss=trainer.LOSS_INFONCE, max_steps=1)
+        model = scorer.init_model(scorer.LINEAR, 3)
+        with pytest.raises(ValueError, match="^training list 5 has non-finite features$"):
+            trainer.train_stage1(model, lists, cfg)
 
     def test_subsample_still_rejects_an_empty_record(self):
-        dataset = stack_records([("q", ("a", "b"), np.ones((2, 3)), (4, 2), 5)])
+        dataset = stack_records([("q", ("a", "b"), (4, 2), 5)])
         with pytest.raises(ValueError, match="record for query 'q' has no docs"):
             subsample_depth(dataset, 1)
 
@@ -374,8 +389,7 @@ def assert_dataset_layout(dataset):
     assert dataset.offsets.dtype.kind == "i" and dataset.offsets.shape == (lists + 1,)
     assert dataset.offsets[0] == 0 and dataset.offsets[-1] == n
     assert (np.diff(dataset.offsets) >= 1).all()
-    assert dataset.features.dtype == np.float64 and dataset.features.flags.c_contiguous
-    assert dataset.features.ndim == 2 and len(dataset.features) == n
+    assert type(dataset.world) is str if lists else dataset.world is None
     assert dataset.first_stage_ranks.dtype.kind == "i" and dataset.first_stage_ranks.shape == (n,)
     assert dataset.source_depths.dtype.kind == "i" and dataset.source_depths.shape == (lists,)
 
@@ -402,27 +416,27 @@ class TestFirstStageOrder:
     def test_restricted_run_is_the_restricted_mapping(self, data):
         world = world_of()
         queries = query_subset(data, world, max_size=14)
-        run = world.first_stage_run("r").restrict(queries)
+        run = restrict_run(world.first_stage_run("r"), queries)
         oracle = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
         assert run_entries(run.ranked()) == run_entries(ranked_rows(oracle))
         assert len(run) == len(oracle)
         assert "".join(write_run(run.ranked(), "r")) == "".join(write_run(ranked_rows(oracle), "r"))
         twice = ranked_rows(restrict_run_oracle(oracle, queries[:2]))
-        assert run_entries(run.restrict(queries[:2]).ranked()) == run_entries(twice)
+        assert run_entries(restrict_run(run, queries[:2]).ranked()) == run_entries(twice)
 
     def test_restricts_and_caches_its_order(self):
         world = world_of()
         run = world.first_stage_run("r")
         assert run.order is world.first_stage_run("r").order
-        assert run.restrict(["q05", "q01", "q05"]).queries == ("q01", "q05")
+        assert restrict_run(run, ["q05", "q01", "q05"]).queries == ("q01", "q05")
         with pytest.raises(KeyError, match="'q05'"):
-            run.restrict(["q01"]).restrict(["q05"])
+            restrict_run(restrict_run(run, ["q01"]), ["q05"])
 
 
     def test_world_freed_without_the_cycle_collector(self):
         """A run refers to its world, so the world must not cache runs."""
         world = world_of()
-        world.first_stage_run("r").restrict(["q01"])
+        restrict_run(world.first_stage_run("r"), ["q01"])
         ref = weakref.ref(world)
         gc.disable()
         try:
@@ -441,13 +455,14 @@ class TestTeacherDataset:
         force_ties(world, data, data.draw(st.sets(st.sampled_from(["_rel", "_teacher_u", "fs"]))))
         depth = data.draw(st.sampled_from([1, 2, 7, 12]), label="depth")
         queries = query_subset(data, world, min_size=1, max_size=14)
-        run = world.first_stage_run("r").restrict(queries)
+        run = restrict_run(world.first_stage_run("r"), queries)
         oracle = teacher_dataset_oracle(
             world, restrict_run_oracle(first_stage_run_oracle(world, "r"), queries), depth
         )
         dataset = build_teacher_dataset(run, depth)
         assert_dataset_layout(dataset)
-        assert record_values(dataset) == record_values(oracle)
+        assert dataset.world == world.config.fingerprint()
+        assert record_values(dataset) == record_values(without_features(oracle))
 
     @pytest.mark.parametrize("depth", [0, 13])
     def test_errors_match(self, depth):
@@ -460,9 +475,9 @@ class TestTeacherDataset:
     def test_no_queries(self):
         world = world_of()
         for depth in [1, 13]:
-            dataset = build_teacher_dataset(world.first_stage_run("r").restrict([]), depth)
+            dataset = build_teacher_dataset(restrict_run(world.first_stage_run("r"), []), depth)
             assert len(dataset) == 0 and dataset.docs == [] and list(dataset) == []
-            assert dataset.features.shape == (0, 3) and dataset.offsets.tolist() == [0]
+            assert dataset.offsets.tolist() == [0]
 
 
 @contextmanager
@@ -520,14 +535,14 @@ class TestHardNegativeGroups:
         pool_depth = data.draw(st.integers(2, 14), label="pool_depth")
         negatives = data.draw(st.integers(1, pool_depth - 1), label="num_negatives")
         cfg = SamplingConfig(pool_depth, negatives, seed=data.draw(st.integers(0, 3)))
-        run = world.first_stage_run("r").restrict(queries)
+        run = restrict_run(world.first_stage_run("r"), queries)
         oracle_run = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
         expected, skipped = hard_negative_groups_oracle(oracle_run, qrels, cfg)
         # A group's positive must be a doc of its query's pool: the first
-        # group whose positive is not raises the KeyError of its lookup.
+        # group whose positive is not raises the ValueError of its lookup.
         outside = [
             (query, positive) for query, positive, _ in expected
-            if outcome(lambda: world._dindex(world.query_ids.index(query), positive))
+            if outcome(lambda: doc_index_oracle(world, world.query_ids.index(query), positive))
         ]
         built = []
         with sampling_log() as counts:
@@ -535,8 +550,8 @@ class TestHardNegativeGroups:
         if outside:
             query, positive = outside[0]
             qi = world.query_ids.index(query)
-            assert error == outcome(lambda: world._dindex(qi, positive))
-            assert error[0] is KeyError and counts == []
+            assert error == outcome(lambda: world.pool_index(qi, [positive]))
+            assert error[0] is ValueError and counts == []
         else:
             assert error is None
             assert_groups_equal(world, built[0], expected)
@@ -573,14 +588,15 @@ class TestRerankPools:
             force_ties(world, data, ["fs"])
         run = world.first_stage_run("r")
         if data.draw(st.booleans(), label="restricted"):
-            run = run.restrict(query_subset(data, world, max_size=14))
+            run = restrict_run(run, query_subset(data, world, max_size=14))
         queries = data.draw(st.lists(st.sampled_from(run.queries), max_size=8)) if len(run) else []
         depth = data.draw(st.integers(1, 15), label="depth")
         block = build_rerank_pools(world, run, queries, depth)
         pools = rerank_pools_oracle(world, first_stage_run_oracle(world, "r"), queries, depth)
         assert block.queries == tuple(queries)
         assert [tuple(docs) for docs in block.docs] == [docs for _, docs, _ in pools]
-        index = [[world._dindex(world.query_ids.index(q), d) for d in docs] for q, docs, _ in pools]
+        index = [[doc_index_oracle(world, world.query_ids.index(q), d) for d in docs]
+                 for q, docs, _ in pools]
         assert block.index.tolist() == (index if pools else [])
         if pools:
             assert np.array_equal(block.features, np.array([f for _, _, f in pools]))
@@ -611,23 +627,38 @@ class TestDocIndex:
     @pytest.mark.parametrize("doc", ["q00_p7", "q00_p+7", "q00_p\u0667", "q00_p7 ", "q00_p007"])
     def test_only_exact_pool_ids_resolve(self, doc):
         world = world_of()
-        assert world._dindex(0, "q00_p07") == 7
-        with pytest.raises(KeyError, match="malformed doc id"):
-            world._dindex(0, doc)
+        assert world.pool_index(0, ["q00_p07", "q00_p00", "q00_p11"]) == [7, 0, 11]
+        with pytest.raises(ValueError, match="is not one of the 12 docs of query 'q00'"):
+            world.pool_index(0, ["q00_p07", doc])
 
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ("q01_p02", "doc 'q01_p02' does not belong to query 'q00'"),
-            ("d1", "doc 'd1' does not belong to query 'q00'"),
-            ("q00_p12", "doc 'q00_p12' outside the pool for 'q00'"),
-            ("q00_p1x", "malformed doc id 'q00_p1x'"),
+            ("q01_p02", "doc 'q01_p02' is not one of the 12 docs of query 'q00'"),
+            ("d1", "doc 'd1' is not one of the 12 docs of query 'q00'"),
+            ("q00_p12", "doc 'q00_p12' is not one of the 12 docs of query 'q00'"),
+            ("q00_p1x", "doc 'q00_p1x' is not one of the 12 docs of query 'q00'"),
         ],
     )
     def test_foreign_ids_named(self, doc, message):
-        with pytest.raises(KeyError) as info:
-            world_of()._dindex(0, doc)
+        with pytest.raises(ValueError) as info:
+            world_of().pool_index(0, ["q00_p01", doc, "q00_p13"])
         assert info.value.args == (message,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_a_search_of_the_pool(self, data):
+        """Exact pool ids resolve to their index; the first other doc is named."""
+        world = world_of()
+        qi = data.draw(st.integers(0, 11), label="query")
+        pool = world._doc_ids(qi, range(12))
+        docs = data.draw(st.lists(st.sampled_from(pool + JUDGED)), label="docs")
+        bad = [doc for doc in docs if doc not in pool]
+        if bad:
+            message = f"doc {bad[0]!r} is not one of the 12 docs of query {world.query_ids[qi]!r}"
+            assert outcome(lambda: world.pool_index(qi, docs)) == (ValueError, message)
+        else:
+            assert world.pool_index(qi, docs) == [doc_index_oracle(world, qi, d) for d in docs]
 
 
 # -- batched validation and test evaluation ---------------------------------------
@@ -665,7 +696,7 @@ class TestBatchedValidation:
             force_ties(world, data, ["fs"])
         run = world.first_stage_run("r")
         if data.draw(st.booleans(), label="restricted"):
-            run = run.restrict(query_subset(data, world, min_size=1, max_size=14))
+            run = restrict_run(run, query_subset(data, world, min_size=1, max_size=14))
         queries = data.draw(st.lists(st.sampled_from(run.queries), min_size=1, max_size=8))
         depth = data.draw(st.integers(1, 13), label="depth")
         k = data.draw(st.integers(1, 14), label="k")
@@ -718,7 +749,7 @@ class TestBatchedValidation:
     def test_non_finite_scores_rejected_like_rerank(self):
         world = world_of()
         doc = scored_lists(world.first_stage_run("r").ranked())["q03"].docs[2]
-        world._features[3, world._dindex(3, doc)] = [1e308, 0.0, 0.0]
+        world._features[3, doc_index_oracle(world, 3, doc)] = [1e308, 0.0, 0.0]
         block, pools = world_pools(world, ["q01", "q03"], 5)
         model = scorer.ScorerModel(scorer.LINEAR, 3, 0, np.array([10.0, 0.0, 0.0, 0.0]))
         message = f"non-finite score for doc '{doc}' in query 'q03'"
@@ -760,45 +791,37 @@ class TestNdcgRows:
 
 @st.composite
 def distill_records(draw):
-    """(query, docs, features, first-stage ranks, source depth) tuples of one
-    feature width: ragged lists, some of length 1, of mixed source depths."""
-    dim = draw(st.integers(1, 3), label="dim")
+    """(query, docs, first-stage ranks, source depth) tuples: ragged lists,
+    some of length 1, of mixed source depths."""
     records = []
     for i in range(draw(st.integers(0, 6), label="lists")):
         n = draw(st.integers(1, 6), label="n")
         depth = draw(st.integers(n, 9), label="source depth")
         ranks = draw(st.permutations(range(1, depth + 1)))[:n]
         ids = draw(st.permutations(["d1", "d2", "d10", "a", "b", "c", "x9"]))[:n]
-        values = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.5, 1e-300])
-        features = draw(st.lists(values, min_size=n * dim, max_size=n * dim))
-        records.append((f"q{i}", tuple(ids), np.reshape(features, (n, dim)), tuple(ranks), depth))
-    return records, dim
-
-
-def feature_bytes(records):
-    return b"".join(np.asarray(f, dtype=np.float64).tobytes() for _, _, f, _, _ in records)
+        records.append((f"q{i}", tuple(ids), tuple(ranks), depth))
+    return records
 
 
 class TestSubsampleDepth:
     @settings(max_examples=200, deadline=None)
     @given(distill_records(), st.integers(0, 10))
-    def test_matches_record_at_a_time_filter(self, drawn, depth):
-        records, dim = drawn
-        dataset = stack_records(records, dim)
+    def test_matches_record_at_a_time_filter(self, records, depth):
+        dataset = stack_records(records)
         expected = outcome(lambda: subsample_depth_oracle(records, depth))
         assert outcome(lambda: subsample_depth(dataset, depth)) == expected
         if expected is None:
             got, oracle = subsample_depth(dataset, depth), subsample_depth_oracle(records, depth)
             assert_dataset_layout(got)
             assert record_values(got) == record_values(oracle)
-            assert got.features.tobytes() == feature_bytes(oracle)
             assert got.source_depths.tolist() == [depth] * len(records)
+            assert got.world == dataset.world
 
     def test_first_bad_list_wins(self):
         records = [
-            ("q1", ("a",), [[1.0]], (1,), 5),
-            ("q2", ("a",), [[1.0]], (4,), 5),  # keeps no doc at depth 2
-            ("q3", ("a",), [[1.0]], (1,), 2),  # not deeper than 2
+            ("q1", ("a",), (1,), 5),
+            ("q2", ("a",), (4,), 5),  # keeps no doc at depth 2
+            ("q3", ("a",), (1,), 2),  # not deeper than 2
         ]
         with pytest.raises(ValueError, match="^record for query 'q2' has no docs$"):
             subsample_depth(stack_records(records), 2)
@@ -809,12 +832,49 @@ class TestSubsampleDepth:
 class TestDatasetText:
     @settings(max_examples=150, deadline=None)
     @given(distill_records())
-    def test_written_datasets_parse_back_bit_for_bit(self, drawn):
-        records, dim = drawn
-        text = "".join(write_distill_dataset(stack_records(records, dim)))
+    def test_written_datasets_parse_back_bit_for_bit(self, records):
+        text = "".join(write_distill_dataset(stack_records(records)))
         parsed = parse_distill_dataset(io.StringIO(text))
         assert_dataset_layout(parsed)
         assert record_values(parsed) == record_values(records)
-        assert parsed.features.tobytes() == feature_bytes(records)
-        assert parsed.features.shape[1] == (dim if records else 0)
+        assert parsed.world == (WORLD if records else None)
         assert "".join(write_distill_dataset(parsed)) == text
+
+
+# -- training lists gathered from the world by pool index -------------------------
+
+
+class TestGatheredLists:
+    """`train` gathers every list's features from the world by pool index, one
+    world slice at a time; they equal the features that the id-keyed teacher
+    oracle looks up one doc at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equal_the_features_of_the_string_gather(self, data):
+        per_slice = data.draw(st.sampled_from([1, 2, 5, 7, 256]), label="queries per slice")
+        lo = data.draw(st.integers(0, 11), label="lo")
+        hi = data.draw(st.integers(lo + 1, 12), label="hi")
+        depth = data.draw(st.sampled_from([1, 5, 12]), label="depth")
+        world = world_of(teacher_noise_rank_growth=data.draw(st.sampled_from([0.0, 0.3])))
+        run = restrict_run(world.first_stage_run("r"), world.query_ids[lo:hi])
+        oracle = teacher_dataset_oracle(world, scored_lists(run.ranked()), depth)
+        # The dataset holds the lists truncated, and in another order.
+        kept = [data.draw(st.integers(1, depth), label="kept") for _ in oracle]
+        order = data.draw(st.permutations(range(len(oracle))), label="order")
+        records = [(oracle[i][0], oracle[i][1][: kept[i]], oracle[i][3][: kept[i]], depth) for i in order]
+        text = "".join(write_distill_dataset(stack_records(records, world.config.fingerprint())))
+        cfg = load_experiment_config(None, argparse.Namespace())
+        cfg = dataclasses.replace(cfg, world=world.config, distill=DistillSpec("r", depth))
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            path = Path(tmp) / "dataset.jsonl"
+            path.write_text(text, encoding="utf-8")
+            patch.setattr(distill_data, "_QUERIES_PER_RANGE", per_slice)
+            _, teacher = _train_lists(cfg, range(lo, hi), False, depth, None)
+            dataset = _read_dataset(str(path), cfg, range(lo, hi))
+            _, gathered = _train_lists(cfg, range(lo, hi), False, None, dataset)
+        assert dataset == {}  # every list was taken by its world slice
+        features = [f for _, _, f, _, _ in oracle]
+        assert [f.tolist() for f in teacher] == [f.tolist() for f in features]
+        assert [f.tolist() for f in gathered] == [features[i][: kept[i]].tolist() for i in order]
+        assert all(f.dtype == np.float64 and f.flags.c_contiguous for f in teacher + gathered)

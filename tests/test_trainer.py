@@ -7,7 +7,7 @@ import pytest
 
 from ltrlab import scorer
 from ltrlab.core import Qrels
-from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
+from ltrlab.distill_data import WorldConfig, generate_world
 from ltrlab.losses import ranknet
 from ltrlab.pipeline import (
     build_rerank_pools,
@@ -29,7 +29,14 @@ from ltrlab.trainer import (
     train_stage1,
 )
 
-from _oracles import features_oracle, kendall_tau, scored_lists
+from _oracles import (
+    doc_index_oracle,
+    features_oracle,
+    kendall_tau,
+    restrict_run,
+    scored_lists,
+    teacher_lists,
+)
 
 
 def build_world(seed=3, num_queries=200):
@@ -51,7 +58,7 @@ def setup():
     fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
     splits = split_query_ids(world.query_ids, fractions)
     run = world.first_stage_run("main")
-    dataset = build_teacher_dataset(run.restrict(splits["train"]), depth=30).lists()
+    dataset = teacher_lists(restrict_run(run, splits["train"]), 30)
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
     validation = make_validation(world.config, "main", validation_range, 30)
     return world, splits, run, dataset, validation
@@ -76,7 +83,7 @@ class TestStage1:
     def _groups(self, world, splits):
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
-        run = world.first_stage_run("main").restrict(splits["train"])
+        run = restrict_run(world.first_stage_run("main"), splits["train"])
         cfg = SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         return build_hard_negative_groups(run, world.qrels(), cfg).lists()
 
@@ -149,7 +156,7 @@ class TestStage1:
         world, splits, *_ = setup
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
-        run = world.first_stage_run("main").restrict(splits["train"])
+        run = restrict_run(world.first_stage_run("main"), splits["train"])
         groups = build_hard_negative_groups(run, world.qrels(), SamplingConfig(50, 7, seed=2))
         for i, features in enumerate(groups.lists()):
             lo, hi = groups.offsets[i], groups.offsets[i + 1]
@@ -169,7 +176,7 @@ class TestTrainDistill:
         for qid in splits["test"]:
             docs = first_stage[qid].docs[:30]
             qi = world.query_ids.index(qid)
-            teacher_order = tuple(sorted(docs, key=lambda d: -world._rel[qi, world._dindex(qi, d)]))
+            teacher_order = tuple(sorted(docs, key=lambda d: -world._rel[qi, doc_index_oracle(world, qi, d)]))
             taus.append(kendall_tau(reranked[qid].docs, teacher_order))
         assert float(np.mean(taus)) > 0.9
 
@@ -259,7 +266,7 @@ class TestTwoStage:
     def _stage1(self, world, splits, steps):
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
-        run = world.first_stage_run("main").restrict(splits["train"])
+        run = restrict_run(world.first_stage_run("main"), splits["train"])
         groups = build_hard_negative_groups(
             run, world.qrels(), SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         )
