@@ -43,7 +43,7 @@ from .evaluation import (
 )
 from .losses import ApproxConfig, LossOutput, adr_mse, infonce, ranknet, smooth_rank
 from .rerank_sim import CostModel, StrategySpec, estimate, schedule, scoring_count
-from .scorer import AdamWState, ScorerModel, adamw_step, init_model
+from .scorer import AdamWState, ScorerModel, adamw_step, grad_batch, init_model, score_batch
 from .trainer import (
     TrainConfig,
     TrainReport,

@@ -23,6 +23,8 @@ e = exp(-|d|) per pair: softplus(d) = max(d, 0) + log1p(e) and
 sigmoid(d) = (1 if d >= 0 else e) / (1 + e). Neither overflows for any
 finite d, and each element's bits do not depend on the array around it,
 so a list's loss has the same bits however lists are grouped into rows.
+Each pass over the pairs writes into the call's own arrays where it can,
+so a call allocates a few pair-sized arrays, not one per operation.
 """
 
 from __future__ import annotations
@@ -85,16 +87,41 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
-def _sigmoid(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """sigmoid(d) elementwise, and the e = exp(-|d|) it was computed from."""
-    e = np.exp(-np.abs(d))
-    return np.where(d >= 0.0, 1.0, e) / (1.0 + e), e
+def _exp_neg_abs(d: np.ndarray) -> np.ndarray:
+    """e = exp(-|d|) elementwise, in one new array: in [0, 1] unless d is NaN."""
+    e = np.abs(d)
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
+def _sigmoid_from(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """sigmoid(d) elementwise from e = exp(-|d|), which becomes 1 + e.
+
+    The numerator is 1 where d >= 0 and e elsewhere: as e lies in [0, 1],
+    that is max(e, d >= 0), and a NaN in d stays NaN.
+    """
+    sigmoid = np.maximum(e, d >= 0.0)
+    e += 1.0
+    sigmoid /= e
+    return sigmoid
 
 
 def _softplus_sigmoid(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """softplus(d) = log(1 + exp(d)) and sigmoid(d) elementwise, sharing one exp."""
-    sigmoid, e = _sigmoid(d)
-    return np.maximum(d, 0.0) + np.log1p(e), sigmoid
+    e = _exp_neg_abs(d)
+    softplus = np.log1p(e)
+    sigmoid = _sigmoid_from(d, e)
+    np.add(np.maximum(d, 0.0, out=e), softplus, out=softplus)  # in the order of the formula
+    return softplus, sigmoid
+
+
+def _pair_sigmoids(s: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, n, n) sigmoid(alpha * (s_j - s_i)) of a (B, n) block at [b, i, j],
+    and a spare array of the same shape for the caller to write into."""
+    d = s[:, None, :] - s[:, :, None]
+    d *= alpha
+    e = _exp_neg_abs(d)
+    return _sigmoid_from(d, e), d
 
 
 def infonce(scores, positive_index: int) -> LossOutput:
@@ -129,7 +156,8 @@ def ranknet(scores) -> LossOutput:
     s = _as_rows(scores, "ranknet")
     rows, n = s.shape
     upper_i, upper_j = _upper_pairs(n)
-    diff = np.take(s, upper_j, axis=1) - np.take(s, upper_i, axis=1)  # s_j - s_i, i < j
+    diff = np.take(s, upper_j, axis=1)
+    diff -= np.take(s, upper_i, axis=1)  # s_j - s_i, i < j
     softplus, sigmoid = _softplus_sigmoid(diff)
     values = np.add.reduce(softplus, axis=1)
     pair = np.zeros((rows, n * n))  # pair[b, i * n + j] = sigmoid(s_j - s_i) for j > i
@@ -145,7 +173,7 @@ def smooth_rank(scores, cfg: ApproxConfig = ApproxConfig()) -> np.ndarray:
     Because opposing sigmoids sum to one, sum(pi) = n(n+1)/2 for any input.
     """
     s = _as_rows(scores, "smooth_rank")
-    mat = _sigmoid(cfg.alpha * (s[:, None, :] - s[:, :, None]))[0]
+    mat = _pair_sigmoids(s, cfg.alpha)[0]
     # Row sums include the diagonal sigmoid(0) = 0.5, hence the +0.5 offset.
     return (mat.sum(axis=2) + 0.5).reshape(np.shape(scores))
 
@@ -161,7 +189,7 @@ def adr_mse(scores, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:
     s = _as_rows(scores, "adr_mse")
     n = s.shape[1]
     alpha = cfg.alpha
-    mat = _sigmoid(alpha * (s[:, None, :] - s[:, :, None]))[0]
+    mat, bmat = _pair_sigmoids(s, alpha)
     pi = mat.sum(axis=2) + 0.5
     targets = np.arange(1, n + 1, dtype=np.float64)
     weights = 1.0 / np.log2(targets + 1.0)
@@ -170,7 +198,8 @@ def adr_mse(scores, cfg: ApproxConfig = ApproxConfig()) -> LossOutput:
     # dL/dpi_i, then through dpi_i/ds_k = alpha*B[i,k] (k != i),
     # dpi_i/ds_i = -alpha*sum_j B[i,j], with B = sigmoid' off-diagonal.
     dpi = (2.0 / n) * weights * (pi - targets)
-    bmat = mat * (1.0 - mat)
+    np.subtract(1.0, mat, out=bmat)
+    bmat *= mat
     bmat.reshape(len(s), n * n)[:, :: n + 1] = 0.0  # the diagonals
     back = np.matmul(bmat.swapaxes(1, 2), dpi[:, :, None])[:, :, 0]
     return _output(scores, values, alpha * (back - dpi * bmat.sum(axis=2)))

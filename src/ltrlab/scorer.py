@@ -108,6 +108,46 @@ def _as_features(model: ScorerModel, features) -> np.ndarray:
     return x
 
 
+def _hidden(model: ScorerModel, x: np.ndarray) -> np.ndarray | None:
+    """The MLP's tanh hidden layer of an (n, F) list or (B, n, F) block;
+    None for a linear model."""
+    if model.architecture == LINEAR:
+        return None
+    w1, b1, _, _ = _mlp_parts(model)
+    return np.tanh(x @ w1.T + b1)
+
+
+def _scores(model: ScorerModel, x: np.ndarray, hidden: np.ndarray | None) -> np.ndarray:
+    """Scores of checked features `x`, whose `_hidden` layer is `hidden`."""
+    if model.architecture == LINEAR:
+        f = model.feature_dim
+        return x @ model.params[:f] + float(model.params[f])
+    _, _, w2, b2 = _mlp_parts(model)
+    return hidden @ w2 + b2
+
+
+def _gradient_rows(
+    model: ScorerModel, block: np.ndarray, u: np.ndarray, hidden: np.ndarray | None, total
+) -> np.ndarray:
+    """`total` (zeros when None), then the gradient of each list of a (B, n, F)
+    block under C-ordered (B, n) upstream `u`, as the rows of a (B + 1, P)
+    array. `hidden` is the block's MLP hidden layer, None for a linear model."""
+    rows = np.empty((len(block) + 1, model.num_params))
+    rows[0] = 0.0 if total is None else total
+    per_list = rows[1:]
+    per_list[:, -1] = np.add.reduce(u, axis=1)
+    if model.architecture == LINEAR:
+        per_list[:, :-1] = (block.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
+    else:
+        w1, _, w2, _ = _mlp_parts(model)
+        fh, h = w1.size, model.hidden_width
+        delta = (u[:, :, None] * w2) * (1.0 - hidden * hidden)  # (B, n, H)
+        per_list[:, :fh] = (delta.swapaxes(1, 2) @ block).reshape(len(block), fh)
+        per_list[:, fh : fh + h] = delta.sum(axis=1)
+        per_list[:, fh + h : -1] = (hidden.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
+    return rows
+
+
 def score_batch(model: ScorerModel, features) -> np.ndarray:
     """Scores of an (n, F) list, or (B, n) scores of a (B, n, F) block.
 
@@ -115,11 +155,7 @@ def score_batch(model: ScorerModel, features) -> np.ndarray:
     same BLAS product per list as scoring the lists one by one.
     """
     x = _as_features(model, features)
-    if model.architecture == LINEAR:
-        f = model.feature_dim
-        return x @ model.params[:f] + float(model.params[f])
-    w1, b1, w2, b2 = _mlp_parts(model)
-    return np.tanh(x @ w1.T + b1) @ w2 + b2
+    return _scores(model, x, _hidden(model, x))
 
 
 def grad_batch(model: ScorerModel, features, upstream, total=None) -> np.ndarray:
@@ -137,23 +173,21 @@ def grad_batch(model: ScorerModel, features, upstream, total=None) -> np.ndarray
     if u.size != block.shape[0] * block.shape[1]:
         raise ValueError(f"upstream has {u.size} values, expected shape {x.shape[:-1]}")
     u = np.ascontiguousarray(u.reshape(block.shape[:2]))  # C order: see losses._as_rows
-    rows = np.empty((len(block) + 1, model.num_params))  # the start, then one row per list
-    per_list = rows[1:]
-    per_list[:, -1] = np.add.reduce(u, axis=1)
-    if model.architecture == LINEAR:
-        per_list[:, :-1] = (block.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
-    else:
-        w1, b1, w2, _ = _mlp_parts(model)
-        fh, h = w1.size, model.hidden_width
-        hidden = np.tanh(block @ w1.T + b1)  # (B, n, H)
-        delta = (u[:, :, None] * w2) * (1.0 - hidden * hidden)  # (B, n, H)
-        per_list[:, :fh] = (delta.swapaxes(1, 2) @ block).reshape(len(block), fh)
-        per_list[:, fh : fh + h] = delta.sum(axis=1)
-        per_list[:, fh + h : -1] = (hidden.swapaxes(1, 2) @ u[:, :, None])[:, :, 0]
+    rows = _gradient_rows(model, block, u, _hidden(model, block), total)
     if x.ndim == 2 and total is None:
-        return per_list[0]
-    rows[0] = 0.0 if total is None else total
+        return rows[1]
     return np.add.reduce(rows, axis=0)
+
+
+def _loss_step(model: ScorerModel, block: np.ndarray, loss_fn, total: np.ndarray | None):
+    """One chunk's forward pass, loss and backward pass, with the MLP hidden
+    layer computed once: the (B,) loss values and `total` plus the block's
+    gradient, with the bits of `score_batch`, `loss_fn` and `grad_batch` in turn."""
+    x = _as_features(model, block)
+    hidden = _hidden(model, x)
+    out = loss_fn(_scores(model, x, hidden))
+    rows = _gradient_rows(model, x, np.ascontiguousarray(out.grad), hidden, total)
+    return out.value, np.add.reduce(rows, axis=0)
 
 
 @dataclass(frozen=True)

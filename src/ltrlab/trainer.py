@@ -128,28 +128,28 @@ class PoolBlock:
             yield RerankPool(query, tuple(docs), features)
 
     def rank(self, model: scorer.ScorerModel) -> tuple[np.ndarray, np.ndarray]:
-        """Every row's scores and canonical order, in one sort.
+        """Every row's scores and canonical order, from one scoring of the block.
 
         Returns the (Q, n) scores and, per row, the column indices by
         descending score with ties by ascending doc id: row i of the order
-        is `core.canonical_order` of row i's (doc, score) pairs.
-
-        Each row is scored on its own: BLAS sums a row's products in an
-        order that depends on the matrix shape (a 1-row matrix takes another
-        kernel), so scoring the whole block at once could move a score by
-        an ulp from `scorer.score_batch` of the row alone and break a tie
-        differently.
+        is `core.canonical_order` of row i's (doc, score) pairs. Row i's
+        scores have the bits of `scorer.score_batch` of row i alone (see its
+        docstring). One argsort orders every row; only rows that hold a tie
+        are sorted again, by score and then pool index.
         """
-        scores = np.zeros(self.index.shape)
-        for row, features in zip(scores, self.features):
-            row[:] = scorer.score_batch(model, features)
+        scores = scorer.score_batch(model, self.features)
         bad = ~np.isfinite(scores)
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise ValueError(
                 f"non-finite score for doc {self.docs[i][j]!r} in query {self.queries[i]!r}"
             )
-        return scores, np.lexsort((self.index, -scores), axis=-1)
+        order = np.argsort(-scores, axis=-1)
+        ranked = np.take_along_axis(scores, order, axis=-1)
+        tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=-1)
+        if tied.any():
+            order[tied] = np.lexsort((self.index[tied], -scores[tied]), axis=-1)
+        return scores, order
 
 
 class ValidationSet:
@@ -235,8 +235,9 @@ def _steps(
     """AdamW steps on the mean batch loss; yields (step, model, batch loss) after each.
 
     Each chunk of a batch is stacked into one (B, n, F) block for one
-    scoring, one loss call and one backward pass. Loss values and gradients
-    are added in batch order, so a step has the bits of a list-at-a-time loop.
+    forward pass, one loss call and one backward pass, which share the MLP
+    hidden layer. Loss values and gradients are added in batch order, so a
+    step has the bits of a list-at-a-time loop.
     """
     lengths = [len(f) for f in features]
     state = scorer.AdamWState.create(
@@ -249,10 +250,9 @@ def _steps(
         grad = np.zeros(model.num_params)
         for chunk in _chunks(lengths, batch):
             block = np.array([features[i] for i in chunk])
-            out = loss_fn(scorer.score_batch(model, block))
-            for value in out.value.tolist():
+            values, grad = scorer._loss_step(model, block, loss_fn, grad)
+            for value in values.tolist():
                 total += value
-            grad = scorer.grad_batch(model, block, out.grad, grad)
         batch_loss = total / len(batch)
         if not np.isfinite(batch_loss):
             raise TrainingError(f"non-finite loss {batch_loss} at step {step}")

@@ -172,10 +172,72 @@ def softplus_sigmoid_reference(d):
     return np.logaddexp(0.0, d), expit(d)
 
 
+# The block kernels of the losses as they were before they wrote each pair
+# pass into the call's own arrays: a fresh array per operation, and the
+# sigmoid's numerator picked by np.where. The in-place kernels must equal
+# them byte for byte.
+
+
+def pair_sigmoid_oracle(d):
+    """sigmoid(d) elementwise, and the e = exp(-|d|) it was computed from."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0.0, 1.0, e) / (1.0 + e), e
+
+
+def pair_softplus_sigmoid_oracle(d):
+    """softplus(d) = log(1 + exp(d)) and sigmoid(d) elementwise, sharing one exp."""
+    sigmoid, e = pair_sigmoid_oracle(d)
+    return np.maximum(d, 0.0) + np.log1p(e), sigmoid
+
+
+def ranknet_block_oracle(scores):
+    """RankNet of an (n,) list or a (B, n) block, one fresh array per operation."""
+    from ltrlab.losses import _as_rows, _output, _upper_pairs
+
+    s = _as_rows(scores, "ranknet")
+    rows, n = s.shape
+    upper_i, upper_j = _upper_pairs(n)
+    diff = np.take(s, upper_j, axis=1) - np.take(s, upper_i, axis=1)
+    softplus, sigmoid = pair_softplus_sigmoid_oracle(diff)
+    values = np.add.reduce(softplus, axis=1)
+    pair = np.zeros((rows, n * n))
+    pair[:, upper_i * n + upper_j] = sigmoid
+    pair = pair.reshape(rows, n, n)
+    return _output(scores, values, pair.sum(axis=1) - pair.sum(axis=2))
+
+
+def smooth_rank_block_oracle(scores, alpha: float = 1.0):
+    """Smooth ranks of an (n,) list or a (B, n) block."""
+    from ltrlab.losses import _as_rows
+
+    s = _as_rows(scores, "smooth_rank")
+    mat = pair_sigmoid_oracle(alpha * (s[:, None, :] - s[:, :, None]))[0]
+    return (mat.sum(axis=2) + 0.5).reshape(np.shape(scores))
+
+
+def adr_mse_block_oracle(scores, alpha: float = 1.0):
+    """ADR-MSE of an (n,) list or a (B, n) block, one fresh array per operation."""
+    from ltrlab.losses import _as_rows, _output
+
+    s = _as_rows(scores, "adr_mse")
+    n = s.shape[1]
+    mat = pair_sigmoid_oracle(alpha * (s[:, None, :] - s[:, :, None]))[0]
+    pi = mat.sum(axis=2) + 0.5
+    targets = np.arange(1, n + 1, dtype=np.float64)
+    weights = 1.0 / np.log2(targets + 1.0)
+    gaps = targets - pi
+    values = np.add.reduce(weights * gaps * gaps, axis=1) / n
+    dpi = (2.0 / n) * weights * (pi - targets)
+    bmat = mat * (1.0 - mat)
+    bmat.reshape(len(s), n * n)[:, :: n + 1] = 0.0
+    back = np.matmul(bmat.swapaxes(1, 2), dpi[:, :, None])[:, :, 0]
+    return _output(scores, values, alpha * (back - dpi * bmat.sum(axis=2)))
+
+
 # The per-list losses and scorer passes that the batched code replaced, kept
 # as they were so the batched code can be compared with them bit for bit.
 # RankNet and ADR-MSE take their pairwise softplus and sigmoid from the
-# losses' per-pair kernel, which is itself checked against the reference above.
+# block kernels above, which are checked against the reference math.
 
 
 def infonce_oracle(scores, positive_index: int):
@@ -192,15 +254,13 @@ def infonce_oracle(scores, positive_index: int):
 
 def ranknet_oracle(scores):
     """RankNet of one teacher-ordered list: (value, grad)."""
-    from ltrlab.losses import _softplus_sigmoid
-
     s = np.asarray(scores, dtype=np.float64)
     n = s.size
     if n == 1:
         return 0.0, np.zeros(1)
     diff = s[None, :] - s[:, None]
     upper = np.triu_indices(n, k=1)
-    softplus, sigmoid = _softplus_sigmoid(diff)
+    softplus, sigmoid = pair_softplus_sigmoid_oracle(diff)
     value = float(softplus[upper].sum())
     pair = np.triu(sigmoid, k=1)
     return value, pair.sum(axis=0) - pair.sum(axis=1)
@@ -208,11 +268,9 @@ def ranknet_oracle(scores):
 
 def adr_mse_oracle(scores, alpha: float = 1.0):
     """Discounted rank MSE of one teacher-ordered list: (value, grad)."""
-    from ltrlab.losses import _sigmoid
-
     s = np.asarray(scores, dtype=np.float64)
     n = s.size
-    mat = _sigmoid(alpha * (s[None, :] - s[:, None]))[0]
+    mat = pair_sigmoid_oracle(alpha * (s[None, :] - s[:, None]))[0]
     pi = mat.sum(axis=1) + 0.5
     targets = np.arange(1, n + 1, dtype=np.float64)
     weights = 1.0 / np.log2(targets + 1.0)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ltrlab import losses, scorer, trainer
+from ltrlab.core import canonical_order
 from ltrlab.distill_data import (
     SamplingConfig,
     WorldConfig,
@@ -25,16 +26,21 @@ from ltrlab.pipeline import make_validation, query_ranges, split_query_ids
 
 from _oracles import (
     add_in_order,
+    adr_mse_block_oracle,
     adr_mse_oracle,
     block_lists,
     features_oracle,
     grad_oracle,
     infonce_oracle,
+    pair_sigmoid_oracle,
+    pair_softplus_sigmoid_oracle,
+    ranknet_block_oracle,
     ranknet_oracle,
     reference_step,
     restrict_run,
     row_sums,
     score_oracle,
+    smooth_rank_block_oracle,
     teacher_lists,
 )
 
@@ -408,6 +414,195 @@ class TestRealSizes:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+def same_bytes(a, b):
+    """Equal dtype, shape and bytes: -0.0 differs from 0.0, and NaNs by their bits."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert (a.dtype, a.shape) == (b.dtype, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def kernel_blocks(draw):
+    """A (B, n) score block, n often 1 or 2, with ties, signed zeros and
+    score gaps beyond 745, where exp(-|d|) underflows to 0."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = signed_values(rng, (draw(st.integers(1, 6)), n), draw(st.booleans()), draw(st.booleans()))
+    if draw(st.booleans()):
+        far = rng.random(s.shape) < 0.3
+        s[far] = rng.choice([-1.0, 1.0], far.sum()) * rng.uniform(400.0, 1000.0, far.sum())
+    return s
+
+
+class TestInPlaceKernels:
+    """The loss kernels write each pair pass into the call's own arrays and
+    pick the sigmoid's numerator with np.maximum; every output has the bytes
+    of the kernels they replaced, kept in _oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kernel_blocks(),
+        st.sampled_from([0.3, 1.0, 4.0]),
+        st.sampled_from(["1-d", "C", "F", "strided"]),
+    )
+    def test_losses_equal_the_kernels_they_replaced(self, s, alpha, layout):
+        block = s[0] if layout == "1-d" else layouts(s)[layout]
+        cfg = losses.ApproxConfig(alpha)
+        for got, want in [
+            (losses.ranknet(block), ranknet_block_oracle(block)),
+            (losses.adr_mse(block, cfg), adr_mse_block_oracle(block, alpha)),
+        ]:
+            assert type(got.value) is type(want.value)
+            same_bytes(got.value, want.value)
+            same_bytes(got.grad, want.grad)
+        same_bytes(losses.smooth_rank(block, cfg), smooth_rank_block_oracle(block, alpha))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 30)),
+            elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        ),
+        st.sampled_from(["1-d", "C", "F", "strided"]),
+    )
+    def test_pair_kernel_equals_the_np_where_kernel(self, d, layout):
+        """Over any doubles: ±0.0, subnormals, |d| > 745, infinities, NaNs."""
+        self.check_pair_kernel(d[0] if layout == "1-d" else layouts(d)[layout])
+
+    @pytest.mark.parametrize("layout", ["1-d", "C", "F", "strided"])
+    def test_pair_kernel_on_special_values(self, layout):
+        row = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 746.0, -746.0, 5e-324, -5e-324]
+        d = np.array([row, row[::-1]])
+        self.check_pair_kernel(d[0] if layout == "1-d" else layouts(d)[layout])
+
+    @staticmethod
+    def check_pair_kernel(d):
+        before = d.copy()
+        with np.errstate(all="ignore"):
+            got = losses._softplus_sigmoid(d)
+            want = pair_softplus_sigmoid_oracle(d)
+            sigmoid = losses._sigmoid_from(d, losses._exp_neg_abs(d))
+            want_sigmoid = pair_sigmoid_oracle(d)[0]
+        for a, b in zip(got, want, strict=True):
+            same_bytes(a, b)
+        same_bytes(sigmoid, want_sigmoid)
+        same_bytes(d, before)  # the kernel leaves its input alone
+
+
+class TestStepHelper:
+    """`scorer._loss_step` runs a chunk's forward pass, loss and backward
+    pass with the MLP hidden layer computed once."""
+
+    @pytest.mark.parametrize("arch", [scorer.LINEAR, scorer.MLP])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**16),
+        zero=st.booleans(),
+        with_total=st.booleans(),
+        loss=st.sampled_from(sorted(LOSS_ORACLES)),
+    )
+    def test_equals_score_loss_grad_in_turn(self, arch, data, seed, zero, with_total, loss):
+        model = model_of(arch, 16, seed, zero)
+        x = data.draw(feature_blocks(16))
+        loss_fn = LOSS_ORACLES[loss][0]
+        rng = np.random.default_rng(seed)
+        total = signed_values(rng, (1, model.num_params), False, True)[0] if with_total else None
+        out = loss_fn(scorer.score_batch(model, x))
+        want = scorer.grad_batch(model, x, out.grad, total)
+        values, grad = scorer._loss_step(model, x, loss_fn, total)
+        same_bytes(values, out.value)
+        same_bytes(grad, want)
+
+    def test_steps_score_through_the_helper_alone(self, monkeypatch):
+        """A step makes one loss call per chunk and no call of the public
+        scorer passes, whose spans count only validation and test work."""
+        calls = {"score_batch": 0, "grad_batch": 0, "loss": 0}
+        for name in ("score_batch", "grad_batch"):
+            real = getattr(scorer, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(scorer, name, counting)
+
+        def loss(scores):
+            calls["loss"] += 1
+            return losses.ranknet(scores)
+
+        rng = np.random.default_rng(0)
+        features = [rng.normal(size=(100, 16)) for _ in range(32)]
+        cfg = trainer.TrainConfig(loss=trainer.LOSS_RANKNET, max_steps=2, batch_size=32)
+        for _ in trainer._steps(model_of(scorer.MLP, 16, 0), features, loss, cfg):
+            pass
+        assert calls == {"score_batch": 0, "grad_batch": 0, "loss": 6}  # chunks of 13, 13, 6
+
+
+@st.composite
+def pool_blocks(draw):
+    """A PoolBlock of 1..8 queries' pools of 1..12 docs (or the benchmark's
+    50 and 100), whose zero-padded doc ids sort like their pool indices;
+    some pools repeat a doc's features, so their scores tie."""
+    rows = draw(st.integers(1, 8))
+    n = draw(st.one_of(st.integers(1, 12), st.sampled_from([50, 100])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    index = np.array([rng.permutation(2 * n)[:n] for _ in range(rows)])
+    features = rng.normal(size=(rows, n, 16))
+    if draw(st.booleans()):
+        features[:, 1::2] = features[:, :1]
+    if draw(st.booleans()):
+        features[rows // 2] = features[0]  # a duplicate pool
+    queries = tuple(f"q{i}" for i in range(rows))
+    docs = [[f"{q}_p{j:03d}" for j in row] for q, row in zip(queries, index.tolist())]
+    return trainer.PoolBlock(queries, docs, index, features)
+
+
+def sub_block(block, rows):
+    """The rows `rows` (a slice) of a block, its features a view of the block's."""
+    return trainer.PoolBlock(
+        block.queries[rows], block.docs[rows], block.index[rows], block.features[rows]
+    )
+
+
+class TestOneCallRanking:
+    """PoolBlock.rank scores the whole block in one call; each row keeps the
+    bytes of scoring it alone and the order of core.canonical_order."""
+
+    @pytest.mark.parametrize("arch", [scorer.LINEAR, scorer.MLP])
+    @settings(max_examples=60, deadline=None)
+    @given(block=pool_blocks(), seed=st.integers(0, 2**16), zero=st.booleans(), data=st.data())
+    def test_rows_do_not_depend_on_grouping(self, arch, block, seed, zero, data):
+        model = model_of(arch, 16, seed, zero)
+        q = len(block)
+        lo = data.draw(st.integers(0, q - 1))
+        hi = data.draw(st.integers(lo + 1, q))
+        groupings = [range(k) for k in range(1, q + 1)] + [range(lo, hi), range(q - 1, q)]
+        for picked in groupings:
+            scores, order = sub_block(block, slice(picked.start, picked.stop)).rank(model)
+            assert scores.shape == order.shape == (len(picked), block.index.shape[1])
+            for i, row_scores, row_order in zip(picked, scores, order.tolist(), strict=True):
+                alone = scorer.score_batch(model, block.features[i])
+                same_bytes(row_scores, alone)
+                docs = block.docs[i]
+                want = [doc for doc, _ in canonical_order(zip(docs, alone.tolist()))]
+                assert [docs[j] for j in row_order] == want
+
+    def test_a_validation_pass_scores_once(self, world_setup, monkeypatch):
+        validation = world_setup[2]
+        calls = []
+        real = scorer.score_batch
+
+        def counting(model, features):
+            calls.append(np.shape(features))
+            return real(model, features)
+
+        monkeypatch.setattr(scorer, "score_batch", counting)
+        trainer.mean_validation_ndcg(model_of(scorer.MLP, 5, 0), validation)
+        assert calls == [validation.block.features.shape]
 
 
 def small_world():
