@@ -340,10 +340,13 @@ def cmd_distill(args) -> int:
     return 0
 
 
-def _read_dataset(path: str, cfg: ExperimentConfig, train: range) -> dict[str, list]:
-    """Each query's (list number, space-separated doc ids) pairs of the
-    dataset file at `path`, which must come from the config's world and hold
-    lists of train queries only."""
+def _read_dataset(
+    path: str, cfg: ExperimentConfig, train: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lists of the dataset file at `path`, which must come from the
+    config's world and hold lists of train queries only, decoded in file
+    order: each list's world query index, the (L + 1,) offsets of its docs
+    and one column of their pool indices."""
     with open(path, encoding="utf-8") as f:
         dataset = core.parse_distill_dataset(f)
     world = cfg.world.fingerprint()
@@ -352,27 +355,29 @@ def _read_dataset(path: str, cfg: ExperimentConfig, train: range) -> dict[str, l
             f"dataset {path!r} was made from world {dataset.world}, "
             f"but the config's world is {world}"
         )
-    # Keyed by the world's own query ids, one string of ids a list (not 60 bytes a
-    # doc): nothing of the parsed file outlives this, and its memory is free.
-    queries, lists = {query: query for query in distill_data.query_ids(cfg.world, train)}, {}
-    for i, record in enumerate(dataset):
-        if record.query not in queries:
+    queries = dict(zip(distill_data.query_ids(cfg.world, train), train))
+    for query in dataset.queries:
+        if query not in queries:
             raise ConfigError(
-                f"dataset {path!r} has query {record.query!r}, which is not one of the "
+                f"dataset {path!r} has query {query!r}, which is not one of the "
                 f"{len(train)} train queries of the world"
             )
-        lists.setdefault(queries[record.query], []).append((i, " ".join(record.docs)))
-    return lists
+    index, bounds = np.empty(len(dataset.docs), dtype=np.intp), dataset.offsets.tolist()
+    for query, lo, hi in zip(dataset.queries, bounds, bounds[1:]):
+        index[lo:hi] = distill_data.pool_index(cfg.world, query, dataset.docs[lo:hi])
+    qindex = np.array([queries[query] for query in dataset.queries], dtype=np.intp)
+    return qindex, dataset.offsets, index
 
 
 def _train_lists(
-    cfg: ExperimentConfig, train: range, groups: bool, depth: int | None, dataset: dict | None
+    cfg: ExperimentConfig, train: range, groups: bool, depth: int | None, dataset: tuple | None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The hard-negative groups (if `groups`) and the teacher lists of the
     train queries, built one world slice at a time: the world teacher's lists
     at `depth`, or those of `dataset` (`_read_dataset`) in its order, whose
-    features each slice gathers by pool index as it takes them out."""
+    features each slice gathers by pool index."""
     counts: collections.Counter = collections.Counter()
+    group_lists, teacher_lists = [], [None] * (0 if dataset is None else len(dataset[0]))
 
     def build(world: distill_data.SyntheticWorld) -> tuple[list, list]:
         some_groups = some_lists = []
@@ -383,18 +388,21 @@ def _train_lists(
             some_groups = block.lists()
         if depth is not None:
             some_lists = list(run.features(distill_data.teacher_ranking(run, depth)[0]))
-        if dataset is not None:
-            some_lists = distill_data.gather_lists(world, dataset)
+        if dataset is not None:  # the lists of this slice's queries, at their list numbers
+            qindex, offsets, index = dataset
+            mine = (qindex >= world.queries.start) & (qindex < world.queries.stop)
+            numbers, lengths = np.flatnonzero(mine), np.diff(offsets)
+            rows = np.repeat(qindex[numbers] - world.queries.start, lengths[numbers])
+            block = world._features[rows, index[np.repeat(mine, lengths)]]
+            for i, features in zip(numbers.tolist(), np.split(block, np.cumsum(lengths[numbers]))):
+                teacher_lists[i] = features
         return some_groups, some_lists
 
-    group_lists, teacher_lists = [], []
     for some_groups, some_lists in distill_data.map_ranges(build, cfg.world, train):
         group_lists += some_groups
         teacher_lists += some_lists
     if groups:
         distill_data.log_sampling(counts)
-    if dataset is not None:  # (list number, features) pairs, put in the dataset's order
-        teacher_lists = [features for _, features in sorted(teacher_lists, key=lambda p: p[0])]
     return group_lists, teacher_lists
 
 
@@ -407,10 +415,11 @@ def _train(
     model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
     teacher_depth = cfg.distill.depth if distill and not args.dataset else None
     groups, lists = _train_lists(cfg, train, stage1, teacher_depth, dataset)
+    del dataset  # freed before the validation pools, which set the peak RSS, are built
     if distill:
-        validation = pipeline.make_validation(
+        validation = trainer.ValidationSet(*pipeline.range_pools(
             cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
-        )
+        ))
     reports = {}
     if stage1:
         model, reports["stage1"] = trainer.train_stage1(model, groups, cfg.stage1)
@@ -468,13 +477,17 @@ def _read_qrels(path: str) -> core.Qrels:
 
 
 def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, float]:
-    """nDCG@k of every query of a parsed run, in the run's query order."""
-    if not run:
-        return {}
-    bounds = run.offsets.tolist()
-    ranked = [run.docs[lo:hi][:k] for lo, hi in zip(bounds, bounds[1:])]
-    values = evaluation.ndcg_rows(*evaluation.grade_rows(qrels, run.queries, ranked), k)
-    return dict(zip(run.queries, values.tolist()))
+    """nDCG@k of every query of the qrels, as `trec_eval -c` scores them: the
+    run's judged queries in run order, then each query the run lacks, at 0.
+    Run queries without judgments are left out."""
+    judged = set(qrels.query_ids())
+    keep = [i for i, query in enumerate(run.queries) if query in judged]
+    queries, bounds = [run.queries[i] for i in keep], run.offsets.tolist()
+    ranked = [run.docs[bounds[i] : bounds[i + 1]][:k] for i in keep]
+    values = evaluation.ndcg_rows(*evaluation.grade_rows(qrels, queries, ranked), k)
+    scores = dict(zip(queries, values.tolist()))
+    scores.update((query, 0.0) for query in sorted(judged - scores.keys()))
+    return scores
 
 
 def cmd_eval(args) -> int:
@@ -483,12 +496,16 @@ def cmd_eval(args) -> int:
     with open(args.run, encoding="utf-8") as f:
         run = core.parse_run(f)
     qrels = _read_qrels(args.qrels)
-    scores = _ndcg_by_query(run, qrels, args.k)
-    if not scores:
+    if not run:
         raise ConfigError(f"run file {args.run!r} contains no queries")
+    if not qrels.query_ids():
+        raise ConfigError(f"qrels file {args.qrels!r} contains no queries")
+    scores = _ndcg_by_query(run, qrels, args.k)
     out = Path(args.out)
     mean = sum(scores.values()) / len(scores)
     summary = {"metric": f"nDCG@{args.k}", "num_queries": len(scores), "mean": mean}
+    summary["missing_queries"] = len(scores.keys() - set(run.queries))
+    summary["extra_queries"] = len(set(run.queries) - scores.keys())
     _atomic_write({
         out / "per_query.tsv": evaluation.per_query_scores_text(scores, f"nDCG@{args.k}"),
         out / "eval_summary.json": _json_text(summary),
@@ -550,9 +567,9 @@ def cmd_ablate(args) -> int:
     for blocks in distill_data.map_ranges(build, cfg.world, splits["train"]):
         for d, block in zip(depths, blocks):
             lists[d] += list(block)
-    validation = pipeline.make_validation(
+    validation = trainer.ValidationSet(*pipeline.range_pools(
         cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
-    )
+    ))
     base_model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
     cells = pipeline.ablation_grid(lists, cfg.ablation.fractions, base_model, validation, cfg.stage2)
     out = Path(args.out)

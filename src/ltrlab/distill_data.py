@@ -17,6 +17,7 @@ bits of the same rows of the whole world and can be generated on its own.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -127,12 +128,34 @@ def query_ids(config: WorldConfig, queries: range) -> tuple[QueryId, ...]:
     return tuple(f"q{i:0{width}d}" for i in queries)
 
 
+@functools.cache
+def _suffixes(pool: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The doc-id suffix of each pool index of a pool of `pool` docs, and the
+    index of each suffix. Cached per pool size and shared, so read-only."""
+    width = len(str(pool - 1))
+    suffixes = tuple(f"_p{j:0{width}d}" for j in range(pool))
+    return suffixes, {suffix: j for j, suffix in enumerate(suffixes)}
+
+
+def pool_index(config: WorldConfig, query: QueryId, docs: Sequence[DocId]) -> list[int]:
+    """Pool index of each doc of `query`, one of the config's query ids, by
+    the docs' exact ids; ValueError names the first doc that is not one of
+    its pool."""
+    suffix, n = _suffixes(config.docs_per_query)[1], len(query)
+    index = [suffix.get(doc[n:], -1) if doc.startswith(query) else -1 for doc in docs]
+    if -1 in index:
+        doc, pool = docs[index.index(-1)], config.docs_per_query
+        raise ValueError(f"doc {doc!r} is not one of the {pool} docs of query {query!r}")
+    return index
+
+
 class SyntheticWorld:
     """A generated retrieval world: corpus, qrels, runs, teacher, features.
 
-    Construct via generate_world. It holds the rows of one range of the
-    config's queries. Per-query state is stored in arrays indexed by (query
-    index within the range, doc index); doc ids encode their pool index.
+    Construct via generate_world. It holds the rows of the range `queries`
+    of the config's queries. Per-query state is stored in arrays indexed by
+    (query index within the range, doc index); doc ids encode their pool
+    index.
     """
 
     def __init__(
@@ -149,9 +172,7 @@ class SyntheticWorld:
         self._features = features  # (Q, P, F)
         self._teacher_u = teacher_unit_noise  # (Q, P)
         self._fs_scores = first_stage_scores  # name -> (Q, P)
-        width = len(str(config.docs_per_query - 1))
-        self._suffixes = [f"_p{j:0{width}d}" for j in range(config.docs_per_query)]
-        self._suffix_index = {suffix: j for j, suffix in enumerate(self._suffixes)}
+        self.queries = queries
         self.query_ids = query_ids(config, queries)
         self._qrels: Qrels | None = None
         # Orders, not runs: a run refers to its world, and a cycle delays freeing it.
@@ -159,18 +180,8 @@ class SyntheticWorld:
 
     def _doc_ids(self, qi: int, idx: Iterable[int]) -> list[str]:
         """Ids of query qi's docs at pool indices idx."""
-        qid, suffixes = self.query_ids[qi], self._suffixes
+        qid, suffixes = self.query_ids[qi], _suffixes(self.config.docs_per_query)[0]
         return [qid + suffixes[j] for j in idx]
-
-    def pool_index(self, qi: int, docs: Sequence[DocId]) -> list[int]:
-        """Pool index of each of query qi's docs, by their exact ids; ValueError
-        names the first doc that is not one of its pool."""
-        qid, suffix, n = self.query_ids[qi], self._suffix_index, len(self.query_ids[qi])
-        index = [suffix.get(doc[n:], -1) if doc.startswith(qid) else -1 for doc in docs]
-        if -1 in index:
-            doc, pool = docs[index.index(-1)], self.config.docs_per_query
-            raise ValueError(f"doc {doc!r} is not one of the {pool} docs of query {qid!r}")
-        return index
 
     def qrels(self) -> Qrels:
         """Sparse judgments: grade 1 for each query's truly best pool doc."""
@@ -334,7 +345,7 @@ def build_hard_negative_groups(
     run_depth = run.order.shape[1]
     rows, members = [], []
     tally: Counter = Counter()
-    for r, (qid, qi, row) in enumerate(zip(run.queries, run.qindex.tolist(), run.order)):
+    for r, (qid, row) in enumerate(zip(run.queries, run.order)):
         positives = qrels.positives(qid)
         if not positives:
             tally["no positive"] += 1
@@ -351,7 +362,7 @@ def build_hard_negative_groups(
         pool = row[: cfg.pool_depth]
         for doc in positives:
             try:
-                pool = pool[pool != world.pool_index(qi, [doc])[0]]
+                pool = pool[pool != pool_index(world.config, qid, [doc])[0]]
             except ValueError:  # a judged doc that is not in this query's pool
                 pass
         if len(pool) < cfg.num_negatives:
@@ -366,7 +377,7 @@ def build_hard_negative_groups(
         rng = _query_rng(cfg.seed, qid)
         chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
         rows.append(r)
-        members.append([*world.pool_index(qi, positives[:1]), *pool[chosen].tolist()])
+        members.append([*pool_index(world.config, qid, positives[:1]), *pool[chosen].tolist()])
     tally["groups"] = len(rows)
     if counts is None:
         log_sampling(tally)
@@ -424,20 +435,6 @@ def build_teacher_dataset(run: WorldRun, depth: int = 100) -> DistillDataset:
     docs = itertools.chain.from_iterable(map(world._doc_ids, run.qindex.tolist(), ranked.tolist()))
     fingerprint = world.config.fingerprint()
     return DistillDataset(fingerprint, run.queries, offsets, list(docs), ranks.ravel(), depths)
-
-
-def gather_lists(world: SyntheticWorld, lists: dict[QueryId, list]) -> list[tuple[int, np.ndarray]]:
-    """Take the lists of `world`'s queries out of `lists`, which holds each
-    query's (list number, space-separated doc ids) pairs, and return the
-    number and (n, F) features of each, gathered by pool index.
-    ValueError names the first doc that is not one of its query's pool."""
-    taken = [(qi, *pair) for qi, q in enumerate(world.query_ids) for pair in lists.pop(q, ())]
-    rows, index, ends = [], [], []
-    for qi, _, docs in taken:
-        index += world.pool_index(qi, docs.split(" "))
-        rows += [qi] * (len(index) - len(rows))
-        ends.append(len(index))
-    return list(zip([i for _, i, _ in taken], np.split(world._features[rows, index], ends[:-1])))
 
 
 def subsample_depth(dataset: DistillDataset, depth: int) -> DistillDataset:

@@ -85,12 +85,6 @@ def range_pools(
     return block, Qrels({q: part.judged(q) for part in qrels for q in part.query_ids()})
 
 
-def make_validation(
-    config: WorldConfig, retriever: str, queries: range, depth: int
-) -> ValidationSet:
-    return ValidationSet(*range_pools(config, retriever, queries, depth))
-
-
 def evaluate_model(
     model: scorer.ScorerModel, pools: PoolBlock, qrels: Qrels, k: int = 10
 ) -> tuple[dict[QueryId, float], list[RankedRow]]:

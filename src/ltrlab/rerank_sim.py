@@ -19,15 +19,11 @@ SLIDING_WINDOW = "sliding_window"
 
 @dataclass(frozen=True)
 class StrategySpec:
-    """A re-ranking strategy: pointwise, or a back-to-front sliding window.
-
-    `passes` repeats the whole window sweep; a single pass is the default.
-    """
+    """A re-ranking strategy: pointwise, or a back-to-front sliding window."""
 
     kind: str
     window: int = 20
     stride: int = 10
-    passes: int = 1
 
     def __post_init__(self):
         if self.kind not in (POINTWISE, SLIDING_WINDOW):
@@ -36,16 +32,14 @@ class StrategySpec:
             raise ValueError(
                 f"need 1 <= stride <= window, got stride={self.stride} window={self.window}"
             )
-        if self.passes < 1:
-            raise ValueError(f"passes must be >= 1, got {self.passes}")
 
 
 def pointwise() -> StrategySpec:
     return StrategySpec(POINTWISE)
 
 
-def sliding_window(window: int = 20, stride: int = 10, passes: int = 1) -> StrategySpec:
-    return StrategySpec(SLIDING_WINDOW, window, stride, passes)
+def sliding_window(window: int = 20, stride: int = 10) -> StrategySpec:
+    return StrategySpec(SLIDING_WINDOW, window, stride)
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ def schedule(n: int, spec: StrategySpec) -> list[tuple[int, int]]:
             break
         windows.append((lo, hi))
         hi -= spec.stride
-    return windows * spec.passes
+    return windows
 
 
 def scoring_count(n: int, spec: StrategySpec) -> int:

@@ -190,40 +190,31 @@ def _loss_step(model: ScorerModel, block: np.ndarray, loss_fn, total: np.ndarray
     return out.value, np.add.reduce(rows, axis=0)
 
 
+# AdamW's moment decay rates and the term that keeps its denominator positive.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class AdamWState:
-    """AdamW moment accumulators, step counter, and hyperparameters."""
+    """AdamW moment accumulators, step counter, learning rate and weight decay."""
 
     m: np.ndarray
     v: np.ndarray
     t: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     weight_decay: float = 0.01
 
     @classmethod
     def create(
-        cls,
-        num_params: int,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-        weight_decay: float = 0.01,
+        cls, num_params: int, learning_rate: float, weight_decay: float = 0.01
     ) -> "AdamWState":
         """Zero moments at step 0, and the one check of the hyperparameters:
         `adamw_step` keeps them, and its second moments are sums of squares."""
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
         for name, value in (("learning_rate", learning_rate), ("weight_decay", weight_decay)):
             if not (np.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
-        if not (np.isfinite(epsilon) and epsilon > 0):
-            raise ValueError(f"epsilon must be a finite number > 0, got {epsilon!r}")
         zeros = np.zeros(num_params)
-        return cls(zeros, zeros.copy(), 0, learning_rate, beta1, beta2, epsilon, weight_decay)
+        return cls(zeros, zeros.copy(), 0, learning_rate, weight_decay)
 
 
 def adamw_step(
@@ -243,14 +234,14 @@ def adamw_step(
     t = state.t + 1
     # A diverging update overflows here, and ScorerModel's scan reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        m = state.beta1 * state.m + (1.0 - state.beta1) * g
-        v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
+        m = BETA1 * state.m + (1.0 - BETA1) * g
+        v = BETA2 * state.v + (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
         # Decay applied in factored form so zero-gradient steps shrink
         # parameters by exactly (1 - lr * wd).
         decayed = model.params * (1.0 - state.learning_rate * state.weight_decay)
-        new_params = decayed - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
+        new_params = decayed - state.learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON)
     return replace(model, params=new_params), replace(state, m=m, v=v, t=t)
 
 

@@ -30,12 +30,12 @@ from ltrlab.losses import ApproxConfig, adr_mse, infonce, ranknet, smooth_rank
 from ltrlab.pipeline import (
     build_rerank_pools,
     evaluate_model,
-    make_validation,
     query_ranges,
+    range_pools,
     split_query_ids,
 )
 from ltrlab.rerank_sim import CostModel, estimate, pointwise, schedule, scoring_count, sliding_window
-from ltrlab.trainer import TrainConfig, train_distill, train_stage1
+from ltrlab.trainer import TrainConfig, ValidationSet, train_distill, train_stage1
 
 from _oracles import finite_difference_grad, grad_close, ndcg_bruteforce, restrict_run, teacher_lists
 
@@ -265,7 +265,7 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
     fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
     splits = split_query_ids(world.query_ids, fractions)
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-    validation = make_validation(world.config, "low", validation_range, 50)
+    validation = ValidationSet(*range_pools(world.config, "low", validation_range, 50))
     test_pools = build_rerank_pools(world, world.first_stage_run("low"), splits["test"], 50)
     result = {}
     for name in ("low", "high"):
@@ -332,7 +332,7 @@ def training_regimes():
         ).lists()
         dataset = teacher_lists(run_train, 50)
         validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-        validation = make_validation(world.config, "strong", validation_range, 50)
+        validation = ValidationSet(*range_pools(world.config, "strong", validation_range, 50))
         test_pools = build_rerank_pools(
             world, world.first_stage_run("strong"), splits["test"], 50
         )

@@ -22,7 +22,7 @@ from ltrlab.distill_data import (
     build_hard_negative_groups,
     generate_world,
 )
-from ltrlab.pipeline import make_validation, query_ranges, split_query_ids
+from ltrlab.pipeline import query_ranges, range_pools, split_query_ids
 
 from _oracles import (
     add_in_order,
@@ -629,7 +629,7 @@ def world_setup():
     for i, features in enumerate(full[20:]):
         ragged.append(features[: 1 + i % 7])  # mixed lengths, some of them 1
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-    validation = make_validation(world.config, "main", validation_range, 12)
+    validation = trainer.ValidationSet(*range_pools(world.config, "main", validation_range, 12))
     groups = build_hard_negative_groups(
         run, world.qrels(), SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
     )

@@ -110,6 +110,31 @@ class TestEvalCommand:
         assert capsys.readouterr().err == f"error: run file {str(run)!r} contains no queries\n"
         assert not out.exists()
 
+    def test_queries_of_the_qrels_are_averaged(self, tmp_path, capsys):
+        """As `trec_eval -c`: a qrels query the run lacks scores 0, and a run
+        query without judgments is left out; both are counted."""
+        argv = eval_argv(tmp_path, "q1 Q0 d1 1 1.0 t\nq3 Q0 d3 1 1.0 t\n", "q1 0 d1 1\nq2 0 d2 1\n")
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        flags = {"run": argv[2], "qrels": argv[4], "k": 10, "out": str(out)}
+        resolved = json.dumps({"config": flags, "flags": flags}, indent=2, sort_keys=True)
+        assert capsys.readouterr().out == (
+            f"[eval] resolved config:\n{resolved}\neval: mean nDCG@10 over 2 queries = 0.5000\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == ["eval_summary.json", "per_query.tsv"]
+        assert read(out / "per_query.tsv") == "q1\tnDCG@10\t1.0\nq2\tnDCG@10\t0.0\n"
+        assert read(out / "eval_summary.json") == (
+            '{\n  "extra_queries": 1,\n  "mean": 0.5,\n  "metric": "nDCG@10",\n'
+            '  "missing_queries": 1,\n  "num_queries": 2\n}\n'
+        )
+
+    def test_empty_qrels_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = eval_argv(tmp_path, "q1 Q0 d1 1 1.0 t\n", "\n")
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: qrels file {argv[4]!r} contains no queries\n"
+        assert not out.exists()
+
 
     RUN = (
         "q3 Q0 x 1 1.0 t\nq1 Q0 d10 1 2.0 t\nq1 Q0 d2 2 2.0 t\nq1 Q0 d1 3 -0.0 t\n"
@@ -135,13 +160,18 @@ class TestEvalCommand:
         out = tmp_path / "out"
         argv = eval_argv(tmp_path, run_text, qrels_text)
         assert main(argv + ["--k", str(k), "--out", str(out)]) == 0
-        qrels = core.parse_qrels(qrels_text)
-        expected = {q: ndcg_at_k(r, qrels, k) for q, r in parse_run_oracle(run_text).items()}
+        qrels, run = core.parse_qrels(qrels_text), parse_run_oracle(run_text)
+        # Every qrels query: the judged queries of the run in run order, then the missing at 0.
+        judged = qrels.query_ids()
+        expected = {q: ndcg_at_k(r, qrels, k) for q, r in run.items() if q in judged}
+        expected.update((q, 0.0) for q in judged if q not in run)
         assert read(out / "per_query.tsv") == per_query_scores_text(expected, f"nDCG@{k}")
         assert json.loads(read(out / "eval_summary.json")) == {
             "metric": f"nDCG@{k}",
-            "num_queries": len(expected),
+            "num_queries": len(judged),
             "mean": sum(expected.values()) / len(expected),
+            "missing_queries": len(set(judged) - set(run)),
+            "extra_queries": len(set(run) - set(judged)),
         }
 
     def test_zero_cutoff_is_data_error(self, tmp_path, capsys):
@@ -334,6 +364,28 @@ class TestSignificanceCommand:
         assert record["reject"] is False
         assert "retain" in read(out / "significance.txt")
 
+    def test_pairs_on_the_queries_of_the_qrels(self, tmp_path, capsys):
+        """The candidate lacks q2, which it scores 0 on: the pair is (1, 1), (1, 0)."""
+        base, cand, qrels = (tmp_path / name for name in ("base.trec", "cand.trec", "qrels.txt"))
+        base.write_text("q1 Q0 d1 1 1.0 t\nq2 Q0 d2 1 1.0 t\n")
+        cand.write_text("q1 Q0 d1 1 1.0 t\n")
+        qrels.write_text("q1 0 d1 1\nq2 0 d2 1\n")
+        out = tmp_path / "out"
+        argv = ["significance", "--qrels", str(qrels), "--baseline", str(base)]
+        assert main(argv + ["--candidate", str(cand), "--out", str(out)]) == 0
+        text = (
+            "baseline: base  alpha: 0.05\n"
+            "system  queries          t          p  decision\n"
+            "cand          2    -1.0000     0.5000  retain\n"
+        )
+        assert capsys.readouterr().out.endswith(f"}}\n{text}")
+        assert sorted(p.name for p in out.iterdir()) == ["significance.jsonl", "significance.txt"]
+        assert read(out / "significance.txt") == text
+        assert read(out / "significance.jsonl") == (
+            '{"baseline":"base","system":"cand","num_queries":2,"t_stat":-1.0,'
+            '"p_value":0.5000000000000001,"alpha":0.05,"reject":false}\n'
+        )
+
     def test_empty_runs_are_data_error(self, tmp_path, capsys):
         base = tmp_path / "base.trec"
         cand = tmp_path / "cand.trec"
@@ -440,23 +492,17 @@ class TestPipelineSmoke:
         summary = json.loads(read(train_dir / "summary.json"))
         assert summary["mean_test_ndcg10"] > 0.5  # separable world, near-oracle teacher
 
+        # eval averages over the queries of its qrels: here those of the test split.
+        test_run = read(train_dir / "test_run.trec")
+        test_queries = {line.split()[0] for line in test_run.splitlines()}
+        qrels = read(world_dir / "qrels.txt").splitlines()
+        qrels = [line for line in qrels if line.split()[0] in test_queries]
         eval_dir = tmp_path / "eval"
-        assert (
-            main(
-                [
-                    "eval",
-                    "--run",
-                    str(train_dir / "test_run.trec"),
-                    "--qrels",
-                    str(world_dir / "qrels.txt"),
-                    "--out",
-                    str(eval_dir),
-                ]
-            )
-            == 0
-        )
+        assert main(eval_argv(tmp_path, test_run, "\n".join(qrels)) + ["--out", str(eval_dir)]) == 0
         eval_summary = json.loads(read(eval_dir / "eval_summary.json"))
         assert eval_summary["mean"] == pytest.approx(summary["mean_test_ndcg10"], abs=1e-9)
+        assert eval_summary["num_queries"] == len(test_queries) == 40
+        assert eval_summary["missing_queries"] == eval_summary["extra_queries"] == 0
         assert time.time() - start < 300  # end-to-end budget on one core
 
     def test_single_stage_infonce(self, tmp_path, config_path):
@@ -487,7 +533,7 @@ class TestPipelineSmoke:
         def fail(*args, **kwargs):
             raise AssertionError("validation set built without distillation")
 
-        monkeypatch.setattr(pipeline, "make_validation", fail)
+        monkeypatch.setattr(trainer, "ValidationSet", fail)
         assert main(argv + ["--out", str(tmp_path / "b")]) == 0
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
@@ -1131,23 +1177,49 @@ class TestTrainDatasetFaults:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [0, -1])
     @pytest.mark.parametrize(
         "doc",
         [
-            "q001_p03",  # a doc of another query
-            "q000_p40",  # pool index 40 of a pool of 40
-            "q000_p3",  # pool index 3 in another width
+            "q060_p03",  # a doc of another query
+            "{query}_p40",  # pool index 40 of a pool of 40
+            "{query}_p3",  # pool index 3 in another width
         ],
     )
-    def test_doc_outside_its_pool_refused(self, tmp_path, config_path, capsys, dataset_lines, doc):
+    def test_doc_outside_its_pool_refused(
+        self, tmp_path, config_path, capsys, monkeypatch, dataset_lines, line, doc
+    ):
+        """Every doc id is decoded as the file is read, before any world slice."""
         lines = list(dataset_lines)
-        record = json.loads(lines[0])
+        record = json.loads(lines[line])
+        doc = doc.format(query=record["query_id"])
         record["passages"][5]["doc_id"] = doc
-        lines[0] = json.dumps(record)
+        lines[line] = json.dumps(record)
+        worlds, generate = [], distill_data.generate_world
+        monkeypatch.setattr(
+            distill_data, "generate_world", lambda *a: worlds.append(a) or generate(*a)
+        )
         code, out = self.train(tmp_path, config_path, lines)
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: doc {doc!r} is not one of the 40 docs of query 'q000'\n"
+            f"error: doc {doc!r} is not one of the 40 docs of query {record['query_id']!r}\n"
+        )
+        assert not out.exists() and worlds == []
+
+    def test_foreign_query_named_before_a_bad_doc(
+        self, tmp_path, config_path, capsys, dataset_lines
+    ):
+        """Every list's query is checked before any list's docs."""
+        lines = list(dataset_lines)
+        record = json.loads(lines[0])
+        record["passages"][5]["doc_id"] = "q000_p40"
+        lines[0] = json.dumps(record)
+        lines[-1] = json.dumps(dict(json.loads(lines[-1]), query_id="q160"))
+        code, out = self.train(tmp_path, config_path, lines)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset {str(tmp_path / 'dataset.jsonl')!r} has query 'q160', "
+            "which is not one of the 120 train queries of the world\n"
         )
         assert not out.exists()
 

@@ -36,6 +36,7 @@ from ltrlab.distill_data import (
     build_hard_negative_groups,
     build_teacher_dataset,
     generate_world,
+    pool_index,
     subsample_depth,
 )
 from ltrlab.evaluation import ndcg_at_k, ndcg_rows
@@ -549,8 +550,7 @@ class TestHardNegativeGroups:
             error = outcome(lambda: built.append(build_hard_negative_groups(run, qrels, cfg)))
         if outside:
             query, positive = outside[0]
-            qi = world.query_ids.index(query)
-            assert error == outcome(lambda: world.pool_index(qi, [positive]))
+            assert error == outcome(lambda: pool_index(world.config, query, [positive]))
             assert error[0] is ValueError and counts == []
         else:
             assert error is None
@@ -626,10 +626,10 @@ class TestRerankPools:
 class TestDocIndex:
     @pytest.mark.parametrize("doc", ["q00_p7", "q00_p+7", "q00_p\u0667", "q00_p7 ", "q00_p007"])
     def test_only_exact_pool_ids_resolve(self, doc):
-        world = world_of()
-        assert world.pool_index(0, ["q00_p07", "q00_p00", "q00_p11"]) == [7, 0, 11]
+        config = world_of().config
+        assert pool_index(config, "q00", ["q00_p07", "q00_p00", "q00_p11"]) == [7, 0, 11]
         with pytest.raises(ValueError, match="is not one of the 12 docs of query 'q00'"):
-            world.pool_index(0, ["q00_p07", doc])
+            pool_index(config, "q00", ["q00_p07", doc])
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -642,23 +642,31 @@ class TestDocIndex:
     )
     def test_foreign_ids_named(self, doc, message):
         with pytest.raises(ValueError) as info:
-            world_of().pool_index(0, ["q00_p01", doc, "q00_p13"])
+            pool_index(world_of().config, "q00", ["q00_p01", doc, "q00_p13"])
         assert info.value.args == (message,)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_matches_a_search_of_the_pool(self, data):
-        """Exact pool ids resolve to their index; the first other doc is named."""
-        world = world_of()
+        """Exact pool ids resolve to their index; the first other doc is named.
+        The pool sizes of the examples follow one another in one process, as
+        the per-size table of suffixes is shared."""
+        pool_size = data.draw(st.sampled_from([1, 9, 10, 11, 100, 101]), label="pool size")
+        world = world_of(docs_per_query=pool_size)
         qi = data.draw(st.integers(0, 11), label="query")
-        pool = world._doc_ids(qi, range(12))
-        docs = data.draw(st.lists(st.sampled_from(pool + JUDGED)), label="docs")
+        qid, pool = world.query_ids[qi], world._doc_ids(qi, range(pool_size))
+        # Ids of another query, of another width and past the pool's end.
+        near = [
+            f"{q}_p{j:0{w}d}" for q in (qid, "q01") for j in (0, 7, pool_size) for w in (1, 2, 3)
+        ]
+        docs = data.draw(st.lists(st.sampled_from(pool + near + JUDGED)), label="docs")
         bad = [doc for doc in docs if doc not in pool]
         if bad:
-            message = f"doc {bad[0]!r} is not one of the 12 docs of query {world.query_ids[qi]!r}"
-            assert outcome(lambda: world.pool_index(qi, docs)) == (ValueError, message)
+            message = f"doc {bad[0]!r} is not one of the {pool_size} docs of query {qid!r}"
+            assert outcome(lambda: pool_index(world.config, qid, docs)) == (ValueError, message)
         else:
-            assert world.pool_index(qi, docs) == [doc_index_oracle(world, qi, d) for d in docs]
+            expected = [doc_index_oracle(world, qi, d) for d in docs]
+            assert pool_index(world.config, qid, docs) == expected
 
 
 # -- batched validation and test evaluation ---------------------------------------
@@ -873,7 +881,6 @@ class TestGatheredLists:
             _, teacher = _train_lists(cfg, range(lo, hi), False, depth, None)
             dataset = _read_dataset(str(path), cfg, range(lo, hi))
             _, gathered = _train_lists(cfg, range(lo, hi), False, None, dataset)
-        assert dataset == {}  # every list was taken by its world slice
         features = [f for _, _, f, _, _ in oracle]
         assert [f.tolist() for f in teacher] == [f.tolist() for f in features]
         assert [f.tolist() for f in gathered] == [features[i][: kept[i]].tolist() for i in order]

@@ -87,13 +87,6 @@ class TestScoringCount:
             assert count >= n
             assert (count == n) == (s == w)
 
-    def test_repeated_passes_multiply_cost(self):
-        single = scoring_count(100, sliding_window(20, 10))
-        assert scoring_count(100, sliding_window(20, 10, passes=3)) == 3 * single
-        assert len(schedule(100, sliding_window(20, 10, passes=2))) == 18
-        with pytest.raises(ValueError):
-            sliding_window(20, 10, passes=0)
-
 
 class TestEstimate:
     def test_latency_is_calls_times_per_call(self):

@@ -12,8 +12,8 @@ from ltrlab.losses import ranknet
 from ltrlab.pipeline import (
     build_rerank_pools,
     evaluate_model,
-    make_validation,
     query_ranges,
+    range_pools,
     split_query_ids,
 )
 from ltrlab.trainer import (
@@ -60,7 +60,7 @@ def setup():
     run = world.first_stage_run("main")
     dataset = teacher_lists(restrict_run(run, splits["train"]), 30)
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-    validation = make_validation(world.config, "main", validation_range, 30)
+    validation = ValidationSet(*range_pools(world.config, "main", validation_range, 30))
     return world, splits, run, dataset, validation
 
 
