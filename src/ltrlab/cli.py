@@ -476,6 +476,14 @@ def _read_qrels(path: str) -> core.Qrels:
         return core.parse_qrels(f)
 
 
+def _read_run(path: str) -> core.ParsedRun:
+    with open(path, encoding="utf-8") as f:
+        run = core.parse_run(f)
+    if not run:
+        raise ConfigError(f"run file {path!r} contains no queries")
+    return run
+
+
 def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, float]:
     """nDCG@k of every query of the qrels, as `trec_eval -c` scores them: the
     run's judged queries in run order, then each query the run lacks, at 0.
@@ -493,11 +501,8 @@ def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, 
 def cmd_eval(args) -> int:
     flags = {"run": args.run, "qrels": args.qrels, "k": args.k, "out": args.out}
     _print_resolved("eval", flags, args)
-    with open(args.run, encoding="utf-8") as f:
-        run = core.parse_run(f)
+    run = _read_run(args.run)
     qrels = _read_qrels(args.qrels)
-    if not run:
-        raise ConfigError(f"run file {args.run!r} contains no queries")
     if not qrels.query_ids():
         raise ConfigError(f"qrels file {args.qrels!r} contains no queries")
     scores = _ndcg_by_query(run, qrels, args.k)
@@ -527,8 +532,7 @@ def cmd_significance(args) -> int:
     qrels = _read_qrels(args.qrels)
 
     def run_scores(path: str) -> dict[str, float]:
-        with open(path, encoding="utf-8") as f:
-            return _ndcg_by_query(core.parse_run(f), qrels, args.k)
+        return _ndcg_by_query(_read_run(path), qrels, args.k)
 
     baseline_name = Path(args.baseline).stem
     per_system = {baseline_name: run_scores(args.baseline)}
@@ -537,6 +541,8 @@ def cmd_significance(args) -> int:
         if name in per_system:
             raise ConfigError(f"duplicate system name {name!r}; rename the run files")
         per_system[name] = run_scores(cand)
+    if len(qrels.query_ids()) < 2:  # every system is scored on the qrels' queries
+        raise ConfigError(f"qrels file {args.qrels!r} contains fewer than 2 queries")
     report = evaluation.significance_report(per_system, baseline_name, args.alpha)
     out = Path(args.out)
     text, jsonl = report.to_text(), report.to_jsonl()

@@ -245,16 +245,22 @@ def parse_run(source: str | Iterable[str]) -> ParsedRun:
     """
     lines = source.splitlines() if isinstance(source, str) else source
     index: dict[QueryId, int] = {}
-    qidx, docs, scores, linenos = array("q"), [], array("d"), array("q")
+    docs, scores = [], array("d")
+    # Entries starts[g] up to the next start belong to query groups[g]; a
+    # run's lines are mostly grouped by query, so there are few groups.
+    starts, groups, blanks = array("q"), array("q"), []
 
     def fail(message: str, lineno: int) -> ParseError:
         """The error for bad line `lineno`, unless an earlier line repeats a pair."""
-        return _first_duplicate(tuple(index), qidx, docs, linenos) or ParseError(message, lineno)
+        return _first_duplicate(tuple(index), starts, groups, docs, blanks) or ParseError(
+            message, lineno
+        )
 
     isfinite, last = math.isfinite, None
     for lineno, line in enumerate(lines, start=1):
         fields = line.split()
         if not fields:
+            blanks.append(lineno)
             continue
         if len(fields) != 6:
             raise fail(f"expected 6 fields, got {len(fields)}", lineno)
@@ -271,41 +277,66 @@ def parse_run(source: str | Iterable[str]) -> ParsedRun:
             raise fail(f"score field {score_text!r} is not a number", lineno) from None
         if not isfinite(score):
             raise fail(f"non-finite score {score_text!r}", lineno)
-        if qid != last:  # a run's lines are mostly grouped by query
-            last, q = qid, index.setdefault(qid, len(index))
-        qidx.append(q)
+        if qid != last:
+            last = qid
+            starts.append(len(docs))
+            groups.append(index.setdefault(qid, len(index)))
         docs.append(doc)
         scores.append(score)
-        linenos.append(lineno)
     queries = tuple(index)
-    qidx_a, scores_a = np.frombuffer(qidx, dtype=np.int64), np.frombuffer(scores)
-    order = np.lexsort((-scores_a, qidx_a))
-    ranked_q, ranked_scores = qidx_a[order], scores_a[order]
+    scores_a = np.frombuffer(scores)
+    entry_q = _entry_queries(starts, groups, len(docs))
+    order = np.lexsort((-scores_a, entry_q))
+    ranked_q = entry_q[order]
+    del entry_q
+    ranked_scores = scores_a[order]
     # Positions i and i + 1 tie when they hold equal scores of one query. The
     # stable sort left each run of ties lo..hi in file order: sort it by doc id.
     tied = (ranked_scores[1:] == ranked_scores[:-1]) & (ranked_q[1:] == ranked_q[:-1])
     runs = np.flatnonzero(np.diff(tied, prepend=False, append=False)).reshape(-1, 2)
+    del tied
     for lo, hi in runs.tolist():
         order[lo : hi + 1] = sorted(order[lo : hi + 1].tolist(), key=docs.__getitem__)
+        ranked_scores[lo : hi + 1] = scores_a[order[lo : hi + 1]]  # -0.0 may tie 0.0
+    del scores_a, scores
     offsets = np.searchsorted(ranked_q, np.arange(len(queries) + 1))
-    ranked_docs = [docs[i] for i in order.tolist()]
+    del ranked_q
+    ranked_docs = np.array(docs, dtype=object)[order].tolist()
+    del order
     # Ids from str.split are non-empty and free of whitespace, and every score
     # is finite: only a repeated doc can still break a ScoredList invariant.
     bounds = offsets.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         if len(set(ranked_docs[lo:hi])) != hi - lo:
-            raise _first_duplicate(queries, qidx, docs, linenos)
-    return ParsedRun(queries, offsets, ranked_docs, scores_a[order])
+            raise _first_duplicate(queries, starts, groups, docs, blanks)
+    return ParsedRun(queries, offsets, ranked_docs, ranked_scores)
+
+
+def _entry_queries(starts: array, groups: array, n: int) -> np.ndarray:
+    """The query index of each of the n entries, from where each group starts."""
+    starts_a = np.frombuffer(starts, dtype=np.int64)
+    return np.repeat(np.frombuffer(groups, dtype=np.int64), np.diff(starts_a, append=n))
 
 
 def _first_duplicate(
-    queries: Sequence[QueryId], qidx: Sequence[int], docs: Sequence[DocId], linenos: Sequence[int]
+    queries: Sequence[QueryId],
+    starts: array,
+    groups: array,
+    docs: Sequence[DocId],
+    blanks: Sequence[int],
 ) -> DuplicateEntryError | None:
     """The error for the first entry, in file order, that repeats an earlier
-    (query, doc) pair; entry i is `queries[qidx[i]]`, `docs[i]` on line `linenos[i]`."""
+    (query, doc) pair. Entry i is `docs[i]` of the query that `_entry_queries`
+    gives it, on the (i + 1)-th line that is not blank; `blanks` holds the
+    numbers of the blank lines."""
     seen: set[tuple[int, str]] = set()
-    for q, doc, lineno in zip(qidx, docs, linenos):
+    for i, (q, doc) in enumerate(zip(_entry_queries(starts, groups, len(docs)).tolist(), docs)):
         if (q, doc) in seen:
+            lineno = i + 1
+            for blank in blanks:  # ascending: each blank at or before the line shifts it
+                if blank > lineno:
+                    break
+                lineno += 1
             return DuplicateEntryError(
                 f"duplicate entry for query {queries[q]!r} doc {doc!r}", lineno
             )

@@ -124,12 +124,8 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> tuple
     """Two-sided paired t-test; returns (t statistic, p value).
 
     Zero-variance differences use the convention p = 1 when the mean
-    difference is 0, else p = 0 with a warning. The t CDF is evaluated via
-    the regularized incomplete beta function, the one use of scipy in the
-    package; importing it here keeps scipy out of every other command.
+    difference is 0, else p = 0 with a warning.
     """
-    from scipy.special import betainc
-
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
@@ -146,9 +142,73 @@ def paired_t_test(scores_a: Sequence[float], scores_b: Sequence[float]) -> tuple
         logger.warning("paired_t_test: zero variance with nonzero mean difference %g", mean)
         return math.copysign(math.inf, mean), 0.0
     t = mean / math.sqrt(var / n)
-    df = n - 1
-    p = float(betainc(df / 2.0, 0.5, df / (df + t * t)))
-    return t, p
+    return t, _two_sided_p(t, n - 1)
+
+
+def _two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    That is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2), evaluated in logs and by its continued fraction.
+    """
+    if math.isnan(t):
+        return math.nan
+    t2 = t * t
+    u = t2 / df
+    if u == 0.0:
+        return 1.0
+    a, b = df / 2.0, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)  # y is 1 - x, without cancellation
+    if x == 0.0:
+        return 0.0
+    # log of x^a (1 - x)^b / B(a, b)
+    log_front = (
+        -a * math.log1p(u) + b * (math.log(u) - math.log1p(u))
+        + _log_gamma_half_step(a) - math.lgamma(b)
+    )
+    # The fraction converges fast below the mean of the beta distribution;
+    # above it, I_x(a, b) = 1 - I_y(b, a).
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front + math.log(_beta_fraction(a, b, x) / a))
+    return 1.0 - math.exp(log_front + math.log(_beta_fraction(b, a, y) / b))
+
+
+def _log_gamma_half_step(a: float) -> float:
+    """log Gamma(a + 1/2) - log Gamma(a).
+
+    For large a the two log-gammas are large and nearly equal, so their
+    difference is taken from Stirling's series instead, term by term.
+    """
+    if a < 50.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+
+    def series(z: float) -> float:  # log Gamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2)
+        return 1 / (12 * z) - 1 / (360 * z**3) + 1 / (1260 * z**5) - 1 / (1680 * z**7)
+
+    return (a - 0.5) * math.log1p(0.5 / a) + 0.5 * math.log(a + 0.5) - 0.5 + (
+        series(a + 0.5) - series(a)
+    )
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+
+    def clamp(v: float) -> float:
+        return v if abs(v) >= tiny else tiny
+
+    c, d = 1.0, 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 100_000):
+        even = m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m))
+        odd = -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))
+        for coefficient in (even, odd):
+            d = 1.0 / clamp(1.0 + coefficient * d)
+            c = clamp(1.0 + coefficient / c)
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge at a={a}, b={b}, x={x}")
 
 
 def holm_bonferroni(p_values: Sequence[float], alpha: float = 0.05) -> list[bool]:

@@ -318,22 +318,34 @@ class TestModuleEntry:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: ltrlab")
 
-    def test_training_never_imports_scipy(self, tmp_path, config_path):
-        """Only `significance` needs scipy; a training process never loads it."""
+    def test_no_command_imports_scipy(self, tmp_path, config_path):
+        """`train`, `eval` and `significance` run on numpy alone: after each,
+        one process holds no `scipy*` module."""
         src = Path(__file__).resolve().parent.parent / "src"
+        world = tmp_path / "world"
+        strong, weak = (str(world / f"run_{name}.trec") for name in ("strong", "weak"))
+        qrels = ["--qrels", str(world / "qrels.txt")]
+        commands = [
+            ["world", "--config", str(config_path), "--out", str(world)],
+            [*TRAIN_TWO, "--config", str(config_path), "--out", str(tmp_path / "train")],
+            ["eval", "--run", strong, *qrels, "--out", str(tmp_path / "eval")],
+            ["significance", *qrels, "--baseline", weak, "--candidate", strong,
+             "--out", str(tmp_path / "significance")],
+        ]
         script = (
-            "import sys\n"
+            "import json, sys\n"
             "import ltrlab.cli\n"
-            "code = ltrlab.cli.main(sys.argv[1:])\n"
-            "assert code == 0, code\n"
-            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert ltrlab.cli.main(argv) == 0, argv\n"
+            "    loaded = sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "    assert not loaded, (argv[0], loaded)\n"
         )
-        argv = [*TRAIN_TWO, "--config", str(config_path), "--out", str(tmp_path / "o")]
         done = subprocess.run(
-            [sys.executable, "-c", script, *argv],
+            [sys.executable, "-c", script, json.dumps(commands)],
             capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=300,
         )
         assert done.returncode == 0, done.stderr
+        assert (tmp_path / "significance" / "significance.jsonl").is_file()
 
 
 class TestSignificanceCommand:
@@ -383,23 +395,38 @@ class TestSignificanceCommand:
         assert read(out / "significance.txt") == text
         assert read(out / "significance.jsonl") == (
             '{"baseline":"base","system":"cand","num_queries":2,"t_stat":-1.0,'
-            '"p_value":0.5000000000000001,"alpha":0.05,"reject":false}\n'
+            '"p_value":0.5000000000000004,"alpha":0.05,"reject":false}\n'
         )
 
-    def test_empty_runs_are_data_error(self, tmp_path, capsys):
-        base = tmp_path / "base.trec"
-        cand = tmp_path / "cand.trec"
-        base.write_text("")
-        cand.write_text("")
-        qrels = tmp_path / "qrels.txt"
-        qrels.write_text("q1 0 dA 1\n")
+    def refused(self, tmp_path, capsys, base_text, cand_text, qrels_text) -> tuple[str, Path]:
+        """stderr of a `significance` run on these files, which must exit 2
+        without writing `--out`; and the tmp_path the files are in."""
+        base, cand, qrels = (tmp_path / name for name in ("base.trec", "cand.trec", "qrels.txt"))
+        base.write_text(base_text)
+        cand.write_text(cand_text)
+        qrels.write_text(qrels_text)
         out = tmp_path / "out"
         argv = ["significance", "--qrels", str(qrels), "--baseline", str(base)]
-        code = main(argv + ["--candidate", str(cand), "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err == "error: system 'cand' shares fewer than 2 queries with the baseline\n"
+        assert main(argv + ["--candidate", str(cand), "--out", str(out)]) == 2
         assert not out.exists()
+        return capsys.readouterr().err, tmp_path
+
+    def test_empty_runs_are_data_error(self, tmp_path, capsys):
+        err, d = self.refused(tmp_path, capsys, "", "", "q1 0 dA 1\n")
+        assert err == f"error: run file {str(d / 'base.trec')!r} contains no queries\n"
+
+    def test_empty_candidate_is_data_error(self, tmp_path, capsys):
+        run = "q1 Q0 dA 1 1.0 t\nq2 Q0 dB 1 1.0 t\n"
+        err, d = self.refused(tmp_path, capsys, run, "\n \n", "q1 0 dA 1\nq2 0 dB 1\n")
+        assert err == f"error: run file {str(d / 'cand.trec')!r} contains no queries\n"
+
+    @pytest.mark.parametrize("qrels_text", ["", "q1 0 dA 1\n", "q1 0 dA 1\nq1 0 dB 0\n"])
+    def test_qrels_of_fewer_than_two_queries_is_data_error(self, tmp_path, capsys, qrels_text):
+        run = "q1 Q0 dA 1 1.0 t\nq2 Q0 dB 1 1.0 t\n"
+        err, d = self.refused(tmp_path, capsys, run, run, qrels_text)
+        assert err == (
+            f"error: qrels file {str(d / 'qrels.txt')!r} contains fewer than 2 queries\n"
+        )
 
 
 class TestBenchCommand:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc, betaincc
 from scipy.stats import ttest_rel
 
 from ltrlab.core import Qrels, ScoredList
 from ltrlab.evaluation import (
+    _two_sided_p,
     geometric_mean,
     holm_bonferroni,
     micro_average,
@@ -144,6 +146,75 @@ class TestPairedTTest:
     def test_too_short(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])
+
+
+def two_sided_p_reference(t: float, df: int) -> float:
+    """scipy's I_x(df/2, 1/2) at x = df / (df + t^2), taken from whichever
+    of x and 1 - x rounds with the smaller relative error: near x = 1, the
+    rounded x has lost most of the bits of 1 - x on which p then rests."""
+    x, y = df / (df + t * t), t * t / (df + t * t)
+    return float(betainc(df / 2, 0.5, x) if x < 0.5 else betaincc(0.5, df / 2, y))
+
+
+DFS = [1, 2, 3, 4, 5, 7, 10, 19, 30, 49, 99, 100, 101, 199, 999, 4999, 9999, 33333, 67687, 99999,
+       100_000]
+T_GRID = [0.0, 1e-300, 1e-160, 1e-20, 1e-8, *np.geomspace(1e-4, 1e5, 300).tolist()]
+
+
+class TestTwoSidedP:
+    """The t distribution's two-sided tail, against scipy's incomplete beta."""
+
+    def assert_close_to_reference(self, t, df):
+        p, ref = _two_sided_p(t, df), two_sided_p_reference(t, df)
+        if ref >= 1e-300:
+            assert abs(p - ref) <= 1e-9 * ref, (t, df, p, ref)
+        else:
+            assert p < 1.01e-300, (t, df, p, ref)
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_grid_matches_reference(self, df):
+        for t in T_GRID:
+            self.assert_close_to_reference(t, df)
+        # Around the mean of the beta distribution the fraction switches sides;
+        # just below that t, p = 1 - I_y(1/2, df/2) magnifies any error tenfold.
+        for scale in np.linspace(0.5, 1.5, 201).tolist():
+            self.assert_close_to_reference(scale * math.sqrt(3.0 * df / (df + 2.0)), df)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 100_000), st.floats(0.0, 1e5, allow_nan=False))
+    def test_matches_reference_anywhere(self, df, t):
+        self.assert_close_to_reference(t, df)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1e5, allow_nan=False))
+    def test_one_degree_of_freedom_is_cauchy(self, t):
+        cauchy = 1.0 - 2.0 * math.atan(abs(t)) / math.pi
+        assert abs(_two_sided_p(t, 1) - cauchy) <= 1e-9 * cauchy
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 100_000), st.floats(-1e5, 1e5, allow_nan=False))
+    def test_symmetric_in_t(self, df, t):
+        assert _two_sided_p(t, df) == _two_sided_p(-t, df)
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_in_unit_interval_and_falls_as_t_grows(self, df):
+        ps = [_two_sided_p(t, df) for t in T_GRID]
+        assert all(0.0 <= p <= 1.0 for p in ps)
+        assert all(later <= earlier for earlier, later in zip(ps, ps[1:]))
+
+    @pytest.mark.parametrize("df", DFS)
+    def test_zero_t_is_one(self, df):
+        assert _two_sided_p(0.0, df) == _two_sided_p(-0.0, df) == 1.0
+
+    def test_edges(self):
+        assert _two_sided_p(math.inf, 3) == _two_sided_p(-math.inf, 3) == 0.0
+        assert math.isnan(_two_sided_p(math.nan, 3))
+        assert math.isnan(paired_t_test([math.nan, 1.0], [0.0, 0.0])[1])
+
+    def test_paired_test_uses_it(self):
+        t, p = paired_t_test([1.0, 2.0, 4.0, 3.0], [0.5, 2.5, 1.0, 1.0])
+        assert p == _two_sided_p(t, 3)
+        assert paired_t_test([0.5, 2.5, 1.0, 1.0], [1.0, 2.0, 4.0, 3.0]) == (-t, p)
 
 
 class TestHolmBonferroni:

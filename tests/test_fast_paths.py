@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from ltrlab import distill_data, scorer, trainer
 from ltrlab.cli import DistillSpec, _read_dataset, _train_lists, load_experiment_config
 from ltrlab.core import (
+    DuplicateEntryError,
     Qrels,
     ScoredList,
     parse_distill_dataset,
@@ -278,6 +279,58 @@ class TestParseRun:
         assert "q1" in run and "q4" not in run and run.get("q4") is None
         with pytest.raises(KeyError):
             run["q4"]
+
+
+BLANKS = ["", " ", "\t", "  \t ", "\u00a0", "\u3000"]  # whitespace that breaks no line
+FAULTS = {
+    "bad field": ["q1 Q0 d8 x 1.0 t", "q1 Q1 d8 1 1.0 t", "q1 Q0 d8 1 1.0", "q1 Q0 d8 1 abc t"],
+    "non-finite score": ["q1 Q0 d8 1 inf t", "q2 Q0 d8 1 nan t", "q1 Q0 d8 1 -inf t"],
+}
+
+
+@st.composite
+def run_with_fault(draw, fault: str):
+    """Valid lines with blank and whitespace-only lines among and before them,
+    then the faulty line, more blanks and valid lines; and the faulty line's number.
+
+    A "duplicate" repeats an earlier line's pair; a "duplicate then bad"
+    puts a bad field after such a repeat, which must still be the error."""
+    valid = draw(st.lists(run_line(valid=True), min_size=1, max_size=8,
+                          unique_by=lambda line: tuple(line.split()[0:3:2])))
+    lines = []
+    for line in valid:
+        lines += draw(st.lists(st.sampled_from(BLANKS), max_size=3)) + [line]
+    lines += draw(st.lists(st.sampled_from(BLANKS), min_size=1, max_size=3))
+    if fault.startswith("duplicate"):
+        qid, _, doc, *_ = draw(st.sampled_from(valid)).split()
+        bad = f"{qid} Q0 {doc} 9 0.5 t"
+    else:
+        bad = draw(st.sampled_from(FAULTS[fault]))
+    lines.append(bad)
+    lineno = len(lines)
+    lines += draw(st.lists(st.sampled_from(BLANKS), max_size=2))
+    if fault == "duplicate then bad":
+        lines.append(draw(st.sampled_from(FAULTS["bad field"])))
+    lines += draw(st.lists(run_line(valid=True), max_size=2))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"])), lineno
+
+
+class TestParseRunLineNumbers:
+    """Blank and whitespace-only lines shift every line number after them."""
+
+    @pytest.mark.parametrize(
+        "fault", ["bad field", "non-finite score", "duplicate", "duplicate then bad"]
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_error_names_the_oracles_line(self, fault, data):
+        text, lineno = data.draw(run_with_fault(fault))
+        expected = parsed(parse_run_oracle, text)
+        assert expected[2] == lineno and expected[1].startswith(f"line {lineno}: ")
+        if fault.startswith("duplicate"):
+            assert expected[0] is DuplicateEntryError
+        assert parsed(parse_run, text) == expected
+        assert parsed(parse_run, io.StringIO(text)) == parsed(parse_run_oracle, io.StringIO(text))
 
 
 # -- trusted producers: the same lists the checking constructor builds ---------------

@@ -26,7 +26,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from ltrlab import distill_data
 from ltrlab.cli import main
@@ -43,7 +42,6 @@ def environment() -> dict[str, str]:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": f"{blas['name']} {blas.get('version', 'unknown')}",
     }
 
