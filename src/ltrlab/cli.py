@@ -484,6 +484,12 @@ def _read_run(path: str) -> core.ParsedRun:
     return run
 
 
+def _check_cutoff(k: int) -> None:
+    """Refuse a bad --k before any file is read."""
+    if k < 1:
+        raise ConfigError("cutoff k must be >= 1")
+
+
 def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, float]:
     """nDCG@k of every query of the qrels, as `trec_eval -c` scores them: the
     run's judged queries in run order, then each query the run lacks, at 0.
@@ -501,6 +507,7 @@ def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, 
 def cmd_eval(args) -> int:
     flags = {"run": args.run, "qrels": args.qrels, "k": args.k, "out": args.out}
     _print_resolved("eval", flags, args)
+    _check_cutoff(args.k)
     run = _read_run(args.run)
     qrels = _read_qrels(args.qrels)
     if not qrels.query_ids():
@@ -529,6 +536,9 @@ def cmd_significance(args) -> int:
         "out": args.out,
     }
     _print_resolved("significance", flags, args)
+    _check_cutoff(args.k)
+    if not 0.0 < args.alpha < 1.0:
+        raise ConfigError("alpha must lie in (0, 1)")
     qrels = _read_qrels(args.qrels)
 
     def run_scores(path: str) -> dict[str, float]:

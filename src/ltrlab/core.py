@@ -14,6 +14,7 @@ import logging
 import math
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -250,33 +251,34 @@ def parse_run(source: str | Iterable[str]) -> ParsedRun:
     # run's lines are mostly grouped by query, so there are few groups.
     starts, groups, blanks = array("q"), array("q"), []
 
-    def fail(message: str, lineno: int) -> ParseError:
-        """The error for bad line `lineno`, unless an earlier line repeats a pair."""
+    def fail(message: str) -> ParseError:
+        """The error for the line just read, unless an earlier line repeats a pair."""
         return _first_duplicate(tuple(index), starts, groups, docs, blanks) or ParseError(
-            message, lineno
+            message, len(docs) + len(blanks) + 1
         )
 
     isfinite, last = math.isfinite, None
-    for lineno, line in enumerate(lines, start=1):
+    for line in lines:
         fields = line.split()
-        if not fields:
-            blanks.append(lineno)
+        try:
+            qid, literal, doc, rank, score_text, _tag = fields
+        except ValueError:
+            if fields:
+                raise fail(f"expected 6 fields, got {len(fields)}") from None
+            blanks.append(len(docs) + len(blanks) + 1)
             continue
-        if len(fields) != 6:
-            raise fail(f"expected 6 fields, got {len(fields)}", lineno)
-        qid, literal, doc, rank, score_text, _tag = fields
         if literal != "Q0":
-            raise fail(f"second field must be 'Q0', got {literal!r}", lineno)
+            raise fail(f"second field must be 'Q0', got {literal!r}")
         try:
             int(rank)
         except ValueError:
-            raise fail(f"rank field {rank!r} is not an integer", lineno) from None
+            raise fail(f"rank field {rank!r} is not an integer") from None
         try:
             score = float(score_text)
         except ValueError:
-            raise fail(f"score field {score_text!r} is not a number", lineno) from None
+            raise fail(f"score field {score_text!r} is not a number") from None
         if not isfinite(score):
-            raise fail(f"non-finite score {score_text!r}", lineno)
+            raise fail(f"non-finite score {score_text!r}")
         if qid != last:
             last = qid
             starts.append(len(docs))
@@ -285,31 +287,54 @@ def parse_run(source: str | Iterable[str]) -> ParsedRun:
         scores.append(score)
     queries = tuple(index)
     scores_a = np.frombuffer(scores)
-    entry_q = _entry_queries(starts, groups, len(docs))
-    order = np.lexsort((-scores_a, entry_q))
-    ranked_q = entry_q[order]
-    del entry_q
-    ranked_scores = scores_a[order]
-    # Positions i and i + 1 tie when they hold equal scores of one query. The
-    # stable sort left each run of ties lo..hi in file order: sort it by doc id.
-    tied = (ranked_scores[1:] == ranked_scores[:-1]) & (ranked_q[1:] == ranked_q[:-1])
-    runs = np.flatnonzero(np.diff(tied, prepend=False, append=False)).reshape(-1, 2)
-    del tied
-    for lo, hi in runs.tolist():
-        order[lo : hi + 1] = sorted(order[lo : hi + 1].tolist(), key=docs.__getitem__)
-        ranked_scores[lo : hi + 1] = scores_a[order[lo : hi + 1]]  # -0.0 may tie 0.0
-    del scores_a, scores
-    offsets = np.searchsorted(ranked_q, np.arange(len(queries) + 1))
-    del ranked_q
-    ranked_docs = np.array(docs, dtype=object)[order].tolist()
-    del order
+    offsets = np.append(np.frombuffer(starts, dtype=np.int64), len(docs))
+    step = _score_steps(scores_a, offsets)
+    if len(starts) == len(queries) and not (step > 0).any():
+        # Each query's lines together and its scores never rising, as in every
+        # run ltrlab writes: the file order is the ranking, up to the order of
+        # tied docs, which rounding scores to 6 decimals can reverse.
+        ranked_docs, ranked_scores = docs, scores_a
+    else:
+        del step
+        entry_q = _entry_queries(starts, groups, len(docs))
+        order = np.lexsort((-scores_a, entry_q))
+        ranked_q = entry_q[order]
+        del entry_q
+        offsets = np.searchsorted(ranked_q, np.arange(len(queries) + 1))
+        del ranked_q
+        ranked_scores = scores_a[order]
+        del scores_a, scores
+        ranked_docs = np.array(docs, dtype=object)[order].tolist()
+        del order
+        step = _score_steps(ranked_scores, offsets)
     # Ids from str.split are non-empty and free of whitespace, and every score
     # is finite: only a repeated doc can still break a ScoredList invariant.
+    # It is checked before the tie pass, while `docs` is in file order, which
+    # the error's line number needs.
     bounds = offsets.tolist()
     for lo, hi in zip(bounds, bounds[1:]):
         if len(set(ranked_docs[lo:hi])) != hi - lo:
             raise _first_duplicate(queries, starts, groups, docs, blanks)
+    _sort_ties(ranked_docs, ranked_scores, step == 0)
     return ParsedRun(queries, offsets, ranked_docs, ranked_scores)
+
+
+def _score_steps(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each score minus the one before it, entry i + 1 against entry i, with
+    NaN where entry i + 1 starts the next query's `offsets` slice."""
+    step = np.diff(scores)
+    step[offsets[1:-1] - 1] = np.nan
+    return step
+
+
+def _sort_ties(docs: list[DocId], scores: np.ndarray, tied: np.ndarray) -> None:
+    """Sort each run of entries that tie (`tied[i]`: entry i ties entry i + 1)
+    by doc id, in place, moving their scores along: -0.0 ties 0.0."""
+    runs = np.flatnonzero(np.diff(tied, prepend=False, append=False)).reshape(-1, 2)
+    for lo, hi in runs.tolist():
+        order = sorted(range(lo, hi + 1), key=docs.__getitem__)
+        docs[lo : hi + 1] = [docs[i] for i in order]
+        scores[lo : hi + 1] = scores[order]
 
 
 def _entry_queries(starts: array, groups: array, n: int) -> np.ndarray:
@@ -349,16 +374,18 @@ def write_run(lists: Iterable[RankedRow], tag: str) -> Iterator[str]:
 
     Rows are written in the order given, each row's entries in its own
     (canonical) order, scores with exactly 6 decimal places. parse_run of
-    the text gives back each row's query, docs and scores to 6 decimals.
+    the text gives back each row's query, docs and scores to 6 decimals. A
+    row whose docs and scores differ in length raises ValueError.
     """
     validate_id(tag, "run tag")
+    tag = tag.replace("%", "%%")
     for qid, docs, scores in lists:
-        yield "".join(
-            [
-                f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
-                for rank, (doc, score) in enumerate(zip(docs, scores), start=1)
-            ]
-        )
+        n = len(docs)
+        if len(scores) != n:
+            raise ValueError(f"row for query {qid!r} has {n} docs but {len(scores)} scores")
+        # One % call formats the row: a line template per entry, filled in order.
+        line = f"{qid.replace('%', '%%')} Q0 %s %d %.6f {tag}\n"
+        yield line * n % tuple(chain.from_iterable(zip(docs, range(1, n + 1), scores)))
 
 
 # ---------------------------------------------------------------------------

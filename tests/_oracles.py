@@ -128,6 +128,20 @@ def parse_run_oracle(source):
     return {qid: ScoredList(qid, canonical_order(entries)) for qid, entries in per_query.items()}
 
 
+def write_run_oracle(lists, tag):
+    """TREC run writing one f-string per entry."""
+    from ltrlab.core import validate_id
+
+    validate_id(tag, "run tag")
+    for qid, docs, scores in lists:
+        yield "".join(
+            [
+                f"{qid} Q0 {doc} {rank} {score:.6f} {tag}\n"
+                for rank, (doc, score) in enumerate(zip(docs, scores), start=1)
+            ]
+        )
+
+
 def teacher_order(world, query, docs):
     """The synthetic teacher by a sort of (key, doc id) tuples, doc by doc."""
     qi = world.query_ids.index(query)

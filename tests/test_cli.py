@@ -429,6 +429,36 @@ class TestSignificanceCommand:
         )
 
 
+MISSING = "<missing file>"
+EVAL = ["eval", "--run", MISSING, "--qrels", MISSING]
+SIGNIFICANCE = ["significance", "--qrels", MISSING, "--baseline", MISSING, "--candidate", MISSING]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (EVAL + ["--k", "0"], "cutoff k must be >= 1"),
+        (EVAL + ["--k", "-3"], "cutoff k must be >= 1"),
+        (SIGNIFICANCE + ["--k", "0"], "cutoff k must be >= 1"),
+        (SIGNIFICANCE + ["--alpha", "0"], "alpha must lie in (0, 1)"),
+        (SIGNIFICANCE + ["--alpha", "1"], "alpha must lie in (0, 1)"),
+        (SIGNIFICANCE + ["--alpha", "nan"], "alpha must lie in (0, 1)"),
+        (SIGNIFICANCE[:5] + ["--alpha", "-0.5"], "alpha must lie in (0, 1)"),  # no candidate
+    ],
+)
+def test_bad_flag_is_named_before_any_file_is_read(tmp_path, capsys, argv, message):
+    """The run and qrels files do not exist: the flag is still the error,
+    and `--out` is left as it was."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("old\n")
+    argv = [str(tmp_path / "nope.trec") if a == MISSING else a for a in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    assert read(out / "keep.txt") == "old\n"
+
+
 class TestBenchCommand:
     def test_window_arithmetic_and_ratios(self, tmp_path, capsys):
         out = tmp_path / "bench"

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,15 @@ class TestWriteRun:
     def test_tag_validated(self):
         with pytest.raises(ValueError):
             "".join(write_run([], tag="bad tag"))
+
+    @pytest.mark.parametrize(
+        "docs, scores", [(["a", "b"], [1.0]), (["a"], [1.0, 0.5]), ([], [1.0])]
+    )
+    def test_docs_and_scores_of_unequal_length_refused(self, docs, scores):
+        rows = [("q0", ["z"], [2.0]), ("q1", docs, scores)]
+        message = f"row for query 'q1' has {len(docs)} docs but {len(scores)} scores"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            "".join(write_run(rows, tag="t"))
 
 
 @st.composite

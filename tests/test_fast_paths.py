@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ltrlab import distill_data, scorer, trainer
 from ltrlab.cli import DistillSpec, _read_dataset, _train_lists, load_experiment_config
 from ltrlab.core import (
     DuplicateEntryError,
+    ParsedRun,
     Qrels,
     ScoredList,
     parse_distill_dataset,
@@ -66,6 +67,7 @@ from _oracles import (
     teacher_dataset_oracle,
     teacher_lists,
     without_features,
+    write_run_oracle,
 )
 
 WEIRD_IDS = ["d1", "d2", "d10", "", "a b", "a\u00a0b", "a\u2003b", "a\x1cb", "x\n", 5, None]
@@ -191,16 +193,27 @@ def run_text(valid: bool):
 
 
 def parsed(parse, source):
-    """What a parse returns, with scores by their bits, or what it raised."""
+    """What a parse returns, with scores by their bits, or what it raised.
+
+    A ParsedRun's columns, which `eval` reads, must hold each query's
+    entries in the order of the ScoredList that its key builds."""
     try:
         run = parse(source)
     except Exception as exc:  # the test compares whatever is raised
         return type(exc), str(exc), getattr(exc, "line", None)
     assert all(type(ranking) is ScoredList for ranking in run.values())
-    return [
+    rankings = [
         (qid, ranking.query, [(doc, score.hex()) for doc, score in ranking.entries])
         for qid, ranking in run.items()
     ]
+    if isinstance(run, ParsedRun):
+        bounds = run.offsets.tolist()
+        columns = [
+            list(zip(run.docs[lo:hi], map(float.hex, run.scores[lo:hi].tolist())))
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert columns == [entries for _, _, entries in rankings]
+    return rankings
 
 
 def assert_parses_like_oracle(text):
@@ -261,6 +274,14 @@ class TestParseRun:
             "\nq1 Q0 d1 1 1.0 t\n\n  \nq1 Q0 d1 2 1.0 t\n",
             "\n\nq1 Q0 d1 1 1.0 t\nq2 Q0 d1 1 1.0 t\n \nq1 Q0 d1 2 2.0 t\nq1 Q0 d2 2 x t",
             "q1 Q0 d1 1 1.0 t\n\nq1 Q0 d2 2 1.0 t\n\t\nq1 Q0 d3 3 1.0 t x",
+            # Grouped by query with scores that never rise: the file order
+            # is kept only where it is canonical.
+            "q1 Q0 a 1 3 t\nq1 Q0 c 2 2 t\nq1 Q0 b 3 2 t\nq1 Q0 d 4 1 t\nq2 Q0 a 1 1 t",
+            "q1 Q0 b 1 -0.0 t\nq1 Q0 a 2 0.0 t\nq2 Q0 b 1 0.0 t\nq2 Q0 a 2 -0.0 t",
+            "q1 Q0 a 1 3 t\nq1 Q0 b 2 2 t\nq2 Q0 a 1 1 t\nq1 Q0 c 3 4 t\nq1 Q0 d 4 1 t",
+            "q1 Q0 a 1 3 t\nq1 Q0 b 2 2 t\nq2 Q0 a 1 5 t\nq2 Q0 b 2 4 t\nq2 Q0 c 3 4.25 t",
+            "q1 Q0 a 1 1 t\nq2 Q0 b 1 2 t\nq3 Q0 a 1 0 t\nq4 Q0 c 1 2 t",
+            "q1 Q0 a 1 1 t\nq1 Q0 b 2 1 t\nq1 Q0 c 3 1 t\nq2 Q0 a 1 1 t\nq2 Q0 b 2 1 t",
         ],
     )
     def test_edge_cases_match_per_line_loop(self, text):
@@ -331,6 +352,31 @@ class TestParseRunLineNumbers:
             assert expected[0] is DuplicateEntryError
         assert parsed(parse_run, text) == expected
         assert parsed(parse_run, io.StringIO(text)) == parsed(parse_run_oracle, io.StringIO(text))
+
+
+# Run ids and tags with the characters a % template treats specially.
+ID_CHARS = st.sampled_from(["a", "Z", "0", "%", "{", "}", "s", "d", "\u00e9", "\u5b57", "%%", "{}"])
+RUN_IDS = st.lists(ID_CHARS, min_size=1, max_size=4).map("".join)
+ROUNDING = st.integers(-(10**7), 10**7).map(lambda v: (v + 0.5) / 1e6)
+RUN_SCORES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-7, -5e-7, 2.5e-6, -2.5e-6, 1e300, -1e300]),
+    ROUNDING,
+    st.integers(-(10**9), 10**9),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(ROUNDING, st.floats(-1e9, 1e9)).map(np.float64),
+)
+
+
+class TestWriteRun:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(RUN_IDS, st.lists(st.tuples(RUN_IDS, RUN_SCORES), max_size=6))),
+        RUN_IDS,
+    )
+    @example([], "t")
+    def test_same_text_as_per_entry_format(self, rows, tag):
+        rows = [(qid, [d for d, _ in entries], [s for _, s in entries]) for qid, entries in rows]
+        assert "".join(write_run(rows, tag)) == "".join(write_run_oracle(rows, tag))
 
 
 # -- trusted producers: the same lists the checking constructor builds ---------------
@@ -464,6 +510,30 @@ class TestFirstStageOrder:
         oracle = first_stage_run_oracle(world, "r")
         assert run_entries(run.ranked()) == run_entries(ranked_rows(oracle))
         assert "".join(write_run(run.ranked(), "r")) == "".join(write_run(ranked_rows(oracle), "r"))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_written_run_parses_without_a_sort(self, data):
+        """A run as written is in canonical order, so parse_run keeps the
+        file order, even where scores tie or rise from one query to the next."""
+        world = world_of()
+        force_ties(world, data, ["fs"])
+        text = "".join(write_run(world.first_stage_run("r").ranked(), "r"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "lexsort", None)
+            assert parsed(parse_run, text) == parsed(parse_run_oracle, text)
+
+    def test_scores_that_round_to_a_tie_are_sorted_by_doc_without_a_sort(self):
+        """Scores written to 6 decimals can tie where the docs descend."""
+        rows = [
+            ("q1", ["d2", "d1", "d0"], [1.0000004, 0.9999996, 0.5]),
+            ("q2", ["b", "a"], [3e-7, -3e-7]),
+        ]
+        text = "".join(write_run(rows, "r"))
+        assert text.count("1.000000") == 2 and "b 1 0.000000" in text and "a 2 -0.000000" in text
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "lexsort", None)
+            assert parsed(parse_run, text) == parsed(parse_run_oracle, text)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
