@@ -12,7 +12,6 @@ from .core import (
     DistillDataset,
     DistillRecord,
     DuplicateEntryError,
-    ListBlock,
     ParseError,
     Qrels,
     ScoredList,

@@ -385,7 +385,7 @@ def _train_lists(
             run = world.first_stage_run(cfg.distill.retriever)
         if groups:
             block = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling, counts)
-            some_groups = block.lists()
+            some_groups = list(block)
         if depth is not None:
             some_lists = list(run.features(distill_data.teacher_ranking(run, depth)[0]))
         if dataset is not None:  # the lists of this slice's queries, at their list numbers
@@ -463,8 +463,10 @@ def cmd_train(args) -> int:
         out / "test_per_query.tsv": evaluation.per_query_scores_text(test_scores, f"nDCG@{k}"),
         out / "summary.json": _json_text(summary),
     }
+    # The report keeps the outcome; the loss and validation curves go to the metrics file only.
+    keys = ("steps_executed", "stop_reason", "best_validation_ndcg10", "step_of_best")
     for tag, report in reports.items():
-        files[out / f"report_{tag}.json"] = _json_text(dataclasses.asdict(report))
+        files[out / f"report_{tag}.json"] = _json_text({k: getattr(report, k) for k in keys})
         files[out / f"metrics_{tag}.jsonl"] = "\n".join(report.metrics_lines()) + "\n"
     _atomic_write(files)
     print(f"train: stage={args.stage} loss={loss} test nDCG@{k}={mean_test:.4f} -> {out}")
@@ -508,10 +510,10 @@ def cmd_eval(args) -> int:
     flags = {"run": args.run, "qrels": args.qrels, "k": args.k, "out": args.out}
     _print_resolved("eval", flags, args)
     _check_cutoff(args.k)
-    run = _read_run(args.run)
     qrels = _read_qrels(args.qrels)
     if not qrels.query_ids():
         raise ConfigError(f"qrels file {args.qrels!r} contains no queries")
+    run = _read_run(args.run)
     scores = _ndcg_by_query(run, qrels, args.k)
     out = Path(args.out)
     mean = sum(scores.values()) / len(scores)
@@ -539,21 +541,18 @@ def cmd_significance(args) -> int:
     _check_cutoff(args.k)
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
-    qrels = _read_qrels(args.qrels)
-
-    def run_scores(path: str) -> dict[str, float]:
-        return _ndcg_by_query(_read_run(path), qrels, args.k)
-
-    baseline_name = Path(args.baseline).stem
-    per_system = {baseline_name: run_scores(args.baseline)}
-    for cand in args.candidate:
-        name = Path(cand).stem
-        if name in per_system:
+    paths = (args.baseline, *args.candidate)
+    names = [Path(path).stem for path in paths]
+    for i, name in enumerate(names):
+        if name in names[:i]:
             raise ConfigError(f"duplicate system name {name!r}; rename the run files")
-        per_system[name] = run_scores(cand)
+    qrels = _read_qrels(args.qrels)
     if len(qrels.query_ids()) < 2:  # every system is scored on the qrels' queries
         raise ConfigError(f"qrels file {args.qrels!r} contains fewer than 2 queries")
-    report = evaluation.significance_report(per_system, baseline_name, args.alpha)
+    per_system = {
+        name: _ndcg_by_query(_read_run(path), qrels, args.k) for name, path in zip(names, paths)
+    }
+    report = evaluation.significance_report(per_system, names[0], args.alpha)
     out = Path(args.out)
     text, jsonl = report.to_text(), report.to_jsonl()
     _atomic_write({out / "significance.txt": text, out / "significance.jsonl": jsonl})

@@ -2,9 +2,7 @@
 
 Covers the 6-column TREC run format, the 4-column qrels format, and the
 line-delimited distillation dataset format used by the rest of the toolkit.
-`ScoredList` and `Qrels` are values, fixed once built; a `ListBlock` holds
-its columns as plain, writable arrays and lists, and no code changes them
-once the block is filled.
+`ScoredList` and `Qrels` are values, fixed once built.
 """
 
 from __future__ import annotations
@@ -107,30 +105,6 @@ class ScoredList:
     @property
     def docs(self) -> tuple[DocId, ...]:
         return next(zip(*self.entries), ())
-
-
-@dataclass(eq=False, repr=False)
-class ListBlock:
-    """Candidate lists of many queries, held as flat columns.
-
-    List i belongs to query `queries[i]`: it is rows `offsets[i]:offsets[i + 1]`
-    of the doc ids `docs` and of the contiguous (N, F) float64 `features`.
-    Producers fill a block from data they have checked, so it is not
-    checked again.
-    """
-
-    queries: tuple[QueryId, ...]
-    offsets: np.ndarray  # (L + 1,)
-    docs: list[DocId]
-    features: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.queries)
-
-    def lists(self) -> list[np.ndarray]:
-        """Each list's (n, F) features, as views of the block."""
-        bounds = self.offsets.tolist()
-        return [self.features[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 class Qrels:
@@ -375,7 +349,8 @@ def write_run(lists: Iterable[RankedRow], tag: str) -> Iterator[str]:
     Rows are written in the order given, each row's entries in its own
     (canonical) order, scores with exactly 6 decimal places. parse_run of
     the text gives back each row's query, docs and scores to 6 decimals. A
-    row whose docs and scores differ in length raises ValueError.
+    row whose docs and scores differ in length, or with an empty id or one
+    holding whitespace, which parse_run would refuse, raises ValueError.
     """
     validate_id(tag, "run tag")
     tag = tag.replace("%", "%%")
@@ -383,6 +358,11 @@ def write_run(lists: Iterable[RankedRow], tag: str) -> Iterator[str]:
         n = len(docs)
         if len(scores) != n:
             raise ValueError(f"row for query {qid!r} has {n} docs but {len(scores)} scores")
+        # One check per row: the ids joined hold whitespace iff one id does.
+        joined = qid + "".join(docs)
+        if not (qid and all(docs)) or joined.split(None, 1) != [joined]:
+            bad = next(i for i in (qid, *docs) if i.split() != [i])
+            raise ValueError(f"row for query {qid!r}: id {bad!r} is empty or holds whitespace")
         # One % call formats the row: a line template per entry, filled in order.
         line = f"{qid.replace('%', '%%')} Q0 %s %d %.6f {tag}\n"
         yield line * n % tuple(chain.from_iterable(zip(docs, range(1, n + 1), scores)))

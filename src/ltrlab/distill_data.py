@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .core import DistillDataset, DocId, ListBlock, Qrels, QueryId, RankedRow
+from .core import DistillDataset, DocId, Qrels, QueryId, RankedRow
 
 logger = logging.getLogger(__name__)
 
@@ -325,7 +325,7 @@ def log_sampling(counts: Counter) -> None:
 
 def build_hard_negative_groups(
     run: WorldRun, qrels: Qrels, cfg: SamplingConfig, counts: Counter | None = None
-) -> ListBlock:
+) -> np.ndarray:
     """Sample hard-negative training groups from the top of a first-stage run.
 
     Per query that has at least one judged-positive doc: the positive is the
@@ -333,9 +333,10 @@ def build_hard_negative_groups(
     uniformly without replacement from the top pool_depth of the run with
     every judged-positive doc excluded. Queries are skipped (and counted)
     when they have no positive, when the run is shallower than pool_depth,
-    or when the eligible pool is smaller than num_negatives. Each group is
-    one list of the block, positive first; a positive that is not a doc of
-    its query's pool raises ValueError.
+    or when the eligible pool is smaller than num_negatives. Returns the
+    groups' (G, num_negatives + 1, F) float64 features, in run order, each
+    positive first; a positive that is not a doc of its query's pool raises
+    ValueError.
 
     The group and skip counts are added to `counts` when it is given, so
     that a caller that samples many runs logs them once with `log_sampling`;
@@ -383,14 +384,8 @@ def build_hard_negative_groups(
         log_sampling(tally)
     else:
         counts.update(tally)
-    size, qindex = cfg.num_negatives + 1, run.qindex[rows]
-    index = np.array(members, dtype=np.intp).reshape(len(rows), size)
-    return ListBlock(
-        tuple(run.queries[r] for r in rows),
-        np.arange(len(rows) + 1) * size,
-        list(itertools.chain.from_iterable(map(world._doc_ids, qindex.tolist(), members))),
-        world._features[qindex[:, None], index].reshape(-1, world.config.feature_dim),
-    )
+    index = np.array(members, dtype=np.intp).reshape(len(rows), cfg.num_negatives + 1)
+    return world._features[run.qindex[rows][:, None], index]
 
 
 def teacher_ranking(run: WorldRun, depth: int) -> tuple[np.ndarray, np.ndarray]:

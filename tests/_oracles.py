@@ -479,6 +479,23 @@ def hard_negative_groups_oracle(run, qrels, cfg):
     return groups, tuple(skipped)
 
 
+def assert_groups_equal(world, block, groups):
+    """Row i of a (G, n, F) block of hard-negative groups holds the features
+    of the oracle's group i, (query, positive, negatives), looked up doc by
+    doc. Each query's pool features are first shown pairwise distinct, so
+    that equal features pin the docs."""
+    index = {query: qi for qi, query in enumerate(world.query_ids)}
+    for query in {query for query, _, _ in groups}:
+        pool = world._features[index[query]]
+        rows = pool[np.lexsort(pool.T)]  # sorted, so equal rows would be neighbours
+        assert (rows[1:] != rows[:-1]).any(axis=1).all(), f"{query!r} has tied pool features"
+    assert isinstance(block, np.ndarray) and len(block) == len(groups)
+    assert block.dtype == np.float64 and block.flags.c_contiguous
+    assert block.ndim == 3 and block.shape[2] == world.config.feature_dim
+    for row, (query, positive, negatives) in zip(block, groups):
+        assert np.array_equal(row, features_oracle(world, query, (positive, *negatives)))
+
+
 def rerank_pools_oracle(world, run, queries, depth):
     """Top-`depth` pools of a string-keyed run, features looked up doc by doc."""
     pools = []
@@ -524,11 +541,3 @@ def without_features(records):
     as `teacher_dataset_oracle` gives, without their features."""
     return [(query, docs, ranks, depth) for query, docs, _, ranks, depth in records]
 
-
-def block_lists(block):
-    """Each list of a ListBlock as (query, docs, features)."""
-    bounds = block.offsets.tolist()
-    return [
-        (query, tuple(block.docs[lo:hi]), block.features[lo:hi])
-        for query, lo, hi in zip(block.queries, bounds, bounds[1:])
-    ]

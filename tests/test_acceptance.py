@@ -327,9 +327,9 @@ def training_regimes():
         fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
         splits = split_query_ids(world.query_ids, fractions)
         run_train = restrict_run(world.first_stage_run("strong"), splits["train"])
-        groups = build_hard_negative_groups(
+        groups = list(build_hard_negative_groups(
             run_train, world.qrels(), SamplingConfig(pool_depth=200, num_negatives=7, seed=seed + 3)
-        ).lists()
+        ))
         dataset = teacher_lists(run_train, 50)
         validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
         validation = ValidationSet(*range_pools(world.config, "strong", validation_range, 50))

@@ -28,9 +28,10 @@ from _oracles import (
     add_in_order,
     adr_mse_block_oracle,
     adr_mse_oracle,
-    block_lists,
+    assert_groups_equal,
     features_oracle,
     grad_oracle,
+    hard_negative_groups_oracle,
     infonce_oracle,
     pair_sigmoid_oracle,
     pair_softplus_sigmoid_oracle,
@@ -40,6 +41,7 @@ from _oracles import (
     restrict_run,
     row_sums,
     score_oracle,
+    scored_lists,
     smooth_rank_block_oracle,
     teacher_lists,
 )
@@ -630,10 +632,11 @@ def world_setup():
         ragged.append(features[: 1 + i % 7])  # mixed lengths, some of them 1
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
     validation = trainer.ValidationSet(*range_pools(world.config, "main", validation_range, 12))
-    groups = build_hard_negative_groups(
-        run, world.qrels(), SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
-    )
-    return world, ragged, validation, groups
+    sampling = SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
+    groups = build_hard_negative_groups(run, world.qrels(), sampling)
+    expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), world.qrels(), sampling)
+    assert_groups_equal(world, groups, expected)
+    return world, ragged, validation, groups, expected
 
 
 def reference_distill(model, features, validation, cfg, loss):
@@ -698,7 +701,7 @@ class TestEntryCheck:
     @pytest.mark.parametrize("kind", sorted(MESSAGES))
     @pytest.mark.parametrize("stage", ["stage1", "distill"])
     def test_bad_list_named_before_any_validation(self, world_setup, monkeypatch, stage, kind):
-        _, ragged, validation, groups = world_setup
+        _, ragged, validation, groups, _ = world_setup
         validations = []
         real = trainer.mean_validation_ndcg
 
@@ -711,7 +714,7 @@ class TestEntryCheck:
         with pytest.raises(ValueError, match=self.MESSAGES[kind]):
             if stage == "stage1":
                 cfg = trainer.TrainConfig(loss=trainer.LOSS_INFONCE, max_steps=3)
-                trainer.train_stage1(model, spoiled(groups.lists(), kind), cfg)
+                trainer.train_stage1(model, spoiled(groups, kind), cfg)
             else:
                 cfg = trainer.TrainConfig(loss=trainer.LOSS_RANKNET, max_steps=3)
                 trainer.train_distill(model, spoiled(ragged, kind), validation, cfg)
@@ -721,11 +724,11 @@ class TestEntryCheck:
 class TestWholeRuns:
     @pytest.mark.parametrize("arch", [scorer.LINEAR, scorer.MLP])
     def test_train_stage1_equals_reference_loop(self, world_setup, arch):
-        world, _, _, groups = world_setup
+        world, _, _, groups, expected = world_setup
         model = model_of(arch, 5, 3)
         cfg = trainer.TrainConfig(loss=trainer.LOSS_INFONCE, max_steps=25, batch_size=8, seed=2)
-        got, report = trainer.train_stage1(model, groups.lists(), cfg)
-        features = [features_oracle(world, query, docs) for query, docs, _ in block_lists(groups)]
+        got, report = trainer.train_stage1(model, list(groups), cfg)
+        features = [features_oracle(world, query, (pos, *negs)) for query, pos, negs in expected]
         want, curve = reference_loop(model, features, lambda s: infonce_oracle(s, 0), cfg, 25)
         assert report.loss_curve == curve
         assert report.steps_executed == 25
@@ -741,7 +744,7 @@ class TestWholeRuns:
         ],
     )
     def test_train_distill_equals_reference_loop(self, world_setup, arch, loss, steps, patience):
-        _, ragged, validation, _ = world_setup
+        _, ragged, validation, _, _ = world_setup
         model = model_of(arch, 5, 4)
         cfg = trainer.TrainConfig(
             loss=loss,

@@ -135,6 +135,13 @@ class TestEvalCommand:
         assert capsys.readouterr().err == f"error: qrels file {argv[4]!r} contains no queries\n"
         assert not out.exists()
 
+    def test_qrels_checked_before_a_malformed_run(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = eval_argv(tmp_path, "garbage line\n", "\n")
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: qrels file {argv[4]!r} contains no queries\n"
+        assert not out.exists()
+
 
     RUN = (
         "q3 Q0 x 1 1.0 t\nq1 Q0 d10 1 2.0 t\nq1 Q0 d2 2 2.0 t\nq1 Q0 d1 3 -0.0 t\n"
@@ -412,7 +419,7 @@ class TestSignificanceCommand:
         return capsys.readouterr().err, tmp_path
 
     def test_empty_runs_are_data_error(self, tmp_path, capsys):
-        err, d = self.refused(tmp_path, capsys, "", "", "q1 0 dA 1\n")
+        err, d = self.refused(tmp_path, capsys, "", "", "q1 0 dA 1\nq2 0 dB 1\n")
         assert err == f"error: run file {str(d / 'base.trec')!r} contains no queries\n"
 
     def test_empty_candidate_is_data_error(self, tmp_path, capsys):
@@ -427,6 +434,23 @@ class TestSignificanceCommand:
         assert err == (
             f"error: qrels file {str(d / 'qrels.txt')!r} contains fewer than 2 queries\n"
         )
+
+    def test_qrels_checked_before_a_malformed_run(self, tmp_path, capsys):
+        err, d = self.refused(tmp_path, capsys, "garbage line\n", "", "q1 0 dA 1\n")
+        assert err == (
+            f"error: qrels file {str(d / 'qrels.txt')!r} contains fewer than 2 queries\n"
+        )
+
+    def test_duplicate_system_name_refused_before_any_file_is_read(self, tmp_path, capsys):
+        """Runs with the same file stem in two directories: no file exists."""
+        out = tmp_path / "out"
+        argv = ["significance", "--qrels", str(tmp_path / "nope.txt")]
+        argv += ["--baseline", str(tmp_path / "a" / "run.trec")]
+        argv += ["--candidate", str(tmp_path / "b.trec"), "--candidate", str(tmp_path / "run.txt")]
+        assert main(argv + ["--out", str(out)]) == 2
+        message = "duplicate system name 'run'; rename the run files"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 MISSING = "<missing file>"
@@ -580,6 +604,20 @@ class TestPipelineSmoke:
         assert code == 0
         assert (out / "report_stage1.json").exists()
         assert not (out / "report_distill.json").exists()
+
+    def test_reports_hold_four_keys_and_metrics_the_curves(self, tmp_path, config_path):
+        out = tmp_path / "t"
+        argv = ["train", "--config", str(config_path), "--stage", "two", "--out", str(out)]
+        assert main(argv) == 0
+        keys = {"steps_executed", "stop_reason", "best_validation_ndcg10", "step_of_best"}
+        tags = ("stage1", "distill")
+        reports = {tag: json.loads(read(out / f"report_{tag}.json")) for tag in tags}
+        assert {tag: set(report) for tag, report in reports.items()} == dict.fromkeys(reports, keys)
+        metrics = [json.loads(line) for line in read(out / "metrics_stage1.jsonl").splitlines()]
+        max_steps = SMOKE_CONFIG["stage1"]["max_steps"]
+        assert reports["stage1"]["steps_executed"] == max_steps
+        assert [sorted(m) for m in metrics] == [["loss", "step"]] * max_steps
+        assert [m["step"] for m in metrics] == list(range(1, max_steps + 1))
 
     def test_single_stage_infonce_builds_no_validation_set(
         self, tmp_path, config_path, monkeypatch
@@ -1323,4 +1361,7 @@ class TestTrainDatasetFaults:
         assert code == 0
         report = json.loads(read(out / "report_distill.json"))
         assert report["steps_executed"] > 0
-        assert all(math.isfinite(loss) for _, loss in report["loss_curve"])
+        metrics = [json.loads(line) for line in read(out / "metrics_distill.jsonl").splitlines()]
+        losses = [m["loss"] for m in metrics if "loss" in m]
+        assert len(losses) == report["steps_executed"]
+        assert all(math.isfinite(loss) for loss in losses)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ltrlab.core import (
     DuplicateEntryError,
-    ListBlock,
     ParseError,
     Qrels,
     ScoredList,
@@ -94,6 +93,29 @@ class TestWriteRun:
         message = f"row for query 'q1' has {len(docs)} docs but {len(scores)} scores"
         with pytest.raises(ValueError, match=re.escape(message)):
             "".join(write_run(rows, tag="t"))
+
+    @pytest.mark.parametrize(
+        "qid, docs, bad",
+        [
+            ("q 1", ["a"], "q 1"),  # written unchecked, it would parse as 7 fields
+            ("", ["a"], ""),
+            ("q1", ["a", ""], ""),
+            ("q1", ["a\tb"], "a\tb"),
+            ("q1", ["a", "b\n"], "b\n"),
+        ],
+    )
+    def test_ids_that_parse_run_refuses_are_refused(self, qid, docs, bad):
+        rows = [("q0", ["z"], [2.0]), (qid, docs, [1.0] * len(docs))]
+        message = f"row for query {qid!r}: id {bad!r} is empty or holds whitespace"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            "".join(write_run(rows, tag="t"))
+
+    def test_percent_in_ids_round_trips(self):
+        text = "".join(write_run([("q%1", ["d%s", "%%"], [2.0, 1.0])], tag="t%d"))
+        assert text == "q%1 Q0 d%s 1 2.000000 t%d\nq%1 Q0 %% 2 1.000000 t%d\n"
+        run = parse_run(text)
+        assert run.queries == ("q%1",) and run.docs == ["d%s", "%%"]
+        assert run.scores.tolist() == [2.0, 1.0]
 
 
 @st.composite
@@ -183,16 +205,6 @@ class TestDomainTypes:
     def test_id_whitespace_rejected(self):
         with pytest.raises(ValueError):
             ScoredList("q 1", ())
-
-    def test_list_block_lists_are_views(self):
-        features = np.arange(12.0).reshape(6, 2)
-        block = ListBlock(("q1", "q2", "q3"), np.array([0, 3, 4, 6]), list("abcdef"), features)
-        lists = block.lists()
-        assert len(block) == 3
-        assert [f.tolist() for f in lists] == [
-            features[:3].tolist(), features[3:4].tolist(), features[4:].tolist()
-        ]
-        assert all(np.shares_memory(f, features) for f in lists)
 
 
 OMIT = object()

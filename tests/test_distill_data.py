@@ -23,9 +23,10 @@ from ltrlab.distill_data import (
 )
 
 from _oracles import (
-    block_lists,
+    assert_groups_equal,
     doc_index_oracle,
     features_oracle,
+    hard_negative_groups_oracle,
     record_values,
     restrict_qrels,
     restrict_run,
@@ -57,11 +58,6 @@ def relevance(world, query, doc):
     """The hidden relevance of one of a query's docs."""
     qi = world.query_ids.index(query)
     return float(world._rel[qi, doc_index_oracle(world, qi, doc)])
-
-
-def groups_of(block):
-    """A block of hard-negative groups as (query, positive, negatives) tuples."""
-    return [(query, docs[0], docs[1:]) for query, docs, _ in block_lists(block)]
 
 
 class TestGenerateWorld:
@@ -156,27 +152,32 @@ class TestHardNegativeGroups:
         run = world.first_stage_run("clean")
         return run, Qrels({qid: {docs[0]: 1} for qid, docs, _ in run.ranked()})
 
+    @staticmethod
+    def _oracle_groups(run, qrels, cfg):
+        """The groups of the string oracle, after checking that the block of
+        build_hard_negative_groups holds their features."""
+        expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), qrels, cfg)
+        assert_groups_equal(run.world, build_hard_negative_groups(run, qrels, cfg), expected)
+        return expected
+
     def test_group_shape(self):
         run, qrels = self._run_and_qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=1)
         groups = build_hard_negative_groups(run, qrels, cfg)
-        assert len(groups) == 10
-        assert np.diff(groups.offsets).tolist() == [8] * 10
-        assert groups.features.shape == (80, 4)
-        for (query, docs, features), qid in zip(block_lists(groups), run.queries):
-            assert query == qid and len(docs) == 8
-            assert np.array_equal(features, features_oracle(run.world, qid, docs))
+        assert groups.shape == (10, 8, 4)
+        expected = self._oracle_groups(run, qrels, cfg)
+        assert [query for query, _, _ in expected] == list(run.queries)
 
     def test_empty_qrels_yields_nothing(self):
         run, _ = self._run_and_qrels()
         groups = build_hard_negative_groups(run, Qrels(), SamplingConfig(pool_depth=20))
-        assert len(groups) == 0 and groups.docs == [] and groups.lists() == []
-        assert groups.features.shape == (0, 4)
+        assert groups.shape == (0, 8, 4) and list(groups) == []
+        assert_groups_equal(run.world, groups, [])
 
     def test_no_judged_positive_in_negatives(self):
         run, qrels = self._run_and_qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=3)
-        for query, positive, negatives in groups_of(build_hard_negative_groups(run, qrels, cfg)):
+        for query, positive, negatives in self._oracle_groups(run, qrels, cfg):
             assert qrels.grade(query, positive) > 0
             for doc in negatives:
                 assert qrels.grade(query, doc) == 0
@@ -185,10 +186,9 @@ class TestHardNegativeGroups:
         run, qrels = self._run_and_qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=11)
         first, again = (build_hard_negative_groups(run, qrels, cfg) for _ in range(2))
-        assert groups_of(first) == groups_of(again)
-        assert np.array_equal(first.features, again.features)
+        assert np.array_equal(first, again)
         other = build_hard_negative_groups(run, qrels, SamplingConfig(20, 7, seed=12))
-        assert groups_of(other) != groups_of(first)
+        assert not np.array_equal(other, first)
 
     def test_shallow_queries_skipped_with_warning(self, caplog):
         run, qrels = self._run_and_qrels(depth=20)
@@ -203,10 +203,10 @@ class TestHardNegativeGroups:
         n_draws = 10_000
         run, qrels = self._run_and_qrels(n_queries=n_draws, depth=7)
         cfg = SamplingConfig(pool_depth=7, num_negatives=2, seed=17)
-        groups = build_hard_negative_groups(run, qrels, cfg)
+        groups = self._oracle_groups(run, qrels, cfg)
         assert len(groups) == n_draws
         counts, ranked = {}, {query: docs for query, docs, _ in run.ranked()}
-        for query, _, negatives in groups_of(groups):
+        for query, _, negatives in groups:
             ranks = ranked[query]
             key = tuple(sorted(str(ranks.index(doc)) for doc in negatives))
             counts[key] = counts.get(key, 0) + 1
@@ -271,13 +271,10 @@ class TestQueryRanges:
                 negatives = data.draw(st.integers(1, config.docs_per_query - 1))
                 cfg = SamplingConfig(config.docs_per_query, negatives)
                 groups, whole_groups = (
-                    [(q, docs, f.tolist()) for q, docs, f in block_lists(groups)]
-                    for groups in (
-                        build_hard_negative_groups(run, part.qrels(), cfg),
-                        build_hard_negative_groups(whole_run, whole.qrels(), cfg),
-                    )
+                    build_hard_negative_groups(run, part.qrels(), cfg),
+                    build_hard_negative_groups(whole_run, whole.qrels(), cfg),
                 )
-                assert groups == whole_groups
+                assert np.array_equal(groups, whole_groups)
 
     def test_query_ids_keep_the_width_of_the_whole_config(self):
         world = generate_world(WorldConfig(num_queries=1000, docs_per_query=3), range(7, 9))

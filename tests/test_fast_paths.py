@@ -47,7 +47,7 @@ from ltrlab.trainer import ValidationSet, mean_validation_ndcg
 
 from _oracles import (
     WORLD,
-    block_lists,
+    assert_groups_equal,
     doc_index_oracle,
     features_oracle,
     first_stage_run_oracle,
@@ -628,17 +628,6 @@ def sampling_log():
 # Judged docs of q00: ids of its own pool, an id of another query's pool, ids
 # that decode to a pool index without being that doc's id, and foreign ids.
 JUDGED = ["q00_p00", "q00_p03", "q00_p11", "q01_p02", "q00_p3", "q00_p+4", "d1", "q00_p12"]
-
-
-def assert_groups_equal(world, block, groups):
-    """A block of groups holds the oracle's (query, positive, negatives)
-    groups, and each list the features of its docs, looked up doc by doc."""
-    lists = block_lists(block)
-    assert [(query, docs[0], docs[1:]) for query, docs, _ in lists] == groups
-    for query, docs, features in lists:
-        assert np.array_equal(features, features_oracle(world, query, docs))
-    assert block.features.dtype == np.float64 and block.features.flags.c_contiguous
-    assert block.features.shape[1] == world.config.feature_dim
 
 
 class TestHardNegativeGroups:

@@ -30,8 +30,10 @@ from ltrlab.trainer import (
 )
 
 from _oracles import (
+    assert_groups_equal,
     doc_index_oracle,
     features_oracle,
+    hard_negative_groups_oracle,
     kendall_tau,
     restrict_run,
     scored_lists,
@@ -85,7 +87,7 @@ class TestStage1:
 
         run = restrict_run(world.first_stage_run("main"), splits["train"])
         cfg = SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
-        return build_hard_negative_groups(run, world.qrels(), cfg).lists()
+        return list(build_hard_negative_groups(run, world.qrels(), cfg))
 
     def test_zero_steps_returns_model_unchanged(self, setup):
         world, splits, *_ = setup
@@ -157,11 +159,9 @@ class TestStage1:
         from ltrlab.distill_data import SamplingConfig, build_hard_negative_groups
 
         run = restrict_run(world.first_stage_run("main"), splits["train"])
-        groups = build_hard_negative_groups(run, world.qrels(), SamplingConfig(50, 7, seed=2))
-        for i, features in enumerate(groups.lists()):
-            lo, hi = groups.offsets[i], groups.offsets[i + 1]
-            expected = features_oracle(world, groups.queries[i], groups.docs[lo:hi])
-            assert np.array_equal(features, expected)
+        cfg = SamplingConfig(50, 7, seed=2)
+        expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), world.qrels(), cfg)
+        assert_groups_equal(world, build_hard_negative_groups(run, world.qrels(), cfg), expected)
 
 
 class TestTrainDistill:
@@ -271,7 +271,7 @@ class TestTwoStage:
             run, world.qrels(), SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         )
         model = scorer.init_model("linear", 16, seed=1)
-        return train_stage1(model, groups.lists(), distill_cfg(loss=LOSS_INFONCE, max_steps=steps))
+        return train_stage1(model, list(groups), distill_cfg(loss=LOSS_INFONCE, max_steps=steps))
 
     def test_zero_distill_steps_keep_the_stage1_model(self, setup):
         world, splits, _, dataset, validation = setup
