@@ -284,6 +284,18 @@ def _atomic_write(files: dict[Path, str | Iterable[str]]) -> None:
             f.writelines((text,) if isinstance(text, str) else text)
 
 
+def _parse_file(kind: str, path: str, parse, **options):
+    """`parse` of the text file at `path`; a ParseError it raises names the
+    file's kind and path before the line."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return parse(f, **options)
+        except core.ParseError as exc:
+            error = type(exc)(f"{kind} {path!r}, {exc}")
+            error.line = exc.line
+            raise error from None
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -347,8 +359,7 @@ def _read_dataset(
     config's world and hold lists of train queries only, decoded in file
     order: each list's world query index, the (L + 1,) offsets of its docs
     and one column of their pool indices."""
-    with open(path, encoding="utf-8") as f:
-        dataset = core.parse_distill_dataset(f)
+    dataset = _parse_file("dataset file", path, core.parse_distill_dataset)
     world = cfg.world.fingerprint()
     if dataset.world not in (None, world):
         raise ConfigError(
@@ -474,13 +485,12 @@ def cmd_train(args) -> int:
 
 
 def _read_qrels(path: str) -> core.Qrels:
-    with open(path, encoding="utf-8") as f:
-        return core.parse_qrels(f)
+    return _parse_file("qrels file", path, core.parse_qrels)
 
 
-def _read_run(path: str) -> core.ParsedRun:
-    with open(path, encoding="utf-8") as f:
-        run = core.parse_run(f)
+def _read_run(path: str, k: int) -> core.ParsedRun:
+    """The run file at `path`, each query cut to its top k: all that nDCG@k reads."""
+    run = _parse_file("run file", path, core.parse_run, depth=k)
     if not run:
         raise ConfigError(f"run file {path!r} contains no queries")
     return run
@@ -513,7 +523,7 @@ def cmd_eval(args) -> int:
     qrels = _read_qrels(args.qrels)
     if not qrels.query_ids():
         raise ConfigError(f"qrels file {args.qrels!r} contains no queries")
-    run = _read_run(args.run)
+    run = _read_run(args.run, args.k)
     scores = _ndcg_by_query(run, qrels, args.k)
     out = Path(args.out)
     mean = sum(scores.values()) / len(scores)
@@ -550,7 +560,8 @@ def cmd_significance(args) -> int:
     if len(qrels.query_ids()) < 2:  # every system is scored on the qrels' queries
         raise ConfigError(f"qrels file {args.qrels!r} contains fewer than 2 queries")
     per_system = {
-        name: _ndcg_by_query(_read_run(path), qrels, args.k) for name, path in zip(names, paths)
+        name: _ndcg_by_query(_read_run(path, args.k), qrels, args.k)
+        for name, path in zip(names, paths)
     }
     report = evaluation.significance_report(per_system, names[0], args.alpha)
     out = Path(args.out)

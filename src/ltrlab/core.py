@@ -178,8 +178,9 @@ class ParsedRun(Mapping[QueryId, ScoredList]):
 
     `queries` are in order of first appearance in the source. Query i's
     entries are `docs[offsets[i]:offsets[i + 1]]` with the same slice of
-    `scores`, in canonical order. Read as a mapping, a key builds that one
-    query's ScoredList.
+    `scores`, in canonical order. A run parsed to a depth holds only the
+    first `depth` entries of each query's canonical order. Read as a
+    mapping, a key builds that one query's ScoredList.
     """
 
     def __init__(
@@ -208,28 +209,43 @@ class ParsedRun(Mapping[QueryId, ScoredList]):
         return ScoredList(query, entries)
 
 
-def parse_run(source: str | Iterable[str]) -> ParsedRun:
+def parse_run(source: str | Iterable[str], depth: int | None = None) -> ParsedRun:
     """Parse a TREC run into per-query scored lists.
 
     `source` is the run text or an iterable of its lines, such as an open
     file, which is read once. Ranks in the file are ignored and recomputed:
     entries come out sorted by descending score with ties broken by
-    ascending doc id. Blank lines are skipped; anything else malformed
-    raises ParseError with its line number. The first bad line wins, a
-    duplicate (query, doc) pair included.
+    ascending doc id. With a `depth`, each query keeps only the first
+    `depth` entries of that order: the full parse cut to `depth`. Every
+    line is read and checked either way. Blank lines are skipped; anything
+    else malformed raises ParseError with its line number. The first bad
+    line wins, a duplicate (query, doc) pair included.
     """
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1, got {depth}")
     lines = source.splitlines() if isinstance(source, str) else source
     index: dict[QueryId, int] = {}
-    docs, scores = [], array("d")
+    # `docs` holds the ids of the query group being read. An ended group
+    # keeps its ids as one "\n"-joined text, so their str objects die with it.
+    docs, texts, scores = [], [], array("d")
     # Entries starts[g] up to the next start belong to query groups[g]; a
     # run's lines are mostly grouped by query, so there are few groups.
     starts, groups, blanks = array("q"), array("q"), []
 
+    def duplicate() -> DuplicateEntryError | None:
+        """The error for the first repeated pair read so far, in file order."""
+        read = [*chain.from_iterable(text.split("\n") for text in texts), *docs]
+        return _first_duplicate(tuple(index), starts, groups, read, blanks)
+
     def fail(message: str) -> ParseError:
         """The error for the line just read, unless an earlier line repeats a pair."""
-        return _first_duplicate(tuple(index), starts, groups, docs, blanks) or ParseError(
-            message, len(docs) + len(blanks) + 1
-        )
+        return duplicate() or ParseError(message, len(scores) + len(blanks) + 1)
+
+    def end_group() -> None:
+        if len(set(docs)) != len(docs):
+            raise duplicate()
+        texts.append("\n".join(docs))
+        docs.clear()
 
     isfinite, last = math.isfinite, None
     for line in lines:
@@ -239,7 +255,7 @@ def parse_run(source: str | Iterable[str]) -> ParsedRun:
         except ValueError:
             if fields:
                 raise fail(f"expected 6 fields, got {len(fields)}") from None
-            blanks.append(len(docs) + len(blanks) + 1)
+            blanks.append(len(scores) + len(blanks) + 1)
             continue
         if literal != "Q0":
             raise fail(f"second field must be 'Q0', got {literal!r}")
@@ -254,22 +270,39 @@ def parse_run(source: str | Iterable[str]) -> ParsedRun:
         if not isfinite(score):
             raise fail(f"non-finite score {score_text!r}")
         if qid != last:
+            if docs:
+                end_group()
             last = qid
-            starts.append(len(docs))
+            starts.append(len(scores))
             groups.append(index.setdefault(qid, len(index)))
         docs.append(doc)
         scores.append(score)
+    if docs:
+        end_group()
     queries = tuple(index)
     scores_a = np.frombuffer(scores)
-    offsets = np.append(np.frombuffer(starts, dtype=np.int64), len(docs))
-    step = _score_steps(scores_a, offsets)
-    if len(starts) == len(queries) and not (step > 0).any():
+    offsets = np.append(np.frombuffer(starts, dtype=np.int64), len(scores))
+    if len(starts) == len(queries) and not _neighbours(np.greater, scores_a, offsets).any():
         # Each query's lines together and its scores never rising, as in every
         # run ltrlab writes: the file order is the ranking, up to the order of
-        # tied docs, which rounding scores to 6 decimals can reverse.
-        ranked_docs, ranked_scores = docs, scores_a
+        # tied docs, which rounding scores to 6 decimals can reverse. Group i
+        # is query i, and its ids were shown distinct when it ended. Only the
+        # entries up to the cut are built, with the run of ties that crosses
+        # it, which the tie pass below must see whole.
+        tied = _neighbours(np.equal, scores_a, offsets)
+        lengths = np.diff(offsets)
+        end = offsets[:-1] - 1 + (lengths if depth is None else np.minimum(lengths, depth))
+        while (more := tied[end]).any():
+            end += more
+        del tied
+        offsets, kept = _heads(offsets, end - offsets[:-1] + 1)
+        ranked_scores, ranked_docs = scores_a[kept], []
+        for i, n in enumerate(np.diff(offsets).tolist()):
+            ranked_docs += texts[i].split("\n", n)[:n]
+            texts[i] = ""  # each group's text is freed once read
     else:
-        del step
+        docs = [*chain.from_iterable(text.split("\n") for text in texts)]
+        texts.clear()
         entry_q = _entry_queries(starts, groups, len(docs))
         order = np.lexsort((-scores_a, entry_q))
         ranked_q = entry_q[order]
@@ -277,28 +310,40 @@ def parse_run(source: str | Iterable[str]) -> ParsedRun:
         offsets = np.searchsorted(ranked_q, np.arange(len(queries) + 1))
         del ranked_q
         ranked_scores = scores_a[order]
-        del scores_a, scores
         ranked_docs = np.array(docs, dtype=object)[order].tolist()
         del order
-        step = _score_steps(ranked_scores, offsets)
-    # Ids from str.split are non-empty and free of whitespace, and every score
-    # is finite: only a repeated doc can still break a ScoredList invariant.
-    # It is checked before the tie pass, while `docs` is in file order, which
-    # the error's line number needs.
-    bounds = offsets.tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        if len(set(ranked_docs[lo:hi])) != hi - lo:
-            raise _first_duplicate(queries, starts, groups, docs, blanks)
-    _sort_ties(ranked_docs, ranked_scores, step == 0)
+        # A query split over groups may repeat a doc across them. This check
+        # runs before the tie pass, while `docs` is in file order, which the
+        # error's line number needs.
+        bounds = offsets.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if len(set(ranked_docs[lo:hi])) != hi - lo:
+                raise _first_duplicate(queries, starts, groups, docs, blanks)
+    del scores_a, scores
+    # Ids from str.split are non-empty and free of whitespace, every score is
+    # finite and no doc repeats: the columns hold every ScoredList invariant.
+    _sort_ties(ranked_docs, ranked_scores, _neighbours(np.equal, ranked_scores, offsets))
+    if depth is not None:
+        offsets, kept = _heads(offsets, np.minimum(np.diff(offsets), depth))
+        ranked_docs, ranked_scores = [ranked_docs[i] for i in kept.tolist()], ranked_scores[kept]
     return ParsedRun(queries, offsets, ranked_docs, ranked_scores)
 
 
-def _score_steps(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Each score minus the one before it, entry i + 1 against entry i, with
-    NaN where entry i + 1 starts the next query's `offsets` slice."""
-    step = np.diff(scores)
-    step[offsets[1:-1] - 1] = np.nan
-    return step
+def _heads(offsets: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first keep[i] entries of each query's `offsets` slice: their
+    offsets, and the index of each of them in the uncut columns."""
+    cut = np.zeros(len(keep) + 1, dtype=np.int64)
+    np.cumsum(keep, out=cut[1:])
+    return cut, np.repeat(offsets[:-1] - cut[:-1], keep) + np.arange(cut[-1])
+
+
+def _neighbours(compare, scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """`compare(scores[i + 1], scores[i])` for each entry i, as a bool per
+    entry: False where entry i ends its query's `offsets` slice."""
+    out = np.zeros(len(scores), dtype=bool)
+    compare(scores[1:], scores[:-1], out=out[:-1])
+    out[offsets[1:] - 1] = False
+    return out
 
 
 def _sort_ties(docs: list[DocId], scores: np.ndarray, tied: np.ndarray) -> None:

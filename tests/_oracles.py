@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 
 import numpy as np
 
@@ -142,9 +143,23 @@ def write_run_oracle(lists, tag):
         )
 
 
+# Each world's query ids -> row index, built on a world's first lookup.
+_QUERY_ROWS = weakref.WeakKeyDictionary()
+
+
+def query_row(world, query):
+    """The row of `query` in `world`; ValueError if the world lacks it."""
+    rows = _QUERY_ROWS.get(world)
+    if rows is None:
+        rows = _QUERY_ROWS[world] = {qid: qi for qi, qid in enumerate(world.query_ids)}
+    if query not in rows:
+        raise ValueError(f"query {query!r} is not in the world")
+    return rows[query]
+
+
 def teacher_order(world, query, docs):
     """The synthetic teacher by a sort of (key, doc id) tuples, doc by doc."""
-    qi = world.query_ids.index(query)
+    qi = query_row(world, query)
     if len(set(docs)) != len(docs):
         raise ValueError(f"teacher got duplicate candidates for query {query!r}")
     cfg = world.config
@@ -409,7 +424,7 @@ def doc_index_oracle(world, qi, doc):
 
 def features_oracle(world, query, docs):
     """A query's (len(docs), F) features, looked up one doc id at a time."""
-    qi = world.query_ids.index(query)
+    qi = query_row(world, query)
     rows = [world._features[qi, doc_index_oracle(world, qi, doc)] for doc in docs]
     return np.array(rows).reshape(len(docs), world.config.feature_dim)
 

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from ltrlab import core, distill_data, pipeline, trainer
+from ltrlab import cli, core, distill_data, pipeline, trainer
 from ltrlab.cli import ExperimentConfig, _atomic_write, load_experiment_config, main
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
-from ltrlab.evaluation import ndcg_at_k, per_query_scores_text
+from ltrlab.evaluation import ndcg_at_k, per_query_scores_text, significance_report
 
 from _oracles import parse_run_oracle, restrict_run
 
@@ -481,6 +481,120 @@ def test_bad_flag_is_named_before_any_file_is_read(tmp_path, capsys, argv, messa
     assert capsys.readouterr().err == f"error: {message}\n"
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
     assert read(out / "keep.txt") == "old\n"
+
+
+GOOD_RUN, BAD_RUN = "q1 Q0 a 1 1.0 t\nq2 Q0 b 1 1.0 t\n", "q1 Q0 a 1 1.0 t\nq1 Q0 b x 1.0 t\n"
+GOOD_QRELS, BAD_QRELS = "q1 0 a 1\nq2 0 b 1\n", "q1 0 a 1\nq2 0 b\n"
+
+
+@pytest.mark.parametrize(
+    "command, bad, message",
+    [
+        ("eval", "cand.trec", "rank field 'x' is not an integer"),
+        ("eval", "qrels.txt", "expected 4 fields, got 3"),
+        ("significance", "cand.trec", "rank field 'x' is not an integer"),
+        ("significance", "base.trec", "rank field 'x' is not an integer"),
+        ("significance", "qrels.txt", "expected 4 fields, got 3"),
+    ],
+)
+def test_parse_error_names_the_file(tmp_path, capsys, command, bad, message):
+    """A malformed line of any input file is named with the file's kind and
+    path; the exit status stays 2 and `--out` is not written."""
+    files = {"base.trec": GOOD_RUN, "cand.trec": GOOD_RUN, "qrels.txt": GOOD_QRELS}
+    files[bad] = BAD_QRELS if bad == "qrels.txt" else BAD_RUN
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    path = {name: str(tmp_path / name) for name in files}
+    argv = [command, "--qrels", path["qrels.txt"], "--out", str(tmp_path / "out")]
+    if command == "eval":
+        argv += ["--run", path["cand.trec"]]
+    else:
+        argv += ["--baseline", path["base.trec"], "--candidate", path["cand.trec"]]
+    assert main(argv) == 2
+    kind = "qrels file" if bad == "qrels.txt" else "run file"
+    assert capsys.readouterr().err == f"error: {kind} {path[bad]!r}, line 2: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def run_columns(run: core.ParsedRun) -> list[list[tuple[str, str]]]:
+    """Each query's (doc, score bits) entries, from a ParsedRun's columns."""
+    bounds = run.offsets.tolist()
+    return [
+        list(zip(run.docs[lo:hi], map(float.hex, run.scores[lo:hi].tolist())))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+class TestRunsParsedToK:
+    """`eval` and `significance` parse each run to their --k, and score it
+    as they would the full parse."""
+
+    # A run in the shape ltrlab writes, whose ties cross the 1st and 2nd
+    # entries: only the doc-id order of q1's three docs at 1 puts its judged
+    # b in the top 2, and q2's four zeros, -0.0 among them, tie.
+    TIED = (
+        "q1 Q0 a 1 3 t\nq1 Q0 z 2 1 t\nq1 Q0 y 3 1 t\nq1 Q0 b 4 1 t\nq1 Q0 c 5 0.5 t\n"
+        "q2 Q0 d 1 -0.0 t\nq2 Q0 c 2 0.0 t\nq2 Q0 b 3 0 t\nq2 Q0 a 4 -0 t\n"
+        "q3 Q0 x 1 2 t\nq3 Q0 w 2 2 t\n"
+    )
+    # q1's lines in two groups, and scores that rise.
+    UNGROUPED = "q1 Q0 z 1 1 t\nq2 Q0 a 1 5 t\nq1 Q0 b 2 1 t\nq1 Q0 a 3 4 t\nq2 Q0 b 2 6 t\n"
+    QRELS = "q1 0 b 1\nq2 0 b 2\nq2 0 a 1\nq3 0 w 1\n"
+
+    def run_both(self, tmp_path, k) -> tuple[Path, Path]:
+        """`eval` of TIED, `significance` of UNGROUPED against TIED, at --k k;
+        their output directories."""
+        files = {"base.trec": self.UNGROUPED, "cand.trec": self.TIED, "qrels.txt": self.QRELS}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        base, cand, qrels = (str(tmp_path / name) for name in files)
+        outs = tmp_path / "eval", tmp_path / "significance"
+        argv = ["eval", "--run", cand, "--qrels", qrels, "--k", str(k), "--out", str(outs[0])]
+        assert main(argv) == 0
+        argv = ["significance", "--qrels", qrels, "--baseline", base, "--candidate", cand]
+        assert main(argv + ["--k", str(k), "--out", str(outs[1])]) == 0
+        return outs
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_each_query_holds_its_first_k_entries(self, tmp_path, monkeypatch, k):
+        parse, parsed = core.parse_run, []
+
+        def spy(source, depth=None):
+            parsed.append((depth, parse(source, depth)))
+            return parsed[-1][1]
+
+        monkeypatch.setattr(core, "parse_run", spy)
+        self.run_both(tmp_path, k)
+        assert [depth for depth, _ in parsed] == [k, k, k]
+        for (_, run), text in zip(parsed, (self.TIED, self.UNGROUPED, self.TIED)):
+            full = parse(text)
+            assert run.queries == full.queries
+            assert run_columns(run) == [entries[:k] for entries in run_columns(full)]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10])
+    def test_outputs_equal_a_full_parse(self, tmp_path, k):
+        out_eval, out_significance = self.run_both(tmp_path, k)
+        qrels = core.parse_qrels(self.QRELS)
+        scores = {
+            name: cli._ndcg_by_query(core.parse_run(text), qrels, k)
+            for name, text in (("base", self.UNGROUPED), ("cand", self.TIED))
+        }
+        if k == 2:  # the tie at the cut decides q1's score
+            assert scores["cand"]["q1"] > 0
+        metric = f"nDCG@{k}"
+        assert read(out_eval / "per_query.tsv") == per_query_scores_text(scores["cand"], metric)
+        report = significance_report(scores, "base", 0.05)
+        assert read(out_significance / "significance.jsonl") == report.to_jsonl()
+
+    def test_duplicate_past_the_cut_names_its_line(self, tmp_path, capsys):
+        """q1's second group repeats its doc a, below the top 1."""
+        run = "q1 Q0 a 1 3 t\nq2 Q0 a 1 3 t\nq1 Q0 b 2 2 t\nq1 Q0 c 3 1 t\n\nq1 Q0 a 4 0.5 t\n"
+        out = tmp_path / "out"
+        argv = eval_argv(tmp_path, run, self.QRELS)
+        assert main(argv + ["--k", "1", "--out", str(out)]) == 2
+        message = "line 6: duplicate entry for query 'q1' doc 'a'"
+        assert capsys.readouterr().err == f"error: run file {argv[2]!r}, {message}\n"
+        assert not out.exists()
 
 
 class TestBenchCommand:
@@ -1249,8 +1363,8 @@ class TestTrainDatasetFaults:
         lines[2] = lines[2][: len(lines[2]) // 2]
         code, out = self.train(tmp_path, config_path, lines)
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: line 3: invalid JSON")
+        err, dataset = capsys.readouterr().err, str(tmp_path / "dataset.jsonl")
+        assert err.startswith(f"error: dataset file {dataset!r}, line 3: invalid JSON")
         assert not (out / "checkpoint.txt").exists()
 
     @pytest.mark.parametrize("stage", ["single", "two"])

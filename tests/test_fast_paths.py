@@ -354,6 +354,107 @@ class TestParseRunLineNumbers:
         assert parsed(parse_run, io.StringIO(text)) == parsed(parse_run_oracle, io.StringIO(text))
 
 
+TIE_SCORES = ["3", "2.5", "1", "1.0", "0.0", "-0.0", "0", "-0", "-1"]
+
+
+@st.composite
+def written_run(draw):
+    """A run in the shape ltrlab writes, each query's lines together and its
+    scores never rising, with many ties (0.0 and -0.0 among them); then up to
+    three lines put in anywhere: a repeat of an earlier pair at its score, a
+    bad line, a blank line, or a line of any query, which may split a query
+    into groups or make a score rise."""
+    lines = []
+    for qid in draw(st.lists(st.sampled_from(["q1", "q2", "q10"]), max_size=3, unique=True)):
+        docs = draw(st.lists(st.sampled_from(["d1", "d2", "d3", "d10", "D1", "a", "z"]),
+                             min_size=1, max_size=7, unique=True))
+        scores = draw(st.lists(st.sampled_from(TIE_SCORES), min_size=len(docs), max_size=len(docs)))
+        scores.sort(key=float, reverse=True)
+        lines += [f"{qid} Q0 {doc} {rank} {score} t"
+                  for rank, (doc, score) in enumerate(zip(docs, scores), start=1)]
+    written = list(lines)
+    for kind in draw(st.lists(st.sampled_from(["repeat", "bad", "blank", "any"]), max_size=3)):
+        if kind == "repeat" and written:
+            original = draw(st.sampled_from(written))
+            qid, _, doc, _, score, _ = original.split()
+            at = draw(st.integers(lines.index(original) + 1, len(lines)))
+            lines.insert(at, f"{qid} Q0 {doc} 9 {score} t")
+        elif kind == "bad":
+            bad = draw(st.sampled_from(FAULTS["bad field"] + FAULTS["non-finite score"]))
+            lines.insert(draw(st.integers(0, len(lines))), bad)
+        elif kind == "blank":
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BLANKS)))
+        elif kind == "any":
+            lines.insert(draw(st.integers(0, len(lines))), draw(run_line(valid=True)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def assert_cut_like_oracle(text, depths):
+    """parse_run of the text to each depth, read as a str, a list of lines
+    and a file, gives the oracle's lists cut to that depth, or its error. A
+    file breaks lines only at newlines, so the oracle reads it as a file too."""
+    sources = (lambda: text, lambda: text.splitlines(keepends=True), lambda: io.StringIO(text))
+    for source in sources:
+        expected = parsed(parse_run_oracle, source())
+        for depth in depths:
+            if isinstance(expected, list):  # the lists; an error stays as it is
+                want = [(qid, query, entries[:depth]) for qid, query, entries in expected]
+            else:
+                want = expected
+            assert parsed(lambda lines: parse_run(lines, depth), source()) == want
+
+
+class TestParseRunDepth:
+    """A parse to a depth is the full parse cut to that depth: the same
+    columns, order and score bits, or the same error on the same line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(written_run(), st.integers(1, 8))
+    def test_written_runs_cut_like_oracle(self, text, depth):
+        assert_cut_like_oracle(text, {1, depth, 8})
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(run_text(valid=True), run_text(valid=False)), st.integers(1, 15))
+    def test_any_runs_cut_like_oracle(self, text, depth):
+        assert_cut_like_oracle(text, {1, depth, 15})
+
+    @pytest.mark.parametrize(
+        "fault", ["bad field", "non-finite score", "duplicate", "duplicate then bad"]
+    )
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_error_names_the_oracles_line(self, fault, data):
+        text, lineno = data.draw(run_with_fault(fault))
+        assert parsed(parse_run_oracle, text)[2] == lineno
+        assert_cut_like_oracle(text, {1, data.draw(st.integers(1, 9))})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # A tie crosses the cut at 1 and 2: only doc-id order picks the top.
+            "q1 Q0 z 1 2 t\nq1 Q0 c 2 1 t\nq1 Q0 b 3 1 t\nq1 Q0 a 4 1 t\nq1 Q0 y 5 0 t",
+            "q1 Q0 b 1 0.0 t\nq1 Q0 a 2 -0.0 t\nq1 Q0 c 3 -0 t\nq2 Q0 b 1 -0.0 t\nq2 Q0 a 2 0 t",
+            # Repeats below the cut, in one group and across groups.
+            "q1 Q0 a 1 3 t\nq1 Q0 b 2 2 t\nq1 Q0 c 3 1 t\nq1 Q0 a 4 1 t",
+            "q1 Q0 a 1 3 t\nq1 Q0 b 2 2 t\nq2 Q0 a 1 1 t\nq1 Q0 c 3 1 t\nq1 Q0 a 4 0 t",
+            "q1 Q0 a 1 3 t\nq2 Q0 a 1 3 t\n\nq1 Q0 b 2 2 t\n \nq1 Q0 a 3 1 t\nq1 Q0 c x 0 t",
+            # A bad line below the cut, after blank lines.
+            "q1 Q0 a 1 3 t\n\nq1 Q0 b 2 2 t\n\t\nq1 Q0 c x 1 t",
+            # Rising scores and a split query: the last line is the top.
+            "q1 Q0 a 1 1 t\nq1 Q0 b 2 0 t\nq2 Q0 a 1 1 t\nq1 Q0 c 3 5 t",
+            "q1 Q0 a 1 1 t\nq1 Q0 b 2 5 t\nq1 Q0 c 3 3 t",
+            "",
+            "\n \n",
+        ],
+    )
+    def test_edge_cases_cut_like_oracle(self, text):
+        assert_cut_like_oracle(text, {1, 2, 3, 100})
+
+    def test_depth_below_one_refused(self):
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            parse_run("q1 Q0 a 1 1 t", depth=0)
+
+
 # Run ids and tags with the characters a % template treats specially.
 ID_CHARS = st.sampled_from(["a", "Z", "0", "%", "{", "}", "s", "d", "\u00e9", "\u5b57", "%%", "{}"])
 RUN_IDS = st.lists(ID_CHARS, min_size=1, max_size=4).map("".join)
