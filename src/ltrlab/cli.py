@@ -1,10 +1,11 @@
 """Command-line surface: world generation through evaluation and cost simulation.
 
 One experiment is described by one JSON config file; only --seed and
-train --loss override config values. Every command prints its resolved
-configuration before running and writes outputs to a temp file followed by
-an atomic rename, so a crash never leaves a partial artifact. Exit status:
-0 success, 1 usage error, 2 data or validation error.
+train --loss override config values. Every command prints its flags, and
+the resolved configuration if it reads one, before running and writes
+outputs to a temp file followed by an atomic rename, so a crash never leaves
+a partial artifact. Exit status: 0 success, 1 usage error, 2 data or
+validation error.
 """
 
 from __future__ import annotations
@@ -93,12 +94,16 @@ class AblationSpec:
             raise ValueError("depths must not be empty")
         if not self.fractions:
             raise ValueError("fractions must not be empty")
-        for depth in self.depths:
+        for i, depth in enumerate(self.depths):
             if depth < 1:
                 raise ValueError(f"depth {depth} must be >= 1")
-        for fraction in self.fractions:
+            if depth in self.depths[:i]:  # each depth and fraction names one set of cells
+                raise ValueError(f"depth {depth} repeats")
+        for i, fraction in enumerate(self.fractions):
             if not 0.0 < fraction <= 1.0:
                 raise ValueError(f"query fraction must lie in (0, 1], got {fraction}")
+            if fraction in self.fractions[:i]:
+                raise ValueError(f"query fraction {fraction} repeats")
 
 
 @dataclass(frozen=True)
@@ -209,7 +214,7 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
         if name == "split":
             sections[name] = _build_split(data, sections["world"].num_queries)
             continue
-        if name == "stage2" and loss not in (None, trainer.LOSS_INFONCE):
+        if name == "stage2" and loss is not None:
             data = {**data, "loss": loss}
         sections[name] = _build_section(name, cls, data, seed)
     cfg = ExperimentConfig(**sections)
@@ -245,11 +250,12 @@ def _check_loss(cfg: ExperimentConfig, where: str, allowed: tuple[str, ...]) -> 
         raise ConfigError(f"bad config section {where!r}: loss must be {kind}, got {loss!r}")
 
 
-def _print_resolved(command: str, config: ExperimentConfig | dict, args: argparse.Namespace):
-    resolved = dataclasses.asdict(config) if dataclasses.is_dataclass(config) else dict(config)
-    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+def _print_resolved(command: str, args: argparse.Namespace, config: ExperimentConfig | None = None):
+    resolved = {"flags": {k: v for k, v in vars(args).items() if k not in ("func", "command")}}
+    if config is not None:
+        resolved["config"] = dataclasses.asdict(config)
     print(f"[{command}] resolved config:")
-    print(json.dumps({"config": resolved, "flags": flags}, indent=2, sort_keys=True, default=str))
+    print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
 
 
 @contextlib.contextmanager
@@ -311,7 +317,7 @@ def _init_scorer(spec: ScorerSpec, feature_dim: int) -> scorer.ScorerModel:
 
 def cmd_world(args) -> int:
     cfg = load_experiment_config(args.config, args)
-    _print_resolved("world", cfg, args)
+    _print_resolved("world", args, cfg)
     names = sorted(cfg.world.first_stage_noise)
     out = Path(args.out)
     paths = [out / "world_config.json", out / "qrels.txt", *(out / f"run_{n}.trec" for n in names)]
@@ -334,7 +340,7 @@ def cmd_world(args) -> int:
 
 def cmd_distill(args) -> int:
     cfg = load_experiment_config(args.config, args)
-    _print_resolved("distill", cfg, args)
+    _print_resolved("distill", args, cfg)
     _check_retriever(cfg, "distill")
     _check_depth(cfg, "distill", "depth", cfg.distill.depth)
     train = pipeline.query_ranges(cfg.world.num_queries, cfg.split)["train"]
@@ -441,10 +447,12 @@ def _train(
 
 def cmd_train(args) -> int:
     cfg = load_experiment_config(args.config, args)
-    _print_resolved("train", cfg, args)
-    loss = args.loss or cfg.stage2.loss
+    _print_resolved("train", args, cfg)
+    loss = cfg.stage2.loss
     if args.stage == "two" and loss == trainer.LOSS_INFONCE:
         raise UsageError("--stage two requires a distillation loss (ranknet or adr-mse)")
+    if args.dataset and loss == trainer.LOSS_INFONCE:
+        raise UsageError(f"--dataset needs a distillation loss; loss {loss!r} trains stage 1 only")
     stage1 = args.stage == "two" or loss == trainer.LOSS_INFONCE
     distill = loss != trainer.LOSS_INFONCE
     if stage1 or not args.dataset:
@@ -517,8 +525,7 @@ def _ndcg_by_query(run: core.ParsedRun, qrels: core.Qrels, k: int) -> dict[str, 
 
 
 def cmd_eval(args) -> int:
-    flags = {"run": args.run, "qrels": args.qrels, "k": args.k, "out": args.out}
-    _print_resolved("eval", flags, args)
+    _print_resolved("eval", args)
     _check_cutoff(args.k)
     qrels = _read_qrels(args.qrels)
     if not qrels.query_ids():
@@ -539,18 +546,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    flags = {
-        "qrels": args.qrels,
-        "baseline": args.baseline,
-        "candidates": args.candidate,
-        "k": args.k,
-        "alpha": args.alpha,
-        "out": args.out,
-    }
-    _print_resolved("significance", flags, args)
+    _print_resolved("significance", args)
     _check_cutoff(args.k)
     if not 0.0 < args.alpha < 1.0:
         raise ConfigError("alpha must lie in (0, 1)")
+    if not args.candidate:
+        raise UsageError("at least one --candidate is required")
     paths = (args.baseline, *args.candidate)
     names = [Path(path).stem for path in paths]
     for i, name in enumerate(names):
@@ -564,16 +565,15 @@ def cmd_significance(args) -> int:
         for name, path in zip(names, paths)
     }
     report = evaluation.significance_report(per_system, names[0], args.alpha)
-    out = Path(args.out)
-    text, jsonl = report.to_text(), report.to_jsonl()
-    _atomic_write({out / "significance.txt": text, out / "significance.jsonl": jsonl})
-    print(report.to_text(), end="")
+    out, text = Path(args.out), report.to_text()
+    _atomic_write({out / "significance.txt": text, out / "significance.jsonl": report.to_jsonl()})
+    print(text, end="")
     return 0
 
 
 def cmd_ablate(args) -> int:
     cfg = load_experiment_config(args.config, args)
-    _print_resolved("ablate", cfg, args)
+    _print_resolved("ablate", args, cfg)
     _check_retriever(cfg, "distill")
     _check_retriever(cfg, "eval")
     _check_depth(cfg, "eval", "depth", cfg.eval.depth)
@@ -634,8 +634,7 @@ def _parse_system(text: str) -> tuple[str, rerank_sim.StrategySpec, rerank_sim.C
 
 
 def cmd_bench(args) -> int:
-    flags = {"depth": args.depth, "systems": args.system, "baseline": args.baseline, "out": args.out}
-    _print_resolved("bench", flags, args)
+    _print_resolved("bench", args)
     if not args.system:
         raise UsageError("at least one --system is required")
     systems = [_parse_system(s) for s in args.system]
@@ -743,10 +742,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, core.ParseError, trainer.TrainingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, trainer.TrainingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -324,7 +324,7 @@ def log_sampling(counts: Counter) -> None:
 
 
 def build_hard_negative_groups(
-    run: WorldRun, qrels: Qrels, cfg: SamplingConfig, counts: Counter | None = None
+    run: WorldRun, qrels: Qrels, cfg: SamplingConfig, counts: Counter
 ) -> np.ndarray:
     """Sample hard-negative training groups from the top of a first-stage run.
 
@@ -338,27 +338,25 @@ def build_hard_negative_groups(
     positive first; a positive that is not a doc of its query's pool raises
     ValueError.
 
-    The group and skip counts are added to `counts` when it is given, so
-    that a caller that samples many runs logs them once with `log_sampling`;
-    without it they are logged here.
+    The group and skip counts are added to `counts`, so that a caller that
+    samples many runs logs them once with `log_sampling`.
     """
     world = run.world
-    run_depth = run.order.shape[1]
+    shallow = run.order.shape[1] < cfg.pool_depth
+    if shallow:
+        logger.warning(
+            "run depth %d < pool_depth %d; every query with a positive is skipped",
+            run.order.shape[1],
+            cfg.pool_depth,
+        )
     rows, members = [], []
-    tally: Counter = Counter()
     for r, (qid, row) in enumerate(zip(run.queries, run.order)):
         positives = qrels.positives(qid)
         if not positives:
-            tally["no positive"] += 1
+            counts["no positive"] += 1
             continue
-        if run_depth < cfg.pool_depth:
-            logger.warning(
-                "query %r has run depth %d < pool_depth %d; skipped",
-                qid,
-                run_depth,
-                cfg.pool_depth,
-            )
-            tally["shallow run"] += 1
+        if shallow:
+            counts["shallow run"] += 1
             continue
         pool = row[: cfg.pool_depth]
         for doc in positives:
@@ -373,17 +371,13 @@ def build_hard_negative_groups(
                 len(pool),
                 cfg.num_negatives,
             )
-            tally["small pool"] += 1
+            counts["small pool"] += 1
             continue
         rng = _query_rng(cfg.seed, qid)
         chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
         rows.append(r)
         members.append([*pool_index(world.config, qid, positives[:1]), *pool[chosen].tolist()])
-    tally["groups"] = len(rows)
-    if counts is None:
-        log_sampling(tally)
-    else:
-        counts.update(tally)
+    counts["groups"] += len(rows)
     index = np.array(members, dtype=np.intp).reshape(len(rows), cfg.num_negatives + 1)
     return world._features[run.qindex[rows][:, None], index]
 

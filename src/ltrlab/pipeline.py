@@ -113,14 +113,13 @@ class AblationCell:
     steps_executed: int
 
 
-def subsample_queries(lists: Sequence[np.ndarray], fraction: float, seed: int) -> list[np.ndarray]:
-    """Seeded uniform subsample of a fraction of the training lists, one per query."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"query fraction must lie in (0, 1], got {fraction}")
+def subsample_queries(lists: Sequence[np.ndarray], fraction: float) -> list[np.ndarray]:
+    """Uniform subsample of a fraction in (0, 1] of the training lists, one
+    per query, seeded by their count."""
     if fraction == 1.0:
         return list(lists)
     count = max(1, int(round(fraction * len(lists))))
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(len(lists),)))
+    rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(len(lists),)))
     chosen = sorted(rng.choice(len(lists), size=count, replace=False))
     return [lists[i] for i in chosen]
 
@@ -131,7 +130,6 @@ def ablation_grid(
     base_model: scorer.ScorerModel,
     validation: ValidationSet,
     cfg: TrainConfig,
-    subsample_seed: int = 0,
 ) -> list[AblationCell]:
     """Train one model per (depth, fraction) cell and record validation nDCG@10.
 
@@ -143,7 +141,7 @@ def ablation_grid(
     for depth in sorted(lists_by_depth):
         lists = lists_by_depth[depth]
         for fraction in fractions:
-            data = subsample_queries(lists, fraction, subsample_seed)
+            data = subsample_queries(lists, fraction)
             model, report = trainer.train_distill(base_model, data, validation, cfg)
             cells.append(
                 AblationCell(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 POINTWISE = "pointwise"
@@ -150,21 +150,10 @@ def cost_report(rows: Sequence[tuple[str, CostEstimate]]) -> str:
 
 
 def cost_report_jsonl(rows: Sequence[tuple[str, CostEstimate]]) -> str:
-    """Line-delimited machine form of the cost report."""
-    lines = []
-    for name, est in rows:
-        lines.append(
-            json.dumps(
-                {
-                    "strategy": name,
-                    "calls": est.calls,
-                    "scorings": est.scorings,
-                    "latency_s": est.latency_s,
-                    "memory_gb": est.memory_gb,
-                    "latency_ratio_vs_baseline": est.latency_ratio_vs_baseline,
-                    "memory_ratio_vs_baseline": est.memory_ratio_vs_baseline,
-                },
-                separators=(",", ":"),
-            )
-        )
+    """Line-delimited machine form of the cost report: each row's strategy
+    name, then the fields of its estimate in their order."""
+    lines = [
+        json.dumps({"strategy": name, **asdict(est)}, separators=(",", ":"))
+        for name, est in rows
+    ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import dataclasses
 import json
 import logging
@@ -117,7 +118,7 @@ class TestEvalCommand:
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 0
         flags = {"run": argv[2], "qrels": argv[4], "k": 10, "out": str(out)}
-        resolved = json.dumps({"config": flags, "flags": flags}, indent=2, sort_keys=True)
+        resolved = json.dumps({"flags": flags}, indent=2, sort_keys=True)
         assert capsys.readouterr().out == (
             f"[eval] resolved config:\n{resolved}\neval: mean nDCG@10 over 2 queries = 0.5000\n"
         )
@@ -299,8 +300,10 @@ class TestQueryRanges:
         train = pipeline.split_query_ids(world.query_ids, SMOKE_CONFIG["split"])["train"]
         run = restrict_run(world.first_stage_run(SMOKE_CONFIG["distill"]["retriever"]), train)
         sampling = distill_data.SamplingConfig(**SMOKE_CONFIG["sampling"])
+        counts = collections.Counter()
+        distill_data.build_hard_negative_groups(run, world.qrels(), sampling, counts)
         with caplog.at_level(logging.INFO, logger="ltrlab.distill_data"):
-            distill_data.build_hard_negative_groups(run, world.qrels(), sampling)
+            distill_data.log_sampling(counts)
         (expected,) = [r.args for r in caplog.records if r.msg.startswith("hard-negative")]
         assert expected[2:] == (24, 0, 24)
 
@@ -450,6 +453,15 @@ class TestSignificanceCommand:
         assert main(argv + ["--out", str(out)]) == 2
         message = "duplicate system name 'run'; rename the run files"
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_no_candidate_is_usage_error(self, tmp_path, capsys):
+        """Refused before any file is read: neither the qrels nor the baseline exists."""
+        out = tmp_path / "out"
+        argv = ["significance", "--qrels", str(tmp_path / "nope.txt")]
+        argv += ["--baseline", str(tmp_path / "base.trec"), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "usage error: at least one --candidate is required\n"
         assert not out.exists()
 
 
@@ -765,6 +777,26 @@ class TestPipelineSmoke:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_dataset_with_infonce_is_usage_error(self, tmp_path, capsys, monkeypatch, where):
+        """Loss infonce, from `--loss` or from `stage2.loss`, distils nothing:
+        `--dataset` is refused before the dataset or any world slice is read."""
+        dataset, out = tmp_path / "dataset.jsonl", tmp_path / "o"
+        dataset.write_text("not json\n")
+        argv = ["train", "--dataset", str(dataset), "--out", str(out)]
+        if where == "flag":
+            config = SMOKE_CONFIG
+            argv += ["--loss", "infonce"]
+        else:
+            config = dict(SMOKE_CONFIG, stage2=dict(SMOKE_CONFIG["stage2"], loss="infonce"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setattr(distill_data, "generate_world", no_world)
+        assert main(argv + ["--config", str(path)]) == 1
+        message = "--dataset needs a distillation loss; loss 'infonce' trains stage 1 only"
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_ranks_the_test_block_once(self, tmp_path, config_path, monkeypatch):
         """One ranking of the test pools gives both test_run.trec and the nDCG."""
         ranked = []
@@ -1070,6 +1102,24 @@ class TestConfigHandling:
                 "ablation",
                 {"fractions": []},
                 "bad config section 'ablation': fractions must not be empty",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"depths": [10, 10, 20]},
+                "bad config section 'ablation': depth 10 repeats",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"fractions": [0.5, 1.0, 0.5]},
+                "bad config section 'ablation': query fraction 0.5 repeats",
+            ),
+            (
+                ["ablate"],
+                "ablation",
+                {"fractions": [1, 1.0]},
+                "bad config section 'ablation': query fraction 1.0 repeats",
             ),
             (
                 ["distill"],

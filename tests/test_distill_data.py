@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -157,20 +158,21 @@ class TestHardNegativeGroups:
         """The groups of the string oracle, after checking that the block of
         build_hard_negative_groups holds their features."""
         expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), qrels, cfg)
-        assert_groups_equal(run.world, build_hard_negative_groups(run, qrels, cfg), expected)
+        groups = build_hard_negative_groups(run, qrels, cfg, Counter())
+        assert_groups_equal(run.world, groups, expected)
         return expected
 
     def test_group_shape(self):
         run, qrels = self._run_and_qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=1)
-        groups = build_hard_negative_groups(run, qrels, cfg)
+        groups = build_hard_negative_groups(run, qrels, cfg, Counter())
         assert groups.shape == (10, 8, 4)
         expected = self._oracle_groups(run, qrels, cfg)
         assert [query for query, _, _ in expected] == list(run.queries)
 
     def test_empty_qrels_yields_nothing(self):
         run, _ = self._run_and_qrels()
-        groups = build_hard_negative_groups(run, Qrels(), SamplingConfig(pool_depth=20))
+        groups = build_hard_negative_groups(run, Qrels(), SamplingConfig(pool_depth=20), Counter())
         assert groups.shape == (0, 8, 4) and list(groups) == []
         assert_groups_equal(run.world, groups, [])
 
@@ -185,17 +187,25 @@ class TestHardNegativeGroups:
     def test_deterministic_with_seed(self):
         run, qrels = self._run_and_qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=11)
-        first, again = (build_hard_negative_groups(run, qrels, cfg) for _ in range(2))
+        first, again = (build_hard_negative_groups(run, qrels, cfg, Counter()) for _ in range(2))
         assert np.array_equal(first, again)
-        other = build_hard_negative_groups(run, qrels, SamplingConfig(20, 7, seed=12))
+        other = build_hard_negative_groups(run, qrels, SamplingConfig(20, 7, seed=12), Counter())
         assert not np.array_equal(other, first)
 
     def test_shallow_queries_skipped_with_warning(self, caplog):
+        """A run shallower than pool_depth skips every query with a positive
+        and counts each; one warning per call names both depths."""
         run, qrels = self._run_and_qrels(depth=20)
+        qrels = Qrels({query: qrels.judged(query) for query in run.queries[:7]})
+        counts = Counter()
         with caplog.at_level("WARNING"):
-            groups = build_hard_negative_groups(run, qrels, SamplingConfig(pool_depth=21))
+            groups = build_hard_negative_groups(run, qrels, SamplingConfig(pool_depth=21), counts)
         assert len(groups) == 0
-        assert any("'q0' has run depth 20 < pool_depth 21" in r.message for r in caplog.records)
+        assert counts == {"shallow run": 7, "no positive": 3, "groups": 0}
+        (warning,) = caplog.records
+        assert warning.getMessage() == (
+            "run depth 20 < pool_depth 21; every query with a positive is skipped"
+        )
 
     def test_sampling_uniform_over_subsets(self):
         # 10^4 independent draws of 2 negatives from 6 eligible docs; the 15
@@ -271,8 +281,8 @@ class TestQueryRanges:
                 negatives = data.draw(st.integers(1, config.docs_per_query - 1))
                 cfg = SamplingConfig(config.docs_per_query, negatives)
                 groups, whole_groups = (
-                    build_hard_negative_groups(run, part.qrels(), cfg),
-                    build_hard_negative_groups(whole_run, whole.qrels(), cfg),
+                    build_hard_negative_groups(run, part.qrels(), cfg, Counter()),
+                    build_hard_negative_groups(whole_run, whole.qrels(), cfg, Counter()),
                 )
                 assert np.array_equal(groups, whole_groups)
 

@@ -9,10 +9,9 @@ import argparse
 import dataclasses
 import gc
 import io
-import logging
 import tempfile
 import weakref
-from contextlib import contextmanager
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -705,25 +704,9 @@ class TestTeacherDataset:
             assert dataset.offsets.tolist() == [0]
 
 
-@contextmanager
-def sampling_log():
-    """Collects the skip counts that build_hard_negative_groups logs."""
-    counts = []
-
-    class Handler(logging.Handler):
-        def emit(self, record):
-            if record.msg.startswith("hard-negative sampling"):
-                counts.append(record.args[2:])
-
-    logger = logging.getLogger("ltrlab.distill_data")
-    handler, level = Handler(), logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.INFO)
-    try:
-        yield counts
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
+def skip_counts(counts: Counter) -> tuple[int, int, int]:
+    """The (no positive, shallow run, small pool) counts of build_hard_negative_groups."""
+    return counts["no positive"], counts["shallow run"], counts["small pool"]
 
 
 # Judged docs of q00: ids of its own pool, an id of another query's pool, ids
@@ -758,17 +741,16 @@ class TestHardNegativeGroups:
             (query, positive) for query, positive, _ in expected
             if outcome(lambda: doc_index_oracle(world, world.query_ids.index(query), positive))
         ]
-        built = []
-        with sampling_log() as counts:
-            error = outcome(lambda: built.append(build_hard_negative_groups(run, qrels, cfg)))
+        built, counts = [], Counter()
+        error = outcome(lambda: built.append(build_hard_negative_groups(run, qrels, cfg, counts)))
         if outside:
             query, positive = outside[0]
             assert error == outcome(lambda: pool_index(world.config, query, [positive]))
-            assert error[0] is ValueError and counts == []
+            assert error[0] is ValueError
         else:
             assert error is None
             assert_groups_equal(world, built[0], expected)
-            assert counts == ([skipped] if any(skipped) else [])
+            assert skip_counts(counts) == skipped and counts["groups"] == len(expected)
 
     def test_every_skip_reason(self):
         world = world_of()
@@ -787,9 +769,9 @@ class TestHardNegativeGroups:
         ]:
             expected, oracle_skipped = hard_negative_groups_oracle(oracle_run, qrels, cfg)
             assert oracle_skipped == skipped
-            with sampling_log() as counts:
-                assert_groups_equal(world, build_hard_negative_groups(run, qrels, cfg), expected)
-            assert counts == [skipped]
+            counts = Counter()
+            assert_groups_equal(world, build_hard_negative_groups(run, qrels, cfg, counts), expected)
+            assert skip_counts(counts) == skipped
 
 
 class TestRerankPools:
