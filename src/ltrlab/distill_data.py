@@ -39,9 +39,12 @@ T = TypeVar("T")
 FEATURE_MAP_PRODUCT = "product"
 FEATURE_MAP_SATURATED = "saturated"
 
-# Queries per world slice in `map_ranges`: about 6.5 MB of features at
-# 200 docs x 16 features.
-_QUERIES_PER_RANGE = 256
+# Bytes of features per world slice in `map_ranges`: 81 queries at 200 docs
+# x 16 features, 54 at 300 x 16, and at least one query. Not 1 MiB: glibc
+# sets its heap trim threshold to twice the largest block freed so far, and
+# a threshold below the ~3.5 MB of a training step's temporaries at n = 100
+# gives them back to the system and faults them in again on every step.
+_SLICE_BYTES = 2**21
 
 
 @dataclass(frozen=True)
@@ -292,13 +295,13 @@ def generate_world(config: WorldConfig, queries: range | None = None) -> Synthet
 def map_ranges(
     fn: Callable[[SyntheticWorld], T], config: WorldConfig, queries: range
 ) -> Iterator[T]:
-    """`fn` of the world of each consecutive slice of at most
-    `_QUERIES_PER_RANGE` of `queries`, lazily and in order.
+    """`fn` of the world of each consecutive slice of `queries`, lazily and
+    in order. A slice holds as many queries as fit `_SLICE_BYTES` of features.
 
     Each world is dropped once `fn` returns, before the next is generated,
     so one slice is alive at a time as long as no result refers to its world.
     """
-    step = _QUERIES_PER_RANGE
+    step = max(1, _SLICE_BYTES // (config.docs_per_query * config.feature_dim * 8))
     for lo in range(queries.start, queries.stop, step):
         yield fn(generate_world(config, range(lo, min(lo + step, queries.stop))))
 
@@ -349,7 +352,7 @@ def build_hard_negative_groups(
             run.order.shape[1],
             cfg.pool_depth,
         )
-    rows, members = [], []
+    rows, members, small = [], [], []
     for r, (qid, row) in enumerate(zip(run.queries, run.order)):
         positives = qrels.positives(qid)
         if not positives:
@@ -365,18 +368,21 @@ def build_hard_negative_groups(
             except ValueError:  # a judged doc that is not in this query's pool
                 pass
         if len(pool) < cfg.num_negatives:
-            logger.warning(
-                "query %r has only %d eligible negatives (< %d); skipped",
-                qid,
-                len(pool),
-                cfg.num_negatives,
-            )
-            counts["small pool"] += 1
+            small.append((qid, len(pool)))
             continue
         rng = _query_rng(cfg.seed, qid)
         chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
         rows.append(r)
         members.append([*pool_index(world.config, qid, positives[:1]), *pool[chosen].tolist()])
+    if small:
+        counts["small pool"] += len(small)
+        logger.warning(
+            "%d queries have fewer than %d eligible negatives and are skipped, "
+            "first %r with %d",
+            len(small),
+            cfg.num_negatives,
+            *small[0],
+        )
     counts["groups"] += len(rows)
     index = np.array(members, dtype=np.intp).reshape(len(rows), cfg.num_negatives + 1)
     return world._features[run.qindex[rows][:, None], index]

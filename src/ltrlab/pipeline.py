@@ -8,7 +8,6 @@ distillation lists.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -16,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import scorer, trainer
-from .core import Qrels, QueryId, RankedRow
-from .distill_data import SyntheticWorld, WorldConfig, WorldRun, map_ranges
+from .core import DocId, Qrels, QueryId, RankedRow
+from .distill_data import SyntheticWorld, WorldConfig, WorldRun, map_ranges, query_ids
 from .trainer import PoolBlock, TrainConfig, ValidationSet
 
 logger = logging.getLogger(__name__)
@@ -65,24 +64,24 @@ def range_pools(
     config: WorldConfig, retriever: str, queries: range, depth: int
 ) -> tuple[PoolBlock, Qrels]:
     """The top-`depth` pools of `queries` in a retriever's run, and their
-    judgments, built one world slice at a time."""
+    judgments, written into one block a world slice at a time."""
+    n = min(depth, config.docs_per_query) if len(queries) else 0  # as `WorldRun.top` cuts
+    docs: list[list[DocId]] = []
+    index = np.empty((len(queries), n), np.intp)
+    features = np.empty((len(queries), n, config.feature_dim))
+    judged: dict[QueryId, dict[DocId, int]] = {}
 
-    def part(world: SyntheticWorld) -> tuple[PoolBlock, Qrels]:
+    def fill(world: SyntheticWorld) -> None:
+        rows = slice(world.queries.start - queries.start, world.queries.stop - queries.start)
         run = world.first_stage_run(retriever)
-        return build_rerank_pools(world, run, world.query_ids, depth), world.qrels()
+        some_docs, index[rows], features[rows] = run.top(world.query_ids, depth)
+        docs.extend(some_docs)
+        qrels = world.qrels()
+        judged.update((query, qrels.judged(query)) for query in qrels.query_ids())
 
-    parts = list(map_ranges(part, config, queries))
-    if not parts:  # rounding can leave the last split empty
-        empty = PoolBlock((), [], np.empty((0, 0), np.intp), np.empty((0, 0, config.feature_dim)))
-        return empty, Qrels()
-    blocks, qrels = zip(*parts)
-    block = PoolBlock(
-        tuple(itertools.chain.from_iterable(b.queries for b in blocks)),
-        list(itertools.chain.from_iterable(b.docs for b in blocks)),
-        np.concatenate([b.index for b in blocks]),
-        np.concatenate([b.features for b in blocks]),
-    )
-    return block, Qrels({q: part.judged(q) for part in qrels for q in part.query_ids()})
+    for _ in map_ranges(fill, config, queries):
+        pass
+    return PoolBlock(query_ids(config, queries), docs, index, features), Qrels(judged)
 
 
 def evaluate_model(

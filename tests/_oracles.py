@@ -520,6 +520,38 @@ def rerank_pools_oracle(world, run, queries, depth):
     return pools
 
 
+def range_pools_oracle(config, retriever, queries, depth):
+    """`pipeline.range_pools` as it was built before it wrote in place: each
+    world slice's `build_rerank_pools` block and judgments, concatenated."""
+    from ltrlab.core import Qrels
+    from ltrlab.distill_data import map_ranges
+    from ltrlab.pipeline import build_rerank_pools
+    from ltrlab.trainer import PoolBlock
+
+    def part(world):
+        run = world.first_stage_run(retriever)
+        return build_rerank_pools(world, run, world.query_ids, depth), world.qrels()
+
+    parts = list(map_ranges(part, config, queries))
+    if not parts:
+        empty = PoolBlock((), [], np.empty((0, 0), np.intp), np.empty((0, 0, config.feature_dim)))
+        return empty, Qrels()
+    blocks, qrels = zip(*parts)
+    block = PoolBlock(
+        tuple(itertools.chain.from_iterable(b.queries for b in blocks)),
+        list(itertools.chain.from_iterable(b.docs for b in blocks)),
+        np.concatenate([b.index for b in blocks]),
+        np.concatenate([b.features for b in blocks]),
+    )
+    return block, Qrels({q: part.judged(q) for part in qrels for q in part.query_ids()})
+
+
+def slice_bytes(config, queries):
+    """The `distill_data._SLICE_BYTES` that cuts `config`'s world into slices
+    of `queries` queries."""
+    return queries * config.docs_per_query * config.feature_dim * 8
+
+
 WORLD = "0" * 64  # the world fingerprint of the datasets that tests build by hand
 
 

@@ -19,7 +19,7 @@ from ltrlab.cli import ExperimentConfig, _atomic_write, load_experiment_config, 
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
 from ltrlab.evaluation import ndcg_at_k, per_query_scores_text, significance_report
 
-from _oracles import parse_run_oracle, restrict_run
+from _oracles import parse_run_oracle, restrict_run, slice_bytes
 
 SMOKE_CONFIG = {
     "world": {
@@ -247,11 +247,12 @@ class TestAtomicWrite:
         assert peak < path.stat().st_size / 4
 
 
-# A world of 2048 queries fills 8 ranges of 256. The commands read few of its
-# features: distillation depth 5, hard-negative groups of 8, eval depth 10.
+# A world of 2048 queries x 64 docs x 16 features holds 16 MiB of features,
+# 8 world slices. The commands read few of them: distillation depth 5,
+# hard-negative groups of 8, eval depth 10.
 RANGES_CONFIG = dict(
     SMOKE_CONFIG,
-    world=dict(SMOKE_CONFIG["world"], num_queries=2048, docs_per_query=50, feature_dim=16),
+    world=dict(SMOKE_CONFIG["world"], num_queries=2048, docs_per_query=64, feature_dim=16),
     sampling={"pool_depth": 50, "num_negatives": 7, "seed": 4},
     distill={"retriever": "strong", "depth": 5},
     stage1=dict(SMOKE_CONFIG["stage1"], max_steps=5),
@@ -265,8 +266,9 @@ class TestQueryRanges:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(RANGES_CONFIG), encoding="utf-8")
         world = RANGES_CONFIG["world"]
-        bound = world["num_queries"] * world["docs_per_query"] * world["feature_dim"] * 8 / 2
-        assert world["num_queries"] >= 8 * distill_data._QUERIES_PER_RANGE
+        features = world["num_queries"] * world["docs_per_query"] * world["feature_dim"] * 8
+        assert features >= 8 * distill_data._SLICE_BYTES
+        bound = features / 2
         peaks = {}
         tracemalloc.start()
         try:
@@ -307,7 +309,7 @@ class TestQueryRanges:
         (expected,) = [r.args for r in caplog.records if r.msg.startswith("hard-negative")]
         assert expected[2:] == (24, 0, 24)
 
-        monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world.config, 7))
         for command in (["train", "--stage", "two"], ["train", "--loss", "infonce"]):
             caplog.clear()
             with caplog.at_level(logging.INFO, logger="ltrlab.distill_data"):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -28,10 +29,12 @@ from _oracles import (
     doc_index_oracle,
     features_oracle,
     hard_negative_groups_oracle,
+    range_pools_oracle,
     record_values,
     restrict_qrels,
     restrict_run,
     scored_lists,
+    slice_bytes,
     stack_records,
     teacher_lists,
 )
@@ -207,6 +210,24 @@ class TestHardNegativeGroups:
             "run depth 20 < pool_depth 21; every query with a positive is skipped"
         )
 
+    def test_small_pools_skipped_with_one_warning(self, caplog):
+        """30 of 40 queries have every pool doc judged, so no eligible
+        negative: each is counted and skipped, and one warning per call
+        names how many and the first."""
+        run, qrels = self._run_and_qrels(n_queries=40, depth=20)
+        judged = {query: qrels.judged(query) for query in run.queries}
+        for qi, query in enumerate(run.queries[:30]):
+            judged[query] = dict.fromkeys(run.world._doc_ids(qi, range(20)), 1)
+        qrels, cfg, counts = Qrels(judged), SamplingConfig(pool_depth=20, num_negatives=3), Counter()
+        with caplog.at_level("WARNING"):
+            groups = build_hard_negative_groups(run, qrels, cfg, counts)
+        (warning,) = caplog.records
+        assert warning.getMessage() == (
+            "30 queries have fewer than 3 eligible negatives and are skipped, first 'q00' with 0"
+        )
+        assert counts == {"small pool": 30, "groups": 10}
+        assert len(self._oracle_groups(run, qrels, cfg)) == len(groups) == 10
+
     def test_sampling_uniform_over_subsets(self):
         # 10^4 independent draws of 2 negatives from 6 eligible docs; the 15
         # possible subsets should be uniform (chi-square, not rejected at 0.01).
@@ -297,18 +318,30 @@ class TestQueryRanges:
             generate_world(WorldConfig(num_queries=10, docs_per_query=3), queries)
 
     def test_map_ranges_covers_the_range_in_slices(self, monkeypatch):
-        monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
         config = WorldConfig(num_queries=40, docs_per_query=3)
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, 7))
         slices = list(map_ranges(lambda world: world.query_ids, config, range(3, 25)))
         assert [len(ids) for ids in slices] == [7, 7, 7, 1]
         assert sum(slices, ()) == generate_world(config).query_ids[3:25]
         assert list(map_ranges(lambda world: world, config, range(5, 5))) == []
 
+    @pytest.mark.parametrize(
+        "shape, budget, per_slice",
+        [((200, 16), 2**21, 81), ((300, 16), 2**21, 54), ((200, 16), 2**20, 40), ((200, 16), 25_599, 1)],
+    )
+    def test_slices_hold_the_queries_whose_features_fit_the_budget(
+        self, monkeypatch, shape, budget, per_slice
+    ):
+        config = WorldConfig(num_queries=100, docs_per_query=shape[0], feature_dim=shape[1])
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", budget)
+        sizes = list(map_ranges(lambda world: len(world.queries), config, range(0, 100)))
+        assert sizes[0] == per_slice and sum(sizes) == 100
+
 
 class TestRangePools:
     def test_equal_pools_of_the_whole_world(self, monkeypatch):
-        monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
         config = WorldConfig(num_queries=40, docs_per_query=30, feature_dim=3, seed=8)
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, 7))
         whole = generate_world(config)
         queries = whole.query_ids[5:30]
         expected = pipeline.build_rerank_pools(whole, whole.first_stage_run("weak"), queries, 12)
@@ -322,6 +355,47 @@ class TestRangePools:
         config = WorldConfig(num_queries=3, docs_per_query=10, feature_dim=2)
         block, qrels = pipeline.range_pools(config, "strong", range(3, 3), 5)
         assert len(block) == 0 and len(qrels) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_the_concatenated_slice_blocks(self, data):
+        num_queries = data.draw(st.integers(1, 30), label="num_queries")
+        config = WorldConfig(
+            num_queries=num_queries,
+            docs_per_query=data.draw(st.integers(1, 9), label="docs_per_query"),
+            feature_dim=data.draw(st.integers(1, 3), label="feature_dim"),
+            first_stage_noise={"r": data.draw(st.sampled_from([0.0, 1.0]), label="noise")},
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        )
+        lo = data.draw(st.integers(0, num_queries), label="lo")
+        hi = data.draw(st.integers(lo, num_queries), label="hi")
+        per_slice = data.draw(st.sampled_from([1, 7, num_queries + 1]), label="queries per slice")
+        depth = data.draw(st.integers(1, config.docs_per_query), label="depth")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, per_slice))
+            block, qrels = pipeline.range_pools(config, "r", range(lo, hi), depth)
+            expected, expected_qrels = range_pools_oracle(config, "r", range(lo, hi), depth)
+        assert block.queries == expected.queries and block.docs == expected.docs
+        for got, want in ((block.index, expected.index), (block.features, expected.features)):
+            assert got.shape == want.shape and (got == want).all()
+            assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert qrels == expected_qrels
+
+    def test_peak_is_the_block_plus_two_slices(self, monkeypatch):
+        """Features outweigh doc ids at 64 features a doc: a block of 42
+        queries, 11 slices of 4, peaks at its own features plus little more."""
+        config = WorldConfig(num_queries=48, docs_per_query=20, feature_dim=64, seed=3)
+        budget = slice_bytes(config, 4)
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", budget)
+        pipeline.range_pools(config, "weak", range(0, 1), 20)  # fills the doc-id suffix cache
+        tracemalloc.start()
+        try:
+            block, _ = pipeline.range_pools(config, "weak", range(3, 45), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.features.shape == (42, 20, 64)
+        assert peak < 1.5 * block.features.nbytes + 2 * budget, (peak, block.features.nbytes)
 
 
 class TestTeacherDataset:

@@ -61,6 +61,7 @@ from _oracles import (
     restrict_run_oracle,
     scored_list_checks,
     scored_lists,
+    slice_bytes,
     stack_records,
     subsample_depth_oracle,
     teacher_dataset_oracle,
@@ -1072,7 +1073,7 @@ class TestGatheredLists:
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
             path = Path(tmp) / "dataset.jsonl"
             path.write_text(text, encoding="utf-8")
-            patch.setattr(distill_data, "_QUERIES_PER_RANGE", per_slice)
+            patch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world.config, per_slice))
             _, teacher = _train_lists(cfg, range(lo, hi), False, depth, None)
             dataset = _read_dataset(str(path), cfg, range(lo, hi))
             _, gathered = _train_lists(cfg, range(lo, hi), False, None, dataset)

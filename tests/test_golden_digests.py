@@ -29,7 +29,9 @@ import numpy as np
 
 from ltrlab import distill_data
 from ltrlab.cli import main
+from ltrlab.distill_data import WorldConfig
 
+from _oracles import slice_bytes
 from test_cli import SMOKE_CONFIG
 
 GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
@@ -132,7 +134,7 @@ def test_outputs_match_golden_digests_across_range_edges(tmp_path, monkeypatch):
     """The smoke world's 200 queries fit in one world slice. At 7 queries a
     slice, which divides neither 200 nor the split boundaries 120 and 160,
     every command crosses slice edges and must still write the same bytes."""
-    monkeypatch.setattr(distill_data, "_QUERIES_PER_RANGE", 7)
+    monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(WorldConfig(**SMOKE_CONFIG["world"]), 7))
     assert_golden(tmp_path)
 
 
