@@ -43,12 +43,6 @@ from .evaluation import (
 from .losses import ApproxConfig, LossOutput, adr_mse, infonce, ranknet, smooth_rank
 from .rerank_sim import CostModel, StrategySpec, estimate, schedule, scoring_count
 from .scorer import AdamWState, ScorerModel, adamw_step, grad_batch, init_model, score_batch
-from .trainer import (
-    TrainConfig,
-    TrainReport,
-    ValidationSet,
-    train_distill,
-    train_stage1,
-)
+from .trainer import TrainConfig, TrainReport, train_distill, train_stage1
 
 __version__ = "0.1.0"

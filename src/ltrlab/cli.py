@@ -198,9 +198,12 @@ def load_experiment_config(path: str | None, overrides: argparse.Namespace) -> E
     """Read the config file (or defaults) and apply the --seed and --loss flags."""
     raw: dict = {}
     if path is not None:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"config file {path!r} is not UTF-8 JSON: {exc}") from None
         if not isinstance(raw, dict):
-            raise ConfigError("config file must contain a JSON object")
+            raise ConfigError(f"config file {path!r} must contain a JSON object")
     hints = typing.get_type_hints(ExperimentConfig)
     unknown = sorted(set(raw) - set(hints))
     if unknown:
@@ -366,8 +369,10 @@ def _read_dataset(
     order: each list's world query index, the (L + 1,) offsets of its docs
     and one column of their pool indices."""
     dataset = _parse_file("dataset file", path, core.parse_distill_dataset)
+    if not len(dataset):
+        raise ConfigError(f"dataset {path!r} contains no lists")
     world = cfg.world.fingerprint()
-    if dataset.world not in (None, world):
+    if dataset.world != world:
         raise ConfigError(
             f"dataset {path!r} was made from world {dataset.world}, "
             f"but the config's world is {world}"
@@ -434,9 +439,9 @@ def _train(
     groups, lists = _train_lists(cfg, train, stage1, teacher_depth, dataset)
     del dataset  # freed before the validation pools, which set the peak RSS, are built
     if distill:
-        validation = trainer.ValidationSet(*pipeline.range_pools(
+        validation = pipeline.range_pools(
             cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
-        ))
+        )
     reports = {}
     if stage1:
         model, reports["stage1"] = trainer.train_stage1(model, groups, cfg.stage1)
@@ -467,12 +472,12 @@ def cmd_train(args) -> int:
     # The training data goes out of scope with _train, before the test pools
     # are built, so the two never take memory at the same time.
     model, reports = _train(args, cfg, stage1, distill, splits)
-    test_pools, qrels = pipeline.range_pools(
+    test_pools = pipeline.range_pools(
         cfg.world, cfg.eval.retriever, splits["test"], cfg.eval.depth
     )
     k = cfg.eval.k
-    test_scores, test_run = pipeline.evaluate_model(model, test_pools, qrels, k)
-    mean_test = sum(test_scores.values()) / len(test_scores) if test_scores else 0.0
+    test_scores, test_run = pipeline.evaluate_model(model, test_pools, k)
+    mean_test = sum(test_scores.values()) / len(test_scores)
     summary = {"stage": args.stage, "loss": loss, "num_test_queries": len(test_scores)}
     summary[f"mean_test_ndcg{k}"] = mean_test
     out = Path(args.out)
@@ -593,9 +598,9 @@ def cmd_ablate(args) -> int:
     for blocks in distill_data.map_ranges(build, cfg.world, splits["train"]):
         for d, block in zip(depths, blocks):
             lists[d] += list(block)
-    validation = trainer.ValidationSet(*pipeline.range_pools(
+    validation = pipeline.range_pools(
         cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
-    ))
+    )
     base_model = _init_scorer(cfg.scorer, cfg.world.feature_dim)
     cells = pipeline.ablation_grid(lists, cfg.ablation.fractions, base_model, validation, cfg.stage2)
     out = Path(args.out)

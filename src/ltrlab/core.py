@@ -107,8 +107,13 @@ class ScoredList:
         return next(zip(*self.entries), ())
 
 
+# The largest grade judgments may hold. nDCG sums gains 2^grade - 1, and at
+# 512 the sum of any list stays finite (2^1024 overflows a float).
+MAX_GRADE = 512
+
+
 class Qrels:
-    """Relevance judgments: (query, doc) -> integer grade >= 0.
+    """Relevance judgments: (query, doc) -> integer grade in [0, MAX_GRADE].
 
     Absent pairs are grade 0. Treat instances as immutable.
     """
@@ -126,6 +131,8 @@ class Qrels:
                     raise ValueError(f"grade for ({qid!r}, {doc!r}) must be an integer")
                 if grade < 0:
                     raise ValueError(f"negative grade {grade} for ({qid!r}, {doc!r})")
+                if grade > MAX_GRADE:
+                    raise ValueError(f"grade {grade} for ({qid!r}, {doc!r}) exceeds {MAX_GRADE}")
                 per_q[doc] = int(grade)
             data[qid] = per_q
         self._grades = data
@@ -279,6 +286,8 @@ def parse_run(source: str | Iterable[str], depth: int | None = None) -> ParsedRu
         scores.append(score)
     if docs:
         end_group()
+    if depth is not None and depth >= len(scores):  # cuts nothing, and may not fit an int64
+        depth = None
     queries = tuple(index)
     scores_a = np.frombuffer(scores)
     offsets = np.append(np.frombuffer(starts, dtype=np.int64), len(scores))
@@ -436,6 +445,8 @@ def parse_qrels(source: str | IO[str]) -> Qrels:
             raise ParseError(f"grade field {grade_text!r} is not an integer", lineno) from None
         if grade < 0:
             raise ParseError(f"negative grade {grade}", lineno)
+        if grade > MAX_GRADE:
+            raise ParseError(f"grade {grade} exceeds {MAX_GRADE}", lineno)
         if doc in grades.get(qid, {}):
             logger.warning(
                 "qrels line %d overrides earlier judgment for query %r doc %r", lineno, qid, doc

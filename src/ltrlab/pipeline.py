@@ -17,7 +17,7 @@ import numpy as np
 from . import scorer, trainer
 from .core import DocId, Qrels, QueryId, RankedRow
 from .distill_data import SyntheticWorld, WorldConfig, WorldRun, map_ranges, query_ids
-from .trainer import PoolBlock, TrainConfig, ValidationSet
+from .trainer import PoolBlock, TrainConfig
 
 logger = logging.getLogger(__name__)
 
@@ -54,17 +54,18 @@ def split_query_ids(
 def build_rerank_pools(
     world: SyntheticWorld, run: WorldRun, queries: Sequence[QueryId], depth: int
 ) -> PoolBlock:
-    """Top-`depth` candidates of each query's run of `world`, with their features."""
+    """Top-`depth` candidates of each query's run of `world`, with their
+    features, judged by the world's qrels."""
     if run.world is not world:
         raise ValueError("the run is not a run of this world")
-    return PoolBlock(tuple(queries), *run.top(queries, depth))
+    return PoolBlock(tuple(queries), *run.top(queries, depth), world.qrels())
 
 
 def range_pools(
     config: WorldConfig, retriever: str, queries: range, depth: int
-) -> tuple[PoolBlock, Qrels]:
-    """The top-`depth` pools of `queries` in a retriever's run, and their
-    judgments, written into one block a world slice at a time."""
+) -> PoolBlock:
+    """The top-`depth` pools of `queries` in a retriever's run, judged, written
+    into one block a world slice at a time."""
     n = min(depth, config.docs_per_query) if len(queries) else 0  # as `WorldRun.top` cuts
     docs: list[list[DocId]] = []
     index = np.empty((len(queries), n), np.intp)
@@ -81,19 +82,17 @@ def range_pools(
 
     for _ in map_ranges(fill, config, queries):
         pass
-    return PoolBlock(query_ids(config, queries), docs, index, features), Qrels(judged)
+    return PoolBlock(query_ids(config, queries), docs, index, features, Qrels(judged))
 
 
 def evaluate_model(
-    model: scorer.ScorerModel, pools: PoolBlock, qrels: Qrels, k: int = 10
+    model: scorer.ScorerModel, pools: PoolBlock, k: int = 10
 ) -> tuple[dict[QueryId, float], list[RankedRow]]:
     """Per-query nDCG@k of the model re-ranking each pool, and the re-ranked
     rows for `core.write_run` in the pools' order, both from one ranking of
     the block."""
-    if not len(pools):
-        return {}, []
     scores, order = pools.rank(model)
-    ndcg = ValidationSet(pools, qrels).ndcg_of(order, k)
+    ndcg = pools.ndcg_of(order, k)
     run = [
         (query, [docs[j] for j in ranked], row[ranked].tolist())
         for query, docs, row, ranked in zip(pools.queries, pools.docs, scores, order.tolist())
@@ -127,7 +126,7 @@ def ablation_grid(
     lists_by_depth: Mapping[int, Sequence[np.ndarray]],
     fractions: Sequence[float],
     base_model: scorer.ScorerModel,
-    validation: ValidationSet,
+    validation: PoolBlock,
     cfg: TrainConfig,
 ) -> list[AblationCell]:
     """Train one model per (depth, fraction) cell and record validation nDCG@10.

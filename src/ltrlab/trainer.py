@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -105,10 +105,13 @@ class RerankPool(NamedTuple):
 
 @dataclass(eq=False, repr=False)
 class PoolBlock:
-    """The top of many queries' pools in a world run, as one (Q, n, F) block.
+    """The top of many queries' pools in a world run, as one (Q, n, F) block,
+    judged by `qrels`.
 
     Row i is query `queries[i]`: `docs[i][j]` is the doc at pool index
-    `index[i, j]` of its world query and `features[i, j]` its features.
+    `index[i, j]` of its world query, `features[i, j]` its features and
+    `grades[i, j]` its grade (0 when unjudged); `ideal[i]` holds all of
+    query i's judged grades, best first, as `evaluation.ndcg_rows` takes them.
     `pipeline.build_rerank_pools` cuts blocks from world runs, whose ids are
     valid, so nothing checks them again. The world's doc ids are zero-padded
     and sort like their pool indices, so `index` breaks score ties as
@@ -119,6 +122,12 @@ class PoolBlock:
     docs: list[list[DocId]]
     index: np.ndarray  # (Q, n)
     features: np.ndarray  # (Q, n, F)
+    qrels: InitVar[Qrels]
+    grades: np.ndarray = field(init=False)  # (Q, n)
+    ideal: np.ndarray = field(init=False)
+
+    def __post_init__(self, qrels: Qrels) -> None:
+        self.grades, self.ideal = grade_rows(qrels, self.queries, self.docs)
 
     def __len__(self) -> int:
         return len(self.queries)
@@ -151,34 +160,17 @@ class PoolBlock:
             order[tied] = np.lexsort((self.index[tied], -scores[tied]), axis=-1)
         return scores, order
 
-
-class ValidationSet:
-    """Held-out pools plus their judgments, for early stopping and evaluation.
-
-    `grades[i, j]` is the judged grade of the doc in column j of the block's
-    row i (0 when unjudged), and `ideal[i]` holds all of query i's judged
-    grades, best first: the inputs of `evaluation.ndcg_rows`.
-    """
-
-    def __init__(self, block: PoolBlock, qrels: Qrels):
-        self.block = block
-        if not len(self.block):
-            raise ValueError("validation set must contain at least one pool")
-        self.grades, self.ideal = grade_rows(qrels, block.queries, block.docs)
-
     def ndcg(self, model: scorer.ScorerModel, k: int = 10) -> np.ndarray:
         """Per-pool nDCG@k of the model's ranking; entry i equals `ndcg_at_k`
         of row i in canonical order, bit for bit."""
-        return self.ndcg_of(self.block.rank(model)[1], k)
+        return self.ndcg_of(self.rank(model)[1], k)
 
     def ndcg_of(self, order: np.ndarray, k: int = 10) -> np.ndarray:
-        """Per-pool nDCG@k of the block ranked by `order`, as `PoolBlock.rank` gives it."""
+        """Per-pool nDCG@k of the block ranked by `order`, as `rank` gives it."""
         return ndcg_rows(np.take_along_axis(self.grades, order[:, :k], axis=1), self.ideal, k)
 
 
-def mean_validation_ndcg(
-    model: scorer.ScorerModel, validation: ValidationSet, k: int = 10
-) -> float:
+def mean_validation_ndcg(model: scorer.ScorerModel, validation: PoolBlock, k: int = 10) -> float:
     return float(np.mean(validation.ndcg(model, k)))
 
 
@@ -281,7 +273,7 @@ def train_stage1(
 def train_distill(
     model: scorer.ScorerModel,
     lists: Sequence[np.ndarray],
-    validation: ValidationSet,
+    validation: PoolBlock,
     cfg: TrainConfig,
 ) -> tuple[scorer.ScorerModel, TrainReport]:
     """Listwise distillation training with nDCG@10 early stopping.
@@ -294,6 +286,8 @@ def train_distill(
     """
     if cfg.loss not in DISTILL_LOSSES:
         raise ValueError(f"train_distill requires a distillation loss, got {cfg.loss!r}")
+    if not len(validation):
+        raise ValueError("validation set must contain at least one pool")
     _check_lists("train_distill", model, lists)
     approx = losses.ApproxConfig(alpha=cfg.alpha)
     loss_fn = losses.ranknet if cfg.loss == LOSS_RANKNET else lambda s: losses.adr_mse(s, approx)

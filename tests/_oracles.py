@@ -522,7 +522,8 @@ def rerank_pools_oracle(world, run, queries, depth):
 
 def range_pools_oracle(config, retriever, queries, depth):
     """`pipeline.range_pools` as it was built before it wrote in place: each
-    world slice's `build_rerank_pools` block and judgments, concatenated."""
+    world slice's `build_rerank_pools` block, concatenated and judged by the
+    slices' judgments."""
     from ltrlab.core import Qrels
     from ltrlab.distill_data import map_ranges
     from ltrlab.pipeline import build_rerank_pools
@@ -534,16 +535,26 @@ def range_pools_oracle(config, retriever, queries, depth):
 
     parts = list(map_ranges(part, config, queries))
     if not parts:
-        empty = PoolBlock((), [], np.empty((0, 0), np.intp), np.empty((0, 0, config.feature_dim)))
-        return empty, Qrels()
+        empty = (np.empty((0, 0), np.intp), np.empty((0, 0, config.feature_dim)))
+        return PoolBlock((), [], *empty, Qrels())
     blocks, qrels = zip(*parts)
-    block = PoolBlock(
+    return PoolBlock(
         tuple(itertools.chain.from_iterable(b.queries for b in blocks)),
         list(itertools.chain.from_iterable(b.docs for b in blocks)),
         np.concatenate([b.index for b in blocks]),
         np.concatenate([b.features for b in blocks]),
+        Qrels({q: part.judged(q) for part in qrels for q in part.query_ids()}),
     )
-    return block, Qrels({q: part.judged(q) for part in qrels for q in part.query_ids()})
+
+
+def rejudged(block, qrels, rows=slice(None)):
+    """The rows `rows` of a PoolBlock, judged by `qrels` in place of the
+    block's own judgments; its features are a view of the block's."""
+    from ltrlab.trainer import PoolBlock
+
+    return PoolBlock(
+        block.queries[rows], block.docs[rows], block.index[rows], block.features[rows], qrels
+    )
 
 
 def slice_bytes(config, queries):

@@ -36,7 +36,7 @@ from ltrlab.pipeline import (
     split_query_ids,
 )
 from ltrlab.rerank_sim import CostModel, estimate, pointwise, schedule, scoring_count, sliding_window
-from ltrlab.trainer import TrainConfig, ValidationSet, train_distill, train_stage1
+from ltrlab.trainer import TrainConfig, train_distill, train_stage1
 
 from _oracles import finite_difference_grad, grad_close, ndcg_bruteforce, restrict_run, teacher_lists
 
@@ -266,7 +266,7 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
     fractions = {"train": 0.6, "validation": 0.2, "test": 0.2}
     splits = split_query_ids(world.query_ids, fractions)
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-    validation = ValidationSet(*range_pools(world.config, "low", validation_range, 50))
+    validation = range_pools(world.config, "low", validation_range, 50)
     test_pools = build_rerank_pools(world, world.first_stage_run("low"), splits["test"], 50)
     result = {}
     for name in ("low", "high"):
@@ -284,7 +284,7 @@ def _pool_quality_run(seed: int) -> dict[str, float]:
             seed=seed + 2,
         )
         trained, _ = train_distill(model, dataset, validation, cfg)
-        scores, _ = evaluate_model(trained, test_pools, world.qrels(), 10)
+        scores, _ = evaluate_model(trained, test_pools, 10)
         result[name] = float(np.mean(list(scores.values())))
     return result
 
@@ -334,7 +334,7 @@ def training_regimes():
         ))
         dataset = teacher_lists(run_train, 50)
         validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-        validation = ValidationSet(*range_pools(world.config, "strong", validation_range, 50))
+        validation = range_pools(world.config, "strong", validation_range, 50)
         test_pools = build_rerank_pools(
             world, world.first_stage_run("strong"), splits["test"], 50
         )
@@ -351,7 +351,7 @@ def training_regimes():
             )
 
         def test_ndcg(m):
-            scores, _ = evaluate_model(m, test_pools, world.qrels(), 10)
+            scores, _ = evaluate_model(m, test_pools, 10)
             return float(np.mean(list(scores.values())))
 
         stage1_model, _ = train_stage1(model0, groups, cfg1)

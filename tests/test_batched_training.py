@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ltrlab import losses, scorer, trainer
-from ltrlab.core import canonical_order
+from ltrlab.core import Qrels, canonical_order
 from ltrlab.distill_data import (
     SamplingConfig,
     WorldConfig,
@@ -39,6 +39,7 @@ from _oracles import (
     ranknet_block_oracle,
     ranknet_oracle,
     reference_step,
+    rejudged,
     restrict_run,
     row_sums,
     score_oracle,
@@ -561,14 +562,7 @@ def pool_blocks(draw):
         features[rows // 2] = features[0]  # a duplicate pool
     queries = tuple(f"q{i}" for i in range(rows))
     docs = [[f"{q}_p{j:03d}" for j in row] for q, row in zip(queries, index.tolist())]
-    return trainer.PoolBlock(queries, docs, index, features)
-
-
-def sub_block(block, rows):
-    """The rows `rows` (a slice) of a block, its features a view of the block's."""
-    return trainer.PoolBlock(
-        block.queries[rows], block.docs[rows], block.index[rows], block.features[rows]
-    )
+    return trainer.PoolBlock(queries, docs, index, features, Qrels())
 
 
 class TestOneCallRanking:
@@ -585,7 +579,7 @@ class TestOneCallRanking:
         hi = data.draw(st.integers(lo + 1, q))
         groupings = [range(k) for k in range(1, q + 1)] + [range(lo, hi), range(q - 1, q)]
         for picked in groupings:
-            scores, order = sub_block(block, slice(picked.start, picked.stop)).rank(model)
+            scores, order = rejudged(block, Qrels(), slice(picked.start, picked.stop)).rank(model)
             assert scores.shape == order.shape == (len(picked), block.index.shape[1])
             for i, row_scores, row_order in zip(picked, scores, order.tolist(), strict=True):
                 alone = scorer.score_batch(model, block.features[i])
@@ -605,7 +599,7 @@ class TestOneCallRanking:
 
         monkeypatch.setattr(scorer, "score_batch", counting)
         trainer.mean_validation_ndcg(model_of(scorer.MLP, 5, 0), validation)
-        assert calls == [validation.block.features.shape]
+        assert calls == [validation.features.shape]
 
 
 def small_world():
@@ -632,7 +626,7 @@ def world_setup():
     for i, features in enumerate(full[20:]):
         ragged.append(features[: 1 + i % 7])  # mixed lengths, some of them 1
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-    validation = trainer.ValidationSet(*range_pools(world.config, "main", validation_range, 12))
+    validation = range_pools(world.config, "main", validation_range, 12)
     sampling = SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
     groups = build_hard_negative_groups(run, world.qrels(), sampling, Counter())
     expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), world.qrels(), sampling)

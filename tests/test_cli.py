@@ -530,6 +530,81 @@ def test_parse_error_names_the_file(tmp_path, capsys, command, bad, message):
     assert not (tmp_path / "out").exists()
 
 
+def ltrlab_process(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """`python -m ltrlab` with `argv`, run in `cwd`."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "ltrlab", *argv], cwd=cwd, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+    )
+
+
+RUN = "q1 Q0 a 1 3.0 t\nq1 Q0 b 2 2.0 t\nq1 Q0 c 3 1.0 t\nq2 Q0 a 1 1.0 t\n"
+EVAL_FILES = ["eval", "--run", "run.trec", "--qrels", "qrels.txt"]
+SIGNIFICANCE_FILES = ["significance", "--qrels", "qrels.txt", "--baseline", "run.trec",
+                      "--candidate", "cand.trec"]
+TRAIN_EMPTY = ["train", "--config", "smoke.json", "--loss", "ranknet", "--dataset", "empty.jsonl"]
+JSON_ERROR = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "files, argv, status, message",
+    [
+        ({"qrels.txt": "q1 0 a 1\nq1 0 b 5000\n"}, EVAL_FILES, 2,
+         "error: qrels file 'qrels.txt', line 2: grade 5000 exceeds 512"),
+        ({"qrels.txt": "q1 0 a 1023\nq1 0 b 1023\nq1 0 c 1023\n"}, EVAL_FILES, 2,
+         "error: qrels file 'qrels.txt', line 1: grade 1023 exceeds 512"),
+        ({"qrels.txt": "q1 0 a 1\nq2 0 a 5000\n"}, SIGNIFICANCE_FILES, 2,
+         "error: qrels file 'qrels.txt', line 2: grade 5000 exceeds 512"),
+        ({"config.json": "{x}"}, ["world", "--config", "config.json"], 2,
+         f"error: config file 'config.json' is not UTF-8 JSON: {JSON_ERROR}"),
+        ({"config.json": b"\xff{}"}, ["distill", "--config", "config.json"], 2,
+         f"error: config file 'config.json' is not UTF-8 JSON: {UTF8_ERROR}"),
+        ({"config.json": "[]"}, ["world", "--config", "config.json"], 2,
+         "error: config file 'config.json' must contain a JSON object"),
+        ({"empty.jsonl": ""}, TRAIN_EMPTY + ["--stage", "two"], 2,
+         "error: dataset 'empty.jsonl' contains no lists"),
+        ({"empty.jsonl": "\n\n"}, TRAIN_EMPTY + ["--stage", "single"], 2,
+         "error: dataset 'empty.jsonl' contains no lists"),
+        ({}, ["bench", "--system", "x,pointwise"], 1, "usage error: --system needs "
+         "name,kind,per_call_latency,memory_gb[,window,stride]; got 'x,pointwise'"),
+    ],
+    ids=["grade-5000", "grades-1023", "significance-grade", "config-not-json",
+         "config-not-utf8", "config-not-object", "empty-dataset-two", "empty-dataset-single",
+         "bad-system"],
+)
+def test_bad_input_is_one_line_naming_it(tmp_path, files, argv, status, message):
+    """Each bad input exits with its documented status and one line on
+    stderr that names it, never a traceback, and writes nothing."""
+    files = {"run.trec": RUN, "cand.trec": RUN, "smoke.json": json.dumps(SMOKE_CONFIG), **files}
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    done = ltrlab_process(argv + ["--out", "out"], tmp_path)
+    assert (done.returncode, done.stderr) == (status, message + "\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", [2**63, 2**64])
+def test_cutoff_past_int64_is_no_cut(tmp_path, k):
+    """A --k that no int64 holds scores every entry, as a --k of their count does."""
+    (tmp_path / "run.trec").write_text(RUN)
+    (tmp_path / "qrels.txt").write_text("q1 0 c 2\nq2 0 a 1\n")
+    (tmp_path / "cand.trec").write_text(RUN.replace("3.0", "0.5"))
+    summaries = []
+    for cutoff in (k, 4):
+        done = ltrlab_process(EVAL_FILES + ["--k", str(cutoff), "--out", f"eval{cutoff}"], tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        summary = json.loads(read(tmp_path / f"eval{cutoff}" / "eval_summary.json"))
+        summaries.append(summary.pop("mean"))
+        assert summary["metric"] == f"nDCG@{cutoff}"
+        argv = SIGNIFICANCE_FILES + ["--k", str(cutoff), "--out", f"sig{cutoff}"]
+        done = ltrlab_process(argv, tmp_path)
+        assert (done.returncode, done.stderr) == (0, "")
+        summaries.append(read(tmp_path / f"sig{cutoff}" / "significance.jsonl"))
+    assert summaries[:2] == summaries[2:]
+
+
 def run_columns(run: core.ParsedRun) -> list[list[tuple[str, str]]]:
     """Each query's (doc, score bits) entries, from a ParsedRun's columns."""
     bounds = run.offsets.tolist()
@@ -753,11 +828,16 @@ class TestPipelineSmoke:
         argv = ["train", "--config", str(config_path), "--stage", "single", "--loss", "infonce"]
         assert main(argv + ["--out", str(tmp_path / "a")]) == 0
 
-        def fail(*args, **kwargs):
-            raise AssertionError("validation set built without distillation")
+        built, real = [], pipeline.range_pools
 
-        monkeypatch.setattr(trainer, "ValidationSet", fail)
+        def recording(config, retriever, queries, depth):
+            built.append(queries)
+            return real(config, retriever, queries, depth)
+
+        monkeypatch.setattr(pipeline, "range_pools", recording)
         assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        cfg = load_experiment_config(str(config_path), argparse.Namespace())
+        assert built == [pipeline.query_ranges(cfg.world.num_queries, cfg.split)["test"]]
         names = sorted(p.name for p in (tmp_path / "a").iterdir())
         assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
         for name in names:
@@ -1418,6 +1498,18 @@ class TestTrainDatasetFaults:
         err, dataset = capsys.readouterr().err, str(tmp_path / "dataset.jsonl")
         assert err.startswith(f"error: dataset file {dataset!r}, line 3: invalid JSON")
         assert not (out / "checkpoint.txt").exists()
+
+    @pytest.mark.parametrize("stage", ["single", "two"])
+    def test_dataset_of_no_lists_refused_before_any_world_slice(
+        self, tmp_path, config_path, capsys, monkeypatch, stage
+    ):
+        dataset = tmp_path / "dataset.jsonl"
+        dataset.write_text("\n", encoding="utf-8")
+        monkeypatch.setattr(distill_data, "generate_world", no_world)
+        argv = ["train", "--config", str(config_path), "--dataset", str(dataset), "--stage", stage]
+        assert main(argv + ["--loss", "ranknet", "--out", str(tmp_path / "t")]) == 2
+        assert capsys.readouterr().err == f"error: dataset {str(dataset)!r} contains no lists\n"
+        assert not (tmp_path / "t").exists()
 
     @pytest.mark.parametrize("stage", ["single", "two"])
     def test_dataset_of_another_world_refused(

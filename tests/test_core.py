@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltrlab.core import (
+    MAX_GRADE,
     DuplicateEntryError,
     ParseError,
     Qrels,
@@ -19,6 +20,8 @@ from ltrlab.core import (
     write_qrels,
     write_run,
 )
+
+from ltrlab.evaluation import grade_rows, ndcg_at_k, ndcg_rows
 
 from _oracles import WORLD, ranked_rows, record_values, restrict_qrels, stack_records
 
@@ -41,6 +44,18 @@ class TestParseRun:
     def test_malformed_rank_field(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_run("q1 Q0 dA x 2.5 sys")
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    def test_depth_past_the_entries_is_no_cut(self, grouped):
+        """A depth at or past the number of entries, even one no int64
+        holds, parses as no depth at all."""
+        lines = ["q1 Q0 dB 1 2.0 t", "q1 Q0 dA 2 2.0 t", "q1 Q0 dD 3 0.5 t", "q2 Q0 dC 1 1.0 t"]
+        text = "\n".join(lines if grouped else [lines[0], lines[3], *lines[1:3]])
+        whole = parse_run(text)
+        for depth in (4, 2**63 - 1, 2**63, 2**64):
+            run = parse_run(text, depth)
+            assert run == whole and run.offsets.tolist() == whole.offsets.tolist()
+            assert run.docs == whole.docs and run.scores.tolist() == whole.scores.tolist()
 
     def test_wrong_field_count_reports_line(self):
         with pytest.raises(ParseError, match="line 2"):
@@ -163,6 +178,20 @@ class TestQrels:
     def test_negative_grade(self):
         with pytest.raises(ParseError):
             parse_qrels("q1 0 dA -1")
+
+    def test_grades_past_the_bound_refused(self):
+        """At the bound every nDCG stays finite; one past it is refused by
+        the parser, with its line, and by the constructor."""
+        lines = "".join(f"q1 0 d{i} {MAX_GRADE}\n" for i in range(1000))
+        qrels = parse_qrels(lines)
+        ranking = ScoredList("q1", tuple((f"d{i}", 1.0) for i in range(1000)))
+        assert ndcg_at_k(ranking, qrels, 1000) == 1.0
+        assert ndcg_rows(*grade_rows(qrels, ["q1"], [ranking.docs]), 1000).tolist() == [1.0]
+        for grade in (MAX_GRADE + 1, 1023, 5000, 10**30):
+            with pytest.raises(ParseError, match=f"^line 2: grade {grade} exceeds {MAX_GRADE}$"):
+                parse_qrels(f"q1 0 dA 1\nq1 0 dB {grade}\n")
+            with pytest.raises(ValueError, match=f"^grade {grade} for \\('q', 'd'\\) exceeds"):
+                Qrels({"q": {"d": grade}})
 
     def test_malformed_line_number(self):
         with pytest.raises(ParseError, match="line 2"):

@@ -23,6 +23,7 @@ from ltrlab.distill_data import (
     subsample_depth,
     map_ranges,
 )
+from ltrlab.evaluation import grade_rows
 
 from _oracles import (
     assert_groups_equal,
@@ -345,16 +346,17 @@ class TestRangePools:
         whole = generate_world(config)
         queries = whole.query_ids[5:30]
         expected = pipeline.build_rerank_pools(whole, whole.first_stage_run("weak"), queries, 12)
-        block, qrels = pipeline.range_pools(config, "weak", range(5, 30), 12)
+        block = pipeline.range_pools(config, "weak", range(5, 30), 12)
         assert block.queries == expected.queries and block.docs == expected.docs
         assert (block.index == expected.index).all()
         assert (block.features == expected.features).all()
-        assert qrels == restrict_qrels(whole.qrels(), queries)
+        grades, ideal = grade_rows(restrict_qrels(whole.qrels(), queries), queries, block.docs)
+        assert (block.grades == grades).all() and (block.ideal == ideal).all()
 
     def test_empty_range_gives_an_empty_block(self):
         config = WorldConfig(num_queries=3, docs_per_query=10, feature_dim=2)
-        block, qrels = pipeline.range_pools(config, "strong", range(3, 3), 5)
-        assert len(block) == 0 and len(qrels) == 0
+        block = pipeline.range_pools(config, "strong", range(3, 3), 5)
+        assert len(block) == 0 and block.grades.size == block.ideal.size == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -373,13 +375,14 @@ class TestRangePools:
         depth = data.draw(st.integers(1, config.docs_per_query), label="depth")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, per_slice))
-            block, qrels = pipeline.range_pools(config, "r", range(lo, hi), depth)
-            expected, expected_qrels = range_pools_oracle(config, "r", range(lo, hi), depth)
+            block = pipeline.range_pools(config, "r", range(lo, hi), depth)
+            expected = range_pools_oracle(config, "r", range(lo, hi), depth)
         assert block.queries == expected.queries and block.docs == expected.docs
         for got, want in ((block.index, expected.index), (block.features, expected.features)):
             assert got.shape == want.shape and (got == want).all()
             assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert qrels == expected_qrels
+        for got, want in ((block.grades, expected.grades), (block.ideal, expected.ideal)):
+            assert got.shape == want.shape and (got == want).all()
 
     def test_peak_is_the_block_plus_two_slices(self, monkeypatch):
         """Features outweigh doc ids at 64 features a doc: a block of 42
@@ -390,7 +393,7 @@ class TestRangePools:
         pipeline.range_pools(config, "weak", range(0, 1), 20)  # fills the doc-id suffix cache
         tracemalloc.start()
         try:
-            block, _ = pipeline.range_pools(config, "weak", range(3, 45), 20)
+            block = pipeline.range_pools(config, "weak", range(3, 45), 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

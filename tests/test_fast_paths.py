@@ -40,9 +40,9 @@ from ltrlab.distill_data import (
     pool_index,
     subsample_depth,
 )
-from ltrlab.evaluation import ndcg_at_k, ndcg_rows
+from ltrlab.evaluation import grade_rows, ndcg_at_k, ndcg_rows
 from ltrlab.pipeline import build_rerank_pools, evaluate_model
-from ltrlab.trainer import ValidationSet, mean_validation_ndcg
+from ltrlab.trainer import mean_validation_ndcg
 
 from _oracles import (
     WORLD,
@@ -55,6 +55,7 @@ from _oracles import (
     parse_run_oracle,
     ranked_rows,
     record_values,
+    rejudged,
     rerank,
     rerank_pools_oracle,
     restrict_run,
@@ -538,7 +539,7 @@ class TestTrustedProducers:
         world = world_of()
         block = build_rerank_pools(world, world.first_stage_run("r"), world.query_ids, 12)
         for model in models():
-            assert_checked_rows(evaluate_model(model, block, Qrels())[1])
+            assert_checked_rows(evaluate_model(model, block)[1])
 
     @pytest.mark.parametrize("sigma", [float("inf"), float("nan")])
     def test_first_stage_run_still_rejects_non_finite_scores(self, sigma):
@@ -798,6 +799,8 @@ class TestRerankPools:
             assert np.array_equal(block.features, np.array([f for _, _, f in pools]))
         else:
             assert block.index.shape == (0, 0) and block.features.shape == (0, 0, 3)
+        grades, ideal = grade_rows(world.qrels(), queries, [docs for _, docs, _ in pools])
+        assert np.array_equal(block.grades, grades) and np.array_equal(block.ideal, ideal)
 
     def test_errors(self):
         world, other = world_of(), world_of()
@@ -907,12 +910,12 @@ class TestBatchedValidation:
         qrels = random_qrels(data, world, queries)
         block = build_rerank_pools(world, run, queries, depth)
         pools = rerank_pools_oracle(world, first_stage_run_oracle(world, "r"), queries, depth)
-        validation = ValidationSet(block, qrels)
+        validation = rejudged(block, qrels)
         for model in models():
             oracle = [ndcg_at_k(rerank(model, pool), qrels, k) for pool in pools]
             assert validation.ndcg(model, k).tolist() == oracle
             assert mean_validation_ndcg(model, validation, k) == float(np.mean(oracle))
-            scores, run = evaluate_model(model, block, qrels, k)
+            scores, run = evaluate_model(model, validation, k)
             assert scores == {query: value for (query, _, _), value in zip(pools, oracle)}
             assert run_entries(run) == [(pool[0], rerank(model, pool).entries) for pool in pools]
 
@@ -921,13 +924,13 @@ class TestBatchedValidation:
         block, pools = world_pools(world, ["q00", "q01", "q02"], 1)
         qrels = Qrels({"q00": {pools[0][1][0]: 2}, "q01": {"other": 1}})
         for model in models():
-            assert ValidationSet(block, qrels).ndcg(model).tolist() == [1.0, 0.0, 0.0]
+            assert rejudged(block, qrels).ndcg(model).tolist() == [1.0, 0.0, 0.0]
 
     def test_ties_rank_by_doc_id(self):
         """Under a zero model every score ties: q_p09 comes before q_p10."""
         world = world_of()
         block, _ = world_pools(world, world.query_ids, 12)
-        run = evaluate_model(models()[0], block, Qrels())[1]
+        run = evaluate_model(models()[0], block)[1]
         for (_, ranked, _), docs in zip(run, block.docs):
             assert ranked == sorted(docs)
         assert run[0][0] == "q00" and run[0][1][9:11] == ["q00_p09", "q00_p10"]
@@ -946,9 +949,11 @@ class TestBatchedValidation:
         model = models()[1]
         world = world_of()
         empty = build_rerank_pools(world, world.first_stage_run("r"), [], 5)
-        assert evaluate_model(model, empty, Qrels()) == ({}, [])
-        with pytest.raises(ValueError, match="at least one pool"):
-            ValidationSet(empty, Qrels())
+        assert evaluate_model(model, empty) == ({}, [])
+        lists = teacher_lists(world.first_stage_run("r"), 5)
+        cfg = trainer.TrainConfig(loss=trainer.LOSS_RANKNET, max_steps=1)
+        with pytest.raises(ValueError, match="^validation set must contain at least one pool$"):
+            trainer.train_distill(model, lists, empty, cfg)
 
     def test_non_finite_scores_rejected_like_rerank(self):
         world = world_of()
@@ -961,9 +966,9 @@ class TestBatchedValidation:
             with pytest.raises(ValueError, match=message):
                 rerank(model, pools[1])
             with pytest.raises(ValueError, match=message):
-                ValidationSet(block, Qrels()).ndcg(model)
+                block.ndcg(model)
             with pytest.raises(ValueError, match=message):
-                evaluate_model(model, block, Qrels())
+                evaluate_model(model, block)
 
 
 class TestNdcgRows:

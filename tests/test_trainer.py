@@ -24,7 +24,6 @@ from ltrlab.trainer import (
     STOP_EARLY,
     STOP_MAX_STEPS,
     TrainConfig,
-    ValidationSet,
     mean_validation_ndcg,
     train_distill,
     train_stage1,
@@ -36,6 +35,7 @@ from _oracles import (
     features_oracle,
     hard_negative_groups_oracle,
     kendall_tau,
+    rejudged,
     restrict_run,
     scored_lists,
     teacher_lists,
@@ -63,7 +63,7 @@ def setup():
     run = world.first_stage_run("main")
     dataset = teacher_lists(restrict_run(run, splits["train"]), 30)
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
-    validation = ValidationSet(*range_pools(world.config, "main", validation_range, 30))
+    validation = range_pools(world.config, "main", validation_range, 30)
     return world, splits, run, dataset, validation
 
 
@@ -173,7 +173,7 @@ class TestTrainDistill:
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_distill(model, dataset, validation, distill_cfg(loss=loss))
         test_pools = build_rerank_pools(world, run, splits["test"], 30)
-        reranked = scored_lists(evaluate_model(trained, test_pools, Qrels(), 10)[1])
+        reranked = scored_lists(evaluate_model(trained, test_pools, 10)[1])
         first_stage, taus = scored_lists(run.ranked()), []
         for qid in splits["test"]:
             docs = first_stage[qid].docs[:30]
@@ -187,7 +187,7 @@ class TestTrainDistill:
         # Validation pools with no judged positives give a constant nDCG of 0,
         # so the very first post-step check is non-improving.
         pools = build_rerank_pools(world, run, splits["validation"][:1], 5)
-        constant = ValidationSet(pools, Qrels())
+        constant = rejudged(pools, Qrels())
         model = scorer.init_model("linear", 16, seed=1)
         trained, report = train_distill(
             model, dataset, constant, distill_cfg(patience_steps=1, validation_every=1)
