@@ -53,6 +53,16 @@ def validate_id(value: str, kind: str = "identifier") -> str:
     return value
 
 
+def ascii_number(text: str) -> str:
+    """`text`, unless it holds a non-ASCII character or an underscore
+    (ValueError). Past this test `int` and `float` read only ASCII digits, a
+    sign, a point and an exponent, not the digit-group underscores and
+    non-ASCII digits that TREC tools refuse. Callers refuse inf and nan."""
+    if text.isascii() and "_" not in text:
+        return text
+    raise ValueError(f"{text!r} is not an ASCII number")
+
+
 def canonical_order(
     entries: Iterable[tuple[DocId, float]],
 ) -> tuple[tuple[DocId, float], ...]:
@@ -266,12 +276,15 @@ def parse_run(source: str | Iterable[str], depth: int | None = None) -> ParsedRu
             continue
         if literal != "Q0":
             raise fail(f"second field must be 'Q0', got {literal!r}")
+        # `ascii_number`'s test without a call per field: in an ASCII line a
+        # number field only needs to be free of underscores.
+        plain = line.isascii()
         try:
-            int(rank)
+            int(rank if plain and "_" not in rank else ascii_number(rank))
         except ValueError:
             raise fail(f"rank field {rank!r} is not an integer") from None
         try:
-            score = float(score_text)
+            score = float(score_text if plain and "_" not in score_text else ascii_number(score_text))
         except ValueError:
             raise fail(f"score field {score_text!r} is not a number") from None
         if not isfinite(score):
@@ -440,7 +453,7 @@ def parse_qrels(source: str | IO[str]) -> Qrels:
         if literal != "0":
             raise ParseError(f"second field must be '0', got {literal!r}", lineno)
         try:
-            grade = int(grade_text)
+            grade = int(ascii_number(grade_text))
         except ValueError:
             raise ParseError(f"grade field {grade_text!r} is not an integer", lineno) from None
         if grade < 0:

@@ -140,10 +140,17 @@ def _suffixes(pool: int) -> tuple[tuple[str, ...], dict[str, int]]:
     return suffixes, {suffix: j for j, suffix in enumerate(suffixes)}
 
 
+def doc_ids(query: QueryId, pool: int, index: Iterable[int]) -> list[DocId]:
+    """The world ids of the docs at pool indices `index` of `query`'s pool of
+    `pool` docs. They are zero-padded, so they sort like their pool indices."""
+    suffixes = _suffixes(pool)[0]
+    return [query + suffixes[j] for j in index]
+
+
 def pool_index(config: WorldConfig, query: QueryId, docs: Sequence[DocId]) -> list[int]:
     """Pool index of each doc of `query`, one of the config's query ids, by
-    the docs' exact ids; ValueError names the first doc that is not one of
-    its pool."""
+    the docs' exact ids, the inverse of `doc_ids`; ValueError names the first
+    doc that is not one of its pool."""
     suffix, n = _suffixes(config.docs_per_query)[1], len(query)
     index = [suffix.get(doc[n:], -1) if doc.startswith(query) else -1 for doc in docs]
     if -1 in index:
@@ -157,8 +164,8 @@ class SyntheticWorld:
 
     Construct via generate_world. It holds the rows of the range `queries`
     of the config's queries. Per-query state is stored in arrays indexed by
-    (query index within the range, doc index); doc ids encode their pool
-    index.
+    (query index within the range, pool index); `doc_ids` names a pool index.
+    The world judges each query's truly best pool doc, `best`, at grade 1.
     """
 
     def __init__(
@@ -177,24 +184,18 @@ class SyntheticWorld:
         self._fs_scores = first_stage_scores  # name -> (Q, P)
         self.queries = queries
         self.query_ids = query_ids(config, queries)
-        self._qrels: Qrels | None = None
+        self.best = np.argmax(relevance, axis=1)  # (Q,)
         # Orders, not runs: a run refers to its world, and a cycle delays freeing it.
         self._orders: dict[str, np.ndarray] = {}
 
     def _doc_ids(self, qi: int, idx: Iterable[int]) -> list[str]:
         """Ids of query qi's docs at pool indices idx."""
-        qid, suffixes = self.query_ids[qi], _suffixes(self.config.docs_per_query)[0]
-        return [qid + suffixes[j] for j in idx]
+        return doc_ids(self.query_ids[qi], self.config.docs_per_query, idx)
 
     def qrels(self) -> Qrels:
         """Sparse judgments: grade 1 for each query's truly best pool doc."""
-        if self._qrels is None:
-            grades = {}
-            for qi, qid in enumerate(self.query_ids):
-                best = int(np.argmax(self._rel[qi]))
-                grades[qid] = {self._doc_ids(qi, [best])[0]: 1}
-            self._qrels = Qrels(grades)
-        return self._qrels
+        pool, best = self.config.docs_per_query, zip(self.query_ids, self.best.tolist())
+        return Qrels({qid: {doc_ids(qid, pool, [j])[0]: 1} for qid, j in best})
 
     def first_stage_run(self, retriever: str) -> WorldRun:
         """Full-pool ranking by rel + retriever noise, canonically ordered."""
@@ -237,14 +238,18 @@ class WorldRun:
         self.queries = tuple(world.query_ids[qi] for qi in qindex.tolist())
         self._row = {qid: r for r, qid in enumerate(self.queries)}
 
-    def top(self, queries: Sequence[QueryId], depth: int) -> tuple[list, np.ndarray, np.ndarray]:
-        """The top-`depth` doc ids of each query, their (len(queries), n) pool
-        indices and their (len(queries), n, F) features; KeyError names a
-        query that is not in the run."""
+    def top(
+        self, queries: Sequence[QueryId], depth: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The (len(queries), n) pool indices of each query's top `depth` docs,
+        their (len(queries), n, F) features, their (len(queries), n) int64
+        grades by the world's qrels and each query's (len(queries), 1) ideal
+        grades, its one judged doc's; KeyError names a query not in the run."""
         rows = np.array([self._row[q] for q in queries], dtype=np.intp)
         qindex, top = self.qindex[rows], self.order[rows, : depth if len(rows) else 0]
-        docs = [self.world._doc_ids(qi, idx) for qi, idx in zip(qindex.tolist(), top.tolist())]
-        return docs, top, self.world._features[qindex[:, None], top]
+        grades = (top == self.world.best[qindex, None]).astype(np.int64)
+        ideal = np.ones((len(rows), 1), np.int64)
+        return top, self.world._features[qindex[:, None], top], grades, ideal
 
     def features(self, index: np.ndarray) -> np.ndarray:
         """The (R, n, F) features of pool indices `index[r]` of each row r."""

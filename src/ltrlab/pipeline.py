@@ -15,8 +15,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import scorer, trainer
-from .core import DocId, Qrels, QueryId, RankedRow
-from .distill_data import SyntheticWorld, WorldConfig, WorldRun, map_ranges, query_ids
+from .core import QueryId, RankedRow
+from .distill_data import SyntheticWorld, WorldConfig, WorldRun, doc_ids, map_ranges, query_ids
 from .trainer import PoolBlock, TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -58,7 +58,7 @@ def build_rerank_pools(
     features, judged by the world's qrels."""
     if run.world is not world:
         raise ValueError("the run is not a run of this world")
-    return PoolBlock(tuple(queries), *run.top(queries, depth), world.qrels())
+    return PoolBlock(tuple(queries), world.config.docs_per_query, *run.top(queries, depth))
 
 
 def range_pools(
@@ -67,22 +67,21 @@ def range_pools(
     """The top-`depth` pools of `queries` in a retriever's run, judged, written
     into one block a world slice at a time."""
     n = min(depth, config.docs_per_query) if len(queries) else 0  # as `WorldRun.top` cuts
-    docs: list[list[DocId]] = []
     index = np.empty((len(queries), n), np.intp)
     features = np.empty((len(queries), n, config.feature_dim))
-    judged: dict[QueryId, dict[DocId, int]] = {}
+    grades = np.empty((len(queries), n), np.int64)
+    ideal = np.empty((len(queries), 1), np.int64)  # as `WorldRun.top` judges
 
     def fill(world: SyntheticWorld) -> None:
         rows = slice(world.queries.start - queries.start, world.queries.stop - queries.start)
         run = world.first_stage_run(retriever)
-        some_docs, index[rows], features[rows] = run.top(world.query_ids, depth)
-        docs.extend(some_docs)
-        qrels = world.qrels()
-        judged.update((query, qrels.judged(query)) for query in qrels.query_ids())
+        index[rows], features[rows], grades[rows], ideal[rows] = run.top(world.query_ids, depth)
 
     for _ in map_ranges(fill, config, queries):
         pass
-    return PoolBlock(query_ids(config, queries), docs, index, features, Qrels(judged))
+    return PoolBlock(
+        query_ids(config, queries), config.docs_per_query, index, features, grades, ideal
+    )
 
 
 def evaluate_model(
@@ -93,9 +92,10 @@ def evaluate_model(
     the block."""
     scores, order = pools.rank(model)
     ndcg = pools.ndcg_of(order, k)
+    ranked = np.take_along_axis(pools.index, order, axis=1).tolist()
     run = [
-        (query, [docs[j] for j in ranked], row[ranked].tolist())
-        for query, docs, row, ranked in zip(pools.queries, pools.docs, scores, order.tolist())
+        (query, doc_ids(query, pools.pool, index), row[columns].tolist())
+        for query, index, row, columns in zip(pools.queries, ranked, scores, order)
     ]
     return dict(zip(pools.queries, ndcg.tolist())), run
 

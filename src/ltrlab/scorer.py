@@ -9,10 +9,13 @@ state are immutable values, so every step returns fresh copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+
+from .core import ascii_number
 
 LINEAR = "linear"
 MLP = "mlp"
@@ -262,8 +265,20 @@ def checkpoint_text(model: ScorerModel) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parameter(path: str | Path, number: int, line: str) -> float:
+    try:
+        value = float(ascii_number(line))
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{path}, line {number}: parameter {line!r} is not a finite number")
+    return value
+
+
 def load_checkpoint(path: str | Path) -> ScorerModel:
-    """Read a checkpoint written from checkpoint_text; exact float round-trip."""
+    """Read a checkpoint written from checkpoint_text; exact float round-trip.
+    Its integers and parameters are ASCII numbers (`core.ascii_number`); a
+    bad parameter line raises ValueError naming the path and the line."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if len(lines) < 5 or lines[0] != f"{_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION}":
         raise ValueError(f"{path}: not a {_CHECKPOINT_MAGIC} {_CHECKPOINT_VERSION} checkpoint")
@@ -273,12 +288,13 @@ def load_checkpoint(path: str | Path) -> ScorerModel:
         header[key] = value
     try:
         architecture = header["architecture"]
-        feature_dim = int(header["feature_dim"])
-        hidden_width = int(header["hidden_width"])
-        count = int(header["param_count"])
+        feature_dim = int(ascii_number(header["feature_dim"]))
+        hidden_width = int(ascii_number(header["hidden_width"]))
+        count = int(ascii_number(header["param_count"]))
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
-    values = [float(line) for line in lines[5:] if line.strip()]
+    numbered = enumerate(lines[5:], start=6)
+    values = [_parameter(path, number, line) for number, line in numbered if line.strip()]
     if len(values) != count:
         raise ValueError(f"{path}: expected {count} parameters, found {len(values)}")
     return ScorerModel(architecture, feature_dim, hidden_width, np.array(values))

@@ -12,14 +12,14 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import losses, scorer
-from .core import DocId, Qrels, QueryId
-from .evaluation import grade_rows, ndcg_rows
+from . import distill_data, losses, scorer
+from .core import QueryId
+from .evaluation import ndcg_rows
 
 logger = logging.getLogger(__name__)
 
@@ -96,45 +96,40 @@ class TrainReport:
 
 
 class RerankPool(NamedTuple):
-    """One row of a PoolBlock: a query's candidates and their features."""
+    """One row of a PoolBlock: a query and its candidates' features."""
 
     query: QueryId
-    docs: tuple[DocId, ...]
     features: np.ndarray
 
 
 @dataclass(eq=False, repr=False)
 class PoolBlock:
     """The top of many queries' pools in a world run, as one (Q, n, F) block,
-    judged by `qrels`.
+    with its grades.
 
-    Row i is query `queries[i]`: `docs[i][j]` is the doc at pool index
-    `index[i, j]` of its world query, `features[i, j]` its features and
-    `grades[i, j]` its grade (0 when unjudged); `ideal[i]` holds all of
-    query i's judged grades, best first, as `evaluation.ndcg_rows` takes them.
-    `pipeline.build_rerank_pools` cuts blocks from world runs, whose ids are
-    valid, so nothing checks them again. The world's doc ids are zero-padded
-    and sort like their pool indices, so `index` breaks score ties as
-    canonical order does by doc id. Iterating yields each row as a RerankPool.
+    Row i is query `queries[i]`, whose world pool holds `pool` docs: column j
+    is the doc at pool index `index[i, j]`, `features[i, j]` its features and
+    `grades[i, j]` its grade (0 when unjudged); `ideal[i]` holds all of query
+    i's judged grades, best first, as `evaluation.ndcg_rows` takes them.
+    Doc ids are made, by `distill_data.doc_ids`, only where a message or a
+    run names a doc. They sort like pool indices, so `index` breaks score
+    ties as canonical order does by doc id. Iterating yields each row as a
+    RerankPool.
     """
 
     queries: tuple[QueryId, ...]
-    docs: list[list[DocId]]
+    pool: int
     index: np.ndarray  # (Q, n)
     features: np.ndarray  # (Q, n, F)
-    qrels: InitVar[Qrels]
-    grades: np.ndarray = field(init=False)  # (Q, n)
-    ideal: np.ndarray = field(init=False)
-
-    def __post_init__(self, qrels: Qrels) -> None:
-        self.grades, self.ideal = grade_rows(qrels, self.queries, self.docs)
+    grades: np.ndarray  # (Q, n)
+    ideal: np.ndarray  # (Q, m)
 
     def __len__(self) -> int:
         return len(self.queries)
 
     def __iter__(self):
-        for query, docs, features in zip(self.queries, self.docs, self.features):
-            yield RerankPool(query, tuple(docs), features)
+        for query, features in zip(self.queries, self.features):
+            yield RerankPool(query, features)
 
     def rank(self, model: scorer.ScorerModel) -> tuple[np.ndarray, np.ndarray]:
         """Every row's scores and canonical order, from one scoring of the block.
@@ -150,9 +145,8 @@ class PoolBlock:
         bad = ~np.isfinite(scores)
         if bad.any():
             i, j = np.argwhere(bad)[0]
-            raise ValueError(
-                f"non-finite score for doc {self.docs[i][j]!r} in query {self.queries[i]!r}"
-            )
+            doc = distill_data.doc_ids(self.queries[i], self.pool, [self.index[i, j]])[0]
+            raise ValueError(f"non-finite score for doc {doc!r} in query {self.queries[i]!r}")
         order = np.argsort(-scores, axis=-1)
         ranked = np.take_along_axis(scores, order, axis=-1)
         tied = (ranked[:, 1:] == ranked[:, :-1]).any(axis=-1)

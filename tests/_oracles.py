@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import weakref
 
 import numpy as np
@@ -96,6 +97,13 @@ def ranked_rows(lists):
     return [(q, lists[q].docs, [score for _, score in lists[q].entries]) for q in sorted(lists)]
 
 
+# The number grammar of the text formats, in ASCII only: an integer, and a
+# decimal with an optional sign, point and exponent.
+INTEGER = re.compile(r"[+-]?[0-9]+")
+DECIMAL = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+NON_FINITE = re.compile(r"[+-]?(inf|infinity|nan)", re.IGNORECASE)
+
+
 def parse_run_oracle(source):
     """TREC run parsing one line at a time, with a check per field."""
     from ltrlab.core import DuplicateEntryError, ParseError, ScoredList, canonical_order
@@ -113,14 +121,17 @@ def parse_run_oracle(source):
         if literal != "Q0":
             raise ParseError(f"second field must be 'Q0', got {literal!r}", lineno)
         try:
-            int(rank)
+            if not INTEGER.fullmatch(rank):
+                raise ValueError(rank)
+            int(rank)  # Python's int refuses more than 4300 digits
         except ValueError:
             raise ParseError(f"rank field {rank!r} is not an integer", lineno) from None
-        try:
-            score = float(score_text)
-        except ValueError:
-            raise ParseError(f"score field {score_text!r} is not a number", lineno) from None
-        if not np.isfinite(score):
+        if NON_FINITE.fullmatch(score_text):
+            raise ParseError(f"non-finite score {score_text!r}", lineno)
+        if not DECIMAL.fullmatch(score_text):
+            raise ParseError(f"score field {score_text!r} is not a number", lineno)
+        score = float(score_text)
+        if not np.isfinite(score):  # a decimal past the largest float
             raise ParseError(f"non-finite score {score_text!r}", lineno)
         if (qid, doc) in seen:
             raise DuplicateEntryError(f"duplicate entry for query {qid!r} doc {doc!r}", lineno)
@@ -520,14 +531,33 @@ def rerank_pools_oracle(world, run, queries, depth):
     return pools
 
 
+def block_docs(block):
+    """The doc ids of each row of a PoolBlock, made from its pool indices in
+    the world's id format: the query id, `_p` and the pool index, zero-padded
+    to the width of the pool's last index."""
+    width = len(str(block.pool - 1))
+    rows = zip(block.queries, block.index.tolist())
+    return [[f"{q}_p{j:0{width}d}" for j in row] for q, row in rows]
+
+
+def judged_block(queries, pool, index, features, qrels):
+    """A PoolBlock of pool indices judged by `qrels` the string way: its
+    grades are `grade_rows` of the ids that `block_docs` makes."""
+    from ltrlab.evaluation import grade_rows
+    from ltrlab.trainer import PoolBlock
+
+    unjudged = PoolBlock(tuple(queries), pool, index, features, None, None)
+    grades, ideal = grade_rows(qrels, unjudged.queries, block_docs(unjudged))
+    return PoolBlock(unjudged.queries, pool, index, features, grades, ideal)
+
+
 def range_pools_oracle(config, retriever, queries, depth):
     """`pipeline.range_pools` as it was built before it wrote in place: each
     world slice's `build_rerank_pools` block, concatenated and judged by the
-    slices' judgments."""
+    slices' qrels through their doc ids."""
     from ltrlab.core import Qrels
     from ltrlab.distill_data import map_ranges
     from ltrlab.pipeline import build_rerank_pools
-    from ltrlab.trainer import PoolBlock
 
     def part(world):
         run = world.first_stage_run(retriever)
@@ -536,11 +566,11 @@ def range_pools_oracle(config, retriever, queries, depth):
     parts = list(map_ranges(part, config, queries))
     if not parts:
         empty = (np.empty((0, 0), np.intp), np.empty((0, 0, config.feature_dim)))
-        return PoolBlock((), [], *empty, Qrels())
+        return judged_block((), config.docs_per_query, *empty, Qrels())
     blocks, qrels = zip(*parts)
-    return PoolBlock(
+    return judged_block(
         tuple(itertools.chain.from_iterable(b.queries for b in blocks)),
-        list(itertools.chain.from_iterable(b.docs for b in blocks)),
+        config.docs_per_query,
         np.concatenate([b.index for b in blocks]),
         np.concatenate([b.features for b in blocks]),
         Qrels({q: part.judged(q) for part in qrels for q in part.query_ids()}),
@@ -549,11 +579,9 @@ def range_pools_oracle(config, retriever, queries, depth):
 
 def rejudged(block, qrels, rows=slice(None)):
     """The rows `rows` of a PoolBlock, judged by `qrels` in place of the
-    block's own judgments; its features are a view of the block's."""
-    from ltrlab.trainer import PoolBlock
-
-    return PoolBlock(
-        block.queries[rows], block.docs[rows], block.index[rows], block.features[rows], qrels
+    block's own grades; its features are a view of the block's."""
+    return judged_block(
+        block.queries[rows], block.pool, block.index[rows], block.features[rows], qrels
     )
 
 

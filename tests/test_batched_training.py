@@ -30,10 +30,12 @@ from _oracles import (
     adr_mse_block_oracle,
     adr_mse_oracle,
     assert_groups_equal,
+    block_docs,
     features_oracle,
     grad_oracle,
     hard_negative_groups_oracle,
     infonce_oracle,
+    judged_block,
     pair_sigmoid_oracle,
     pair_softplus_sigmoid_oracle,
     ranknet_block_oracle,
@@ -549,8 +551,8 @@ class TestStepHelper:
 @st.composite
 def pool_blocks(draw):
     """A PoolBlock of 1..8 queries' pools of 1..12 docs (or the benchmark's
-    50 and 100), whose zero-padded doc ids sort like their pool indices;
-    some pools repeat a doc's features, so their scores tie."""
+    50 and 100), cut from world pools twice as large; some pools repeat a
+    doc's features, so their scores tie."""
     rows = draw(st.integers(1, 8))
     n = draw(st.one_of(st.integers(1, 12), st.sampled_from([50, 100])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -560,9 +562,7 @@ def pool_blocks(draw):
         features[:, 1::2] = features[:, :1]
     if draw(st.booleans()):
         features[rows // 2] = features[0]  # a duplicate pool
-    queries = tuple(f"q{i}" for i in range(rows))
-    docs = [[f"{q}_p{j:03d}" for j in row] for q, row in zip(queries, index.tolist())]
-    return trainer.PoolBlock(queries, docs, index, features, Qrels())
+    return judged_block(tuple(f"q{i}" for i in range(rows)), 2 * n, index, features, Qrels())
 
 
 class TestOneCallRanking:
@@ -584,7 +584,7 @@ class TestOneCallRanking:
             for i, row_scores, row_order in zip(picked, scores, order.tolist(), strict=True):
                 alone = scorer.score_batch(model, block.features[i])
                 same_bytes(row_scores, alone)
-                docs = block.docs[i]
+                docs = block_docs(block)[i]
                 want = [doc for doc, _ in canonical_order(zip(docs, alone.tolist()))]
                 assert [docs[j] for j in row_order] == want
 

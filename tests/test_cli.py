@@ -557,6 +557,11 @@ UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start 
          "error: qrels file 'qrels.txt', line 1: grade 1023 exceeds 512"),
         ({"qrels.txt": "q1 0 a 1\nq2 0 a 5000\n"}, SIGNIFICANCE_FILES, 2,
          "error: qrels file 'qrels.txt', line 2: grade 5000 exceeds 512"),
+        ({"qrels.txt": "q1 0 a 1\nq1 0 b 1_0\n"}, EVAL_FILES, 2,
+         "error: qrels file 'qrels.txt', line 2: grade field '1_0' is not an integer"),
+        ({"qrels.txt": "q1 0 a 1\nq2 0 a 1\n", "cand.trec": RUN.replace("2.0", "1_5.5")},
+         SIGNIFICANCE_FILES, 2,
+         "error: run file 'cand.trec', line 2: score field '1_5.5' is not a number"),
         ({"config.json": "{x}"}, ["world", "--config", "config.json"], 2,
          f"error: config file 'config.json' is not UTF-8 JSON: {JSON_ERROR}"),
         ({"config.json": b"\xff{}"}, ["distill", "--config", "config.json"], 2,
@@ -570,7 +575,8 @@ UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start 
         ({}, ["bench", "--system", "x,pointwise"], 1, "usage error: --system needs "
          "name,kind,per_call_latency,memory_gb[,window,stride]; got 'x,pointwise'"),
     ],
-    ids=["grade-5000", "grades-1023", "significance-grade", "config-not-json",
+    ids=["grade-5000", "grades-1023", "significance-grade", "grade-underscore",
+         "score-underscore", "config-not-json",
          "config-not-utf8", "config-not-object", "empty-dataset-two", "empty-dataset-single",
          "bad-system"],
 )

@@ -73,6 +73,23 @@ class TestParseRun:
         with pytest.raises(ParseError, match="non-finite"):
             parse_run("q1 Q0 dA 1 nan sys")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("q1 Q0 b 1_0 2 t", "rank field '1_0' is not an integer"),
+            ("q1 Q0 b \u0662 2 t", "rank field '\u0662' is not an integer"),
+            ("q1 Q0 b 2 1_5.5 t", "score field '1_5.5' is not a number"),
+            ("q1 Q0 b 2 \u0661\u0660 t", "score field '\u0661\u0660' is not a number"),
+            ("q1 Q0 b 2 1.\u0665 t", "score field '1.\u0665' is not a number"),
+        ],
+    )
+    def test_numbers_past_the_ascii_grammar_refused(self, line, message):
+        """`int` and `float` read digit-group underscores and non-ASCII
+        digits; the run format's numbers are ASCII digits, a sign, a point
+        and an exponent."""
+        with pytest.raises(ParseError, match=f"^line 2: {message}$"):
+            parse_run(f"q1 Q0 a 1 +1.5e-3 t\n{line}\n")
+
     def test_accepts_stream(self):
         run = parse_run(io.StringIO("q1 Q0 dA 1 2.5 sys\n"))
         assert run["q1"].entries == (("dA", 2.5),)
@@ -196,6 +213,12 @@ class TestQrels:
     def test_malformed_line_number(self):
         with pytest.raises(ParseError, match="line 2"):
             parse_qrels("q1 0 dA 1\nq1 0 dA")
+
+    @pytest.mark.parametrize("grade", ["1_0", "\u0664", "\u00b2", "\uff11", "1.0"])
+    def test_grades_past_the_ascii_grammar_refused(self, grade):
+        assert parse_qrels("q1 0 a +3\n").grade("q1", "a") == 3
+        with pytest.raises(ParseError, match=f"^line 2: grade field '{grade}' is not an integer$"):
+            parse_qrels(f"q1 0 a 1\nq1 0 b {grade}\n")
 
     def test_round_trip(self):
         qrels = Qrels({"q1": {"dA": 2, "dB": 0}, "q2": {"dC": 1}})

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from ltrlab import distill_data, pipeline
+from ltrlab import distill_data, pipeline, scorer, trainer
 from ltrlab.core import Qrels
 from ltrlab.distill_data import (
     FEATURE_MAP_PRODUCT,
@@ -27,6 +27,7 @@ from ltrlab.evaluation import grade_rows
 
 from _oracles import (
     assert_groups_equal,
+    block_docs,
     doc_index_oracle,
     features_oracle,
     hard_negative_groups_oracle,
@@ -347,10 +348,11 @@ class TestRangePools:
         queries = whole.query_ids[5:30]
         expected = pipeline.build_rerank_pools(whole, whole.first_stage_run("weak"), queries, 12)
         block = pipeline.range_pools(config, "weak", range(5, 30), 12)
-        assert block.queries == expected.queries and block.docs == expected.docs
+        assert block.queries == expected.queries and block.pool == expected.pool
         assert (block.index == expected.index).all()
         assert (block.features == expected.features).all()
-        grades, ideal = grade_rows(restrict_qrels(whole.qrels(), queries), queries, block.docs)
+        qrels = restrict_qrels(whole.qrels(), queries)
+        grades, ideal = grade_rows(qrels, queries, block_docs(block))
         assert (block.grades == grades).all() and (block.ideal == ideal).all()
 
     def test_empty_range_gives_an_empty_block(self):
@@ -377,20 +379,69 @@ class TestRangePools:
             patch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, per_slice))
             block = pipeline.range_pools(config, "r", range(lo, hi), depth)
             expected = range_pools_oracle(config, "r", range(lo, hi), depth)
-        assert block.queries == expected.queries and block.docs == expected.docs
+        assert block.queries == expected.queries and block.pool == expected.pool
         for got, want in ((block.index, expected.index), (block.features, expected.features)):
             assert got.shape == want.shape and (got == want).all()
             assert got.dtype == want.dtype and got.flags.c_contiguous
+        if len(block):  # `grade_rows` pads to one column; an empty block's grades have none
+            assert block.grades.shape == expected.grades.shape
+        assert block.ideal.shape == expected.ideal.shape
         for got, want in ((block.grades, expected.grades), (block.ideal, expected.ideal)):
-            assert got.shape == want.shape and (got == want).all()
+            assert got.dtype == want.dtype and (got == want).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grades_are_those_of_the_qrels_by_doc_id(self, data):
+        """The grades that `range_pools` and `build_rerank_pools` take from
+        the world's best doc are `grade_rows` of the world's qrels over the
+        blocks' doc ids, for ranges across slice edges."""
+        config = WorldConfig(
+            num_queries=24,
+            docs_per_query=data.draw(st.sampled_from([1, 2, 9, 10, 11, 30]), label="pool"),
+            feature_dim=2,
+            first_stage_noise={"r": data.draw(st.sampled_from([0.0, 1.0, 5.0]), label="noise")},
+            seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        )
+        lo = data.draw(st.integers(0, 23), label="lo")
+        queries = range(lo, data.draw(st.integers(lo + 1, 24), label="hi"))
+        depth = data.draw(st.integers(1, config.docs_per_query + 2), label="depth")
+        whole = generate_world(config)
+        ids = whole.query_ids[queries.start : queries.stop]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, 5))
+            sliced = pipeline.range_pools(config, "r", queries, depth)
+        cut = pipeline.build_rerank_pools(whole, whole.first_stage_run("r"), ids, depth)
+        for block in (sliced, cut):
+            grades, ideal = grade_rows(whole.qrels(), ids, block_docs(block))
+            for got, want in ((block.grades, grades), (block.ideal, ideal)):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert (got == want).all()
+
+    def test_a_validation_pass_makes_no_doc_id(self, monkeypatch):
+        """`range_pools` and a validation pass read pool indices and grades
+        only: with the id function made to raise, both run; the test
+        evaluation, which writes ids, does not."""
+        config = WorldConfig(num_queries=30, docs_per_query=20, feature_dim=3, seed=4)
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, 7))
+
+        def no_ids(*args):
+            raise AssertionError("a doc id was made")
+
+        for module in (distill_data, pipeline):
+            monkeypatch.setattr(module, "doc_ids", no_ids)
+        block = pipeline.range_pools(config, "weak", range(2, 27), 10)
+        model = scorer.init_model(scorer.MLP, 3, hidden_width=4, seed=1)
+        assert 0.0 <= trainer.mean_validation_ndcg(model, block) <= 1.0
+        with pytest.raises(AssertionError, match="a doc id was made"):
+            pipeline.evaluate_model(model, block)
 
     def test_peak_is_the_block_plus_two_slices(self, monkeypatch):
-        """Features outweigh doc ids at 64 features a doc: a block of 42
-        queries, 11 slices of 4, peaks at its own features plus little more."""
+        """A block of 42 queries, 11 slices of 4, peaks at its own features,
+        which at 64 a doc outweigh its other columns, plus little more."""
         config = WorldConfig(num_queries=48, docs_per_query=20, feature_dim=64, seed=3)
         budget = slice_bytes(config, 4)
         monkeypatch.setattr(distill_data, "_SLICE_BYTES", budget)
-        pipeline.range_pools(config, "weak", range(0, 1), 20)  # fills the doc-id suffix cache
+        pipeline.range_pools(config, "weak", range(0, 1), 20)  # one-time allocations go first
         tracemalloc.start()
         try:
             block = pipeline.range_pools(config, "weak", range(3, 45), 20)

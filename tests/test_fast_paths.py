@@ -9,6 +9,7 @@ import argparse
 import dataclasses
 import gc
 import io
+import math
 import tempfile
 import weakref
 from collections import Counter
@@ -41,12 +42,13 @@ from ltrlab.distill_data import (
     subsample_depth,
 )
 from ltrlab.evaluation import grade_rows, ndcg_at_k, ndcg_rows
-from ltrlab.pipeline import build_rerank_pools, evaluate_model
+from ltrlab.pipeline import build_rerank_pools, evaluate_model, range_pools
 from ltrlab.trainer import mean_validation_ndcg
 
 from _oracles import (
     WORLD,
     assert_groups_equal,
+    block_docs,
     doc_index_oracle,
     features_oracle,
     first_stage_run_oracle,
@@ -790,8 +792,8 @@ class TestRerankPools:
         depth = data.draw(st.integers(1, 15), label="depth")
         block = build_rerank_pools(world, run, queries, depth)
         pools = rerank_pools_oracle(world, first_stage_run_oracle(world, "r"), queries, depth)
-        assert block.queries == tuple(queries)
-        assert [tuple(docs) for docs in block.docs] == [docs for _, docs, _ in pools]
+        assert block.queries == tuple(queries) and block.pool == world.config.docs_per_query
+        assert [tuple(docs) for docs in block_docs(block)] == [docs for _, docs, _ in pools]
         index = [[doc_index_oracle(world, world.query_ids.index(q), d) for d in docs]
                  for q, docs, _ in pools]
         assert block.index.tolist() == (index if pools else [])
@@ -800,7 +802,10 @@ class TestRerankPools:
         else:
             assert block.index.shape == (0, 0) and block.features.shape == (0, 0, 3)
         grades, ideal = grade_rows(world.qrels(), queries, [docs for _, docs, _ in pools])
-        assert np.array_equal(block.grades, grades) and np.array_equal(block.ideal, ideal)
+        if not pools:  # `grade_rows` pads to one column; an empty block's grades have none
+            grades = grades[:, :0]
+        for got, want in ((block.grades, grades), (block.ideal, ideal)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_errors(self):
         world, other = world_of(), world_of()
@@ -931,7 +936,7 @@ class TestBatchedValidation:
         world = world_of()
         block, _ = world_pools(world, world.query_ids, 12)
         run = evaluate_model(models()[0], block)[1]
-        for (_, ranked, _), docs in zip(run, block.docs):
+        for (_, ranked, _), docs in zip(run, block_docs(block)):
             assert ranked == sorted(docs)
         assert run[0][0] == "q00" and run[0][1][9:11] == ["q00_p09", "q00_p10"]
 
@@ -940,9 +945,8 @@ class TestBatchedValidation:
         run = world.first_stage_run("r")
         block = build_rerank_pools(world, run, world.query_ids[:4], 5)
         top = {qid: tuple(docs[:5]) for qid, docs, _ in run.ranked()}
-        for pool, qid in zip(block, world.query_ids[:4]):
-            docs = top[qid]
-            assert (pool.query, pool.docs) == (qid, docs)
+        for pool, qid, docs in zip(block, world.query_ids[:4], block_docs(block), strict=True):
+            assert pool.query == qid and tuple(docs) == top[qid]
             assert np.array_equal(pool.features, features_oracle(world, qid, docs))
 
     def test_empty_pools(self):
@@ -969,6 +973,26 @@ class TestBatchedValidation:
                 block.ndcg(model)
             with pytest.raises(ValueError, match=message):
                 evaluate_model(model, block)
+        # A block of `range_pools`, the path that `train` takes, from a world
+        # it generates itself: a weight of 1e308 overflows the score of the
+        # first doc whose first feature is large enough, named by its run id.
+        model = scorer.ScorerModel(scorer.LINEAR, 3, 0, np.array([1e308, 0.0, 0.0, 0.0]))
+        world = world_of()
+        rows = list(world.first_stage_run("r").ranked())[2:9]
+        bad = [
+            (qid, doc)
+            for qid, docs, _ in rows
+            for doc, x in zip(docs[:5], features_oracle(world, qid, docs[:5]))
+            if math.isinf(1e308 * float(x[0]))
+        ]
+        assert bad, "some top-5 doc of the examples must overflow"
+        message = f"non-finite score for doc '{bad[0][1]}' in query '{bad[0][0]}'"
+        block = range_pools(world.config, "r", range(2, 9), 5)
+        calls = [block.ndcg, lambda m: mean_validation_ndcg(m, block)]
+        with np.errstate(over="ignore"):
+            for call in [*calls, lambda m: evaluate_model(m, block)]:
+                with pytest.raises(ValueError, match=message):
+                    call(model)
 
 
 class TestNdcgRows:

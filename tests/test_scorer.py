@@ -219,6 +219,25 @@ class TestDeterminismAndCheckpoints:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0661", "abc", "nan", "-inf", "1e999"])
+    def test_checkpoint_parameter_outside_the_grammar_named(self, tmp_path, value):
+        """A parameter line is an ASCII number: ValueError names the file and the line."""
+        lines = checkpoint_text(init_model(LINEAR, 2, seed=0)).splitlines()
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join([*lines[:6], value, *lines[7:]]) + "\n", encoding="utf-8")
+        message = f"{path}, line 7: parameter {value!r} is not a finite number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", ["\u0662", "2_0"])
+    def test_checkpoint_header_integer_outside_the_grammar_refused(self, tmp_path, value):
+        text = checkpoint_text(init_model(LINEAR, 2, seed=0))
+        path = tmp_path / "model.txt"
+        path.write_text(text.replace("feature_dim 2", f"feature_dim {value}"), encoding="utf-8")
+        message = f"{path}: malformed checkpoint header: {value!r} is not an ASCII number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
+
 
 @pytest.mark.parametrize(
     "arch, dim, hidden, message",
