@@ -11,13 +11,13 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import dataclasses
 import json
 import logging
 import math
 import os
+import re
 import sys
 import typing
 from dataclasses import dataclass
@@ -294,15 +294,22 @@ def _atomic_write(files: dict[Path, str | Iterable[str]]) -> None:
 
 
 def _parse_file(kind: str, path: str, parse, **options):
-    """`parse` of the text file at `path`; a ParseError it raises names the
-    file's kind and path before the line."""
+    """`parse` of the text file at `path`; a ParseError it raises, or the
+    first line that is not UTF-8, is named with the file's kind and path."""
     with open(path, encoding="utf-8") as f:
         try:
             return parse(f, **options)
         except core.ParseError as exc:
-            error = type(exc)(f"{kind} {path!r}, {exc}")
-            error.line = exc.line
-            raise error from None
+            cause = exc
+        except UnicodeDecodeError:
+            # Read again with each bad byte escaped to a lone surrogate, which
+            # no UTF-8 text decodes to, and with the parser's line breaks.
+            with open(path, encoding="utf-8", errors="surrogateescape") as raw:
+                bad = (n for n, line in enumerate(raw, 1) if re.search("[\udc80-\udcff]", line))
+                cause = core.ParseError("not UTF-8 text", next(bad))
+    error = type(cause)(f"{kind} {path!r}, {cause}")
+    error.line = cause.line
+    raise error from None
 
 
 def _json_text(obj) -> str:
@@ -398,7 +405,6 @@ def _train_lists(
     train queries, built one world slice at a time: the world teacher's lists
     at `depth`, or those of `dataset` (`_read_dataset`) in its order, whose
     features each slice gathers by pool index."""
-    counts: collections.Counter = collections.Counter()
     group_lists, teacher_lists = [], [None] * (0 if dataset is None else len(dataset[0]))
 
     def build(world: distill_data.SyntheticWorld) -> tuple[list, list]:
@@ -406,8 +412,7 @@ def _train_lists(
         if groups or depth is not None:
             run = world.first_stage_run(cfg.distill.retriever)
         if groups:
-            block = distill_data.build_hard_negative_groups(run, world.qrels(), cfg.sampling, counts)
-            some_groups = list(block)
+            some_groups = list(distill_data.build_hard_negative_groups(run, cfg.sampling))
         if depth is not None:
             some_lists = list(run.features(distill_data.teacher_ranking(run, depth)[0]))
         if dataset is not None:  # the lists of this slice's queries, at their list numbers
@@ -423,8 +428,6 @@ def _train_lists(
     for some_groups, some_lists in distill_data.map_ranges(build, cfg.world, train):
         group_lists += some_groups
         teacher_lists += some_lists
-    if groups:
-        distill_data.log_sampling(counts)
     return group_lists, teacher_lists
 
 

@@ -2,8 +2,8 @@
 
 Builds the two kinds of training data the trainer consumes:
 
-* hard-negative groups sampled from a first-stage run against sparse
-  relevance judgments, and
+* hard-negative groups sampled from a first-stage run around the doc the
+  world judges relevant, and
 * teacher-ranked distillation lists built by re-ranking the top of a
   first-stage run with a (near-)oracle teacher, plus depth subsampling.
 
@@ -21,18 +21,14 @@ import functools
 import hashlib
 import itertools
 import json
-import logging
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .core import DistillDataset, DocId, Qrels, QueryId, RankedRow
-
-logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -220,6 +216,12 @@ class SyntheticWorld:
         return WorldRun(self, scores, np.arange(len(scores)), self._orders[retriever])
 
 
+def ideal_grades(queries: int) -> np.ndarray:
+    """The (queries, 1) int64 ideal grades of that many queries: the world
+    judges one doc of each, its `best`, at grade 1."""
+    return np.ones((queries, 1), np.int64)
+
+
 class WorldRun:
     """A first-stage run over a world's pools, held as pool indices.
 
@@ -248,8 +250,7 @@ class WorldRun:
         rows = np.array([self._row[q] for q in queries], dtype=np.intp)
         qindex, top = self.qindex[rows], self.order[rows, : depth if len(rows) else 0]
         grades = (top == self.world.best[qindex, None]).astype(np.int64)
-        ideal = np.ones((len(rows), 1), np.int64)
-        return top, self.world._features[qindex[:, None], top], grades, ideal
+        return top, self.world._features[qindex[:, None], top], grades, ideal_grades(len(rows))
 
     def features(self, index: np.ndarray) -> np.ndarray:
         """The (R, n, F) features of pool indices `index[r]` of each row r."""
@@ -318,79 +319,27 @@ def _query_rng(seed: int, query: QueryId) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=words))
 
 
-def log_sampling(counts: Counter) -> None:
-    """Log one summary of hard-negative sampling, if any query was skipped."""
-    skipped = [counts["no positive"], counts["shallow run"], counts["small pool"]]
-    if sum(skipped):
-        logger.info(
-            "hard-negative sampling: %d groups, %d queries skipped "
-            "(%d no positive, %d shallow run, %d small pool)",
-            counts["groups"],
-            sum(skipped),
-            *skipped,
-        )
+def build_hard_negative_groups(run: WorldRun, cfg: SamplingConfig) -> np.ndarray:
+    """Sample one hard-negative training group per row of a first-stage run.
 
-
-def build_hard_negative_groups(
-    run: WorldRun, qrels: Qrels, cfg: SamplingConfig, counts: Counter
-) -> np.ndarray:
-    """Sample hard-negative training groups from the top of a first-stage run.
-
-    Per query that has at least one judged-positive doc: the positive is the
-    highest-graded judged doc, and num_negatives negatives are drawn
-    uniformly without replacement from the top pool_depth of the run with
-    every judged-positive doc excluded. Queries are skipped (and counted)
-    when they have no positive, when the run is shallower than pool_depth,
-    or when the eligible pool is smaller than num_negatives. Returns the
-    groups' (G, num_negatives + 1, F) float64 features, in run order, each
-    positive first; a positive that is not a doc of its query's pool raises
-    ValueError.
-
-    The group and skip counts are added to `counts`, so that a caller that
-    samples many runs logs them once with `log_sampling`.
+    Each query's positive is the doc the world judges, `best`, and
+    num_negatives negatives are drawn uniformly without replacement from
+    the top pool_depth of the run with the positive excluded. Returns the
+    groups' (R, num_negatives + 1, F) float64 features, in run order, each
+    positive first. A run shallower than pool_depth raises ValueError.
     """
-    world = run.world
-    shallow = run.order.shape[1] < cfg.pool_depth
-    if shallow:
-        logger.warning(
-            "run depth %d < pool_depth %d; every query with a positive is skipped",
-            run.order.shape[1],
-            cfg.pool_depth,
-        )
-    rows, members, small = [], [], []
-    for r, (qid, row) in enumerate(zip(run.queries, run.order)):
-        positives = qrels.positives(qid)
-        if not positives:
-            counts["no positive"] += 1
-            continue
-        if shallow:
-            counts["shallow run"] += 1
-            continue
+    depth = run.order.shape[1]
+    if depth < cfg.pool_depth:
+        raise ValueError(f"run depth {depth} < pool_depth {cfg.pool_depth}")
+    positives = run.world.best[run.qindex]
+    index = np.empty((len(run), cfg.num_negatives + 1), dtype=np.intp)
+    index[:, 0] = positives
+    for r, (qid, row, positive) in enumerate(zip(run.queries, run.order, positives)):
         pool = row[: cfg.pool_depth]
-        for doc in positives:
-            try:
-                pool = pool[pool != pool_index(world.config, qid, [doc])[0]]
-            except ValueError:  # a judged doc that is not in this query's pool
-                pass
-        if len(pool) < cfg.num_negatives:
-            small.append((qid, len(pool)))
-            continue
+        pool = pool[pool != positive]
         rng = _query_rng(cfg.seed, qid)
-        chosen = rng.choice(len(pool), size=cfg.num_negatives, replace=False)
-        rows.append(r)
-        members.append([*pool_index(world.config, qid, positives[:1]), *pool[chosen].tolist()])
-    if small:
-        counts["small pool"] += len(small)
-        logger.warning(
-            "%d queries have fewer than %d eligible negatives and are skipped, "
-            "first %r with %d",
-            len(small),
-            cfg.num_negatives,
-            *small[0],
-        )
-    counts["groups"] += len(rows)
-    index = np.array(members, dtype=np.intp).reshape(len(rows), cfg.num_negatives + 1)
-    return world._features[run.qindex[rows][:, None], index]
+        index[r, 1:] = pool[rng.choice(len(pool), size=cfg.num_negatives, replace=False)]
+    return run.features(index)
 
 
 def teacher_ranking(run: WorldRun, depth: int) -> tuple[np.ndarray, np.ndarray]:

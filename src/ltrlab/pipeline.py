@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import scorer, trainer
+from . import distill_data, scorer, trainer
 from .core import QueryId, RankedRow
 from .distill_data import SyntheticWorld, WorldConfig, WorldRun, doc_ids, map_ranges, query_ids
 from .trainer import PoolBlock, TrainConfig
@@ -70,15 +70,15 @@ def range_pools(
     index = np.empty((len(queries), n), np.intp)
     features = np.empty((len(queries), n, config.feature_dim))
     grades = np.empty((len(queries), n), np.int64)
-    ideal = np.empty((len(queries), 1), np.int64)  # as `WorldRun.top` judges
 
     def fill(world: SyntheticWorld) -> None:
         rows = slice(world.queries.start - queries.start, world.queries.stop - queries.start)
         run = world.first_stage_run(retriever)
-        index[rows], features[rows], grades[rows], ideal[rows] = run.top(world.query_ids, depth)
+        index[rows], features[rows], grades[rows], _ = run.top(world.query_ids, depth)
 
     for _ in map_ranges(fill, config, queries):
         pass
+    ideal = distill_data.ideal_grades(len(queries))
     return PoolBlock(
         query_ids(config, queries), config.docs_per_query, index, features, grades, ideal
     )

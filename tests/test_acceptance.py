@@ -11,7 +11,6 @@ import itertools
 import json
 import math
 import time
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -329,8 +328,7 @@ def training_regimes():
         splits = split_query_ids(world.query_ids, fractions)
         run_train = restrict_run(world.first_stage_run("strong"), splits["train"])
         groups = list(build_hard_negative_groups(
-            run_train, world.qrels(), SamplingConfig(pool_depth=200, num_negatives=7, seed=seed + 3),
-            Counter(),
+            run_train, SamplingConfig(pool_depth=200, num_negatives=7, seed=seed + 3)
         ))
         dataset = teacher_lists(run_train, 50)
         validation_range = query_ranges(len(world.query_ids), fractions)["validation"]

@@ -6,7 +6,6 @@ _oracles.py.
 """
 
 import tracemalloc
-from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -628,7 +627,7 @@ def world_setup():
     validation_range = query_ranges(len(world.query_ids), fractions)["validation"]
     validation = range_pools(world.config, "main", validation_range, 12)
     sampling = SamplingConfig(pool_depth=20, num_negatives=5, seed=1)
-    groups = build_hard_negative_groups(run, world.qrels(), sampling, Counter())
+    groups = build_hard_negative_groups(run, sampling)
     expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), world.qrels(), sampling)
     assert_groups_equal(world, groups, expected)
     return world, ragged, validation, groups, expected

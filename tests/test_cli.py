@@ -1,8 +1,6 @@
 import argparse
-import collections
 import dataclasses
 import json
-import logging
 import math
 import os
 import subprocess
@@ -19,7 +17,7 @@ from ltrlab.cli import ExperimentConfig, _atomic_write, load_experiment_config, 
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
 from ltrlab.evaluation import ndcg_at_k, per_query_scores_text, significance_report
 
-from _oracles import parse_run_oracle, restrict_run, slice_bytes
+from _oracles import parse_run_oracle
 
 SMOKE_CONFIG = {
     "world": {
@@ -281,43 +279,6 @@ class TestQueryRanges:
             tracemalloc.stop()
         assert all(peak < bound for peak in peaks.values()), (peaks, bound)
 
-    def test_one_sampling_summary_per_command(self, config_path, tmp_path, monkeypatch, caplog):
-        """Queries q..0 and q..5 lose their judgments (no positive), and
-        queries q..1 and q..6 have their whole pool judged (too few
-        negatives). The skips of every world slice add up to one log line."""
-        judged = distill_data.SyntheticWorld.qrels
-
-        def qrels(world):
-            grades = {}
-            for qi, query in enumerate(world.query_ids):
-                if int(query[1:]) % 5 == 1:
-                    pool = world._doc_ids(qi, range(world.config.docs_per_query))
-                    grades[query] = dict.fromkeys(pool, 1)
-                elif int(query[1:]) % 5:
-                    grades[query] = judged(world).judged(query)
-            return core.Qrels(grades)
-
-        monkeypatch.setattr(distill_data.SyntheticWorld, "qrels", qrels)
-        world = generate_world(WorldConfig(**SMOKE_CONFIG["world"]))
-        train = pipeline.split_query_ids(world.query_ids, SMOKE_CONFIG["split"])["train"]
-        run = restrict_run(world.first_stage_run(SMOKE_CONFIG["distill"]["retriever"]), train)
-        sampling = distill_data.SamplingConfig(**SMOKE_CONFIG["sampling"])
-        counts = collections.Counter()
-        distill_data.build_hard_negative_groups(run, world.qrels(), sampling, counts)
-        with caplog.at_level(logging.INFO, logger="ltrlab.distill_data"):
-            distill_data.log_sampling(counts)
-        (expected,) = [r.args for r in caplog.records if r.msg.startswith("hard-negative")]
-        assert expected[2:] == (24, 0, 24)
-
-        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world.config, 7))
-        for command in (["train", "--stage", "two"], ["train", "--loss", "infonce"]):
-            caplog.clear()
-            with caplog.at_level(logging.INFO, logger="ltrlab.distill_data"):
-                out = tmp_path / command[-1]
-                assert main([*command, "--config", str(config_path), "--out", str(out)]) == 0
-            summaries = [r.args for r in caplog.records if r.msg.startswith("hard-negative")]
-            assert summaries == [expected]
-
 
 class TestModuleEntry:
     def test_python_m_ltrlab_help(self):
@@ -514,10 +475,27 @@ GOOD_QRELS, BAD_QRELS = "q1 0 a 1\nq2 0 b 1\n", "q1 0 a 1\nq2 0 b\n"
 def test_parse_error_names_the_file(tmp_path, capsys, command, bad, message):
     """A malformed line of any input file is named with the file's kind and
     path; the exit status stays 2 and `--out` is not written."""
+    bad_text = BAD_QRELS if bad == "qrels.txt" else BAD_RUN
+    assert refused_on_line_2(tmp_path, capsys, command, bad, bad_text.encode()) == message
+
+
+@pytest.mark.parametrize(
+    "command, bad", [("eval", "cand.trec"), ("eval", "qrels.txt"), ("significance", "cand.trec")]
+)
+def test_non_utf8_line_names_the_file(tmp_path, capsys, command, bad):
+    """A 0xff byte in the doc id of line 2 is named as a malformed line is."""
+    good = GOOD_QRELS if bad == "qrels.txt" else GOOD_RUN
+    bad_bytes = good.encode().replace(b" b ", b" b\xff ")
+    assert refused_on_line_2(tmp_path, capsys, command, bad, bad_bytes) == "not UTF-8 text"
+
+
+def refused_on_line_2(tmp_path, capsys, command, bad, bad_bytes) -> str:
+    """`command` on good files but for file `bad`, which holds `bad_bytes`:
+    it exits 2, writes no `--out`, and the error names the file's kind, its
+    path and line 2. Returns the rest of the error."""
     files = {"base.trec": GOOD_RUN, "cand.trec": GOOD_RUN, "qrels.txt": GOOD_QRELS}
-    files[bad] = BAD_QRELS if bad == "qrels.txt" else BAD_RUN
     for name, text in files.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / name).write_bytes(bad_bytes if name == bad else text.encode())
     path = {name: str(tmp_path / name) for name in files}
     argv = [command, "--qrels", path["qrels.txt"], "--out", str(tmp_path / "out")]
     if command == "eval":
@@ -525,9 +503,12 @@ def test_parse_error_names_the_file(tmp_path, capsys, command, bad, message):
     else:
         argv += ["--baseline", path["base.trec"], "--candidate", path["cand.trec"]]
     assert main(argv) == 2
-    kind = "qrels file" if bad == "qrels.txt" else "run file"
-    assert capsys.readouterr().err == f"error: {kind} {path[bad]!r}, line 2: {message}\n"
     assert not (tmp_path / "out").exists()
+    kind = "qrels file" if bad == "qrels.txt" else "run file"
+    err = capsys.readouterr().err
+    prefix = f"error: {kind} {path[bad]!r}, line 2: "
+    assert err.startswith(prefix) and err.endswith("\n") and err.count("\n") == 1
+    return err[len(prefix) : -1]
 
 
 def ltrlab_process(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
@@ -1504,6 +1485,19 @@ class TestTrainDatasetFaults:
         err, dataset = capsys.readouterr().err, str(tmp_path / "dataset.jsonl")
         assert err.startswith(f"error: dataset file {dataset!r}, line 3: invalid JSON")
         assert not (out / "checkpoint.txt").exists()
+
+    def test_non_utf8_line_names_the_line(self, tmp_path, config_path, capsys, dataset_lines):
+        """A 0xff byte in the first doc id of line 2."""
+        lines = [line.encode() for line in dataset_lines]
+        lines[1] = lines[1].replace(b'"doc_id":"', b'"doc_id":"\xff', 1)
+        dataset, out = tmp_path / "dataset.jsonl", tmp_path / "t"
+        dataset.write_bytes(b"\n".join(lines) + b"\n")
+        argv = ["train", "--config", str(config_path), "--dataset", str(dataset)]
+        assert main(argv + ["--stage", "single", "--loss", "ranknet", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset file {str(dataset)!r}, line 2: not UTF-8 text\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["single", "two"])
     def test_dataset_of_no_lists_refused_before_any_world_slice(

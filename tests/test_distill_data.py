@@ -2,7 +2,6 @@ import itertools
 import math
 import re
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from ltrlab import distill_data, pipeline, scorer, trainer
-from ltrlab.core import Qrels
 from ltrlab.distill_data import (
     FEATURE_MAP_PRODUCT,
     FEATURE_MAP_SATURATED,
@@ -152,91 +150,60 @@ class TestGenerateWorld:
 
 
 class TestHardNegativeGroups:
-    def _run_and_qrels(self, n_queries=10, depth=20):
-        """A noise-free run whose top doc is each query's one positive."""
-        world = small_world(num_queries=n_queries, docs_per_query=depth)
-        run = world.first_stage_run("clean")
-        return run, Qrels({qid: {docs[0]: 1} for qid, docs, _ in run.ranked()})
+    def _run(self, n_queries=10, depth=20):
+        """A noise-free run of the whole pool of a small world."""
+        return small_world(num_queries=n_queries, docs_per_query=depth).first_stage_run("clean")
 
     @staticmethod
-    def _oracle_groups(run, qrels, cfg):
-        """The groups of the string oracle, after checking that the block of
-        build_hard_negative_groups holds their features."""
+    def _oracle_groups(run, cfg):
+        """The groups of the string oracle over the world's qrels, after
+        checking that the block of build_hard_negative_groups holds their features."""
+        qrels = run.world.qrels()
         expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), qrels, cfg)
-        groups = build_hard_negative_groups(run, qrels, cfg, Counter())
+        groups = build_hard_negative_groups(run, cfg)
         assert_groups_equal(run.world, groups, expected)
         return expected
 
     def test_group_shape(self):
-        run, qrels = self._run_and_qrels()
+        run = self._run()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=1)
-        groups = build_hard_negative_groups(run, qrels, cfg, Counter())
+        groups = build_hard_negative_groups(run, cfg)
         assert groups.shape == (10, 8, 4)
-        expected = self._oracle_groups(run, qrels, cfg)
+        expected = self._oracle_groups(run, cfg)
         assert [query for query, _, _ in expected] == list(run.queries)
 
-    def test_empty_qrels_yields_nothing(self):
-        run, _ = self._run_and_qrels()
-        groups = build_hard_negative_groups(run, Qrels(), SamplingConfig(pool_depth=20), Counter())
-        assert groups.shape == (0, 8, 4) and list(groups) == []
-        assert_groups_equal(run.world, groups, [])
-
     def test_no_judged_positive_in_negatives(self):
-        run, qrels = self._run_and_qrels()
+        run = self._run()
+        qrels = run.world.qrels()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=3)
-        for query, positive, negatives in self._oracle_groups(run, qrels, cfg):
+        for query, positive, negatives in self._oracle_groups(run, cfg):
             assert qrels.grade(query, positive) > 0
             for doc in negatives:
                 assert qrels.grade(query, doc) == 0
 
     def test_deterministic_with_seed(self):
-        run, qrels = self._run_and_qrels()
+        run = self._run()
         cfg = SamplingConfig(pool_depth=20, num_negatives=7, seed=11)
-        first, again = (build_hard_negative_groups(run, qrels, cfg, Counter()) for _ in range(2))
+        first, again = (build_hard_negative_groups(run, cfg) for _ in range(2))
         assert np.array_equal(first, again)
-        other = build_hard_negative_groups(run, qrels, SamplingConfig(20, 7, seed=12), Counter())
+        other = build_hard_negative_groups(run, SamplingConfig(20, 7, seed=12))
         assert not np.array_equal(other, first)
 
-    def test_shallow_queries_skipped_with_warning(self, caplog):
-        """A run shallower than pool_depth skips every query with a positive
-        and counts each; one warning per call names both depths."""
-        run, qrels = self._run_and_qrels(depth=20)
-        qrels = Qrels({query: qrels.judged(query) for query in run.queries[:7]})
-        counts = Counter()
-        with caplog.at_level("WARNING"):
-            groups = build_hard_negative_groups(run, qrels, SamplingConfig(pool_depth=21), counts)
-        assert len(groups) == 0
-        assert counts == {"shallow run": 7, "no positive": 3, "groups": 0}
-        (warning,) = caplog.records
-        assert warning.getMessage() == (
-            "run depth 20 < pool_depth 21; every query with a positive is skipped"
-        )
-
-    def test_small_pools_skipped_with_one_warning(self, caplog):
-        """30 of 40 queries have every pool doc judged, so no eligible
-        negative: each is counted and skipped, and one warning per call
-        names how many and the first."""
-        run, qrels = self._run_and_qrels(n_queries=40, depth=20)
-        judged = {query: qrels.judged(query) for query in run.queries}
-        for qi, query in enumerate(run.queries[:30]):
-            judged[query] = dict.fromkeys(run.world._doc_ids(qi, range(20)), 1)
-        qrels, cfg, counts = Qrels(judged), SamplingConfig(pool_depth=20, num_negatives=3), Counter()
-        with caplog.at_level("WARNING"):
-            groups = build_hard_negative_groups(run, qrels, cfg, counts)
-        (warning,) = caplog.records
-        assert warning.getMessage() == (
-            "30 queries have fewer than 3 eligible negatives and are skipped, first 'q00' with 0"
-        )
-        assert counts == {"small pool": 30, "groups": 10}
-        assert len(self._oracle_groups(run, qrels, cfg)) == len(groups) == 10
+    def test_shallow_run_raises(self):
+        """A run shallower than pool_depth raises one ValueError that names
+        both depths, with or without rows."""
+        run = self._run(depth=20)
+        for rows in (run, restrict_run(run, [])):
+            with pytest.raises(ValueError, match=r"^run depth 20 < pool_depth 21$"):
+                build_hard_negative_groups(rows, SamplingConfig(pool_depth=21))
 
     def test_sampling_uniform_over_subsets(self):
         # 10^4 independent draws of 2 negatives from 6 eligible docs; the 15
         # possible subsets should be uniform (chi-square, not rejected at 0.01).
         n_draws = 10_000
-        run, qrels = self._run_and_qrels(n_queries=n_draws, depth=7)
+        run = self._run(n_queries=n_draws, depth=7)
         cfg = SamplingConfig(pool_depth=7, num_negatives=2, seed=17)
-        groups = self._oracle_groups(run, qrels, cfg)
+        groups = self._oracle_groups(run, cfg)
         assert len(groups) == n_draws
         counts, ranked = {}, {query: docs for query, docs, _ in run.ranked()}
         for query, _, negatives in groups:
@@ -303,10 +270,7 @@ class TestQueryRanges:
             if config.docs_per_query > 1:
                 negatives = data.draw(st.integers(1, config.docs_per_query - 1))
                 cfg = SamplingConfig(config.docs_per_query, negatives)
-                groups, whole_groups = (
-                    build_hard_negative_groups(run, part.qrels(), cfg, Counter()),
-                    build_hard_negative_groups(whole_run, whole.qrels(), cfg, Counter()),
-                )
+                groups, whole_groups = (build_hard_negative_groups(r, cfg) for r in (run, whole_run))
                 assert np.array_equal(groups, whole_groups)
 
     def test_query_ids_keep_the_width_of_the_whole_config(self):

@@ -12,7 +12,6 @@ import io
 import math
 import tempfile
 import weakref
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -708,74 +707,32 @@ class TestTeacherDataset:
             assert dataset.offsets.tolist() == [0]
 
 
-def skip_counts(counts: Counter) -> tuple[int, int, int]:
-    """The (no positive, shallow run, small pool) counts of build_hard_negative_groups."""
-    return counts["no positive"], counts["shallow run"], counts["small pool"]
-
-
-# Judged docs of q00: ids of its own pool, an id of another query's pool, ids
-# that decode to a pool index without being that doc's id, and foreign ids.
-JUDGED = ["q00_p00", "q00_p03", "q00_p11", "q01_p02", "q00_p3", "q00_p+4", "d1", "q00_p12"]
-
-
 class TestHardNegativeGroups:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_matches_string_sampling(self, data):
+        """One group per run row, in run order, as the string oracle samples
+        them around the positives of the world's qrels; a run shallower than
+        pool_depth, which the oracle skips query by query, raises ValueError."""
         world = world_of()
         if data.draw(st.booleans(), label="tied run"):
             force_ties(world, data, ["fs"])
         queries = query_subset(data, world, max_size=14)
-        grades = {}
-        for qid in data.draw(st.lists(st.sampled_from(world.query_ids), max_size=12)):
-            pool = world._doc_ids(world.query_ids.index(qid), range(12))
-            docs = [d.replace("q00", qid, 1) for d in JUDGED] + pool
-            judged = data.draw(st.lists(st.sampled_from(docs), max_size=6), label=qid)
-            grades[qid] = {d: data.draw(st.integers(0, 3)) for d in judged}
-        qrels = Qrels(grades)
         pool_depth = data.draw(st.integers(2, 14), label="pool_depth")
         negatives = data.draw(st.integers(1, pool_depth - 1), label="num_negatives")
         cfg = SamplingConfig(pool_depth, negatives, seed=data.draw(st.integers(0, 3)))
         run = restrict_run(world.first_stage_run("r"), queries)
         oracle_run = restrict_run_oracle(first_stage_run_oracle(world, "r"), queries)
-        expected, skipped = hard_negative_groups_oracle(oracle_run, qrels, cfg)
-        # A group's positive must be a doc of its query's pool: the first
-        # group whose positive is not raises the ValueError of its lookup.
-        outside = [
-            (query, positive) for query, positive, _ in expected
-            if outcome(lambda: doc_index_oracle(world, world.query_ids.index(query), positive))
-        ]
-        built, counts = [], Counter()
-        error = outcome(lambda: built.append(build_hard_negative_groups(run, qrels, cfg, counts)))
-        if outside:
-            query, positive = outside[0]
-            assert error == outcome(lambda: pool_index(world.config, query, [positive]))
-            assert error[0] is ValueError
+        expected, skipped = hard_negative_groups_oracle(oracle_run, world.qrels(), cfg)
+        depth = world.config.docs_per_query
+        if pool_depth > depth:
+            assert skipped == (0, len(run), 0)
+            error = outcome(lambda: build_hard_negative_groups(run, cfg))
+            assert error == (ValueError, f"run depth {depth} < pool_depth {pool_depth}")
         else:
-            assert error is None
-            assert_groups_equal(world, built[0], expected)
-            assert skip_counts(counts) == skipped and counts["groups"] == len(expected)
-
-    def test_every_skip_reason(self):
-        world = world_of()
-        run = world.first_stage_run("r")
-        oracle_run = scored_lists(run.ranked())
-        top = {qid: ranking.docs for qid, ranking in oracle_run.items()}
-        qrels = Qrels({
-            "q00": {},
-            "q01": {top["q01"][0]: 1},
-            "q02": {top["q02"][0]: 2, top["q02"][1]: 1, top["q02"][2]: 1, "q02_p5": 1},
-        })
-        # q02 keeps 9 of its top 12 docs: "q02_p5" is not an id of its pool.
-        for cfg, skipped in [
-            (SamplingConfig(12, 10), (10, 0, 1)),
-            (SamplingConfig(13, 10), (10, 2, 0)),
-        ]:
-            expected, oracle_skipped = hard_negative_groups_oracle(oracle_run, qrels, cfg)
-            assert oracle_skipped == skipped
-            counts = Counter()
-            assert_groups_equal(world, build_hard_negative_groups(run, qrels, cfg, counts), expected)
-            assert skip_counts(counts) == skipped
+            assert skipped == (0, 0, 0)
+            assert [query for query, _, _ in expected] == list(run.queries)
+            assert_groups_equal(world, build_hard_negative_groups(run, cfg), expected)
 
 
 class TestRerankPools:
@@ -827,6 +784,11 @@ class TestRerankPools:
 # -- doc id lookup ------------------------------------------------------------------
 
 
+# Ids of q00's pool, an id of another query's pool, ids that decode to a
+# pool index without being that doc's id, and foreign ids.
+Q00_IDS = ["q00_p00", "q00_p03", "q00_p11", "q01_p02", "q00_p3", "q00_p+4", "d1", "q00_p12"]
+
+
 class TestDocIndex:
     @pytest.mark.parametrize("doc", ["q00_p7", "q00_p+7", "q00_p\u0667", "q00_p7 ", "q00_p007"])
     def test_only_exact_pool_ids_resolve(self, doc):
@@ -863,7 +825,7 @@ class TestDocIndex:
         near = [
             f"{q}_p{j:0{w}d}" for q in (qid, "q01") for j in (0, 7, pool_size) for w in (1, 2, 3)
         ]
-        docs = data.draw(st.lists(st.sampled_from(pool + near + JUDGED)), label="docs")
+        docs = data.draw(st.lists(st.sampled_from(pool + near + Q00_IDS)), label="docs")
         bad = [doc for doc in docs if doc not in pool]
         if bad:
             message = f"doc {bad[0]!r} is not one of the {pool_size} docs of query {qid!r}"

@@ -1,7 +1,6 @@
 import json
 import math
 import re
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -88,7 +87,7 @@ class TestStage1:
 
         run = restrict_run(world.first_stage_run("main"), splits["train"])
         cfg = SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
-        return list(build_hard_negative_groups(run, world.qrels(), cfg, Counter()))
+        return list(build_hard_negative_groups(run, cfg))
 
     def test_zero_steps_returns_model_unchanged(self, setup):
         world, splits, *_ = setup
@@ -162,7 +161,7 @@ class TestStage1:
         run = restrict_run(world.first_stage_run("main"), splits["train"])
         cfg = SamplingConfig(50, 7, seed=2)
         expected, _ = hard_negative_groups_oracle(scored_lists(run.ranked()), world.qrels(), cfg)
-        groups = build_hard_negative_groups(run, world.qrels(), cfg, Counter())
+        groups = build_hard_negative_groups(run, cfg)
         assert_groups_equal(world, groups, expected)
 
 
@@ -270,7 +269,7 @@ class TestTwoStage:
 
         run = restrict_run(world.first_stage_run("main"), splits["train"])
         groups = build_hard_negative_groups(
-            run, world.qrels(), SamplingConfig(pool_depth=50, num_negatives=7, seed=2), Counter()
+            run, SamplingConfig(pool_depth=50, num_negatives=7, seed=2)
         )
         model = scorer.init_model("linear", 16, seed=1)
         return train_stage1(model, list(groups), distill_cfg(loss=LOSS_INFONCE, max_steps=steps))
