@@ -13,20 +13,25 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import math
 import os
 import re
+import shutil
 import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from . import core, distill_data, evaluation, pipeline, rerank_sim, scorer, trainer
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class UsageError(Exception):
@@ -293,6 +298,81 @@ def _atomic_write(files: dict[Path, str | Iterable[str]]) -> None:
             f.writelines((text,) if isinstance(text, str) else text)
 
 
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_processes(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
+    """`fn` of each item, in item order, in worker processes: one per CPU
+    this process may use, never more than there are items, and none for one
+    item or one CPU, which run here. `fn` is a module-level function, and it,
+    each item and each result must pickle. Every worker is joined before this
+    returns or raises; the first failing item's exception is raised, with its
+    type and message."""
+    workers = min(len(items), _cpu_count())
+    if workers < 2:
+        return [fn(item) for item in items]
+    import concurrent.futures
+    import multiprocessing
+
+    # A forked worker starts with this process's modules and needs no import.
+    # With fork the pool starts every worker before its own thread, and the
+    # commands start no thread, so no lock is held across a fork.
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=context)
+    try:
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _write_part(
+    texts: Callable[[distill_data.SyntheticWorld], list[Iterable[str]]],
+    config: distill_data.WorldConfig,
+    part: tuple[range, list[str]],
+) -> None:
+    """Write the files of one part, a query range and a path per file, slice
+    by slice: `texts(world)` gives the text of each file for a world slice."""
+    queries, paths = part
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
+        for chunks in distill_data.map_ranges(texts, config, queries):
+            for f, chunk in zip(files, chunks):
+                f.writelines(chunk)
+
+
+def _write_parts(
+    files: list[IO[str]],
+    texts: Callable[[distill_data.SyntheticWorld], list[Iterable[str]]],
+    config: distill_data.WorldConfig,
+    queries: range,
+) -> None:
+    """Fill the open `_atomic_files` temp `files` with the `texts` of the
+    world's `queries`, cut into one part of whole slices per worker process
+    (`_map_processes`). The first part's worker writes the temp files
+    themselves, and each later one its own part files beside them, which
+    are appended in order and removed. Unless the parts run here
+    (`_map_processes` with one worker), no world slice and no slice text
+    reaches this process."""
+    parts = distill_data.part_ranges(config, queries, _cpu_count())
+    paths = [[f.name if i == 0 else f"{f.name}.part{i}" for f in files] for i in range(len(parts))]
+    try:
+        _map_processes(functools.partial(_write_part, texts, config), list(zip(parts, paths)))
+        for j, f in enumerate(files):
+            f.seek(0, os.SEEK_END)  # past the first part
+            for later in paths[1:]:
+                with open(later[j], "rb") as part:
+                    shutil.copyfileobj(part, f.buffer)
+    finally:
+        for later in paths[1:]:
+            for path in later:
+                Path(path).unlink(missing_ok=True)
+
+
 def _parse_file(kind: str, path: str, parse, **options):
     """`parse` of the text file at `path`; a ParseError it raises, or the
     first line that is not UTF-8, is named with the file's kind and path."""
@@ -325,22 +405,29 @@ def _init_scorer(spec: ScorerSpec, feature_dim: int) -> scorer.ScorerModel:
 # ---------------------------------------------------------------------------
 
 
+def _world_texts(world: distill_data.SyntheticWorld) -> list[Iterable[str]]:
+    """The qrels text of a world slice, then its run text of each retriever,
+    in name order."""
+    names = sorted(world.config.first_stage_noise)
+    runs = [core.write_run(world.first_stage_run(name).ranked(), tag=name) for name in names]
+    return [(core.write_qrels(world.qrels()),), *runs]
+
+
+def _distill_texts(spec: DistillSpec, world: distill_data.SyntheticWorld) -> list[Iterable[str]]:
+    """The teacher records of a world slice, as `distill` writes them."""
+    run = world.first_stage_run(spec.retriever)
+    return [core.write_distill_dataset(distill_data.build_teacher_dataset(run, spec.depth))]
+
+
 def cmd_world(args) -> int:
     cfg = load_experiment_config(args.config, args)
     _print_resolved("world", args, cfg)
     names = sorted(cfg.world.first_stage_noise)
     out = Path(args.out)
     paths = [out / "world_config.json", out / "qrels.txt", *(out / f"run_{n}.trec" for n in names)]
-    with _atomic_files(*paths) as (world_config, qrels, *runs):
+    with _atomic_files(*paths) as (world_config, *files):
         world_config.write(cfg.world.canonical_text())
-
-        def write(world: distill_data.SyntheticWorld) -> None:
-            qrels.write(core.write_qrels(world.qrels()))
-            for name, f in zip(names, runs):
-                f.writelines(core.write_run(world.first_stage_run(name).ranked(), tag=name))
-
-        for _ in distill_data.map_ranges(write, cfg.world, range(cfg.world.num_queries)):
-            pass
+        _write_parts(files, _world_texts, cfg.world, range(cfg.world.num_queries))
     print(
         f"world: {cfg.world.num_queries} queries, pool {cfg.world.docs_per_query}, "
         f"retrievers {names} -> {out}"
@@ -354,15 +441,11 @@ def cmd_distill(args) -> int:
     _check_retriever(cfg, "distill")
     _check_depth(cfg, "distill", "depth", cfg.distill.depth)
     train = pipeline.query_ranges(cfg.world.num_queries, cfg.split)["train"]
-    depth, path = cfg.distill.depth, Path(args.out) / "distill_dataset.jsonl"
-
-    def records(world: distill_data.SyntheticWorld) -> str:
-        run = world.first_stage_run(cfg.distill.retriever)
-        return "".join(core.write_distill_dataset(distill_data.build_teacher_dataset(run, depth)))
-
-    _atomic_write({path: distill_data.map_ranges(records, cfg.world, train)})
+    path = Path(args.out) / "distill_dataset.jsonl"
+    with _atomic_files(path) as files:
+        _write_parts(files, functools.partial(_distill_texts, cfg.distill), cfg.world, train)
     print(
-        f"distill: {len(train)} queries at depth {depth} "
+        f"distill: {len(train)} queries at depth {cfg.distill.depth} "
         f"from retriever {cfg.distill.retriever!r} -> {path}"
     )
     return 0
@@ -512,6 +595,11 @@ def _read_run(path: str, k: int) -> core.ParsedRun:
     return run
 
 
+def _run_scores(qrels: core.Qrels, k: int, path: str) -> dict[str, float]:
+    """`_ndcg_by_query` of the run file at `path`, read to its top k."""
+    return _ndcg_by_query(_read_run(path, k), qrels, k)
+
+
 def _check_cutoff(k: int) -> None:
     """Refuse a bad --k before any file is read."""
     if k < 1:
@@ -568,10 +656,9 @@ def cmd_significance(args) -> int:
     qrels = _read_qrels(args.qrels)
     if len(qrels.query_ids()) < 2:  # every system is scored on the qrels' queries
         raise ConfigError(f"qrels file {args.qrels!r} contains fewer than 2 queries")
-    per_system = {
-        name: _ndcg_by_query(_read_run(path, args.k), qrels, args.k)
-        for name, path in zip(names, paths)
-    }
+    # Each run is read and scored in a worker process; only its scores come back.
+    scores = _map_processes(functools.partial(_run_scores, qrels, args.k), paths)
+    per_system = dict(zip(names, scores))
     report = evaluation.significance_report(per_system, names[0], args.alpha)
     out, text = Path(args.out), report.to_text()
     _atomic_write({out / "significance.txt": text, out / "significance.jsonl": report.to_jsonl()})

@@ -184,8 +184,25 @@ class Qrels:
 # ---------------------------------------------------------------------------
 
 
+# Characters of a str source that `_text_lines` splits at a time, about.
+_LINE_BLOCK = 2**16
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    r"""The lines of `text.splitlines()`, split one block of about
+    `_LINE_BLOCK` characters at a time, so that no list of every line is
+    held beside the text. Each block but the last ends just after a "\n",
+    which ends a line in every convention of line breaks, so a "\r\n" is
+    never cut in two."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _LINE_BLOCK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _numbered_lines(source: str | IO[str]) -> Iterator[tuple[int, str]]:
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = _text_lines(source) if isinstance(source, str) else source
     for lineno, line in enumerate(lines, start=1):
         yield lineno, line.rstrip("\n")
 
@@ -240,7 +257,7 @@ def parse_run(source: str | Iterable[str], depth: int | None = None) -> ParsedRu
     """
     if depth is not None and depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = _text_lines(source) if isinstance(source, str) else source
     index: dict[QueryId, int] = {}
     # `docs` holds the ids of the query group being read. An ended group
     # keeps its ids as one "\n"-joined text, so their str objects die with it.

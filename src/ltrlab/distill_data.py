@@ -298,18 +298,37 @@ def generate_world(config: WorldConfig, queries: range | None = None) -> Synthet
     return SyntheticWorld(config, queries, rel, feats, teacher_u, fs_scores)
 
 
+def _slice_queries(config: WorldConfig) -> int:
+    """How many queries a world slice of `map_ranges` holds: as many as fit
+    `_SLICE_BYTES` of features, and at least one."""
+    return max(1, _SLICE_BYTES // (config.docs_per_query * config.feature_dim * 8))
+
+
 def map_ranges(
     fn: Callable[[SyntheticWorld], T], config: WorldConfig, queries: range
 ) -> Iterator[T]:
     """`fn` of the world of each consecutive slice of `queries`, lazily and
-    in order. A slice holds as many queries as fit `_SLICE_BYTES` of features.
+    in order. A slice holds `_slice_queries(config)` queries.
 
     Each world is dropped once `fn` returns, before the next is generated,
     so one slice is alive at a time as long as no result refers to its world.
     """
-    step = max(1, _SLICE_BYTES // (config.docs_per_query * config.feature_dim * 8))
+    step = _slice_queries(config)
     for lo in range(queries.start, queries.stop, step):
         yield fn(generate_world(config, range(lo, min(lo + step, queries.stop))))
+
+
+def part_ranges(config: WorldConfig, queries: range, parts: int) -> list[range]:
+    """`queries` cut into `parts` consecutive ranges of whole `map_ranges`
+    slices, as even in slices as they can be, but never into more ranges
+    than slices (nor fewer than one): `map_ranges` over the ranges makes the
+    slices that it makes over `queries`."""
+    step = _slice_queries(config)
+    slices = -(-len(queries) // step)
+    parts = max(1, min(parts, slices))
+    starts = (queries.start + slices * i // parts * step for i in range(parts + 1))
+    bounds = [min(start, queries.stop) for start in starts]
+    return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _query_rng(seed: int, query: QueryId) -> np.random.Generator:

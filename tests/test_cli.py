@@ -2,7 +2,9 @@ import argparse
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -17,7 +19,7 @@ from ltrlab.cli import ExperimentConfig, _atomic_write, load_experiment_config, 
 from ltrlab.distill_data import WorldConfig, build_teacher_dataset, generate_world
 from ltrlab.evaluation import ndcg_at_k, per_query_scores_text, significance_report
 
-from _oracles import parse_run_oracle
+from _oracles import parse_run_oracle, slice_bytes
 
 SMOKE_CONFIG = {
     "world": {
@@ -278,6 +280,148 @@ class TestQueryRanges:
         finally:
             tracemalloc.stop()
         assert all(peak < bound for peak in peaks.values()), (peaks, bound)
+
+
+def square_unless_negative(x: int) -> int:
+    """x squared; a negative x fails with its own line, and -1 fails last."""
+    if x == -1:
+        time.sleep(0.3)
+    if x < 0:
+        raise core.ParseError(f"bad item {x}", -x)
+    return x * x
+
+
+class TestWorkerProcesses:
+    """`world`, `distill` and `significance` run their parts in worker
+    processes, one per CPU that `cli._cpu_count` gives, and never more than
+    parts. 50 queries a slice cut the smoke world's 200 queries into 4
+    slices and its 120 train queries into 3."""
+
+    @pytest.fixture()
+    def started(self, monkeypatch) -> list[int]:
+        """The count of processes started so far, and the smoke world at 50
+        queries a slice."""
+        count, start = [0], multiprocessing.process.BaseProcess.start
+
+        def counting(process):
+            count[0] += 1
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
+        world = WorldConfig(**SMOKE_CONFIG["world"])
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world, 50))
+        return count
+
+    def test_results_in_item_order_and_first_failure_raised(self, monkeypatch, started):
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        assert cli._map_processes(square_unless_negative, [3, 1, 2, 5]) == [9, 1, 4, 25]
+        assert started == [2]
+        # -2 fails first, but -1 is the first failing item.
+        with pytest.raises(core.ParseError, match=r"^line 1: bad item -1$") as caught:
+            cli._map_processes(square_unless_negative, [4, -1, -2])
+        assert caught.value.line == 1
+        assert started == [4] and multiprocessing.active_children() == []
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
+        assert cli._map_processes(square_unless_negative, [3, 1]) == [9, 1]
+        assert started == [4]
+
+    def test_outputs_byte_equal_at_any_cpu_count(self, tmp_path, config_path, monkeypatch, started):
+        outputs = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            world, config = out / "world", ["--config", str(config_path)]
+            strong, weak = (str(world / f"run_{name}.trec") for name in ("strong", "weak"))
+            runs = ["--baseline", weak, "--candidate", strong]
+            runs += ["--candidate", str(out / "copy.trec")]
+            commands = [  # each with its parts: world slices, or run files
+                (["world", *config], 4),
+                (["distill", *config], 3),
+                (["significance", "--qrels", str(world / "qrels.txt"), *runs], 3),
+            ]
+            for argv, parts in commands:
+                if argv[0] == "significance":
+                    shutil.copy(strong, out / "copy.trec")
+                before = started[0]
+                assert main([*argv, "--out", str(out / argv[0])]) == 0
+                workers = min(cpus, parts)
+                assert started[0] - before == (workers if workers > 1 else 0), (argv[0], cpus)
+                assert multiprocessing.active_children() == []
+            outputs[cpus] = {
+                str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()
+            }
+        assert sorted(outputs[1]) == [
+            "copy.trec", "distill/distill_dataset.jsonl",
+            "significance/significance.jsonl", "significance/significance.txt",
+            "world/qrels.txt", "world/run_strong.trec", "world/run_weak.trec",
+            "world/world_config.json",
+        ]
+        assert outputs[1] == outputs[2] == outputs[8]
+
+    def test_malformed_baseline_named_before_a_malformed_candidate(
+        self, tmp_path, capsys, monkeypatch, started
+    ):
+        """The candidate's line 1 is bad too: whichever worker fails first,
+        the baseline's line is named."""
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        files = {"base.trec": BAD_RUN, "cand.trec": "garbage\n", "qrels.txt": GOOD_QRELS}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        base, cand, qrels = (str(tmp_path / name) for name in files)
+        out = tmp_path / "out"
+        argv = ["significance", "--qrels", qrels, "--baseline", base, "--candidate", cand]
+        assert main([*argv, "--out", str(out)]) == 2
+        message = "line 2: rank field 'x' is not an integer"
+        assert capsys.readouterr().err == f"error: run file {base!r}, {message}\n"
+        assert not out.exists()
+        assert started == [2] and multiprocessing.active_children() == []
+
+    def test_no_worker_or_part_file_outlives_a_command(
+        self, tmp_path, config_path, monkeypatch, started
+    ):
+        """After a success, a failing worker, a parse error and an unwritable
+        `--out`, no worker is alive and `--out` holds no part or temp file."""
+        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        out, config = tmp_path / "world", ["--config", str(config_path)]
+
+        def assert_left(directory: Path, names: list[str]) -> None:
+            assert sorted(p.name for p in directory.iterdir()) == names
+            assert multiprocessing.active_children() == []
+
+        assert main(["world", *config, "--out", str(out)]) == 0
+        files = ["qrels.txt", "run_strong.trec", "run_weak.trec", "world_config.json"]
+        assert_left(out, files)
+        before = {name: read(out / name) for name in files}
+        write_run = core.write_run
+
+        def fail_on_weak(rows, tag):
+            if tag == "weak":
+                raise ValueError("disk full")
+            return write_run(rows, tag)
+
+        monkeypatch.setattr(core, "write_run", fail_on_weak)
+        assert main(["world", *config, "--seed", "5", "--out", str(out)]) == 2
+        assert_left(out, files)
+        assert {name: read(out / name) for name in files} == before
+        monkeypatch.setattr(core, "write_run", write_run)
+        # A directory where the first file goes: the rename fails after the workers.
+        blocked = tmp_path / "blocked"
+        (blocked / "world_config.json").mkdir(parents=True)
+        assert main(["world", *config, "--out", str(blocked)]) == 2
+        assert_left(blocked, ["world_config.json"])
+        significance = ["significance", "--qrels", str(out / "qrels.txt")]
+        significance += ["--baseline", str(out / "run_weak.trec")]
+        significance += ["--candidate", str(out / "run_strong.trec")]
+        (blocked / "significance.txt").mkdir()
+        assert main([*significance, "--out", str(blocked)]) == 2
+        assert_left(blocked, ["significance.txt", "world_config.json"])
+        (tmp_path / "bad.trec").write_text(BAD_RUN)
+        bad = [*significance[:-1], str(tmp_path / "bad.trec")]
+        assert main([*bad, "--out", str(tmp_path / "sig")]) == 2
+        assert not (tmp_path / "sig").exists()
+        assert multiprocessing.active_children() == []
+        assert started[0] == 10  # two workers for each of five commands
 
 
 class TestModuleEntry:
@@ -633,19 +777,28 @@ class TestRunsParsedToK:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10])
     def test_each_query_holds_its_first_k_entries(self, tmp_path, monkeypatch, k):
-        parse, parsed = core.parse_run, []
+        """The spy logs each parse to a file, which the worker processes of
+        `significance` inherit: the run file's name, the depth and the columns."""
+        parse, log = core.parse_run, tmp_path / "parsed.jsonl"
 
         def spy(source, depth=None):
-            parsed.append((depth, parse(source, depth)))
-            return parsed[-1][1]
+            run = parse(source, depth)
+            entry = [Path(source.name).name, depth, run.queries, run_columns(run)]
+            with open(log, "a", encoding="utf-8") as f:
+                f.write(json.dumps(entry) + "\n")
+            return run
 
         monkeypatch.setattr(core, "parse_run", spy)
         self.run_both(tmp_path, k)
-        assert [depth for depth, _ in parsed] == [k, k, k]
-        for (_, run), text in zip(parsed, (self.TIED, self.UNGROUPED, self.TIED)):
+        # eval's parse, then significance's, which its workers may log in any order.
+        first, *rest = (json.loads(line) for line in read(log).splitlines())
+        parsed = [first, *sorted(rest)]
+        names = ["cand.trec", "base.trec", "cand.trec"]
+        assert [(name, depth) for name, depth, _, _ in parsed] == [(name, k) for name in names]
+        for (_, _, queries, columns), text in zip(parsed, (self.TIED, self.UNGROUPED, self.TIED)):
             full = parse(text)
-            assert run.queries == full.queries
-            assert run_columns(run) == [entries[:k] for entries in run_columns(full)]
+            assert queries == list(full.queries)
+            assert columns == [[list(e) for e in entries[:k]] for entries in run_columns(full)]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 10])
     def test_outputs_equal_a_full_parse(self, tmp_path, k):

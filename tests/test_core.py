@@ -1,12 +1,14 @@
 import io
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ltrlab import core
 from ltrlab.core import (
     MAX_GRADE,
     DuplicateEntryError,
@@ -24,6 +26,43 @@ from ltrlab.core import (
 from ltrlab.evaluation import grade_rows, ndcg_at_k, ndcg_rows
 
 from _oracles import WORLD, ranked_rows, record_values, restrict_qrels, stack_records
+
+
+# Every line break that `str.splitlines` knows.
+LINE_BREAKS = (
+    "\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+)
+
+
+class TestTextLines:
+    """A str source is split a block at a time, with the lines and line
+    numbers of `str.splitlines`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(LINE_BREAKS) | st.text("ab ", min_size=1, max_size=3), max_size=30
+        ),
+        st.integers(1, 6),
+    )
+    def test_lines_of_splitlines(self, pieces, block):
+        r"""Blocks of 1 to 6 characters put every break at and across block
+        edges, a "\r" and a "\n" drawn one after the other among them."""
+        text = "".join(pieces)
+        with mock.patch.object(core, "_LINE_BLOCK", block):
+            assert list(core._text_lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 16, 2**16])
+    def test_parsers_number_lines_as_before(self, block):
+        qrels = "q1 0 a 1\r\n\r\nq1 0 b 2\x85q2 0 c 1\r\nq2 0 d\r\n"
+        run = "q1 Q0 a 1 2.0 t\r\nq1 Q0 b 2 1.0 t\u2028\nq2 Q0 c 1 3.0 t\r"
+        with mock.patch.object(core, "_LINE_BLOCK", block):
+            with pytest.raises(ParseError, match=r"^line 5: expected 4 fields, got 3$"):
+                parse_qrels(qrels)
+            parsed = parse_run(run)
+            with pytest.raises(ParseError, match=r"^line 5: expected 6 fields, got 2$"):
+                parse_run(run + "bad line\r\n")
+        assert (parsed.queries, parsed.docs) == (("q1", "q2"), ["a", "b", "c"])
 
 
 class TestParseRun:

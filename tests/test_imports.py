@@ -1,6 +1,10 @@
-"""Every module of the package, `__init__` aside, uses each name it imports."""
+"""Every module of the package, `__init__` aside, uses each name it
+imports, and importing the package loads no worker-process machinery."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,19 @@ def test_finds_unused_imports():
         "    return np.size(x) + c.n\n"
     )
     assert unused_imports(source) == ["line 2: os", "line 4: Any", "line 5: trainer"]
+
+
+def test_import_loads_no_worker_machinery():
+    """`multiprocessing` and `concurrent.futures` are imported only by a
+    command that starts worker processes, so an import does not pay for them."""
+    script = (
+        "import sys\n"
+        "import ltrlab, ltrlab.cli\n"
+        "workers = ('multiprocessing', 'concurrent')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in workers))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
