@@ -24,14 +24,11 @@ import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import core, distill_data, evaluation, pipeline, rerank_sim, scorer, trainer
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 class UsageError(Exception):
@@ -270,9 +267,13 @@ def _print_resolved(command: str, args: argparse.Namespace, config: ExperimentCo
 def _atomic_files(*paths: Path) -> Iterator[list[IO[str]]]:
     """Open a temp file for each path and, when the block ends, rename each
     onto its path. If anything fails, every temp file is removed and every
-    path is left as it was."""
+    path is left as it was: a file that a rename replaced is put back from
+    the link to it made before the first rename."""
     tmps = [path.with_name(path.name + f".tmp-{os.getpid()}") for path in paths]
+    olds = [path.with_name(path.name + f".old-{os.getpid()}") for path in paths]
     files: list[IO[str]] = []
+    kept: list[bool] = []  # of each path, whether `olds` holds its file
+    renamed = 0
     try:
         for path, tmp in zip(paths, tmps):
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -280,14 +281,31 @@ def _atomic_files(*paths: Path) -> Iterator[list[IO[str]]]:
         yield files
         for f in files:
             f.close()
+        for path, old in zip(paths, olds):
+            kept.append(os.path.lexists(path) and (path.is_symlink() or not path.is_dir()))
+            if kept[-1]:
+                try:
+                    os.link(path, old, follow_symlinks=False)
+                except OSError:  # a file system without hard links, or a stale link
+                    shutil.copy2(path, old, follow_symlinks=False)
         for path, tmp in zip(paths, tmps):
             os.replace(tmp, path)
+            renamed += 1
     except BaseException:
         for f in files:
             f.close()
+        for path, old, keep in zip(paths[:renamed], olds, kept):
+            if keep:
+                os.replace(old, path)
+            else:
+                path.unlink()
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
+    finally:
+        for old, keep in zip(olds, kept):
+            if keep:
+                old.unlink(missing_ok=True)
 
 
 def _atomic_write(files: dict[Path, str | Iterable[str]]) -> None:
@@ -298,53 +316,6 @@ def _atomic_write(files: dict[Path, str | Iterable[str]]) -> None:
             f.writelines((text,) if isinstance(text, str) else text)
 
 
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_processes(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-    """`fn` of each item, in item order, in worker processes: one per CPU
-    this process may use, never more than there are items, and none for one
-    item or one CPU, which run here. `fn` is a module-level function, and it,
-    each item and each result must pickle. Every worker is joined before this
-    returns or raises; the first failing item's exception is raised, with its
-    type and message."""
-    workers = min(len(items), _cpu_count())
-    if workers < 2:
-        return [fn(item) for item in items]
-    import concurrent.futures
-    import multiprocessing
-
-    # A forked worker starts with this process's modules and needs no import.
-    # With fork the pool starts every worker before its own thread, and the
-    # commands start no thread, so no lock is held across a fork.
-    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-    pool = concurrent.futures.ProcessPoolExecutor(workers, mp_context=context)
-    try:
-        futures = [pool.submit(fn, item) for item in items]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
-def _write_part(
-    texts: Callable[[distill_data.SyntheticWorld], list[Iterable[str]]],
-    config: distill_data.WorldConfig,
-    part: tuple[range, list[str]],
-) -> None:
-    """Write the files of one part, a query range and a path per file, slice
-    by slice: `texts(world)` gives the text of each file for a world slice."""
-    queries, paths = part
-    with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in paths]
-        for chunks in distill_data.map_ranges(texts, config, queries):
-            for f, chunk in zip(files, chunks):
-                f.writelines(chunk)
-
-
 def _write_parts(
     files: list[IO[str]],
     texts: Callable[[distill_data.SyntheticWorld], list[Iterable[str]]],
@@ -353,15 +324,24 @@ def _write_parts(
 ) -> None:
     """Fill the open `_atomic_files` temp `files` with the `texts` of the
     world's `queries`, cut into one part of whole slices per worker process
-    (`_map_processes`). The first part's worker writes the temp files
+    (`pipeline.map_processes`). The first part's worker writes the temp files
     themselves, and each later one its own part files beside them, which
     are appended in order and removed. Unless the parts run here
-    (`_map_processes` with one worker), no world slice and no slice text
+    (`map_processes` with one part), no world slice and no slice text
     reaches this process."""
-    parts = distill_data.part_ranges(config, queries, _cpu_count())
+
+    def write(part: tuple[range, list[str]]) -> None:  # a query range and a path per file
+        part_queries, part_paths = part
+        with contextlib.ExitStack() as stack:
+            opened = [stack.enter_context(open(path, "w", encoding="utf-8")) for path in part_paths]
+            for chunks in distill_data.map_ranges(texts, config, part_queries):
+                for f, chunk in zip(opened, chunks):
+                    f.writelines(chunk)
+
+    parts = distill_data.part_ranges(config, queries, pipeline.cpu_count())
     paths = [[f.name if i == 0 else f"{f.name}.part{i}" for f in files] for i in range(len(parts))]
     try:
-        _map_processes(functools.partial(_write_part, texts, config), list(zip(parts, paths)))
+        pipeline.map_processes(write, list(zip(parts, paths)), here=False)
         for j, f in enumerate(files):
             f.seek(0, os.SEEK_END)  # past the first part
             for later in paths[1:]:
@@ -485,33 +465,35 @@ def _train_lists(
     cfg: ExperimentConfig, train: range, groups: bool, depth: int | None, dataset: tuple | None
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The hard-negative groups (if `groups`) and the teacher lists of the
-    train queries, built one world slice at a time: the world teacher's lists
-    at `depth`, or those of `dataset` (`_read_dataset`) in its order, whose
-    features each slice gathers by pool index."""
-    group_lists, teacher_lists = [], [None] * (0 if dataset is None else len(dataset[0]))
+    train queries: the world teacher's lists at `depth`, or those of
+    `dataset` (`_read_dataset`) in its order. Each kind is one shared block
+    that `pipeline.fill_ranges` fills a world slice at a time, and each list
+    a view of it; a dataset list's features are gathered by pool index from
+    the slice that holds its query."""
+    dim, group_size = cfg.world.feature_dim, cfg.sampling.num_negatives + 1
+    group_block = pipeline.shared_empty((len(train) if groups else 0, group_size, dim))
+    list_block = pipeline.shared_empty((0 if depth is None else len(train), depth or 0, dim))
+    if dataset is not None:
+        qindex, offsets, index = dataset
+        lengths = np.diff(offsets)
+        doc_block = pipeline.shared_empty((len(index), dim))
 
-    def build(world: distill_data.SyntheticWorld) -> tuple[list, list]:
-        some_groups = some_lists = []
+    def fill(world: distill_data.SyntheticWorld, rows: slice) -> None:
         if groups or depth is not None:
             run = world.first_stage_run(cfg.distill.retriever)
         if groups:
-            some_groups = list(distill_data.build_hard_negative_groups(run, cfg.sampling))
+            group_block[rows] = distill_data.build_hard_negative_groups(run, cfg.sampling)
         if depth is not None:
-            some_lists = list(run.features(distill_data.teacher_ranking(run, depth)[0]))
-        if dataset is not None:  # the lists of this slice's queries, at their list numbers
-            qindex, offsets, index = dataset
+            list_block[rows] = run.features(distill_data.teacher_ranking(run, depth)[0])
+        if dataset is not None:  # the docs of the lists of this slice's queries
             mine = (qindex >= world.queries.start) & (qindex < world.queries.stop)
-            numbers, lengths = np.flatnonzero(mine), np.diff(offsets)
-            rows = np.repeat(qindex[numbers] - world.queries.start, lengths[numbers])
-            block = world._features[rows, index[np.repeat(mine, lengths)]]
-            for i, features in zip(numbers.tolist(), np.split(block, np.cumsum(lengths[numbers]))):
-                teacher_lists[i] = features
-        return some_groups, some_lists
+            docs = np.repeat(mine, lengths)
+            query_rows = np.repeat(qindex[mine] - world.queries.start, lengths[mine])
+            doc_block[docs] = world._features[query_rows, index[docs]]
 
-    for some_groups, some_lists in distill_data.map_ranges(build, cfg.world, train):
-        group_lists += some_groups
-        teacher_lists += some_lists
-    return group_lists, teacher_lists
+    pipeline.fill_ranges(fill, cfg.world, train)
+    teacher_lists = list(list_block) if dataset is None else np.split(doc_block, offsets[1:-1])
+    return list(group_block), teacher_lists
 
 
 def _train(
@@ -657,7 +639,8 @@ def cmd_significance(args) -> int:
     if len(qrels.query_ids()) < 2:  # every system is scored on the qrels' queries
         raise ConfigError(f"qrels file {args.qrels!r} contains fewer than 2 queries")
     # Each run is read and scored in a worker process; only its scores come back.
-    scores = _map_processes(functools.partial(_run_scores, qrels, args.k), paths)
+    score = functools.partial(_run_scores, qrels, args.k)
+    scores = pipeline.map_processes(score, paths, here=False)
     per_system = dict(zip(names, scores))
     report = evaluation.significance_report(per_system, names[0], args.alpha)
     out, text = Path(args.out), report.to_text()
@@ -678,16 +661,18 @@ def cmd_ablate(args) -> int:
     _check_depth(cfg, "ablation", "depth", max_depth)
     splits = pipeline.query_ranges(cfg.world.num_queries, cfg.split)
 
-    def build(world: distill_data.SyntheticWorld) -> list[np.ndarray]:
+    train, dim = splits["train"], cfg.world.feature_dim
+    blocks = {d: pipeline.shared_empty((len(train), d, dim)) for d in depths}
+
+    def fill(world: distill_data.SyntheticWorld, rows: slice) -> None:
         run = world.first_stage_run(cfg.distill.retriever)
         ranked, ranks = distill_data.teacher_ranking(run, max_depth)
-        cuts = (ranked[distill_data.first_stage_top(ranks, d)].reshape(len(run), d) for d in depths)
-        return [run.features(index) for index in cuts]
+        for d, block in blocks.items():
+            cut = ranked[distill_data.first_stage_top(ranks, d)].reshape(len(run), d)
+            block[rows] = run.features(cut)
 
-    lists: dict[int, list[np.ndarray]] = {d: [] for d in depths}
-    for blocks in distill_data.map_ranges(build, cfg.world, splits["train"]):
-        for d, block in zip(depths, blocks):
-            lists[d] += list(block)
+    pipeline.fill_ranges(fill, cfg.world, train)
+    lists = {d: list(block) for d, block in blocks.items()}
     validation = pipeline.range_pools(
         cfg.world, cfg.eval.retriever, splits["validation"], cfg.eval.depth
     )

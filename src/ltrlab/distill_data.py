@@ -41,6 +41,10 @@ FEATURE_MAP_SATURATED = "saturated"
 # a threshold below the ~3.5 MB of a training step's temporaries at n = 100
 # gives them back to the system and faults them in again on every step.
 _SLICE_BYTES = 2**21
+# Full slices that each part of `part_ranges` holds at least. A worker
+# process costs about a slice's work of its own: its fork, the copy-on-write
+# faults of both processes' heaps and its exit.
+_PART_SLICES = 2
 
 
 @dataclass(frozen=True)
@@ -320,12 +324,13 @@ def map_ranges(
 
 def part_ranges(config: WorldConfig, queries: range, parts: int) -> list[range]:
     """`queries` cut into `parts` consecutive ranges of whole `map_ranges`
-    slices, as even in slices as they can be, but never into more ranges
-    than slices (nor fewer than one): `map_ranges` over the ranges makes the
-    slices that it makes over `queries`."""
+    slices, as even in slices as they can be, but into fewer where a range
+    would hold less than `_PART_SLICES` full slices, and never fewer than
+    one: `map_ranges` over the ranges makes the slices that it makes over
+    `queries`."""
     step = _slice_queries(config)
     slices = -(-len(queries) // step)
-    parts = max(1, min(parts, slices))
+    parts = max(1, min(parts, len(queries) // (step * _PART_SLICES)))
     starts = (queries.start + slices * i // parts * step for i in range(parts + 1))
     bounds = [min(start, queries.stop) for start in starts]
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]

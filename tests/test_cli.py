@@ -12,6 +12,7 @@ import tracemalloc
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ltrlab import cli, core, distill_data, pipeline, trainer
@@ -291,15 +292,30 @@ def square_unless_negative(x: int) -> int:
     return x * x
 
 
+def tree(directory: Path) -> dict[str, bytes | None]:
+    """The bytes of each file under `directory`, by relative path; None for a directory."""
+    return {
+        str(path.relative_to(directory)): path.read_bytes() if path.is_file() else None
+        for path in sorted(directory.rglob("*"))
+    }
+
+
 class TestWorkerProcesses:
-    """`world`, `distill` and `significance` run their parts in worker
-    processes, one per CPU that `cli._cpu_count` gives, and never more than
-    parts. 50 queries a slice cut the smoke world's 200 queries into 4
-    slices and its 120 train queries into 3."""
+    """Every world-slice consumer and `significance` run their parts with
+    `pipeline.map_processes`: one consecutive run of parts per CPU that
+    `pipeline.cpu_count` gives, never more runs than parts, and a forked
+    worker for each run but the first, which the calling process runs
+    itself unless the call says otherwise. One run is never forked. So
+    `train` and `ablate` start min(CPUs, parts) - 1 processes a call, and
+    `world`, `distill` and `significance`, whose calls leave the first run
+    to a worker too, min(CPUs, parts) unless that is 1. A part holds at
+    least two full slices (`distill_data.part_ranges`): 20 queries a slice
+    cut the smoke world's 200 queries into 5 parts at most and its 120
+    train queries into 3."""
 
     @pytest.fixture()
     def started(self, monkeypatch) -> list[int]:
-        """The count of processes started so far, and the smoke world at 50
+        """The count of processes started so far, and the smoke world at 20
         queries a slice."""
         count, start = [0], multiprocessing.process.BaseProcess.start
 
@@ -309,33 +325,91 @@ class TestWorkerProcesses:
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counting)
         world = WorldConfig(**SMOKE_CONFIG["world"])
-        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world, 50))
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world, 20))
         return count
 
     def test_results_in_item_order_and_first_failure_raised(self, monkeypatch, started):
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
-        assert cli._map_processes(square_unless_negative, [3, 1, 2, 5]) == [9, 1, 4, 25]
-        assert started == [2]
-        # -2 fails first, but -1 is the first failing item.
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 2)
+        assert pipeline.map_processes(square_unless_negative, [3, 1, 2, 5]) == [9, 1, 4, 25]
+        assert started == [1]
+        # Three runs: -2's worker fails first, but -1 is the first failing item.
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 3)
         with pytest.raises(core.ParseError, match=r"^line 1: bad item -1$") as caught:
-            cli._map_processes(square_unless_negative, [4, -1, -2])
+            pipeline.map_processes(square_unless_negative, [4, -1, -2])
         assert caught.value.line == 1
-        assert started == [4] and multiprocessing.active_children() == []
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 1)
-        assert cli._map_processes(square_unless_negative, [3, 1]) == [9, 1]
-        assert started == [4]
+        assert started == [3] and multiprocessing.active_children() == []
+        # This process's own run fails first: the workers are stopped.
+        with pytest.raises(core.ParseError, match=r"^line 3: bad item -3$"):
+            pipeline.map_processes(square_unless_negative, [-3, -1, 2])
+        assert started == [5] and multiprocessing.active_children() == []
+        # Every run in a worker.
+        assert pipeline.map_processes(square_unless_negative, [3, 1, 2], here=False) == [9, 1, 4]
+        assert started == [8]
+        with pytest.raises(core.ParseError, match=r"^line 1: bad item -1$"):
+            pipeline.map_processes(square_unless_negative, [4, -1, -2], here=False)
+        assert started == [11] and multiprocessing.active_children() == []
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 1)
+        assert pipeline.map_processes(square_unless_negative, [3, 1]) == [9, 1]
+        assert pipeline.map_processes(square_unless_negative, [3, 1], here=False) == [9, 1]
+        assert started == [11]
+
+    def test_closures_and_a_worker_that_dies(self, monkeypatch, started):
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 2)
+        offset = 10
+        assert pipeline.map_processes(lambda x: x + offset, [1, 2, 3]) == [11, 12, 13]
+
+        def exit_on_two(x):
+            if x == 2:
+                os._exit(3)
+            return x
+
+        with pytest.raises(RuntimeError, match=r"^worker process \d+ ended with exit code 3$"):
+            pipeline.map_processes(exit_on_two, [1, 2])
+        assert started == [2] and multiprocessing.active_children() == []
+
+    def test_shared_blocks_carry_worker_rows(self, monkeypatch, started):
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 4)
+        block = pipeline.shared_empty((5, 3), np.intp)
+        assert block.shape == (5, 3) and not block.any()
+
+        def fill(row: int) -> None:
+            block[row] = [row, os.getpid(), 7]
+
+        pipeline.map_processes(fill, range(5))
+        assert started == [3]
+        assert block[:, 0].tolist() == [0, 1, 2, 3, 4] and (block[:, 2] == 7).all()
+        # Row 0 is this process's run, rows 1 and 2 one worker's each, and 3 and 4 one.
+        pids = block[:, 1].tolist()
+        assert pids[0] == os.getpid() and pids[3] == pids[4] and len(set(pids)) == 4
+        for shape in ((0,), (0, 4), (3, 0, 2)):
+            empty = pipeline.shared_empty(shape)
+            assert empty.shape == shape and empty.dtype == np.float64
+        pipeline.map_processes(lambda _: None, [])
+        assert started == [3]
+
+    def test_without_fork_every_item_runs_here(self, monkeypatch, started):
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 4)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        private = np.zeros(4)
+
+        def fill(row: int) -> int:
+            private[row] = os.getpid()
+            return row
+
+        assert pipeline.map_processes(fill, range(4)) == [0, 1, 2, 3]
+        assert (private == os.getpid()).all() and started == [0]
 
     def test_outputs_byte_equal_at_any_cpu_count(self, tmp_path, config_path, monkeypatch, started):
         outputs = {}
         for cpus in (1, 2, 8):
-            monkeypatch.setattr(cli, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(pipeline, "cpu_count", lambda: cpus)
             out = tmp_path / f"cpus{cpus}"
             world, config = out / "world", ["--config", str(config_path)]
             strong, weak = (str(world / f"run_{name}.trec") for name in ("strong", "weak"))
             runs = ["--baseline", weak, "--candidate", strong]
             runs += ["--candidate", str(out / "copy.trec")]
-            commands = [  # each with its parts: world slices, or run files
-                (["world", *config], 4),
+            commands = [  # each with its most parts: full world slices, or run files
+                (["world", *config], 5),
                 (["distill", *config], 3),
                 (["significance", "--qrels", str(world / "qrels.txt"), *runs], 3),
             ]
@@ -347,24 +421,114 @@ class TestWorkerProcesses:
                 workers = min(cpus, parts)
                 assert started[0] - before == (workers if workers > 1 else 0), (argv[0], cpus)
                 assert multiprocessing.active_children() == []
-            outputs[cpus] = {
-                str(path.relative_to(out)): path.read_bytes()
-                for path in sorted(out.rglob("*")) if path.is_file()
-            }
+            outputs[cpus] = tree(out)
         assert sorted(outputs[1]) == [
-            "copy.trec", "distill/distill_dataset.jsonl",
-            "significance/significance.jsonl", "significance/significance.txt",
+            "copy.trec", "distill", "distill/distill_dataset.jsonl", "significance",
+            "significance/significance.jsonl", "significance/significance.txt", "world",
             "world/qrels.txt", "world/run_strong.trec", "world/run_weak.trec",
             "world/world_config.json",
         ]
         assert outputs[1] == outputs[2] == outputs[8]
 
+    @pytest.fixture()
+    def ragged_dataset(self, tmp_path, config_path) -> Path:
+        """A dataset of the smoke world's train queries in reverse order, its
+        lists cut to 20, 7, 1 or 13 docs."""
+        assert main(["distill", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        lines = []
+        for i, line in enumerate(reversed(read(tmp_path / "distill_dataset.jsonl").splitlines())):
+            record = json.loads(line)
+            keep = record["passages"][: [20, 7, 1, 13][i % 4]]
+            for rank, passage in enumerate(keep, start=1):
+                passage["teacher_rank"] = rank
+            lines.append(json.dumps(dict(record, passages=keep)))
+        path = tmp_path / "ragged.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_train_and_ablate_byte_equal_at_any_cpu_count(
+        self, tmp_path, config_path, monkeypatch, started, ragged_dataset
+    ):
+        """At 10 queries a slice the 120 train queries are 6 parts at most,
+        and the 40 validation and 40 test queries 2 each: the training
+        lists, then the validation pools and, but for `ablate`, the test
+        pools each make one `map_processes` call."""
+        world = WorldConfig(**SMOKE_CONFIG["world"])
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world, 10))
+        config = ["--config", str(config_path)]
+        dataset = ["--dataset", str(ragged_dataset)]
+        commands = {  # each with the most parts of each of its calls
+            "two": ([*TRAIN_TWO, *config], (6, 2, 2)),
+            "two-dataset": ([*TRAIN_TWO, *config, *dataset], (6, 2, 2)),
+            "single-dataset": (["train", *config, *dataset], (6, 2, 2)),
+            "ablate": (["ablate", *config], (6, 2)),
+        }
+        outputs = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(pipeline, "cpu_count", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            for name, (argv, calls) in commands.items():
+                before = started[0]
+                assert main([*argv, "--out", str(out / name)]) == 0
+                workers = sum(min(cpus, parts) - 1 for parts in calls)
+                assert started[0] - before == workers, (name, cpus)
+                assert multiprocessing.active_children() == []
+            outputs[cpus] = tree(out)
+        assert sorted(outputs[1]) == sorted([
+            *commands, "ablate/ablation.jsonl", "ablate/ablation.tsv",
+            *(f"{name}/{file}" for name in ("two", "two-dataset") for file in (
+                "report_stage1.json", "metrics_stage1.jsonl",
+            )),
+            *(f"{name}/{file}" for name in ("two", "two-dataset", "single-dataset") for file in (
+                "checkpoint.txt", "metrics_distill.jsonl", "report_distill.json",
+                "summary.json", "test_per_query.tsv", "test_run.trec",
+            )),
+        ])
+        assert outputs[1] == outputs[2] == outputs[8]
+        # The lists of the ragged file are its own, not the world teacher's.
+        assert outputs[1]["two/checkpoint.txt"] != outputs[1]["two-dataset/checkpoint.txt"]
+        # Without fork, every slice runs here, with the same bytes.
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        before = started[0]
+        for name, (argv, _) in commands.items():
+            assert main([*argv, "--out", str(tmp_path / "inline" / name)]) == 0
+        assert started[0] == before and tree(tmp_path / "inline") == outputs[1]
+
+    @pytest.mark.parametrize("failing", [0, 60, 100])
+    def test_failing_slice_surfaces_its_error(
+        self, tmp_path, config_path, capsys, monkeypatch, started, ragged_dataset, failing
+    ):
+        """A slice of this process's run, the first of a worker's, or a later
+        one fails: its error is the command's, every worker is joined and
+        `--out` is not made."""
+        world = WorldConfig(**SMOKE_CONFIG["world"])
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(world, 10))
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 2)
+        generate = distill_data.generate_world
+
+        def fail_on_one(config, queries=None):
+            if queries is not None and queries.start == failing:
+                raise ArithmeticError(f"no world for {queries}")
+            return generate(config, queries)
+
+        monkeypatch.setattr(distill_data, "generate_world", fail_on_one)
+        config = ["--config", str(config_path)]
+        for argv in ([*TRAIN_TWO, *config], ["train", *config, "--dataset", str(ragged_dataset)]):
+            out = tmp_path / "t"
+            with pytest.raises(ArithmeticError, match=rf"^no world for range\({failing}, "):
+                main([*argv, "--out", str(out)])
+            assert not out.exists() and multiprocessing.active_children() == []
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 8)
+        with pytest.raises(ArithmeticError, match=rf"^no world for range\({failing}, "):
+            main(["ablate", *config, "--out", str(tmp_path / "a")])
+        assert not (tmp_path / "a").exists() and multiprocessing.active_children() == []
+
     def test_malformed_baseline_named_before_a_malformed_candidate(
         self, tmp_path, capsys, monkeypatch, started
     ):
-        """The candidate's line 1 is bad too: whichever worker fails first,
+        """The candidate's line 1 is bad too: whichever run fails first,
         the baseline's line is named."""
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 2)
         files = {"base.trec": BAD_RUN, "cand.trec": "garbage\n", "qrels.txt": GOOD_QRELS}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
@@ -382,7 +546,7 @@ class TestWorkerProcesses:
     ):
         """After a success, a failing worker, a parse error and an unwritable
         `--out`, no worker is alive and `--out` holds no part or temp file."""
-        monkeypatch.setattr(cli, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(pipeline, "cpu_count", lambda: 2)
         out, config = tmp_path / "world", ["--config", str(config_path)]
 
         def assert_left(directory: Path, names: list[str]) -> None:
@@ -422,6 +586,19 @@ class TestWorkerProcesses:
         assert not (tmp_path / "sig").exists()
         assert multiprocessing.active_children() == []
         assert started[0] == 10  # two workers for each of five commands
+
+    def test_failed_rename_puts_back_every_renamed_file(self, tmp_path, config_path, capsys):
+        """The last file's rename fails: the files renamed before it get their
+        old bytes back, and a file that was not there is removed."""
+        out, config = tmp_path / "out", ["--config", str(config_path)]
+        assert main(["world", *config, "--seed", "5", "--out", str(out)]) == 0
+        (out / "qrels.txt").unlink()
+        (out / "run_weak.trec").unlink()
+        (out / "run_weak.trec").mkdir()
+        before = tree(out)
+        assert main(["world", *config, "--out", str(out)]) == 2
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert tree(out) == before
 
 
 class TestModuleEntry:

@@ -20,6 +20,7 @@ from ltrlab.distill_data import (
     generate_world,
     subsample_depth,
     map_ranges,
+    part_ranges,
 )
 from ltrlab.evaluation import grade_rows
 
@@ -290,6 +291,26 @@ class TestQueryRanges:
         assert [len(ids) for ids in slices] == [7, 7, 7, 1]
         assert sum(slices, ()) == generate_world(config).query_ids[3:25]
         assert list(map_ranges(lambda world: world, config, range(5, 5))) == []
+
+    def test_part_ranges_cut_whole_slices_two_full_ones_a_part(self, monkeypatch):
+        """34 queries at 4 a slice are 8 full slices and one of 2."""
+        config = WorldConfig(num_queries=40, docs_per_query=3)
+        monkeypatch.setattr(distill_data, "_SLICE_BYTES", slice_bytes(config, 4))
+        queries = range(3, 37)
+        cuts = {
+            1: [range(3, 37)],
+            2: [range(3, 19), range(19, 37)],
+            8: [range(3, 11), range(11, 19), range(19, 27), range(27, 37)],
+        }
+        slices = list(map_ranges(lambda world: world.queries, config, queries))
+        for parts, expected in cuts.items():
+            assert part_ranges(config, queries, parts) == expected
+            cut = [map_ranges(lambda world: world.queries, config, part) for part in expected]
+            assert [s for part in cut for s in part] == slices
+        assert part_ranges(config, range(3, 14), 2) == [range(3, 14)]  # 2 full slices and 3 queries
+        assert part_ranges(config, range(3, 11), 2) == [range(3, 11)]
+        assert part_ranges(config, range(3, 6), 4) == [range(3, 6)]
+        assert part_ranges(config, range(5, 5), 2) == [range(5, 5)]
 
     @pytest.mark.parametrize(
         "shape, budget, per_slice",

@@ -49,14 +49,15 @@ def test_finds_unused_imports():
 def test_import_loads_no_worker_machinery():
     """`multiprocessing` and `concurrent.futures` are imported only by a
     command that starts worker processes, so an import does not pay for them."""
-    script = (
-        "import sys\n"
-        "import ltrlab, ltrlab.cli\n"
-        "workers = ('multiprocessing', 'concurrent')\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] in workers))\n"
-    )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+    for module in ("ltrlab", "ltrlab.cli", "ltrlab.pipeline", "ltrlab.distill_data"):
+        script = (
+            "import sys\n"
+            f"import {module}\n"
+            "workers = ('multiprocessing', 'concurrent')\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in workers))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stderr)
